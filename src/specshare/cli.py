@@ -17,15 +17,6 @@ from . import fsc, learning, trajectories
 from .simulator import SimConfig
 
 
-def _thread_cap():
-    """Honor the SPECSHARE_THREADS cap on internal parallelism."""
-    raw = os.environ.get("SPECSHARE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _uniform_behavior(config, epsilon):
     """Single-node uniform controller per agent, for bootstrap collection."""
     n_actions = len(config.cw_set)
@@ -172,7 +163,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--prune-epsilon", type=float, default=1e-3)
     p.add_argument("--max-nodes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("evaluate", help="score learned policies")
@@ -198,13 +188,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    _thread_cap()
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
 

@@ -1,86 +1,46 @@
 """Special functions and random variates for Beta, Gamma, Dirichlet and
 stick-breaking constructions.
 
-All samplers take an explicit ``numpy.random.Generator`` so that draws are
-reproducible and callers own their generator state.
+digamma comes from scipy and the samplers from ``numpy.random.Generator``;
+this module adds the parameter checks. All samplers take an explicit
+generator so that draws are reproducible and callers own their generator
+state.
 """
 
 import math
 
 import numpy as np
+import scipy.special
 
 
 def digamma(x):
     """Digamma function, valid for positive arguments.
 
-    Uses upward recurrence to push the argument above 8 and then the
-    asymptotic (Bernoulli) series. Accurate to ~1e-13 absolute for
-    x >= 1e-6. Accepts scalars or arrays.
+    Delegates to ``scipy.special.digamma`` after checking the domain.
+    Accepts scalars or arrays; scalars come back as float.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("digamma requires strictly positive finite arguments")
-    y = arr.copy()
-    shift = np.zeros_like(y)
-    while True:
-        small = y < 8.0
-        if not np.any(small):
-            break
-        shift[small] -= 1.0 / y[small]
-        y[small] += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    # Psi(y) ~ ln y - 1/(2y) - sum B_2n / (2n y^2n)
-    series = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (
-        1.0 / 240 - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760 - inv2 / 12))))))
-    out = shift + np.log(y) - 0.5 * inv - series
+    out = scipy.special.digamma(arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _gamma_unit_rate(shape, rng):
-    """Marsaglia-Tsang draw from Gamma(shape, 1) for shape >= 1."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        z = rng.standard_normal()
-        v = 1.0 + c * z
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u < 1.0 - 0.0331 * z ** 4:
-            return d * v
-        if math.log(u) < 0.5 * z * z + d * (1.0 - v + math.log(v)):
-            return d * v
 
 
 def sample_gamma(shape, rate, rng):
     """Draw one variate from Gamma(shape, rate) with mean shape/rate."""
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError("gamma parameters must be strictly positive")
-    if shape < 1.0:
-        # boost: draw shape+1 and scale back by U^(1/shape)
-        x = _gamma_unit_rate(shape + 1.0, rng)
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        x *= u ** (1.0 / shape)
-    else:
-        x = _gamma_unit_rate(shape, rng)
-    return x / rate
+    return float(rng.gamma(shape, 1.0 / rate))
 
 
 def sample_beta(first, second, rng):
     """Draw one variate from Beta(first, second), strictly inside (0, 1)."""
     if first <= 0.0 or second <= 0.0:
         raise ValueError("beta parameters must be strictly positive")
-    x = sample_gamma(first, 1.0, rng)
-    y = sample_gamma(second, 1.0, rng)
-    v = x / (x + y)
     eps = 1e-15
-    return min(max(v, eps), 1.0 - eps)
+    return min(max(float(rng.beta(first, second)), eps), 1.0 - eps)
 
 
 def sample_dirichlet(params, rng):
@@ -88,8 +48,7 @@ def sample_dirichlet(params, rng):
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.size == 0 or np.any(params <= 0.0):
         raise ValueError("dirichlet parameters must be a vector of positive reals")
-    draws = np.array([sample_gamma(p, 1.0, rng) for p in params])
-    return draws / draws.sum()
+    return rng.dirichlet(params)
 
 
 def stick_breaking_weights(portions):

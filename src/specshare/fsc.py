@@ -129,42 +129,45 @@ def transition_node(policy, node, action, obs_us, rng):
     return int(rng.choice(policy.node_count, p=policy.omega[node, ai, oi]))
 
 
-def history_likelihood(policy, action_idx, obs_bins):
-    """p(a_{0:t} | o_{1:t}) under a controller or point estimate.
+def forward(policy, action_idx, obs_bins):
+    """Scaled forward recursion over controller nodes.
 
-    Marginalizes the node path with the forward recursion. `action_idx`
-    are action indices (length t+1), `obs_bins` are observation-bin
-    indices (length t). For sub-probability point estimates the result is
-    a non-negative weight rather than a probability.
+    `action_idx` are action indices (length t+1), `obs_bins` are
+    observation-bin indices (length t). Returns (alpha_hat, log_scale):
+    alpha_hat[tau] is the node posterior given the history up to tau, and
+    log_scale[tau] is the log of the factor it was divided by, so the
+    cumulative sum of log_scale is the log history likelihood of every
+    prefix. Per-step scaling keeps T = 50 histories from underflowing.
     """
     if len(obs_bins) != len(action_idx) - 1:
         raise ValueError("need exactly one fewer observation than actions")
+    alpha_hat = np.empty((len(action_idx), policy.eta.size))
+    log_scale = np.empty(len(action_idx))
     alpha = policy.eta * policy.pi[:, action_idx[0]]
-    for a_prev, o, a in zip(action_idx[:-1], obs_bins, action_idx[1:]):
-        alpha = alpha @ policy.omega[:, a_prev, o, :] * policy.pi[:, a]
-    return float(alpha.sum())
+    for t, a in enumerate(action_idx):
+        if t:
+            trans = policy.omega[:, action_idx[t - 1], obs_bins[t - 1], :]
+            alpha = alpha_hat[t - 1] @ trans * policy.pi[:, a]
+        total = float(alpha.sum())
+        log_scale[t] = math.log(total)
+        alpha_hat[t] = alpha / total
+    return alpha_hat, log_scale
+
+
+def history_likelihood(policy, action_idx, obs_bins):
+    """p(a_{0:t} | o_{1:t}) under a controller or point estimate.
+
+    For sub-probability point estimates the result is a non-negative
+    weight rather than a probability.
+    """
+    _, log_scale = forward(policy, action_idx, obs_bins)
+    return math.exp(float(np.sum(log_scale)))
 
 
 def log_history_likelihoods(policy, action_idx, obs_bins):
-    """Cumulative log p(a_{0:t} | o_{1:t}) for every prefix t.
-
-    Uses a per-step rescaled forward recursion so T = 50 histories do not
-    underflow. Returns an array of length len(action_idx).
-    """
-    out = np.empty(len(action_idx))
-    alpha = policy.eta * policy.pi[:, action_idx[0]]
-    total = float(alpha.sum())
-    logl = math.log(total)
-    out[0] = logl
-    alpha /= total
-    for t, (a_prev, o, a) in enumerate(zip(action_idx[:-1], obs_bins,
-                                           action_idx[1:]), start=1):
-        alpha = alpha @ policy.omega[:, a_prev, o, :] * policy.pi[:, a]
-        total = float(alpha.sum())
-        logl += math.log(total)
-        out[t] = logl
-        alpha /= total
-    return out
+    """Cumulative log p(a_{0:t} | o_{1:t}) for every prefix t, as an array
+    of length len(action_idx)."""
+    return np.cumsum(forward(policy, action_idx, obs_bins)[1])
 
 
 def stick_log_expectations(first, second):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import digamma
-from .fsc import (DEFAULT_OBS_BINS, FscPolicy, init_from_episodes,
+from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
                   log_history_likelihoods, point_estimate, prune)
 
 
@@ -80,6 +80,7 @@ class ReweightedRewards:
     r_min: float
     r_max: float
     value: float         # the empirical value the weights divide by
+    alpha_hat: list      # per (k, agent): scaled forward table of the target
 
 
 @dataclass
@@ -121,13 +122,8 @@ def reward_bounds(episodes):
 
 def forward_messages(policy, action_idx, obs_bins):
     """Unscaled forward table alpha[tau, i] over controller nodes."""
-    t1 = len(action_idx)
-    alpha = np.empty((t1, policy.eta.size))
-    alpha[0] = policy.eta * policy.pi[:, action_idx[0]]
-    for tau in range(1, t1):
-        trans = policy.omega[:, action_idx[tau - 1], obs_bins[tau - 1], :]
-        alpha[tau] = (alpha[tau - 1] @ trans) * policy.pi[:, action_idx[tau]]
-    return alpha
+    alpha_hat, log_scale = forward(policy, action_idx, obs_bins)
+    return alpha_hat * np.exp(np.cumsum(log_scale))[:, None]
 
 
 def backward_messages(policy, action_idx, obs_bins, t):
@@ -145,19 +141,15 @@ def node_marginals(policy, action_idx, obs_bins, t):
     """Posterior node-path marginals for the prefix ending at epoch t.
 
     Returns (singletons[tau, i], pairwise[tau - 1, i, j]) where the
-    pairwise slice tau - 1 couples z_{tau-1} and z_tau, tau = 1..t.
+    pairwise slice tau - 1 couples z_{tau-1} and z_tau, tau = 1..t. This
+    is the learner's own sweep with all path weight on endpoint t.
     """
-    alpha = forward_messages(policy, action_idx[:t + 1], obs_bins[:t])
-    beta = backward_messages(policy, action_idx, obs_bins, t)
-    post = alpha * beta
-    norm = post[t].sum()
-    singles = post / norm
-    pairs = np.empty((t, alpha.shape[1], alpha.shape[1]))
-    for tau in range(1, t + 1):
-        trans = policy.omega[:, action_idx[tau - 1], obs_bins[tau - 1], :]
-        pairs[tau - 1] = (alpha[tau - 1][:, None] * trans
-                          * (policy.pi[:, action_idx[tau]] * beta[tau])[None, :]) / norm
-    return singles, pairs
+    aidx, obins = action_idx[:t + 1], obs_bins[:t]
+    alpha_hat, _ = forward(policy, aidx, obins)
+    nu = np.zeros(t + 1)
+    nu[t] = 1.0
+    occ, pair = _sweep_agent(policy, aidx, obins, nu, alpha_hat)
+    return occ, pair[1:]
 
 
 def _action_indices(track, policy):
@@ -190,20 +182,23 @@ def _behavior_log_prefix(episodes, policies=None):
 
 
 def _log_weights(episodes, target, behavior, r_min, gamma):
-    """Per episode: (log importance ratio per t, shifted discounted reward per t)."""
+    """Per episode: log importance ratio per t, shifted discounted reward
+    per t, and the target's scaled forward table per agent."""
     log_behavior = _behavior_log_prefix(episodes, behavior)
     log_ratio = []
     rewards = []
+    alpha_hat = []
     for ep, logb in zip(episodes, log_behavior):
-        logp = np.zeros_like(logb)
-        for pol, tr in zip(target, ep.agents):
-            logp = logp + log_history_likelihoods(pol, _action_indices(tr, pol),
-                                                  tr.obs_bin[:-1])
+        passes = [forward(pol, _action_indices(tr, pol), tr.obs_bin[:-1])
+                  for pol, tr in zip(target, ep.agents)]
+        logp = np.sum([np.cumsum(log_scale) for _, log_scale in passes],
+                      axis=0)
         t = np.arange(len(ep.rewards))
         r = (gamma ** t) * (np.asarray(ep.rewards, dtype=float) - r_min)
         log_ratio.append(logp - logb)
         rewards.append(r)
-    return log_ratio, rewards
+        alpha_hat.append([table for table, _ in passes])
+    return log_ratio, rewards, alpha_hat
 
 
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
@@ -215,14 +210,15 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     """
     if r_min is None:
         r_min, _ = reward_bounds(episodes)
-    log_w, rew = _log_weights(episodes, target, behavior, r_min, gamma)
+    log_w, rew, _ = _log_weights(episodes, target, behavior, r_min, gamma)
     total = sum(float(np.sum(np.exp(lw) * r)) for lw, r in zip(log_w, rew))
     return total / len(episodes)
 
 
 def reweighted(episodes, estimates, r_min, gamma, behavior=None):
     """Posterior path weights nu[k][t] plus the value they normalize by."""
-    log_w, rew = _log_weights(episodes, estimates, behavior, r_min, gamma)
+    log_w, rew, alpha_hat = _log_weights(episodes, estimates, behavior,
+                                         r_min, gamma)
     k = len(episodes)
     value = sum(float(np.sum(np.exp(lw) * r)) for lw, r in zip(log_w, rew)) / k
     if not (value > 0.0 and math.isfinite(value)):
@@ -230,39 +226,32 @@ def reweighted(episodes, estimates, r_min, gamma, behavior=None):
     nu = [np.exp(lw) * r / value for lw, r in zip(log_w, rew)]
     r_max = float(max(r for ep in episodes for r in ep.rewards))
     return ReweightedRewards(r_tilde=rew, nu_tilde=nu, r_min=r_min,
-                             r_max=r_max, value=value)
+                             r_max=r_max, value=value, alpha_hat=alpha_hat)
 
 
-def _sweep_agent(estimate, aidx, obins, nu):
+def _sweep_agent(estimate, aidx, obins, nu, ahat):
     """nu-weighted posterior node statistics for one agent, one episode.
 
-    Returns (occ, pair): occ[tau, i] sums the singleton marginals of
-    z_tau over every prefix endpoint t >= tau, each weighted by nu[t];
-    pair[tau] (tau >= 1) likewise sums the weighted pairwise marginals
-    coupling z_{tau-1} and z_tau. All prefixes share one forward pass and
-    one backward sweep that carries a column per endpoint.
+    `ahat` is the episode's scaled forward table from `forward`. Returns
+    (occ, pair): occ[tau, i] sums the singleton marginals of z_tau over
+    every prefix endpoint t >= tau, each weighted by nu[t]; pair[tau]
+    (tau >= 1) likewise sums the weighted pairwise marginals coupling
+    z_{tau-1} and z_tau. All prefixes share one backward sweep that
+    carries a column per endpoint.
     """
     t1 = len(aidx)
     z = estimate.eta.size
-    ahat = np.empty((t1, z))
-    v = estimate.eta * estimate.pi[:, aidx[0]]
-    ahat[0] = v / v.sum()
-    mats = [None] * t1
-    for tau in range(1, t1):
-        m = estimate.omega[:, aidx[tau - 1], obins[tau - 1], :] \
-            * estimate.pi[:, aidx[tau]][None, :]
-        mats[tau] = m
-        v = ahat[tau - 1] @ m
-        ahat[tau] = v / v.sum()
     occ = np.zeros((t1, z))
     pair = np.zeros((t1, z, z))
     bcols = np.ones((z, 1))  # column t: backward message for endpoint t
     occ[t1 - 1] = ahat[t1 - 1] * nu[t1 - 1]
     for tau in range(t1 - 2, -1, -1):
-        mb = mats[tau + 1] @ bcols
+        m = estimate.omega[:, aidx[tau], obins[tau], :] \
+            * estimate.pi[:, aidx[tau + 1]][None, :]
+        mb = m @ bcols
         z2 = ahat[tau] @ mb
         d = bcols @ (nu[tau + 1:] / z2)
-        pair[tau + 1] = ahat[tau][:, None] * mats[tau + 1] * d[None, :]
+        pair[tau + 1] = ahat[tau][:, None] * m * d[None, :]
         bcols = np.hstack([np.ones((z, 1)), mb])
         bcols /= bcols.max(axis=0, keepdims=True)
         znorm = ahat[tau] @ bcols
@@ -270,8 +259,11 @@ def _sweep_agent(estimate, aidx, obins, nu):
     return occ, pair
 
 
-def _update_agent(state, estimate, episodes, agent, nu, hyper):
+def _update_agent(state, estimate, episodes, agent, rw, hyper):
     """One coordinate sweep of a single agent's factors.
+
+    `rw` holds the path weights and forward tables that `reweighted`
+    computed at `estimate`.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
@@ -285,10 +277,11 @@ def _update_agent(state, estimate, episodes, agent, nu, hyper):
     phi_acc = np.zeros((z, n_actions))
     sigma_acc = np.zeros((z, n_actions, n_obs, z))
     occ_total = np.zeros(z)
-    for ep, nu_k in zip(episodes, nu):
+    for ep, nu_k, tables in zip(episodes, rw.nu_tilde, rw.alpha_hat):
         tr = ep.agents[agent]
         aidx = tr.action_idx
-        occ, pair = _sweep_agent(estimate, aidx, tr.obs_bin[:-1], nu_k)
+        occ, pair = _sweep_agent(estimate, aidx, tr.obs_bin[:-1], nu_k,
+                                 tables[agent])
         delta_acc += occ[0]
         occ_total += occ.sum(axis=0)
         for tau, a in enumerate(aidx):
@@ -409,7 +402,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
         occ_totals = [_update_agent(states[n], estimates[n], episodes, n,
-                                    rw.nu_tilde, hyper)
+                                    rw, hyper)
                       for n in range(n_agents)]
         for st in states:
             st.assert_positive()

@@ -296,13 +296,6 @@ class CoexistenceSimulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, agent, kind, self.agents[agent].gen))
 
-    def _channel_quiet_for(self, agent):
-        """True when nothing can interrupt this agent's sensing."""
-        if self._active_tx:
-            return False
-        return all(st.phase == _WAIT_ACTION or i == agent
-                   for i, st in enumerate(self.agents))
-
     def _occupancy_changed(self, now):
         # re-derive wait-idle candidates; geometric waits are memoryless
         for n, st in enumerate(self.agents):
@@ -423,7 +416,7 @@ class CoexistenceSimulator:
     def _schedule_slot(self, agent, now):
         st = self.agents[agent]
         slot = self.config.ecca_slot_us if st.kind == "lte" else self.config.wifi_slot_us
-        if self._channel_quiet_for(agent) and self.config.agent_count == 1:
+        if self.config.agent_count == 1:
             # nothing can interrupt: all remaining slots are clear
             self._push(now + slot * st.remaining, agent, "slot_end")
             st.remaining = 1

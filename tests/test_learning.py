@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import specshare.fsc
+import specshare.learning
 from specshare.fsc import PointEstimate, observation_bin
 from specshare.learning import (Hyperparams, VariationalState,
                                 backward_messages, elbo, empirical_value,
@@ -286,3 +288,85 @@ class TestUpdatesAndElbo:
         n = tr.iterations
         assert len(tr.value) == len(tr.node_counts) == len(tr.g) == n
         assert len(tr.h) == len(tr.norm) == n
+
+
+def seeded_batch(seed=2024, n_episodes=5, t=8, n_agents=2, n_obs=13):
+    """A two-agent batch drawn from a numpy generator, not the simulator."""
+    rng = np.random.default_rng(seed)
+    eps = []
+    for k in range(n_episodes):
+        tracks = []
+        for _ in range(n_agents):
+            actions = rng.choice(ACTIONS, size=t).tolist()
+            obs = rng.integers(40, 5000, size=t).tolist()
+            local = np.cumsum(rng.integers(0, 3, size=t)).tolist()
+            tracks.append(AgentTrack(
+                actions=actions, obs_us=obs,
+                obs_bin=[observation_bin(o, n_obs) for o in obs],
+                pi_behavior=[1 / 3] * t, rewards=local))
+        rewards = np.sum([tr.rewards for tr in tracks], axis=0).tolist()
+        eps.append(Episode(k=k, agents=tracks, rewards=rewards))
+    return eps
+
+
+class TestSharedForwardPass:
+    @pytest.mark.parametrize("t", [20, 50])
+    def test_long_prefix_marginals_match_unscaled_messages(self, t):
+        # enumeration cannot reach these lengths; the unscaled two-pass
+        # reference can, and shares no code with the learner's sweep
+        rng = np.random.default_rng(100 + t)
+        for _ in range(5):
+            z = int(rng.integers(1, 5))
+            est = random_point_estimate(rng, z=z)
+            aidx = rng.integers(0, 3, size=t + 1).tolist()
+            obins = rng.integers(0, 4, size=t).tolist()
+            singles, pairs = node_marginals(est, aidx, obins, t)
+            alpha = forward_messages(est, aidx, obins)
+            beta = backward_messages(est, aidx, obins, t)
+            norm = float(alpha[t] @ beta[t])
+            e_singles = alpha * beta / norm
+            e_pairs = np.stack([
+                alpha[tau - 1][:, None]
+                * est.omega[:, aidx[tau - 1], obins[tau - 1], :]
+                * (est.pi[:, aidx[tau]] * beta[tau])[None, :] / norm
+                for tau in range(1, t + 1)])
+            assert np.max(np.abs(singles - e_singles)) < 1e-12
+            assert np.max(np.abs(pairs - e_pairs)) < 1e-12
+
+    def test_one_forward_pass_per_agent_episode_iteration(self, monkeypatch):
+        calls = []
+        original = specshare.fsc.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specshare.fsc, "forward", counting)
+        monkeypatch.setattr(specshare.learning, "forward", counting)
+        eps = seeded_batch()
+        res = learn(eps, Hyperparams(), max_iters=6, n_obs_bins=13)
+        k, n = len(eps), len(eps[0].agents)
+        assert len(calls) == (res.trace.iterations + 1) * k * n
+
+    def test_pinned_trace(self):
+        # recorded when reweighting and the node sweep each ran their own
+        # forward recursion; sharing one pass must not move the trace
+        expect_elbo = [
+            -1514.8319534066666, -1150.52055734825, -1006.7892839098205,
+            -931.3492277926027, -885.034381141178, -853.9292437033457,
+            -831.7607986883319, -815.2702016612826, -802.5994026017872,
+            -792.6134366743885, -784.5810800546432, -778.0107697771564,
+            -772.5603744575167, -767.984777750003, -764.1040160454511,
+            -760.7831576758678, -757.9191765005943, -755.4321443005359,
+            -753.2591741623573, -751.350164566137, -749.6647508406107,
+            -748.1700836705395, -746.8391851044117, -745.6497148338824,
+            -744.5830325431189, -743.6234769781453, -742.7578057327755,
+            -741.9747556537841, -741.2646947749115]
+        res = learn(seeded_batch(), Hyperparams(), max_iters=200, tol=1e-3,
+                    n_obs_bins=13)
+        assert res.converged
+        assert res.trace.iterations == len(expect_elbo)
+        for got, want in zip(res.trace.elbo, expect_elbo):
+            assert abs(got - want) <= 1e-9 * abs(want)
+        assert abs(res.trace.value[-1] - 2555.828340485455) \
+            <= 1e-9 * 2555.828340485455
