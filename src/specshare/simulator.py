@@ -13,15 +13,24 @@ previous transmission ends. One submitted contention-window action covers
 one full access attempt (sense, back off, transmit).
 """
 
+import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 CW_SET = (15, 31, 63, 127, 255, 511, 1023)
 DEFAULT_LTE_BURST_MS = {15: 3, 31: 6, 63: 6, 127: 8, 255: 8, 511: 10, 1023: 10}
+
+
+def _require_int(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
 @dataclass
@@ -42,10 +51,28 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("lte_count", 0), ("wifi_count", 0),
+                            ("difs_us", 1), ("wifi_slot_us", 1),
+                            ("icca_us", 1), ("ecca_slot_us", 1),
+                            ("wifi_packet_bytes", 1), ("horizon", 1),
+                            ("seed", 0)):
+            _require_int(name, getattr(self, name), least)
+        for name in ("rate_mbps", "gamma", "pe"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError("%s must be a number, got %r" % (name, value))
+        if not 0.0 < self.rate_mbps < math.inf:
+            raise ValueError("rate_mbps must be positive and finite")
+        if not isinstance(self.cw_set, (list, tuple)) or not self.cw_set:
+            raise ValueError("cw_set must be a non-empty list")
+        if not isinstance(self.lte_burst_ms, dict):
+            raise ValueError("lte_burst_ms must map contention windows to ms")
+        for cw in self.cw_set:
+            _require_int("cw_set entry", cw, 0)
+        for cw, ms in self.lte_burst_ms.items():
+            _require_int("lte_burst_ms[%s]" % cw, ms, 1)
         self.cw_set = tuple(int(c) for c in self.cw_set)
         self.lte_burst_ms = {int(k): int(v) for k, v in self.lte_burst_ms.items()}
-        if self.lte_count < 0 or self.wifi_count < 0:
-            raise ValueError("agent counts must be non-negative")
         if self.lte_count + self.wifi_count < 1:
             raise ValueError("need at least one agent")
         if list(self.cw_set) != sorted(set(self.cw_set)):
@@ -56,8 +83,6 @@ class SimConfig:
             raise ValueError("pe must be in [0, 1)")
         if any(cw not in self.lte_burst_ms for cw in self.cw_set):
             raise ValueError("lte_burst_ms must cover every contention window")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
 
     @property
     def agent_count(self):
@@ -79,11 +104,16 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, data):
-        data = dict(data)
-        if "lte_burst_ms" in data:
-            data["lte_burst_ms"] = {int(k): int(v) for k, v in data["lte_burst_ms"].items()}
-        if "cw_set" in data:
-            data["cw_set"] = tuple(data["cw_set"])
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object, not %s"
+                             % type(data).__name__)
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
+        if unknown:
+            raise ValueError("unknown config keys: %s" % ", ".join(unknown))
+        missing = sorted({"lte_count", "wifi_count"} - set(data))
+        if missing:
+            raise ValueError("missing config keys: %s" % ", ".join(missing))
         return cls(**data)
 
     @classmethod
@@ -136,6 +166,16 @@ def backoff_counter(cw, rng, cw_set=CW_SET):
     return int(rng.integers(0, cw + 1))
 
 
+@functools.lru_cache(maxsize=256)
+def slot_clear_probability(slot_us, pe, transmitters):
+    """P(a back-off slot is clear) at constant occupancy: at most 5 of its
+    slot_us readings are busy, each busy w.p. 1 - pe**transmitters."""
+    busy = 1.0 - pe ** transmitters
+    return min(1.0, sum(math.comb(slot_us, i) * busy ** i
+                        * (1.0 - busy) ** (slot_us - i)
+                        for i in range(min(slot_us, 5) + 1)))
+
+
 def effective_throughput(payload_bits, duration_us):
     """Delivered payload over access duration, in Mbps (bits per us)."""
     if duration_us <= 0:
@@ -181,11 +221,13 @@ _TRANSMIT = "transmit"
 class _AgentState:
     __slots__ = ("kind", "phase", "gen", "action", "counter", "remaining",
                  "epoch_start", "epoch", "cum_reward", "last_share",
-                 "tx_start", "tx_end", "init_dur")
+                 "tx_start", "tx_end", "init_dur", "slot_us", "run_start",
+                 "run_q", "due")
 
-    def __init__(self, kind, init_dur):
+    def __init__(self, kind, init_dur, slot_us):
         self.kind = kind
         self.init_dur = init_dur
+        self.slot_us = slot_us
         self.phase = _WAIT_ACTION
         self.gen = 0
         self.action = None
@@ -197,6 +239,11 @@ class _AgentState:
         self.last_share = 0.0
         self.tx_start = 0
         self.tx_end = 0
+        # back-off run: slots counted from run_start, each clear with
+        # probability run_q (None: one exact slot); decrement event at due
+        self.run_start = 0
+        self.run_q = None
+        self.due = None
 
 
 class CoexistenceSimulator:
@@ -213,12 +260,14 @@ class CoexistenceSimulator:
         self.agents = []
         for n in range(cfg.agent_count):
             kind = cfg.agent_kind(n)
-            init_dur = cfg.icca_us if kind == "lte" else cfg.difs_us
-            self.agents.append(_AgentState(kind, init_dur))
+            timing = ((cfg.icca_us, cfg.ecca_slot_us) if kind == "lte"
+                      else (cfg.difs_us, cfg.wifi_slot_us))
+            self.agents.append(_AgentState(kind, *timing))
         self._heap = []
         self._seq = 0
         self._tx_log = []   # (start, end, agent), pruned as time advances
         self._active_tx = 0
+        self._last_change = 0  # time _active_tx last changed
         self._outstanding = set()  # agents with a submitted, uncompleted attempt
         return self
 
@@ -245,6 +294,8 @@ class CoexistenceSimulator:
 
     def _segments(self, t0, t1):
         """Piecewise-constant transmitter counts over [t0, t1)."""
+        if self._last_change <= t0:
+            return [(t1 - t0, self._active_tx)]
         points = {t0, t1}
         for s, e, _ in self._tx_log:
             if s < t1 and e > t0:
@@ -297,11 +348,18 @@ class CoexistenceSimulator:
         heapq.heappush(self._heap, (time, self._seq, agent, kind, self.agents[agent].gen))
 
     def _occupancy_changed(self, now):
-        # re-derive wait-idle candidates; geometric waits are memoryless
+        # re-derive wait-idle waits and back-off runs; both are memoryless
+        self._last_change = now
         for n, st in enumerate(self.agents):
             if st.phase == _WAIT_IDLE:
                 st.gen += 1
                 self._schedule_wait_idle(n, now)
+            elif st.phase == _BACKOFF and st.due != now:
+                done, into = divmod(now - st.run_start, st.slot_us)
+                if st.run_q == 1.0:
+                    st.remaining -= done  # every finished slot was clear
+                st.gen += 1
+                self._schedule_slot(n, now - into, exact=into > 0)
 
     def _schedule_wait_idle(self, agent, now):
         pe = self.config.pe
@@ -402,9 +460,11 @@ class CoexistenceSimulator:
         elif kind == "idle_found":
             self._start_initial(agent, time)
         elif kind == "slot_end":
-            slot = cfg.ecca_slot_us if st.kind == "lte" else cfg.wifi_slot_us
-            if self._busy_readings(time - slot, time) <= 5:
-                st.remaining -= 1
+            if st.run_q == 1.0:
+                st.remaining = 0
+            elif st.run_q is not None \
+                    or self._busy_readings(time - st.slot_us, time) <= 5:
+                st.remaining -= 1  # the run's clear slot, or a judged one
             if st.remaining == 0:
                 self._start_transmission(agent, time)
                 return None
@@ -413,15 +473,26 @@ class CoexistenceSimulator:
             return self._complete_transmission(agent, time)
         return None
 
-    def _schedule_slot(self, agent, now):
+    def _schedule_slot(self, agent, start, exact=False):
+        """Push the event of the next slot from `start` that can decrement
+        the counter. Until occupancy changes each slot is clear w.p. q, so a
+        geometric number of slots is skipped (all remaining ones if q == 1);
+        an exact slot, one that straddles a change, is judged as it ends."""
         st = self.agents[agent]
-        slot = self.config.ecca_slot_us if st.kind == "lte" else self.config.wifi_slot_us
-        if self.config.agent_count == 1:
-            # nothing can interrupt: all remaining slots are clear
-            self._push(now + slot * st.remaining, agent, "slot_end")
-            st.remaining = 1
+        st.run_start = start
+        st.run_q = q = None if exact else slot_clear_probability(
+            st.slot_us, self.config.pe, self._active_tx)
+        if q is None:
+            slots = 1
+        elif q == 1.0:
+            slots = st.remaining
+        elif q > 0.0:
+            slots = int(self.rng.geometric(q))
         else:
-            self._push(now + slot, agent, "slot_end")
+            st.due = None  # the next occupancy change reschedules
+            return
+        st.due = start + st.slot_us * slots
+        self._push(st.due, agent, "slot_end")
 
     # -- stepping ------------------------------------------------------------
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from specshare.cli import main
 from specshare.simulator import SimConfig
 
@@ -66,6 +68,26 @@ def test_data_error_exit_code(tmp_path):
     bad.write_text("{not json")
     assert main(["collect", "--config", str(bad),
                  "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: {**d, "lte_counts": 1},
+    lambda d: {**d, "lte_count": "1"},
+    lambda d: [d["lte_count"], d["wifi_count"]],
+    lambda d: {**d, "rate_mbps": 0},
+    lambda d: {**d, "wifi_slot_us": 0},
+    lambda d: {**d, "lte_burst_ms": {k: 0 for k in d["lte_burst_ms"]}},
+    lambda d: {**d, "wifi_packet_bytes": 0},
+], ids=["unknown-key", "string-count", "json-array", "zero-rate",
+        "zero-slot", "zero-lte-burst", "zero-packet"])
+def test_bad_config_exit_code(tmp_path, capsys, mutate):
+    good = SimConfig(lte_count=1, wifi_count=1, seed=0).to_json()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(good)))
+    assert main(["collect", "--config", str(bad), "--k", "1", "--t", "2",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_report_g_column_constant(tmp_path):

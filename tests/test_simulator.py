@@ -1,13 +1,22 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from specshare.cli import _uniform_behavior
 from specshare.simulator import (CW_SET, CoexistenceSimulator, SimConfig,
                                  backoff_counter, effective_throughput,
-                                 global_reward, jain_index, local_reward)
+                                 global_reward, jain_index, local_reward,
+                                 slot_clear_probability)
+from specshare.trajectories import collect
+
+from . import stepping_reference
+
+REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "data",
+                              "stepping_reference.json")
 
 
 def single_wifi(seed=0, pe=0.0):
@@ -193,3 +202,65 @@ class TestRewardFunctions:
         assert global_reward([0.0, 0.0]) == 0.0
         assert global_reward([1.0, 2.0, 3.0, 4.0]) == 10.0
         assert global_reward([4.0, 2.0, 3.0, 1.0]) == 10.0
+
+
+class TestSlotSkipping:
+    """Frozen back-off slots are skipped in one geometric draw; these pin
+    the skipping to the per-slot stepping it replaced."""
+
+    @pytest.mark.parametrize("slot_us", [6, 9, 12])
+    @pytest.mark.parametrize("pe", [0.0, 0.05, 0.5])
+    def test_clear_probability_is_binomial_cdf(self, slot_us, pe):
+        for m in range(5):
+            expected = scipy.stats.binom.cdf(5, slot_us, 1.0 - pe ** m)
+            assert slot_clear_probability(slot_us, pe, m) == \
+                pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("case", sorted(stepping_reference.HASH_CASES))
+    def test_collect_files_match_per_slot_stepping(self, case, tmp_path):
+        # these runs draw no randomness per slot, so skipping must leave
+        # the random-number stream and every file byte-identical
+        with open(REFERENCE_PATH) as fh:
+            ref = json.load(fh)["hashes"][case]
+        got = [stepping_reference.collect_hash(ref["config"], seed, str(tmp_path))
+               for seed in ref["seeds"]]
+        assert got == ref["sha256"]
+
+    def test_events_per_decision(self, monkeypatch):
+        events = [0]
+        handle = CoexistenceSimulator._handle
+
+        def counting(self, time, agent, kind):
+            events[0] += 1
+            return handle(self, time, agent, kind)
+
+        monkeypatch.setattr(CoexistenceSimulator, "_handle", counting)
+        config = SimConfig(lte_count=2, wifi_count=2)
+        episodes = collect(config, _uniform_behavior(config, 0.9), 1, 50,
+                           seed=3)
+        decisions = sum(len(tr.actions) for tr in episodes[0].agents)
+        assert decisions == 200
+        # per-slot stepping took about 1,800 events per decision
+        assert events[0] / decisions < 60
+
+    @pytest.mark.parametrize("case", sorted(stepping_reference.DIST_CASES))
+    def test_matches_per_slot_stepping_in_distribution(self, case):
+        # chi-square homogeneity per quantity and agent kind against the
+        # per-slot reference, on episode seeds disjoint from it
+        alpha = 1e-3
+        with open(REFERENCE_PATH) as fh:
+            ref = json.load(fh)["distributions"][case]
+        first_seed = ref["first_seed"] + 100000
+        samples = stepping_reference.sample(ref["config"], ref["episodes"],
+                                            ref["horizon"], first_seed)
+        failures = []
+        for kind, quantities in ref["counts"].items():
+            for name, rec in quantities.items():
+                new = stepping_reference.bin_counts(samples[kind][name],
+                                                    rec["edges"])
+                table = np.array([rec["counts"], new])
+                table = table[:, table.sum(axis=0) > 0]
+                p = scipy.stats.chi2_contingency(table).pvalue
+                if p < alpha:
+                    failures.append((kind, name, p, table.tolist()))
+        assert not failures
