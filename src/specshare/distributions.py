@@ -75,11 +75,20 @@ def stick_breaking_weights(portions):
 def validate_simplex(weights, tol=1e-12):
     """Check the probability-vector invariants, returning the array."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    if w.ndim != 1:
+        raise ValueError("simplex vector must be a non-empty 1-d array")
+    return validate_simplex_rows(w, tol)
+
+
+def validate_simplex_rows(weights, tol=1e-12):
+    """Check the probability-vector invariants of every row along the last
+    axis at once, returning the array."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 0 or w.shape[-1] == 0:
         raise ValueError("simplex vector must be a non-empty 1-d array")
     if np.any(w < 0.0) or np.any(w > 1.0):
         raise ValueError("simplex weights must lie in [0, 1]")
-    if abs(w.sum() - 1.0) > tol:
+    if np.any(np.abs(w.sum(axis=-1) - 1.0) > tol):
         raise ValueError("simplex weights must sum to 1 within %g" % tol)
     return w
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import digamma, validate_simplex
+from .distributions import digamma, validate_simplex, validate_simplex_rows
 
 DEFAULT_OBS_BINS = 24
 
@@ -48,10 +48,8 @@ class FscPolicy:
         if self.pi.shape != (z, a) or self.omega.shape != (z, a, o, z):
             raise ValueError("inconsistent controller shapes")
         validate_simplex(self.eta)
-        for row in self.pi:
-            validate_simplex(row)
-        for row in self.omega.reshape(-1, z):
-            validate_simplex(row)
+        validate_simplex_rows(self.pi)
+        validate_simplex_rows(self.omega)
 
     @property
     def node_count(self):
@@ -130,27 +128,43 @@ def transition_node(policy, node, action, obs_us, rng):
 
 
 def forward(policy, action_idx, obs_bins):
-    """Scaled forward recursion over controller nodes.
+    """Scaled forward recursion over controller nodes, batched over episodes.
 
-    `action_idx` are action indices (length t+1), `obs_bins` are
-    observation-bin indices (length t). Returns (alpha_hat, log_scale):
-    alpha_hat[tau] is the node posterior given the history up to tau, and
-    log_scale[tau] is the log of the factor it was divided by, so the
-    cumulative sum of log_scale is the log history likelihood of every
-    prefix. Per-step scaling keeps T = 50 histories from underflowing.
+    `action_idx` are action indices, shape (K, t+1), and `obs_bins` are
+    observation-bin indices, shape (K, t): one row per episode, all of
+    the same length. Returns (alpha_hat, log_scale), shapes (K, t+1, Z)
+    and (K, t+1): alpha_hat[k, tau] is episode k's node posterior given
+    its history up to tau, and log_scale[k, tau] is the log of the factor
+    it was divided by, so the cumulative sum of log_scale along tau is the
+    log history likelihood of every prefix. Per-step scaling keeps T = 50
+    histories from underflowing. 1-D inputs are the K = 1 case and give
+    results without the K axis.
     """
-    if len(obs_bins) != len(action_idx) - 1:
+    aidx = np.asarray(action_idx, dtype=int)
+    obins = np.asarray(obs_bins, dtype=int)
+    single = aidx.ndim == 1
+    if single:
+        aidx, obins = aidx[None], obins[None]
+    if obins.shape != (aidx.shape[0], aidx.shape[1] - 1):
         raise ValueError("need exactly one fewer observation than actions")
-    alpha_hat = np.empty((len(action_idx), policy.eta.size))
-    log_scale = np.empty(len(action_idx))
-    alpha = policy.eta * policy.pi[:, action_idx[0]]
-    for t, a in enumerate(action_idx):
+    k, t1 = aidx.shape
+    pi_rows = policy.pi.T[aidx]  # (K, t+1, Z): pi[:, a] at every step
+    # (K, t, Z, Z): omega[:, a, o, :] at every transition
+    trans = policy.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins]
+    alpha_hat = np.empty((k, t1, policy.eta.size))
+    log_scale = np.empty((k, t1))
+    alpha = policy.eta * pi_rows[:, 0]
+    for t in range(t1):
         if t:
-            trans = policy.omega[:, action_idx[t - 1], obs_bins[t - 1], :]
-            alpha = alpha_hat[t - 1] @ trans * policy.pi[:, a]
-        total = float(alpha.sum())
-        log_scale[t] = math.log(total)
-        alpha_hat[t] = alpha / total
+            alpha = (alpha_hat[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] \
+                * pi_rows[:, t]
+        total = alpha.sum(axis=1)
+        if np.any(total <= 0.0):
+            raise ValueError("history has zero likelihood under the policy")
+        log_scale[:, t] = np.log(total)
+        alpha_hat[:, t] = alpha / total[:, None]
+    if single:
+        return alpha_hat[0], log_scale[0]
     return alpha_hat, log_scale
 
 
@@ -188,19 +202,51 @@ def stick_log_expectations(first, second):
     return logp
 
 
+def omega_columns(state):
+    """The (action, obs-bin) columns of omega's stick arrays that can differ.
+
+    `state.visited`, an (A, O) boolean array when present, marks the pairs
+    at which some episode takes a transition; without it every pair counts
+    as visited. The learner's updates keep the parameters of all other
+    columns identical to one another, so one of them stands for the rest.
+    Returns (columns, expand, counts): the flat a * O + o index of each kept
+    column (the stand-in last), the kept column that every flat column
+    takes its values from, and how many flat columns each kept one covers.
+    """
+    _, n_actions, n_obs, _ = np.shape(state.sigma)
+    visited = getattr(state, "visited", None)
+    if visited is None:
+        flat = np.ones(n_actions * n_obs, dtype=bool)
+    else:
+        flat = np.asarray(visited, dtype=bool).reshape(n_actions * n_obs)
+    columns = np.flatnonzero(flat)
+    expand = np.empty(flat.size, dtype=int)
+    expand[columns] = np.arange(columns.size)
+    rest = np.flatnonzero(~flat)
+    if rest.size:
+        expand[rest] = columns.size
+        columns = np.append(columns, rest[0])
+    return columns, expand, np.bincount(expand)
+
+
 def point_estimate(state):
     """Exp-digamma point estimate of the policy from variational params.
 
     `state` carries delta, mu (per-node stick Betas for eta), sigma, lam
     (per-(i,a,o,j) stick Betas for omega) and phi (per-node Dirichlets for
-    pi). Entries are exp of expected log-probabilities, hence
-    sub-probabilities; no renormalization is applied.
+    pi), and optionally `visited` (see `omega_columns`). Entries are exp of
+    expected log-probabilities, hence sub-probabilities; no
+    renormalization is applied.
     """
     eta = np.exp(stick_log_expectations(state.delta, state.mu))
     phi = np.asarray(state.phi, dtype=float)
     pi = np.exp(digamma(phi) - digamma(phi.sum(axis=1, keepdims=True)))
-    omega = np.exp(stick_log_expectations(state.sigma, state.lam))
-    return PointEstimate(eta=eta, pi=pi, omega=omega)
+    columns, expand, _ = omega_columns(state)
+    shape = np.shape(state.sigma)
+    sigma = np.reshape(state.sigma, (shape[0], -1, shape[3]))[:, columns]
+    lam = np.reshape(state.lam, (shape[0], -1, shape[3]))[:, columns]
+    omega = np.exp(stick_log_expectations(sigma, lam))[:, expand]
+    return PointEstimate(eta=eta, pi=pi, omega=omega.reshape(shape))
 
 
 def prune(policy, occupancy, mass_epsilon=1e-3):

@@ -3,8 +3,9 @@
 The importance-weighted discounted return of the candidate policy acts as
 the likelihood; stick-breaking Beta/Gamma priors over controller rows act
 as the prior; coordinate ascent over the factorized posterior maximizes
-the evidence lower bound. Node-path posteriors are computed per episode
-prefix with scaled forward-backward sweeps.
+the evidence lower bound. Node-path posteriors are computed for every
+episode prefix at once by a scaled forward-backward kernel that runs over
+all episodes of one length in a single pass per agent.
 """
 
 import math
@@ -13,9 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .batch import EpisodeBatch
 from .distributions import digamma
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
-                  log_history_likelihoods, point_estimate, prune)
+                  omega_columns, point_estimate, prune)
+# not called here; perfbench/tracing.py patches it under this module's name
+from .fsc import log_history_likelihoods  # noqa: F401
 
 
 @dataclass
@@ -45,9 +49,13 @@ class VariationalState:
     Dirichlet over actions; sigma, lam: per-(node, action, obs, next-node)
     Beta for the omega stick breaks; g, h: Gamma for the eta concentration;
     a, b: per-(node, action, obs) Gamma for the omega concentrations.
+    visited: (action, obs) mask of the pairs some episode takes a
+    transition at, or None for all; the stick arithmetic runs only on
+    these columns plus one stand-in for the rest (`fsc.omega_columns`).
     """
 
-    def __init__(self, node_count, n_actions, n_obs, hyper, pi_seed=None):
+    def __init__(self, node_count, n_actions, n_obs, hyper, pi_seed=None,
+                 visited=None):
         z = node_count
         self.delta = np.ones(z)
         self.mu = np.ones(z)
@@ -60,6 +68,7 @@ class VariationalState:
         self.h = hyper.f
         self.a = np.full((z, n_actions, n_obs), hyper.c + z)
         self.b = np.full((z, n_actions, n_obs), hyper.d)
+        self.visited = visited
 
     @property
     def node_count(self):
@@ -80,7 +89,8 @@ class ReweightedRewards:
     r_min: float
     r_max: float
     value: float         # the empirical value the weights divide by
-    alpha_hat: list      # per (k, agent): scaled forward table of the target
+    nu: list             # per batch group: nu_tilde as one (K_g, t) block
+    alpha_hat: list      # per (group, agent): target's (K_g, t, Z) tables
 
 
 @dataclass
@@ -144,60 +154,45 @@ def node_marginals(policy, action_idx, obs_bins, t):
     pairwise slice tau - 1 couples z_{tau-1} and z_tau, tau = 1..t. This
     is the learner's own sweep with all path weight on endpoint t.
     """
-    aidx, obins = action_idx[:t + 1], obs_bins[:t]
+    aidx = np.asarray(action_idx[:t + 1], dtype=int)[None]
+    obins = np.asarray(obs_bins[:t], dtype=int)[None]
     alpha_hat, _ = forward(policy, aidx, obins)
-    nu = np.zeros(t + 1)
-    nu[t] = 1.0
+    nu = np.zeros((1, t + 1))
+    nu[0, t] = 1.0
     occ, pair = _sweep_agent(policy, aidx, obins, nu, alpha_hat)
-    return occ, pair[1:]
+    return occ[0], pair[0, 1:]
 
 
-def _action_indices(track, policy):
-    aset = getattr(policy, "action_set", None)
-    if aset is not None:
-        return [aset.index(a) for a in track.actions]
-    if hasattr(track, "action_idx"):
-        return track.action_idx
-    raise ValueError("point-estimate targets need pre-indexed actions")
+def _log_prefix(group, policies):
+    """Cumulative log joint likelihood per (episode, t) of one group,
+    summed over agents, and each agent's scaled forward tables."""
+    passes = [forward(pol, group.action_idx[n], group.obs_bins[n])
+              for n, pol in enumerate(policies)]
+    logp = np.sum([np.cumsum(log_scale, axis=1) for _, log_scale in passes],
+                  axis=0)
+    return logp, [table for table, _ in passes]
 
 
-def _behavior_log_prefix(episodes, policies=None):
-    """Per (k, t) cumulative log joint behavior likelihood.
+def _log_weights(batch, target, behavior, r_min, gamma):
+    """Per group: log importance ratio per (episode, t), shifted discounted
+    reward per (episode, t), and the target's scaled forward tables per
+    agent.
 
-    With policies given, evaluates them by the forward recursion (the same
-    code path as the candidate policy, so equal policies cancel exactly);
-    otherwise uses the per-step probabilities stored at collection time.
+    Behaviour policies, when given, run through the same forward call as
+    the target, so equal policies cancel exactly; otherwise the per-step
+    probabilities stored at collection time are used.
     """
-    out = []
-    for ep in episodes:
-        if policies is None:
-            logs = [np.cumsum(np.log(np.asarray(tr.pi_behavior, dtype=float)))
-                    for tr in ep.agents]
-        else:
-            logs = [log_history_likelihoods(pol, _action_indices(tr, pol),
-                                            tr.obs_bin[:-1])
-                    for pol, tr in zip(policies, ep.agents)]
-        out.append(np.sum(logs, axis=0))
-    return out
-
-
-def _log_weights(episodes, target, behavior, r_min, gamma):
-    """Per episode: log importance ratio per t, shifted discounted reward
-    per t, and the target's scaled forward table per agent."""
-    log_behavior = _behavior_log_prefix(episodes, behavior)
     log_ratio = []
     rewards = []
     alpha_hat = []
-    for ep, logb in zip(episodes, log_behavior):
-        passes = [forward(pol, _action_indices(tr, pol), tr.obs_bin[:-1])
-                  for pol, tr in zip(target, ep.agents)]
-        logp = np.sum([np.cumsum(log_scale) for _, log_scale in passes],
-                      axis=0)
-        t = np.arange(len(ep.rewards))
-        r = (gamma ** t) * (np.asarray(ep.rewards, dtype=float) - r_min)
+    for g in batch.groups:
+        logp, tables = _log_prefix(g, target)
+        logb = g.log_behavior if behavior is None \
+            else _log_prefix(g, behavior)[0]
+        t = np.arange(g.rewards.shape[1])
         log_ratio.append(logp - logb)
-        rewards.append(r)
-        alpha_hat.append([table for table, _ in passes])
+        rewards.append((gamma ** t) * (g.rewards - r_min))
+        alpha_hat.append(tables)
     return log_ratio, rewards, alpha_hat
 
 
@@ -210,60 +205,77 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     """
     if r_min is None:
         r_min, _ = reward_bounds(episodes)
-    log_w, rew, _ = _log_weights(episodes, target, behavior, r_min, gamma)
+    batch = EpisodeBatch.for_policies(episodes, target, behavior)
+    log_w, rew, _ = _log_weights(batch, target, behavior, r_min, gamma)
     total = sum(float(np.sum(np.exp(lw) * r)) for lw, r in zip(log_w, rew))
-    return total / len(episodes)
+    return total / batch.size
 
 
 def reweighted(episodes, estimates, r_min, gamma, behavior=None):
-    """Posterior path weights nu[k][t] plus the value they normalize by."""
-    log_w, rew, alpha_hat = _log_weights(episodes, estimates, behavior,
+    """Posterior path weights nu[k][t] plus the value they normalize by.
+
+    `episodes` is a list of episodes or an `EpisodeBatch` built for them.
+    """
+    batch = episodes if isinstance(episodes, EpisodeBatch) \
+        else EpisodeBatch.for_policies(episodes, estimates, behavior)
+    log_w, rew, alpha_hat = _log_weights(batch, estimates, behavior,
                                          r_min, gamma)
-    k = len(episodes)
-    value = sum(float(np.sum(np.exp(lw) * r)) for lw, r in zip(log_w, rew)) / k
+    value = sum(float(np.sum(np.exp(lw) * r))
+                for lw, r in zip(log_w, rew)) / batch.size
     if not (value > 0.0 and math.isfinite(value)):
         raise FloatingPointError("empirical value is not positive: %r" % value)
     nu = [np.exp(lw) * r / value for lw, r in zip(log_w, rew)]
-    r_max = float(max(r for ep in episodes for r in ep.rewards))
-    return ReweightedRewards(r_tilde=rew, nu_tilde=nu, r_min=r_min,
-                             r_max=r_max, value=value, alpha_hat=alpha_hat)
+    return ReweightedRewards(r_tilde=batch.per_episode(rew),
+                             nu_tilde=batch.per_episode(nu), r_min=r_min,
+                             r_max=batch.r_max, value=value, nu=nu,
+                             alpha_hat=alpha_hat)
 
 
 def _sweep_agent(estimate, aidx, obins, nu, ahat):
-    """nu-weighted posterior node statistics for one agent, one episode.
+    """nu-weighted posterior node statistics for one agent over a block of
+    equal-length episodes.
 
-    `ahat` is the episode's scaled forward table from `forward`. Returns
-    (occ, pair): occ[tau, i] sums the singleton marginals of z_tau over
-    every prefix endpoint t >= tau, each weighted by nu[t]; pair[tau]
-    (tau >= 1) likewise sums the weighted pairwise marginals coupling
-    z_{tau-1} and z_tau. All prefixes share one backward sweep that
-    carries a column per endpoint.
+    `aidx` (K, t1) and `obins` (K, t1 - 1) index the episodes, `nu`
+    (K, t1) holds their path weights and `ahat` (K, t1, Z) their scaled
+    forward tables from `forward`. Returns (occ, pair): occ[k, tau, i]
+    sums the singleton marginals of z_tau over every prefix endpoint
+    t >= tau, each weighted by nu[k, t]; pair[k, tau] (tau >= 1) likewise
+    sums the weighted pairwise marginals coupling z_{tau-1} and z_tau. All
+    prefixes share one backward sweep that carries a column per endpoint.
     """
-    t1 = len(aidx)
+    k, t1 = aidx.shape
     z = estimate.eta.size
-    occ = np.zeros((t1, z))
-    pair = np.zeros((t1, z, z))
-    bcols = np.ones((z, 1))  # column t: backward message for endpoint t
-    occ[t1 - 1] = ahat[t1 - 1] * nu[t1 - 1]
+    # m[k, tau, i, j] = omega[i, a_tau, o_tau, j] * pi[j, a_{tau+1}]
+    m = estimate.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins] \
+        * estimate.pi.T[aidx[:, 1:]][:, :, None, :]
+    occ = np.empty((k, t1, z))
+    d = np.empty((k, t1, z))  # d[:, tau]: weighted messages into z_tau
+    bcols = np.ones((k, z, t1))  # column t: backward message for endpoint t
+    occ[:, -1] = ahat[:, -1] * nu[:, -1:]
     for tau in range(t1 - 2, -1, -1):
-        m = estimate.omega[:, aidx[tau], obins[tau], :] \
-            * estimate.pi[:, aidx[tau + 1]][None, :]
-        mb = m @ bcols
-        z2 = ahat[tau] @ mb
-        d = bcols @ (nu[tau + 1:] / z2)
-        pair[tau + 1] = ahat[tau][:, None] * m * d[None, :]
-        bcols = np.hstack([np.ones((z, 1)), mb])
-        bcols /= bcols.max(axis=0, keepdims=True)
-        znorm = ahat[tau] @ bcols
-        occ[tau] = ahat[tau] * (bcols @ (nu[tau:] / znorm))
+        a_tau = ahat[:, tau, None, :]
+        cols = bcols[:, :, tau + 1:]
+        mb = m[:, tau] @ cols
+        z2 = a_tau @ mb
+        d[:, tau + 1] = (cols @ (nu[:, None, tau + 1:] / z2)
+                         .transpose(0, 2, 1))[..., 0]
+        bcols[:, :, tau + 1:] = mb
+        live = bcols[:, :, tau:]
+        live /= live.max(axis=1, keepdims=True)
+        znorm = a_tau @ live
+        occ[:, tau] = ahat[:, tau] * (live @ (nu[:, None, tau:] / znorm)
+                                      .transpose(0, 2, 1))[..., 0]
+    pair = np.zeros((k, t1, z, z))
+    pair[:, 1:] = ahat[:, :-1, :, None] * m * d[:, 1:, None, :]
     return occ, pair
 
 
-def _update_agent(state, estimate, episodes, agent, rw, hyper):
+def _update_agent(state, estimate, batch, agent, rw, hyper):
     """One coordinate sweep of a single agent's factors.
 
     `rw` holds the path weights and forward tables that `reweighted`
-    computed at `estimate`.
+    computed at `estimate`. The omega sticks are updated on the columns
+    `fsc.omega_columns` keeps and copied out to the full arrays.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
@@ -272,35 +284,36 @@ def _update_agent(state, estimate, episodes, agent, rw, hyper):
     """
     z = state.node_count
     n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
-    k = len(episodes)
+    columns, expand, _ = omega_columns(state)
+    k = batch.size
     delta_acc = np.zeros(z)
-    phi_acc = np.zeros((z, n_actions))
-    sigma_acc = np.zeros((z, n_actions, n_obs, z))
+    phi_acc = np.zeros((n_actions, z))
+    sigma_acc = np.zeros((columns.size, z, z))
     occ_total = np.zeros(z)
-    for ep, nu_k, tables in zip(episodes, rw.nu_tilde, rw.alpha_hat):
-        tr = ep.agents[agent]
-        aidx = tr.action_idx
-        occ, pair = _sweep_agent(estimate, aidx, tr.obs_bin[:-1], nu_k,
-                                 tables[agent])
-        delta_acc += occ[0]
-        occ_total += occ.sum(axis=0)
-        for tau, a in enumerate(aidx):
-            phi_acc[:, a] += occ[tau]
-        for tau in range(1, len(aidx)):
-            sigma_acc[:, aidx[tau - 1], tr.obs_bin[tau - 1], :] += pair[tau]
-    state.phi = hyper.theta + phi_acc / k
+    for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
+        aidx, obins = g.action_idx[agent], g.obs_bins[agent]
+        occ, pair = _sweep_agent(estimate, aidx, obins, nu, tables[agent])
+        delta_acc += occ[:, 0].sum(axis=0)
+        occ_total += occ.sum(axis=(0, 1))
+        np.add.at(phi_acc, aidx, occ)
+        np.add.at(sigma_acc, expand[aidx[:, :-1] * n_obs + obins], pair[:, 1:])
+    state.phi = hyper.theta + phi_acc.T / k
     # omega sticks: lam adds the mass of heavier-indexed destinations
+    sigma_acc = sigma_acc.transpose(1, 0, 2)
     tail_sigma = np.flip(np.cumsum(np.flip(sigma_acc, axis=-1), axis=-1),
                          axis=-1) - sigma_acc
-    state.sigma = 1.0 + sigma_acc / k
-    state.lam = (state.a / state.b)[..., None] + tail_sigma / k
+    sigma = 1.0 + sigma_acc / k
+    lam = (state.a.reshape(z, -1)[:, columns]
+           / state.b.reshape(z, -1)[:, columns])[..., None] + tail_sigma / k
+    state.sigma = sigma[:, expand].reshape(state.sigma.shape)
+    state.lam = lam[:, expand].reshape(state.lam.shape)
     tail_delta = np.flip(np.cumsum(np.flip(delta_acc))) - delta_acc
     state.delta = 1.0 + delta_acc / k
     state.mu = state.g / state.h + tail_delta / k
     state.a = np.full((z, n_actions, n_obs), hyper.c + z)
-    state.b = np.maximum(hyper.d - np.sum(digamma(state.lam)
-                                          - digamma(state.sigma + state.lam),
-                                          axis=-1), 1e-6)
+    b = np.maximum(hyper.d - np.sum(digamma(lam) - digamma(sigma + lam),
+                                    axis=-1), 1e-6)
+    state.b = b[:, expand].reshape(z, n_actions, n_obs)
     state.g = hyper.e + z
     state.h = max(hyper.f - float(np.sum(digamma(state.mu)
                                          - digamma(state.delta + state.mu))),
@@ -308,26 +321,27 @@ def _update_agent(state, estimate, episodes, agent, rw, hyper):
     return occ_total
 
 
-def _beta_term(first, second, e_ln_conc, e_conc):
-    """Sum of E[ln Beta(x; 1, conc)] - E[ln q(x)], q(x) = Beta(first, second),
-    with the concentration's expected log and mean under its own factor."""
+def _beta_term(first, second, e_ln_conc, e_conc, weight=1.0):
+    """Weighted sum of E[ln Beta(x; 1, conc)] - E[ln q(x)],
+    q(x) = Beta(first, second), with the concentration's expected log and
+    mean under its own factor."""
     psi_sum = digamma(first + second)
     e_ln_x = digamma(first) - psi_sum
     e_ln_1mx = digamma(second) - psi_sum
     prior = e_ln_conc + (e_conc - 1.0) * e_ln_1mx
     entropy = (gammaln(first + second) - gammaln(first) - gammaln(second)
                + (first - 1.0) * e_ln_x + (second - 1.0) * e_ln_1mx)
-    return float(np.sum(prior - entropy))
+    return float(np.sum((prior - entropy) * weight))
 
 
-def _gamma_term(shape_p, rate_p, shape_q, rate_q):
-    """Sum of E[ln Gamma(x; shape_p, rate_p)] - E[ln q(x)]."""
+def _gamma_term(shape_p, rate_p, shape_q, rate_q, weight=1.0):
+    """Weighted sum of E[ln Gamma(x; shape_p, rate_p)] - E[ln q(x)]."""
     e_ln = digamma(shape_q) - np.log(rate_q)
     prior = (shape_p * np.log(rate_p) - gammaln(shape_p)
              + (shape_p - 1.0) * e_ln - rate_p * shape_q / rate_q)
     entropy = (shape_q * np.log(rate_q) - gammaln(shape_q)
                + (shape_q - 1.0) * e_ln - shape_q)
-    return float(np.sum(prior - entropy))
+    return float(np.sum((prior - entropy) * weight))
 
 
 def elbo(states, value, hyper):
@@ -336,16 +350,24 @@ def elbo(states, value, hyper):
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term.
+    The omega terms are evaluated on the columns `fsc.omega_columns` keeps,
+    each weighted by the number of columns it stands for.
     """
     total = math.log(value)
     for st in states:
         e_ln_rho = digamma(st.g) - math.log(st.h)
         total += _beta_term(st.delta, st.mu, e_ln_rho, st.g / st.h)
         total += _gamma_term(hyper.e, hyper.f, st.g, st.h)
-        e_ln_alpha = digamma(st.a) - np.log(st.b)
-        total += _beta_term(st.sigma, st.lam, e_ln_alpha[..., None],
-                            (st.a / st.b)[..., None])
-        total += _gamma_term(hyper.c, hyper.d, st.a, st.b)
+        columns, _, counts = omega_columns(st)
+        z = st.node_count
+        a = st.a.reshape(z, -1)[:, columns]
+        b = st.b.reshape(z, -1)[:, columns]
+        e_ln_alpha = digamma(a) - np.log(b)
+        total += _beta_term(st.sigma.reshape(z, -1, z)[:, columns],
+                            st.lam.reshape(z, -1, z)[:, columns],
+                            e_ln_alpha[..., None], (a / b)[..., None],
+                            counts[:, None])
+        total += _gamma_term(hyper.c, hyper.d, a, b, counts)
         phi = st.phi
         n_actions = phi.shape[1]
         e_ln_pi = digamma(phi) - digamma(phi.sum(axis=1, keepdims=True))
@@ -369,6 +391,9 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     """Coordinate-ascent loop: refresh point estimates, reweight paths,
     update every factor, evaluate the bound; stop when the relative bound
     change drops below tol.
+
+    The episodes are checked and indexed once into an `EpisodeBatch`
+    (ValueError if malformed) and are not modified.
     """
     if not episodes:
         raise ValueError("need at least one episode")
@@ -376,38 +401,38 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     if action_set is None:
         action_set = tuple(sorted({a for ep in episodes
                                    for tr in ep.agents for a in tr.actions}))
+    batch = EpisodeBatch(episodes, [action_set] * n_agents, n_obs_bins)
     if init_policies is None:
         init_policies = [init_from_episodes(episodes, n, action_set,
                                             n_obs_bins=n_obs_bins,
                                             max_nodes=max_nodes)
                          for n in range(n_agents)]
-    for ep in episodes:
-        for tr in ep.agents:
-            tr.action_idx = [action_set.index(a) for a in tr.actions]
 
     r_min, _ = reward_bounds(episodes)
     k = len(episodes)
     states = [VariationalState(p.node_count, len(action_set), n_obs_bins,
-                               hyper, pi_seed=p.pi) for p in init_policies]
+                               hyper, pi_seed=p.pi,
+                               visited=batch.visited(n, len(action_set)))
+              for n, p in enumerate(init_policies)]
     trace = ElboTrace()
     active = [set(range(s.node_count)) for s in states]
     occ_totals = [np.ones(s.node_count) for s in states]
     prev_elbo = None
     converged = False
     estimates = [point_estimate(s) for s in states]
-    rw = reweighted(episodes, estimates, r_min, hyper.gamma)
+    rw = reweighted(batch, estimates, r_min, hyper.gamma)
     for _ in range(max_iters):
         norm = check_normalization(rw, k)
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
-        occ_totals = [_update_agent(states[n], estimates[n], episodes, n,
+        occ_totals = [_update_agent(states[n], estimates[n], batch, n,
                                     rw, hyper)
                       for n in range(n_agents)]
         for st in states:
             st.assert_positive()
         estimates = [point_estimate(s) for s in states]
-        rw = reweighted(episodes, estimates, r_min, hyper.gamma)
+        rw = reweighted(batch, estimates, r_min, hyper.gamma)
         cur = elbo(states, rw.value, hyper)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")

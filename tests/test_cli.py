@@ -90,6 +90,28 @@ def test_bad_config_exit_code(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda recs: recs[0]["agents"][0]["obs_bin"].__setitem__(2, 24),
+    lambda recs: recs[1]["agents"][1]["obs_bin"].__setitem__(0, -1),
+    lambda recs: recs[1]["agents"].pop(),
+    lambda recs: recs[0]["agents"][0]["obs_bin"].pop(),
+], ids=["obs-bin-too-large", "obs-bin-negative", "agent-missing",
+        "obs-bin-short"])
+def test_bad_batch_exit_code(tmp_path, capsys, mutate):
+    config = write_config(tmp_path)
+    good = tmp_path / "good.jsonl"
+    assert main(["collect", "--config", config, "--out", str(good),
+                 "--k", "3", "--t", "6", "--seed", "4"]) == 0
+    records = [json.loads(line) for line in good.read_text().splitlines()]
+    mutate(records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["learn", "--episodes", str(bad), "--out",
+                 str(tmp_path / "run"), "--max-iters", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_report_g_column_constant(tmp_path):
     config = write_config(tmp_path)
     episodes = str(tmp_path / "eps.jsonl")

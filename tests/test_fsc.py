@@ -66,6 +66,16 @@ class TestPolicyStructure:
                       omega=np.full((2, 3, 4, 2), 0.5),
                       action_set=ACTIONS, n_obs_bins=4)
 
+    @pytest.mark.parametrize("row", [[0.6, 0.6, -0.2], [0.5, 0.4, 0.2]],
+                             ids=["negative", "sum"])
+    def test_rejects_one_bad_omega_row_deep_in_array(self, row):
+        pol = random_policy(np.random.default_rng(1), n_obs=6)
+        omega = pol.omega.copy()
+        omega[2, 1, 4] = row
+        with pytest.raises(ValueError):
+            FscPolicy(eta=pol.eta, pi=pol.pi, omega=omega,
+                      action_set=pol.action_set, n_obs_bins=6)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         pol = random_policy(rng)

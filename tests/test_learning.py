@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -6,8 +7,11 @@ import pytest
 
 import specshare.fsc
 import specshare.learning
-from specshare.fsc import PointEstimate, observation_bin
+from specshare.batch import EpisodeBatch
+from specshare.fsc import (PointEstimate, forward, log_history_likelihoods,
+                           observation_bin, point_estimate)
 from specshare.learning import (Hyperparams, VariationalState,
+                                _sweep_agent, _update_agent,
                                 backward_messages, elbo, empirical_value,
                                 forward_messages, learn, mean_policy,
                                 node_marginals, reward_bounds, reweighted)
@@ -337,16 +341,16 @@ class TestSharedForwardPass:
         calls = []
         original = specshare.fsc.forward
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(policy, action_idx, obs_bins):
+            calls.append(len(np.atleast_2d(action_idx)))  # episodes in call
+            return original(policy, action_idx, obs_bins)
 
         monkeypatch.setattr(specshare.fsc, "forward", counting)
         monkeypatch.setattr(specshare.learning, "forward", counting)
         eps = seeded_batch()
         res = learn(eps, Hyperparams(), max_iters=6, n_obs_bins=13)
         k, n = len(eps), len(eps[0].agents)
-        assert len(calls) == (res.trace.iterations + 1) * k * n
+        assert sum(calls) == (res.trace.iterations + 1) * k * n
 
     def test_pinned_trace(self):
         # recorded when reweighting and the node sweep each ran their own
@@ -370,3 +374,82 @@ class TestSharedForwardPass:
             assert abs(got - want) <= 1e-9 * abs(want)
         assert abs(res.trace.value[-1] - 2555.828340485455) \
             <= 1e-9 * 2555.828340485455
+
+
+def relative_gap(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBatchedKernel:
+    def ragged_batch(self):
+        short = seeded_batch(seed=1, n_episodes=3, t=6)
+        long = seeded_batch(seed=2, n_episodes=3, t=10)
+        return [ep for pair in zip(short, long) for ep in pair]
+
+    def test_ragged_batch_matches_one_episode_at_a_time(self):
+        eps = self.ragged_batch()
+        rng = np.random.default_rng(3)
+        ests = [random_point_estimate(rng, z=3, n_obs=13) for _ in range(2)]
+        batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
+        assert sorted(len(g.rows) for g in batch.groups) == [3, 3]
+        rw = reweighted(batch, ests, reward_bounds(eps)[0], 0.9)
+        for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
+            for n, est in enumerate(ests):
+                aidx, obins = g.action_idx[n], g.obs_bins[n]
+                occ, pair = _sweep_agent(est, aidx, obins, nu, tables[n])
+                _, log_scale = forward(est, aidx, obins)
+                for row, k in enumerate(g.rows):
+                    assert np.array_equal(rw.nu_tilde[k], nu[row])
+                    tr = eps[k].agents[n]
+                    a_k = [ACTIONS.index(a) for a in tr.actions]
+                    o_k = tr.obs_bin[:-1]
+                    one = log_history_likelihoods(est, a_k, o_k)
+                    assert relative_gap(np.cumsum(log_scale[row]), one) < 1e-12
+                    e_occ = np.zeros(occ[row].shape)
+                    e_pair = np.zeros(pair[row].shape)
+                    for t in range(len(a_k)):
+                        singles, pairs = node_marginals(est, a_k, o_k, t)
+                        e_occ[:t + 1] += nu[row, t] * singles
+                        e_pair[1:t + 1] += nu[row, t] * pairs
+                    assert relative_gap(occ[row], e_occ) < 1e-12
+                    assert relative_gap(pair[row], e_pair) < 1e-12
+
+    def test_visited_columns_match_all_visited(self):
+        eps = seeded_batch()
+        hyper = Hyperparams()
+        res = learn(eps, hyper, max_iters=5, n_obs_bins=13)
+        action_set = tuple(sorted({a for ep in eps for tr in ep.agents
+                                   for a in tr.actions}))
+        batch = EpisodeBatch(eps, [action_set] * 2, 13)
+        states = res.states
+        for st in states:
+            assert st.visited.any() and not st.visited.all()
+        full = copy.deepcopy(states)
+        for st in full:
+            st.visited = None
+        for st, st_full in zip(states, full):
+            est, est_full = point_estimate(st), point_estimate(st_full)
+            for name in ("eta", "pi", "omega"):
+                assert relative_gap(getattr(est, name),
+                                    getattr(est_full, name)) < 1e-12
+        ests = [point_estimate(st) for st in states]
+        rw = reweighted(batch, ests, reward_bounds(eps)[0], hyper.gamma)
+        bound, bound_full = elbo(states, rw.value, hyper), \
+            elbo(full, rw.value, hyper)
+        assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)
+        for n in range(2):
+            occ = _update_agent(states[n], ests[n], batch, n, rw, hyper)
+            occ_full = _update_agent(full[n], ests[n], batch, n, rw, hyper)
+            assert relative_gap(occ, occ_full) < 1e-12
+            for name in ("delta", "mu", "phi", "sigma", "lam", "a", "b", "g",
+                         "h"):
+                assert relative_gap(getattr(states[n], name),
+                                    getattr(full[n], name)) < 1e-12
+
+    def test_learn_leaves_the_batch_untouched(self):
+        eps = seeded_batch()
+        before = copy.deepcopy(eps)
+        learn(eps, Hyperparams(), max_iters=3, n_obs_bins=13)
+        assert [[vars(tr) for tr in ep.agents] for ep in eps] \
+            == [[vars(tr) for tr in ep.agents] for ep in before]
