@@ -2,10 +2,10 @@
 nonparametric Bayesian learning of finite-state-controller access policies.
 """
 
-from .distributions import (digamma, log_density_beta, log_density_dirichlet,
-                            log_density_gamma, sample_beta, sample_dirichlet,
-                            sample_gamma, stick_breaking_weights,
-                            validate_simplex)
+from .distributions import (digamma, gammaln, log_density_beta,
+                            log_density_dirichlet, log_density_gamma,
+                            sample_beta, sample_dirichlet, sample_gamma,
+                            stick_breaking_weights, validate_simplex)
 from .simulator import (CoexistenceSimulator, DecisionOutcome, Episode,
                         SimConfig, backoff_counter, effective_throughput,
                         global_reward, jain_index, local_reward)

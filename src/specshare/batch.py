@@ -78,7 +78,9 @@ class EpisodeBatch:
 class _Group:
     """The episodes of one length: their batch positions, per-agent action
     indices (K_g, t+1) and transition obs bins (K_g, t), the summed
-    cumulative log of the stored behaviour probabilities and the rewards."""
+    cumulative log of the stored behaviour probabilities and the rewards.
+    Every behaviour probability must lie in (0, 1] and every reward must be
+    finite."""
 
     def __init__(self, episodes, rows, action_sets, n_obs_bins):
         self.rows = rows
@@ -95,10 +97,14 @@ class _Group:
                 raise ValueError("obs_bin values must be integers in [0, %d)"
                                  % n_obs_bins)
             self.obs_bins.append(bins[:, :-1])
-            log_behavior.append(np.cumsum(np.log(np.array(
-                [tr.pi_behavior for tr in tracks], dtype=float)), axis=1))
+            probs = np.array([tr.pi_behavior for tr in tracks], dtype=float)
+            if not np.all((probs > 0.0) & (probs <= 1.0)):
+                raise ValueError("pi_behavior values must lie in (0, 1]")
+            log_behavior.append(np.cumsum(np.log(probs), axis=1))
         self.log_behavior = np.sum(log_behavior, axis=0)
         self.rewards = np.array([ep.rewards for ep in episodes], dtype=float)
+        if not np.all(np.isfinite(self.rewards)):
+            raise ValueError("rewards must be finite")
 
 
 def _action_indices(track, action_set):

@@ -1,16 +1,20 @@
 """Special functions and random variates for Beta, Gamma, Dirichlet and
 stick-breaking constructions.
 
-digamma comes from scipy and the samplers from ``numpy.random.Generator``;
-this module adds the parameter checks. All samplers take an explicit
-generator so that draws are reproducible and callers own their generator
-state.
+digamma and gammaln come from scipy and the samplers from
+``numpy.random.Generator``; this module adds the parameter checks. It is
+the only module that uses scipy, and it imports ``scipy.special`` on the
+first special-function call, so that the commands which never call one
+(collect, evaluate, report) do not pay for the import. All samplers take
+an explicit generator so that draws are reproducible and callers own their
+generator state.
 """
 
 import math
 
 import numpy as np
-import scipy.special
+
+_special = None  # scipy.special once the first special function has run
 
 
 def digamma(x):
@@ -19,13 +23,29 @@ def digamma(x):
     Delegates to ``scipy.special.digamma`` after checking the domain.
     Accepts scalars or arrays; scalars come back as float.
     """
+    return _special_function("digamma", x)
+
+
+def gammaln(x):
+    """Log of the gamma function, valid for positive arguments.
+
+    Delegates to ``scipy.special.gammaln`` after checking the domain.
+    Accepts scalars or arrays; scalars come back as float.
+    """
+    return _special_function("gammaln", x)
+
+
+def _special_function(name, x):
+    global _special
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("digamma requires strictly positive finite arguments")
-    out = scipy.special.digamma(arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+        raise ValueError("%s requires strictly positive finite arguments"
+                         % name)
+    if _special is None:
+        import scipy.special
+        _special = scipy.special
+    out = getattr(_special, name)(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def sample_gamma(shape, rate, rng):

@@ -193,8 +193,9 @@ def stick_log_expectations(first, second):
     """
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
-    e_ln_u = digamma(first) - digamma(first + second)
-    e_ln_1mu = digamma(second) - digamma(first + second)
+    psi_sum = digamma(first + second)
+    e_ln_u = digamma(first) - psi_sum
+    e_ln_1mu = digamma(second) - psi_sum
     prefix = np.zeros_like(e_ln_1mu)
     prefix[..., 1:] = np.cumsum(e_ln_1mu[..., :-1], axis=-1)
     logp = prefix + e_ln_u

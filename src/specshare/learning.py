@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .batch import EpisodeBatch
-from .distributions import digamma
+from .distributions import digamma, gammaln
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
                   omega_columns, point_estimate, prune)
 # not called here; perfbench/tracing.py patches it under this module's name

@@ -95,8 +95,13 @@ def test_bad_config_exit_code(tmp_path, capsys, mutate):
     lambda recs: recs[1]["agents"][1]["obs_bin"].__setitem__(0, -1),
     lambda recs: recs[1]["agents"].pop(),
     lambda recs: recs[0]["agents"][0]["obs_bin"].pop(),
+    lambda recs: recs[0]["agents"][0]["pi_behavior"].__setitem__(1, 0.0),
+    lambda recs: recs[1]["agents"][1]["pi_behavior"].__setitem__(0, -0.5),
+    lambda recs: recs[2]["agents"][0]["pi_behavior"].__setitem__(5, 1.5),
+    lambda recs: recs[2]["rewards"].__setitem__(3, float("nan")),
 ], ids=["obs-bin-too-large", "obs-bin-negative", "agent-missing",
-        "obs-bin-short"])
+        "obs-bin-short", "pi-behavior-zero", "pi-behavior-negative",
+        "pi-behavior-above-one", "reward-nan"])
 def test_bad_batch_exit_code(tmp_path, capsys, mutate):
     config = write_config(tmp_path)
     good = tmp_path / "good.jsonl"
@@ -128,10 +133,3 @@ def test_report_g_column_constant(tmp_path):
         column = {row[i] for row in rows[1:]}
         assert len(column) == 1
 
-
-def test_thread_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECSHARE_THREADS", "2")
-    config = write_config(tmp_path)
-    out = str(tmp_path / "eps.jsonl")
-    assert main(["collect", "--config", config, "--out", out,
-                 "--k", "1", "--t", "4"]) == 0
