@@ -43,7 +43,6 @@ class EpisodeBatch:
         self.n_obs_bins = n_obs_bins
         self.groups = [_Group([episodes[k] for k in rows], rows, action_sets,
                               n_obs_bins) for rows in by_length.values()]
-        self.r_max = max(float(g.rewards.max()) for g in self.groups)
 
     @classmethod
     def for_policies(cls, episodes, target, behavior=None):

@@ -20,14 +20,10 @@ from .simulator import SimConfig
 def _uniform_behavior(config, epsilon):
     """Single-node uniform controller per agent, for bootstrap collection."""
     n_actions = len(config.cw_set)
-    policies = []
-    for _ in range(config.agent_count):
-        pol = fsc.FscPolicy(
-            eta=np.array([1.0]),
-            pi=np.full((1, n_actions), 1.0 / n_actions),
-            omega=np.ones((1, n_actions, fsc.DEFAULT_OBS_BINS, 1)),
-            action_set=config.cw_set)
-        policies.append(pol)
+    policies = [fsc.FscPolicy(
+        eta=np.array([1.0]), pi=np.full((1, n_actions), 1.0 / n_actions),
+        omega=np.ones((1, n_actions, fsc.DEFAULT_OBS_BINS, 1)),
+        action_set=config.cw_set) for _ in range(config.agent_count)]
     return trajectories.BehaviorPolicy(policies=policies, epsilon=epsilon)
 
 
@@ -62,18 +58,20 @@ def cmd_learn(args):
     os.makedirs(args.out, exist_ok=True)
     fsc.save_policies(result.policies, os.path.join(args.out, "policies.json"))
     trace = result.trace
-    n_agents = len(result.states)
+    agents = range(1, len(result.states) + 1)
     with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "elbo", "discounted_value"]
-                        + ["nodes_agent_%d" % (n + 1) for n in range(n_agents)]
-                        + ["g_%d" % (n + 1) for n in range(n_agents)]
-                        + ["h_%d" % (n + 1) for n in range(n_agents)])
+        writer.writerow(
+            ["iteration", "elbo", "discounted_value"]
+            + ["%s_%d" % (c, n) for c in ("nodes_agent", "g", "h")
+               for n in agents]
+            + ["norm"] + ["%s_%d" % (c, n) for c in ("a", "b_min")
+                          for n in agents])
         for i in range(trace.iterations):
-            writer.writerow([i + 1, repr(trace.elbo[i]), repr(trace.value[i])]
-                            + trace.node_counts[i]
-                            + [repr(v) for v in trace.g[i]]
-                            + [repr(v) for v in trace.h[i]])
+            writer.writerow([i + 1] + [repr(v) for v in (
+                [trace.elbo[i], trace.value[i]] + trace.node_counts[i]
+                + trace.g[i] + trace.h[i] + [trace.norm[i]] + trace.a[i]
+                + trace.b_min[i])])
     print("converged=%s iterations=%d final_elbo=%r"
           % (result.converged, trace.iterations, trace.elbo[-1]))
     return 0
@@ -89,14 +87,13 @@ def cmd_evaluate(args):
         behavior = trajectories.BehaviorPolicy(policies=policies, epsilon=0.0)
         rollouts = trajectories.collect(config, behavior, args.k, args.t,
                                         seed=args.seed)
-        fair = config.rate_mbps / config.agent_count
         agent_rewards = [[tr.rewards[-1] for tr in ep.agents]
                          for ep in rollouts]
         report["mean_final_local_rewards"] = \
             np.mean(agent_rewards, axis=0).tolist()
         report["mean_global_reward"] = float(np.mean(
             [ep.rewards[-1] for ep in rollouts]))
-        report["fair_share_mbps"] = fair
+        report["fair_share_mbps"] = config.rate_mbps / config.agent_count
     out = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -106,16 +103,15 @@ def cmd_evaluate(args):
 
 
 def cmd_report(args):
-    trace_path = os.path.join(args.trace_dir, "trace.csv")
-    with open(trace_path, newline="") as fh:
+    with open(os.path.join(args.trace_dir, "trace.csv"), newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError("trace file has no iterations")
     header, body = rows[0], rows[1:]
     col = {name: i for i, name in enumerate(header)}
-    nodes_cols = [c for c in header if c.startswith("nodes_agent_")]
-    g_cols = [c for c in header if c.startswith("g_")]
-    h_cols = [c for c in header if c.startswith("h_")]
+
+    def prefixed(*prefixes):
+        return [c for p in prefixes for c in header if c.startswith(p)]
 
     def write(name, columns):
         path = os.path.join(args.trace_dir, name)
@@ -128,11 +124,12 @@ def cmd_report(args):
         return path
 
     paths = [write("elbo.csv", ["elbo"]),
-             write("nodes.csv", nodes_cols),
+             write("nodes.csv", prefixed("nodes_agent_")),
              write("value.csv", ["discounted_value"]),
-             write("gh.csv", g_cols + h_cols)]
-    for p in paths:
-        print(p)
+             write("gh.csv", prefixed("g_", "h_"))]
+    if "norm" in col:  # not in traces written before it was recorded
+        paths.append(write("norm_ab.csv", prefixed("norm", "a_", "b_min_")))
+    print("\n".join(paths))
     return 0
 
 

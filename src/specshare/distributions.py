@@ -35,10 +35,12 @@ def gammaln(x):
     return _special_function("gammaln", x)
 
 
-def _special_function(name, x):
+def _special_function(name, x, check=True):
     global _special
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    # min > 0 is False for a NaN, so one reduction per bound covers both
+    if check and not (arr.size == 0
+                      or (arr.min() > 0.0 and arr.max() < math.inf)):
         raise ValueError("%s requires strictly positive finite arguments"
                          % name)
     if _special is None:

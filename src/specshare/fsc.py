@@ -11,6 +11,7 @@ so the observation alphabet stays finite.
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,7 @@ class FscPolicy:
         self.pi = np.asarray(self.pi, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.action_set = tuple(self.action_set)
-        z = self.eta.size
-        a = len(self.action_set)
-        o = self.n_obs_bins
+        z, a, o = self.eta.size, len(self.action_set), self.n_obs_bins
         if self.pi.shape != (z, a) or self.omega.shape != (z, a, o, z):
             raise ValueError("inconsistent controller shapes")
         validate_simplex(self.eta)
@@ -59,13 +58,9 @@ class FscPolicy:
         return self.action_set.index(action)
 
     def to_json(self):
-        omega = {}
-        z, a, o, _ = self.omega.shape
-        for i in range(z):
-            for ai in range(a):
-                for oi in range(o):
-                    key = "%d/%d/%d" % (i, self.action_set[ai], oi)
-                    omega[key] = self.omega[i, ai, oi].tolist()
+        omega = {"%d/%d/%d" % (i, self.action_set[a], o):
+                 self.omega[i, a, o].tolist()
+                 for i, a, o in np.ndindex(self.omega.shape[:3])}
         return {
             "node_count": self.node_count,
             "eta": self.eta.tolist(),
@@ -78,8 +73,7 @@ class FscPolicy:
     @classmethod
     def from_json(cls, data):
         action_set = tuple(data["action_set"])
-        z = int(data["node_count"])
-        o = int(data["n_obs_bins"])
+        z, o = int(data["node_count"]), int(data["n_obs_bins"])
         omega = np.zeros((z, len(action_set), o, z))
         for key, row in data["omega"].items():
             i, a, oi = (int(p) for p in key.split("/"))
@@ -193,9 +187,14 @@ def stick_log_expectations(first, second):
     """
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
-    psi_sum = digamma(first + second)
-    e_ln_u = digamma(first) - psi_sum
-    e_ln_1mu = digamma(second) - psi_sum
+    return _stick_logs(digamma(first), digamma(second),
+                       digamma(first + second))
+
+
+def _stick_logs(psi_first, psi_second, psi_sum):
+    """`stick_log_expectations` from digamma of first, second and sum."""
+    e_ln_u = psi_first - psi_sum
+    e_ln_1mu = psi_second - psi_sum
     prefix = np.zeros_like(e_ln_1mu)
     prefix[..., 1:] = np.cumsum(e_ln_1mu[..., :-1], axis=-1)
     logp = prefix + e_ln_u
@@ -230,24 +229,43 @@ def omega_columns(state):
     return columns, expand, np.bincount(expand)
 
 
-def point_estimate(state):
+# digamma of (delta, mu, delta + mu), of (sigma, lam, sigma + lam) on the
+# kept columns and of (phi, phi's row sums), and omega_columns' expand
+FactorDigammas = namedtuple("FactorDigammas", "eta omega pi expand")
+
+
+def factor_digammas(state, layout=None, digamma_fn=None):
+    """`FactorDigammas` of `state`; `layout` is `omega_columns(state)` and
+    `digamma_fn` the digamma to call, both computed or checked if absent."""
+    psi = digamma_fn or digamma
+    columns, expand, _ = layout or omega_columns(state)
+    z, _, _, z_next = np.shape(state.sigma)
+    sigma = np.reshape(state.sigma, (z, -1, z_next))[:, columns]
+    lam = np.reshape(state.lam, (z, -1, z_next))[:, columns]
+    delta, mu, phi = (np.asarray(v, dtype=float)
+                      for v in (state.delta, state.mu, state.phi))
+    return FactorDigammas((psi(delta), psi(mu), psi(delta + mu)),
+                          (psi(sigma), psi(lam), psi(sigma + lam)),
+                          (psi(phi), psi(phi.sum(axis=1, keepdims=True))),
+                          expand)
+
+
+def point_estimate(state, psi=None):
     """Exp-digamma point estimate of the policy from variational params.
 
     `state` carries delta, mu (per-node stick Betas for eta), sigma, lam
     (per-(i,a,o,j) stick Betas for omega) and phi (per-node Dirichlets for
-    pi), and optionally `visited` (see `omega_columns`). Entries are exp of
-    expected log-probabilities, hence sub-probabilities; no
+    pi), and optionally `visited` (see `omega_columns`). `psi` is the
+    state's `FactorDigammas`, computed here when not given. Entries are exp
+    of expected log-probabilities, hence sub-probabilities; no
     renormalization is applied.
     """
-    eta = np.exp(stick_log_expectations(state.delta, state.mu))
-    phi = np.asarray(state.phi, dtype=float)
-    pi = np.exp(digamma(phi) - digamma(phi.sum(axis=1, keepdims=True)))
-    columns, expand, _ = omega_columns(state)
-    shape = np.shape(state.sigma)
-    sigma = np.reshape(state.sigma, (shape[0], -1, shape[3]))[:, columns]
-    lam = np.reshape(state.lam, (shape[0], -1, shape[3]))[:, columns]
-    omega = np.exp(stick_log_expectations(sigma, lam))[:, expand]
-    return PointEstimate(eta=eta, pi=pi, omega=omega.reshape(shape))
+    psi = psi or factor_digammas(state)
+    eta = np.exp(_stick_logs(*psi.eta))
+    pi = np.exp(psi.pi[0] - psi.pi[1])
+    omega = np.exp(_stick_logs(*psi.omega))[:, psi.expand]
+    return PointEstimate(eta=eta, pi=pi,
+                         omega=omega.reshape(np.shape(state.sigma)))
 
 
 def prune(policy, occupancy, mass_epsilon=1e-3):
@@ -269,19 +287,14 @@ def prune(policy, occupancy, mass_epsilon=1e-3):
                 if occupancy[i] >= mass_epsilon * total]
         if not kept:
             kept = [int(np.argmax(occupancy))]
-    kept = sorted(kept)
-    eta = policy.eta[kept]
-    if eta.sum() <= 0.0:
-        eta = np.full(len(kept), 1.0 / len(kept))
-    else:
-        eta = eta / eta.sum()
-    pi = policy.pi[kept]
-    omega = policy.omega[np.ix_(kept, range(policy.pi.shape[1]),
-                                range(policy.n_obs_bins), kept)]
-    sums = omega.sum(axis=-1, keepdims=True)
-    uniform = np.full(len(kept), 1.0 / len(kept))
-    omega = np.where(sums > 0.0, omega / np.where(sums > 0, sums, 1.0), uniform)
-    reduced = FscPolicy(eta=eta, pi=pi, omega=omega,
+
+    def renormalized(rows):  # uniform where a row has no mass left
+        sums = rows.sum(axis=-1, keepdims=True)
+        return np.where(sums > 0.0, rows / np.where(sums > 0.0, sums, 1.0),
+                        1.0 / len(kept))
+    reduced = FscPolicy(eta=renormalized(policy.eta[kept]),
+                        pi=policy.pi[kept],
+                        omega=renormalized(policy.omega[kept][..., kept]),
                         action_set=policy.action_set,
                         n_obs_bins=policy.n_obs_bins)
     return reduced, kept
@@ -310,12 +323,9 @@ def init_from_episodes(episodes, agent, action_set, n_obs_bins=DEFAULT_OBS_BINS,
     for ep in episodes:
         track = ep.agents[agent]
         hist = ()
-        for t, action in enumerate(track.actions):
+        for action, ob in zip(track.actions, track.obs_bin, strict=True):
             ai = action_set.index(action)
-            if hist not in act_counts:
-                act_counts[hist] = np.zeros(n_actions)
-            act_counts[hist][ai] += 1.0
-            ob = track.obs_bin[t]
+            act_counts.setdefault(hist, np.zeros(n_actions))[ai] += 1.0
             child = hist + ((ai, ob),)
             edges.append((hist, ai, ob, child))
             hist = child
@@ -349,17 +359,12 @@ def init_from_episodes(episodes, agent, action_set, n_obs_bins=DEFAULT_OBS_BINS,
     clusters.sort(key=lambda c: -c[0].sum())
 
     z = len(clusters)
-    assign = {}
-    for ci, (_, members) in enumerate(clusters):
-        for h in members:
-            assign[h] = ci
-    for h in act_counts:
-        if h not in assign:
-            assign[h] = 0  # leaves with no recorded action join the top cluster
+    # leaves with no recorded action join the top cluster
+    assign = {h: 0 for h in act_counts}
+    assign.update({h: ci for ci, (_, members) in enumerate(clusters)
+                   for h in members})
 
-    pi_counts = np.ones((z, n_actions))
-    for ci, (agg, _) in enumerate(clusters):
-        pi_counts[ci] += agg
+    pi_counts = 1.0 + np.array([agg for agg, _ in clusters])
     omega_counts = np.ones((z, n_actions, n_obs_bins, z))
     for h, ai, ob, child in edges:
         omega_counts[assign[h], ai, ob, assign[child]] += 1.0

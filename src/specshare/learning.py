@@ -3,22 +3,29 @@
 The importance-weighted discounted return of the candidate policy acts as
 the likelihood; stick-breaking Beta/Gamma priors over controller rows act
 as the prior; coordinate ascent over the factorized posterior maximizes
-the evidence lower bound. Node-path posteriors are computed for every
-episode prefix at once by a scaled forward-backward kernel that runs over
-all episodes of one length in a single pass per agent.
+the evidence lower bound. Node-path posteriors for every episode prefix
+come from one forward and one O(T) backward pass per agent and episode
+length. Each iteration takes each digamma once (`_Shared`) and checks
+each argument once, so the special functions skip the per-call check.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .batch import EpisodeBatch
-from .distributions import digamma, gammaln
-from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
-                  omega_columns, point_estimate, prune)
-# not called here; perfbench/tracing.py patches it under this module's name
+from .distributions import _special_function
+from .fsc import (DEFAULT_OBS_BINS, FscPolicy, factor_digammas, forward,
+                  init_from_episodes, omega_columns, point_estimate, prune)
+# perfbench/tracing.py patches these names here; log_history_likelihoods is
+# not called, and digamma and gammaln skip the domain check, because
+# VariationalState.assert_positive checks every argument once per iteration
 from .fsc import log_history_likelihoods  # noqa: F401
+digamma = partial(_special_function, "digamma", check=False)
+gammaln = partial(_special_function, "gammaln", check=False)
 
 
 @dataclass
@@ -73,23 +80,42 @@ class VariationalState:
     def node_count(self):
         return self.delta.size
 
-    def assert_positive(self):
-        for name in ("delta", "mu", "phi", "sigma", "lam", "a", "b"):
-            if np.any(getattr(self, name) <= 0.0):
-                raise FloatingPointError("non-positive variational parameter %s" % name)
-        if self.g <= 0.0 or self.h <= 0.0:
-            raise FloatingPointError("non-positive concentration parameters")
+    def assert_positive(self, names=("delta", "mu", "phi", "sigma", "lam",
+                                     "a", "b", "g", "h")):
+        """FloatingPointError unless every named parameter is positive and
+        finite (a NaN fails too)."""
+        for name in names:
+            value = np.asarray(getattr(self, name))
+            if not (value.min() > 0.0 and value.max() < math.inf):
+                raise FloatingPointError("non-positive or non-finite "
+                                         "variational parameter %s" % name)
 
 
-@dataclass
-class ReweightedRewards:
-    r_tilde: list        # per (k, t): discounted shifted reward
-    nu_tilde: list       # per (k, t): posterior path weight
-    r_min: float
-    r_max: float
-    value: float         # the empirical value the weights divide by
-    nu: list             # per batch group: nu_tilde as one (K_g, t) block
-    alpha_hat: list      # per (group, agent): target's (K_g, t, Z) tables
+class _Shared:
+    """What an agent's concentration update, point estimate and bound read:
+    `layout` and the a and g terms, fixed for a run as a = c + Z and
+    g = e + Z, and `psi`, taken by `refresh` after every update."""
+
+    def __init__(self, state, hyper):
+        state.assert_positive(("a", "b", "g", "h"))
+        self.layout = omega_columns(state)
+        z = state.node_count
+        self.a = state.a.reshape(z, -1)[:, self.layout[0]]
+        self.psi_g, self.psi_a = digamma(state.g), digamma(self.a)
+        self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(self.a)
+        self.lgamma_e, self.lgamma_c = gammaln(hyper.e), gammaln(hyper.c)
+        self.refresh(state)
+
+    def refresh(self, state):
+        state.assert_positive(("delta", "mu", "phi", "sigma", "lam"))
+        self.psi = factor_digammas(state, self.layout, digamma)
+
+
+# nu_tilde: per (k, t), the posterior path weight; value: the empirical
+# value the weights divide by; nu: per batch group, nu_tilde as one (K_g, t)
+# block; alpha_hat: per (group, agent), the target's (K_g, t, Z) tables
+ReweightedRewards = namedtuple("ReweightedRewards",
+                               "nu_tilde value nu alpha_hat")
 
 
 @dataclass
@@ -137,8 +163,7 @@ def forward_messages(policy, action_idx, obs_bins):
 
 def backward_messages(policy, action_idx, obs_bins, t):
     """Unscaled backward table beta[tau, i] for the prefix ending at t."""
-    z = policy.eta.size
-    beta = np.empty((t + 1, z))
+    beta = np.empty((t + 1, policy.eta.size))
     beta[t] = 1.0
     for tau in range(t - 1, -1, -1):
         trans = policy.omega[:, action_idx[tau], obs_bins[tau], :]
@@ -172,27 +197,26 @@ def _log_prefix(group, policies):
     return logp, [table for table, _ in passes]
 
 
-def _log_weights(batch, target, behavior, r_min, gamma):
-    """Per group: log importance ratio per (episode, t), shifted discounted
-    reward per (episode, t), and the target's scaled forward tables per
-    agent.
+def _return_terms(batch, target, behavior, r_min, gamma):
+    """The empirical value and, per group, each (episode, t) return term
+    (importance ratio times shifted discounted reward) and the target's
+    scaled forward tables per agent.
 
     Behaviour policies, when given, run through the same forward call as
     the target, so equal policies cancel exactly; otherwise the per-step
     probabilities stored at collection time are used.
     """
-    log_ratio = []
-    rewards = []
-    alpha_hat = []
+    terms, alpha_hat = [], []
     for g in batch.groups:
         logp, tables = _log_prefix(g, target)
         logb = g.log_behavior if behavior is None \
             else _log_prefix(g, behavior)[0]
         t = np.arange(g.rewards.shape[1])
-        log_ratio.append(logp - logb)
-        rewards.append((gamma ** t) * (g.rewards - r_min))
+        terms.append(np.exp(logp - logb)
+                     * ((gamma ** t) * (g.rewards - r_min)))
         alpha_hat.append(tables)
-    return log_ratio, rewards, alpha_hat
+    value = sum(float(np.sum(w)) for w in terms) / batch.size
+    return value, terms, alpha_hat
 
 
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
@@ -205,9 +229,7 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     if r_min is None:
         r_min, _ = reward_bounds(episodes)
     batch = EpisodeBatch.for_policies(episodes, target, behavior)
-    log_w, rew, _ = _log_weights(batch, target, behavior, r_min, gamma)
-    total = sum(float(np.sum(np.exp(lw) * r)) for lw, r in zip(log_w, rew))
-    return total / batch.size
+    return _return_terms(batch, target, behavior, r_min, gamma)[0]
 
 
 def reweighted(episodes, estimates, r_min, gamma, behavior=None):
@@ -217,17 +239,13 @@ def reweighted(episodes, estimates, r_min, gamma, behavior=None):
     """
     batch = episodes if isinstance(episodes, EpisodeBatch) \
         else EpisodeBatch.for_policies(episodes, estimates, behavior)
-    log_w, rew, alpha_hat = _log_weights(batch, estimates, behavior,
-                                         r_min, gamma)
-    value = sum(float(np.sum(np.exp(lw) * r))
-                for lw, r in zip(log_w, rew)) / batch.size
+    value, terms, alpha_hat = _return_terms(batch, estimates, behavior,
+                                            r_min, gamma)
     if not (value > 0.0 and math.isfinite(value)):
         raise FloatingPointError("empirical value is not positive: %r" % value)
-    nu = [np.exp(lw) * r / value for lw, r in zip(log_w, rew)]
-    return ReweightedRewards(r_tilde=batch.per_episode(rew),
-                             nu_tilde=batch.per_episode(nu), r_min=r_min,
-                             r_max=batch.r_max, value=value, nu=nu,
-                             alpha_hat=alpha_hat)
+    nu = [w / value for w in terms]
+    return ReweightedRewards(nu_tilde=batch.per_episode(nu), value=value,
+                             nu=nu, alpha_hat=alpha_hat)
 
 
 def _sweep_agent(estimate, aidx, obins, nu, ahat):
@@ -239,51 +257,47 @@ def _sweep_agent(estimate, aidx, obins, nu, ahat):
     forward tables from `forward`. Returns (occ, pair): occ[k, tau, i]
     sums the singleton marginals of z_tau over every prefix endpoint
     t >= tau, each weighted by nu[k, t]; pair[k, tau] (tau >= 1) likewise
-    sums the weighted pairwise marginals coupling z_{tau-1} and z_tau. All
-    prefixes share one backward sweep that carries a column per endpoint.
+    sums the weighted pairwise marginals coupling z_{tau-1} and z_tau.
+    All endpoints share one reward-to-go recursion (Toussaint & Storkey
+    2006): G_tau = nu_tau + M_tau G_{tau+1} / c_{tau+1}, with M_tau[i, j] =
+    omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}] and the forward scale
+    c_{tau+1} = sum(ahat_tau M_tau); occ_tau = ahat_tau G_tau and
+    pair_{tau+1}[i, j] = ahat_tau[i] M_tau[i, j] G_{tau+1}[j] / c_{tau+1}.
     """
-    k, t1 = aidx.shape
-    z = estimate.eta.size
-    # m[k, tau, i, j] = omega[i, a_tau, o_tau, j] * pi[j, a_{tau+1}]
+    k, t1, z = ahat.shape
     m = estimate.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins] \
         * estimate.pi.T[aidx[:, 1:]][:, :, None, :]
-    occ = np.empty((k, t1, z))
-    d = np.empty((k, t1, z))  # d[:, tau]: weighted messages into z_tau
-    bcols = np.ones((k, z, t1))  # column t: backward message for endpoint t
-    occ[:, -1] = ahat[:, -1] * nu[:, -1:]
+    scale = (ahat[:, :-1, None, :] @ m)[:, :, 0].sum(axis=-1)
+    to_go = np.empty((k, t1, z))
+    to_go[:, -1] = nu[:, -1:]
     for tau in range(t1 - 2, -1, -1):
-        a_tau = ahat[:, tau, None, :]
-        cols = bcols[:, :, tau + 1:]
-        mb = m[:, tau] @ cols
-        z2 = a_tau @ mb
-        d[:, tau + 1] = (cols @ (nu[:, None, tau + 1:] / z2)
-                         .transpose(0, 2, 1))[..., 0]
-        bcols[:, :, tau + 1:] = mb
-        live = bcols[:, :, tau:]
-        live /= live.max(axis=1, keepdims=True)
-        znorm = a_tau @ live
-        occ[:, tau] = ahat[:, tau] * (live @ (nu[:, None, tau:] / znorm)
-                                      .transpose(0, 2, 1))[..., 0]
+        after = to_go[:, tau + 1] / scale[:, tau, None]
+        to_go[:, tau] = nu[:, tau, None] \
+            + (m[:, tau] @ after[..., None])[..., 0]
     pair = np.zeros((k, t1, z, z))
-    pair[:, 1:] = ahat[:, :-1, :, None] * m * d[:, 1:, None, :]
-    return occ, pair
+    pair[:, 1:] = ahat[:, :-1, :, None] * m \
+        * (to_go[:, 1:] / scale[..., None])[:, :, None, :]
+    return ahat * to_go, pair
 
 
-def _update_agent(state, estimate, batch, agent, rw, hyper):
+def _update_agent(state, estimate, batch, agent, rw, hyper, shared=None):
     """One coordinate sweep of a single agent's factors.
 
     `rw` holds the path weights and forward tables that `reweighted`
     computed at `estimate`. The omega sticks are updated on the columns
-    `fsc.omega_columns` keeps and copied out to the full arrays.
+    `fsc.omega_columns` keeps and copied out to the full arrays. `shared`
+    (the agent's `_Shared`, built here if absent) is refreshed in between.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
     concentration), then both concentrations. Returns the per-node
     occupancy mass accumulated this sweep.
     """
+    if shared is None:
+        shared = _Shared(state, hyper)
     z = state.node_count
     n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
-    columns, expand, _ = omega_columns(state)
+    columns, expand, _ = shared.layout
     k = batch.size
     delta_acc = np.zeros(z)
     phi_acc = np.zeros((n_actions, z))
@@ -309,67 +323,74 @@ def _update_agent(state, estimate, batch, agent, rw, hyper):
     tail_delta = np.flip(np.cumsum(np.flip(delta_acc))) - delta_acc
     state.delta = 1.0 + delta_acc / k
     state.mu = state.g / state.h + tail_delta / k
+    shared.refresh(state)
+    _, psi_mu, psi_delta_mu = shared.psi.eta
+    _, psi_lam, psi_sigma_lam = shared.psi.omega
     state.a = np.full((z, n_actions, n_obs), hyper.c + z)
-    b = np.maximum(hyper.d - np.sum(digamma(lam) - digamma(sigma + lam),
-                                    axis=-1), 1e-6)
+    b = np.maximum(hyper.d - np.sum(psi_lam - psi_sigma_lam, axis=-1), 1e-6)
     state.b = b[:, expand].reshape(z, n_actions, n_obs)
     state.g = hyper.e + z
-    state.h = max(hyper.f - float(np.sum(digamma(state.mu)
-                                         - digamma(state.delta + state.mu))),
-                  1e-6)
+    state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
+    state.assert_positive(("b", "h"))
     return occ_total
 
 
-def _beta_term(first, second, e_ln_conc, e_conc, weight=1.0):
+def _beta_term(first, second, psi, e_ln_conc, e_conc, weight=1.0):
     """Weighted sum of E[ln Beta(x; 1, conc)] - E[ln q(x)],
     q(x) = Beta(first, second), with the concentration's expected log and
-    mean under its own factor."""
-    psi_sum = digamma(first + second)
-    e_ln_x = digamma(first) - psi_sum
-    e_ln_1mx = digamma(second) - psi_sum
+    mean under its own factor; `psi` is digamma of first, second and sum."""
+    psi_first, psi_second, psi_sum = psi
+    e_ln_x = psi_first - psi_sum
+    e_ln_1mx = psi_second - psi_sum
     prior = e_ln_conc + (e_conc - 1.0) * e_ln_1mx
     entropy = (gammaln(first + second) - gammaln(first) - gammaln(second)
                + (first - 1.0) * e_ln_x + (second - 1.0) * e_ln_1mx)
     return float(np.sum((prior - entropy) * weight))
 
 
-def _gamma_term(shape_p, rate_p, shape_q, rate_q, weight=1.0):
-    """Weighted sum of E[ln Gamma(x; shape_p, rate_p)] - E[ln q(x)]."""
-    e_ln = digamma(shape_q) - np.log(rate_q)
-    prior = (shape_p * np.log(rate_p) - gammaln(shape_p)
+def _gamma_term(shape_p, rate_p, shape_q, rate_q, psi_q, lgamma_p, lgamma_q,
+                weight=1.0):
+    """Weighted sum of E[ln Gamma(x; shape_p, rate_p)] - E[ln q(x)], given
+    digamma(shape_q), gammaln(shape_p) and gammaln(shape_q)."""
+    e_ln = psi_q - np.log(rate_q)
+    prior = (shape_p * np.log(rate_p) - lgamma_p
              + (shape_p - 1.0) * e_ln - rate_p * shape_q / rate_q)
-    entropy = (shape_q * np.log(rate_q) - gammaln(shape_q)
+    entropy = (shape_q * np.log(rate_q) - lgamma_q
                + (shape_q - 1.0) * e_ln - shape_q)
     return float(np.sum((prior - entropy) * weight))
 
 
-def elbo(states, value, hyper):
+def elbo(states, value, hyper, shared=None):
     """Evidence lower bound at the current factors and point estimate.
 
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term.
     The omega terms are evaluated on the columns `fsc.omega_columns` keeps,
-    each weighted by the number of columns it stands for.
+    each weighted by the number of columns it stands for. `shared` holds
+    each state's `_Shared`, built (and the state checked) here if absent.
     """
+    if shared is None:
+        shared = [_Shared(st, hyper) for st in states]
     total = math.log(value)
-    for st in states:
-        e_ln_rho = digamma(st.g) - math.log(st.h)
-        total += _beta_term(st.delta, st.mu, e_ln_rho, st.g / st.h)
-        total += _gamma_term(hyper.e, hyper.f, st.g, st.h)
-        columns, _, counts = omega_columns(st)
+    for st, sh in zip(states, shared):
+        total += _beta_term(st.delta, st.mu, sh.psi.eta,
+                            sh.psi_g - math.log(st.h), st.g / st.h)
+        total += _gamma_term(hyper.e, hyper.f, st.g, st.h, sh.psi_g,
+                             sh.lgamma_e, sh.lgamma_g)
+        columns, _, counts = sh.layout
         z = st.node_count
-        a = st.a.reshape(z, -1)[:, columns]
         b = st.b.reshape(z, -1)[:, columns]
-        e_ln_alpha = digamma(a) - np.log(b)
+        e_ln_alpha = sh.psi_a - np.log(b)
         total += _beta_term(st.sigma.reshape(z, -1, z)[:, columns],
                             st.lam.reshape(z, -1, z)[:, columns],
-                            e_ln_alpha[..., None], (a / b)[..., None],
-                            counts[:, None])
-        total += _gamma_term(hyper.c, hyper.d, a, b, counts)
+                            sh.psi.omega, e_ln_alpha[..., None],
+                            (sh.a / b)[..., None], counts[:, None])
+        total += _gamma_term(hyper.c, hyper.d, sh.a, b, sh.psi_a,
+                             sh.lgamma_c, sh.lgamma_a, counts)
         phi = st.phi
         n_actions = phi.shape[1]
-        e_ln_pi = digamma(phi) - digamma(phi.sum(axis=1, keepdims=True))
+        e_ln_pi = sh.psi.pi[0] - sh.psi.pi[1]
         prior = (phi.shape[0] * (math.lgamma(n_actions * hyper.theta)
                                  - n_actions * math.lgamma(hyper.theta))
                  + float(np.sum((hyper.theta - 1.0) * e_ln_pi)))
@@ -379,14 +400,8 @@ def elbo(states, value, hyper):
     return total
 
 
-def check_normalization(rw, k):
-    """The path-weight constraint: weights average to 1 over the batch."""
-    return sum(float(np.sum(nu)) for nu in rw.nu_tilde) / k
-
-
 def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
-          max_nodes=10, init_policies=None, action_set=None,
-          n_obs_bins=DEFAULT_OBS_BINS):
+          max_nodes=10, action_set=None, n_obs_bins=DEFAULT_OBS_BINS):
     """Coordinate-ascent loop: refresh point estimates, reweight paths,
     update every factor, evaluate the bound; stop when the relative bound
     change drops below tol.
@@ -401,38 +416,35 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         action_set = tuple(sorted({a for ep in episodes
                                    for tr in ep.agents for a in tr.actions}))
     batch = EpisodeBatch(episodes, [action_set] * n_agents, n_obs_bins)
-    if init_policies is None:
-        init_policies = [init_from_episodes(episodes, n, action_set,
-                                            n_obs_bins=n_obs_bins,
-                                            max_nodes=max_nodes)
-                         for n in range(n_agents)]
-
     r_min, _ = reward_bounds(episodes)
     k = len(episodes)
-    states = [VariationalState(p.node_count, len(action_set), n_obs_bins,
-                               hyper, pi_seed=p.pi,
-                               visited=batch.visited(n, len(action_set)))
-              for n, p in enumerate(init_policies)]
+    states = []
+    for n in range(n_agents):
+        init = init_from_episodes(episodes, n, action_set,
+                                  n_obs_bins=n_obs_bins, max_nodes=max_nodes)
+        states.append(VariationalState(
+            init.node_count, len(action_set), n_obs_bins, hyper,
+            pi_seed=init.pi, visited=batch.visited(n, len(action_set))))
     trace = ElboTrace()
     active = [set(range(s.node_count)) for s in states]
     occ_totals = [np.ones(s.node_count) for s in states]
-    prev_elbo = None
-    converged = False
-    estimates = [point_estimate(s) for s in states]
+    prev_elbo, converged = None, False
+    shared = [_Shared(s, hyper) for s in states]
+    estimates = [point_estimate(s, sh.psi) for s, sh in zip(states, shared)]
     rw = reweighted(batch, estimates, r_min, hyper.gamma)
     for _ in range(max_iters):
-        norm = check_normalization(rw, k)
+        # the path-weight constraint: weights average to 1 over the batch
+        norm = sum(float(np.sum(nu)) for nu in rw.nu_tilde) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
         occ_totals = [_update_agent(states[n], estimates[n], batch, n,
-                                    rw, hyper)
+                                    rw, hyper, shared[n])
                       for n in range(n_agents)]
-        for st in states:
-            st.assert_positive()
-        estimates = [point_estimate(s) for s in states]
+        estimates = [point_estimate(s, sh.psi)
+                     for s, sh in zip(states, shared)]
         rw = reweighted(batch, estimates, r_min, hyper.gamma)
-        cur = elbo(states, rw.value, hyper)
+        cur = elbo(states, rw.value, hyper, shared)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")
         trace.elbo.append(cur)
@@ -455,12 +467,11 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         prev_elbo = cur
     policies = []
     for n, st in enumerate(states):
+        live = sorted(active[n])
         mask = np.zeros(st.node_count)
-        for i in active[n]:
-            mask[i] = occ_totals[n][i]
-        reduced, _ = prune(mean_policy(st, action_set, n_obs_bins), mask,
-                           prune_epsilon)
-        policies.append(reduced)
+        mask[live] = occ_totals[n][live]
+        policies.append(prune(mean_policy(st, action_set, n_obs_bins), mask,
+                              prune_epsilon)[0])
     return LearnResult(states=states, point_estimates=estimates, trace=trace,
                        policies=policies, occupancy=occ_totals,
                        converged=converged)

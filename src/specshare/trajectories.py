@@ -6,7 +6,6 @@ stored alongside it so importance ratios stay finite downstream.
 """
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,7 @@ from .fsc import initial_node, observation_bin, transition_node
 from .simulator import AgentTrack, CoexistenceSimulator, Episode
 
 SCHEMA = "specshare-episodes-v1"
+TRACK_FIELDS = ("actions", "obs_us", "obs_bin", "pi_behavior", "rewards")
 
 
 @dataclass
@@ -96,11 +96,8 @@ def _collect_episode(config, behavior, horizon, k, seed):
                                                rng)
     t_max = min(len(t.actions) for t in tracks)
     for tr in tracks:
-        tr.actions = tr.actions[:t_max]
-        tr.obs_us = tr.obs_us[:t_max]
-        tr.obs_bin = tr.obs_bin[:t_max]
-        tr.pi_behavior = tr.pi_behavior[:t_max]
-        tr.rewards = tr.rewards[:t_max]
+        for name in TRACK_FIELDS:
+            setattr(tr, name, getattr(tr, name)[:t_max])
     rewards = [sum(tr.rewards[t] for tr in tracks) for t in range(t_max)]
     return Episode(k=k, agents=tracks, rewards=rewards)
 
@@ -128,24 +125,15 @@ def save(episodes, path):
     """Write a batch as JSON lines, one episode per line."""
     with open(path, "w") as fh:
         for ep in episodes:
-            record = {
-                "schema": SCHEMA,
-                "k": ep.k,
-                "agents": [{"actions": tr.actions,
-                            "obs_us": tr.obs_us,
-                            "obs_bin": tr.obs_bin,
-                            "pi_behavior": tr.pi_behavior,
-                            "rewards": tr.rewards}
-                           for tr in ep.agents],
-                "rewards": ep.rewards,
-            }
-            fh.write(json.dumps(record) + "\n")
+            agents = [{name: getattr(tr, name) for name in TRACK_FIELDS}
+                      for tr in ep.agents]
+            fh.write(json.dumps({"schema": SCHEMA, "k": ep.k,
+                                 "agents": agents, "rewards": ep.rewards})
+                     + "\n")
 
 
 def load(path):
     """Read a JSON-lines episode batch; rejects empty or mismatched files."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     episodes = []
     with open(path) as fh:
         for line in fh:
@@ -156,10 +144,7 @@ def load(path):
             if record.get("schema") != SCHEMA:
                 raise ValueError("unrecognized episode schema: %r"
                                  % record.get("schema"))
-            agents = [AgentTrack(actions=a["actions"], obs_us=a["obs_us"],
-                                 obs_bin=a["obs_bin"],
-                                 pi_behavior=a["pi_behavior"],
-                                 rewards=a["rewards"])
+            agents = [AgentTrack(**{name: a[name] for name in TRACK_FIELDS})
                       for a in record["agents"]]
             episodes.append(Episode(k=record["k"], agents=agents,
                                     rewards=record["rewards"]))

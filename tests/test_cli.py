@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from specshare import learning, trajectories
 from specshare.cli import main
 from specshare.simulator import SimConfig
 
@@ -133,3 +134,35 @@ def test_report_g_column_constant(tmp_path):
         column = {row[i] for row in rows[1:]}
         assert len(column) == 1
 
+
+
+def test_trace_csv_records_norm_a_and_b_min(tmp_path):
+    config = write_config(tmp_path)
+    episodes = str(tmp_path / "eps.jsonl")
+    assert main(["collect", "--config", config, "--out", episodes,
+                 "--k", "3", "--t", "8", "--seed", "5"]) == 0
+    out_dir = str(tmp_path / "run")
+    assert main(["learn", "--episodes", episodes, "--out", out_dir,
+                 "--max-iters", "6", "--max-nodes", "4"]) == 0
+    with open(os.path.join(out_dir, "trace.csv")) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "elbo", "discounted_value",
+                       "nodes_agent_1", "nodes_agent_2", "g_1", "g_2",
+                       "h_1", "h_2", "norm", "a_1", "a_2", "b_min_1",
+                       "b_min_2"]
+    trace = learning.learn(trajectories.load(episodes),
+                           learning.Hyperparams(), max_iters=6,
+                           max_nodes=4).trace
+    assert len(rows) == trace.iterations + 1
+    for i, row in enumerate(rows[1:]):
+        expect = ([i + 1, trace.elbo[i], trace.value[i]]
+                  + trace.node_counts[i] + trace.g[i] + trace.h[i]
+                  + [trace.norm[i]] + trace.a[i] + trace.b_min[i])
+        assert [float(v) for v in row] == expect
+
+    assert main(["report", "--trace-dir", out_dir]) == 0
+    with open(os.path.join(out_dir, "norm_ab.csv")) as fh:
+        extra = list(csv.reader(fh))
+    assert extra[0] == ["iteration", "norm", "a_1", "a_2", "b_min_1",
+                        "b_min_2"]
+    assert [r[1:] for r in extra[1:]] == [r[9:] for r in rows[1:]]

@@ -7,7 +7,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshare.distributions import (digamma, log_density_beta,
+import specshare.learning
+from specshare.distributions import (digamma, gammaln, log_density_beta,
                                      log_density_dirichlet, log_density_gamma,
                                      sample_beta, sample_dirichlet,
                                      sample_gamma, stick_breaking_weights,
@@ -184,3 +185,28 @@ class TestLogDensities:
             log_density_gamma(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             log_density_dirichlet([0.7, 0.7], [1.0, 1.0])
+
+
+class TestDomainCheck:
+    @pytest.mark.parametrize("fn", [digamma, gammaln], ids=["digamma",
+                                                            "gammaln"])
+    def test_empty_array_accepted(self, fn):
+        out = fn(np.array([]))
+        assert isinstance(out, np.ndarray) and out.size == 0
+
+    @pytest.mark.parametrize("fn", [digamma, gammaln], ids=["digamma",
+                                                            "gammaln"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_one_bad_entry_rejected(self, fn, bad):
+        xs = np.array([[0.5, 3.0], [bad, 7.0]])
+        with pytest.raises(ValueError, match="strictly positive finite"):
+            fn(xs)
+        with pytest.raises(ValueError, match="strictly positive finite"):
+            fn(bad)
+
+    def test_learner_path_skips_only_the_check(self):
+        xs = np.array([1e-300, 0.5, 3.0, 1e6])
+        assert np.array_equal(specshare.learning.digamma(xs), digamma(xs))
+        assert np.array_equal(specshare.learning.gammaln(xs), gammaln(xs))
+        assert specshare.learning.digamma(2.0) == digamma(2.0)
+        assert np.isnan(specshare.learning.digamma(np.nan))
