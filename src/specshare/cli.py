@@ -65,13 +65,14 @@ def cmd_learn(args):
             ["iteration", "elbo", "discounted_value"]
             + ["%s_%d" % (c, n) for c in ("nodes_agent", "g", "h")
                for n in agents]
-            + ["norm"] + ["%s_%d" % (c, n) for c in ("a", "b_min")
-                          for n in agents])
+            + ["norm"] + ["%s_%d" % (c, n) for c in ("a", "b_min", "live")
+                          for n in agents] + ["ess", "max_share"])
         for i in range(trace.iterations):
             writer.writerow([i + 1] + [repr(v) for v in (
                 [trace.elbo[i], trace.value[i]] + trace.node_counts[i]
                 + trace.g[i] + trace.h[i] + [trace.norm[i]] + trace.a[i]
-                + trace.b_min[i])])
+                + trace.b_min[i] + trace.live[i]
+                + [trace.ess[i], trace.max_share[i]])])
     print("converged=%s iterations=%d final_elbo=%r"
           % (result.converged, trace.iterations, trace.elbo[-1]))
     return 0
@@ -127,8 +128,12 @@ def cmd_report(args):
              write("nodes.csv", prefixed("nodes_agent_")),
              write("value.csv", ["discounted_value"]),
              write("gh.csv", prefixed("g_", "h_"))]
-    if "norm" in col:  # not in traces written before it was recorded
+    # each absent from traces written before it was recorded
+    if "norm" in col:
         paths.append(write("norm_ab.csv", prefixed("norm", "a_", "b_min_")))
+    if "ess" in col:
+        paths.append(write("live.csv", prefixed("live_")))
+        paths.append(write("weights.csv", ["ess", "max_share"]))
     print("\n".join(paths))
     return 0
 

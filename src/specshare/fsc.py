@@ -191,10 +191,11 @@ def stick_log_expectations(first, second):
                        digamma(first + second))
 
 
-def _stick_logs(psi_first, psi_second, psi_sum):
-    """`stick_log_expectations` from digamma of first, second and sum."""
+def _stick_logs(psi_first, psi_second, psi_sum, counts=1.0):
+    """`stick_log_expectations` from digamma of first, second and sum; a
+    stick along the last axis stands for `counts` equal sticks in a row."""
     e_ln_u = psi_first - psi_sum
-    e_ln_1mu = psi_second - psi_sum
+    e_ln_1mu = (psi_second - psi_sum) * counts
     prefix = np.zeros_like(e_ln_1mu)
     prefix[..., 1:] = np.cumsum(e_ln_1mu[..., :-1], axis=-1)
     logp = prefix + e_ln_u
@@ -229,25 +230,63 @@ def omega_columns(state):
     return columns, expand, np.bincount(expand)
 
 
-# digamma of (delta, mu, delta + mu), of (sigma, lam, sigma + lam) on the
-# kept columns and of (phi, phi's row sums), and omega_columns' expand
-FactorDigammas = namedtuple("FactorDigammas", "eta omega pi expand")
+# Which omega sticks a learner kernel holds once some nodes have left it.
+# `live`: the kernel-live nodes, ascending. Destination slots: each live
+# node is a slot of its own and each run of dropped nodes between live ones
+# is one slot; `slot_of` maps every node to its slot and `counts` is the
+# number of nodes per slot. The stick entries, one row of kept columns
+# each, are every (live node, slot) pair in row-major order, then one entry
+# per dropped source node, standing for all its destinations: `rows` is
+# the source node of each entry, `weights` the (source, destination) pairs
+# it stands for, and `starts` the first entry of each source node.
+NodeSlots = namedtuple("NodeSlots", "live slot_of counts rows weights starts")
 
 
-def factor_digammas(state, layout=None, digamma_fn=None):
-    """`FactorDigammas` of `state`; `layout` is `omega_columns(state)` and
-    `digamma_fn` the digamma to call, both computed or checked if absent."""
+def node_slots(live, z):
+    """`NodeSlots` of the ascending kernel-live nodes `live` out of z."""
+    live = np.asarray(live, dtype=int)
+    alive = np.zeros(z, dtype=bool)
+    alive[live] = True
+    new_slot = alive.copy()
+    new_slot[0] = True
+    new_slot[1:] |= alive[:-1]
+    slot_of = np.cumsum(new_slot) - 1
+    counts = np.bincount(slot_of)
+    dead = np.flatnonzero(~alive)
+    n = live.size * counts.size
+    return NodeSlots(
+        live, slot_of, counts,
+        rows=np.concatenate([np.repeat(live, counts.size), dead]),
+        weights=np.concatenate([np.tile(counts, live.size),
+                                np.full(dead.size, z)]).astype(float),
+        starts=np.concatenate([np.arange(0, n, counts.size),
+                               np.arange(n, n + dead.size)]))
+
+
+def omega_entries(state, columns):
+    """sigma and lam of `state` on the kept `columns` as the stick entries
+    of a kernel in which every node is live, (Z * Z, columns) each."""
+    z = np.size(state.delta)
+    return tuple(np.reshape(x, (z, -1, z))[:, columns].transpose(0, 2, 1)
+                 .reshape(z * z, -1) for x in (state.sigma, state.lam))
+
+
+# digamma of (delta, mu, delta + mu), of the omega stick entries (sigma,
+# lam, sigma + lam) and of (phi, phi's row sums), omega_columns' expand and
+# the entries' `NodeSlots`
+FactorDigammas = namedtuple("FactorDigammas", "eta omega pi expand slots")
+
+
+def stick_digammas(state, sigma, lam, slots, expand, digamma_fn=None):
+    """`FactorDigammas` of the eta and pi factors of `state` and of the
+    omega stick entries `sigma` and `lam`, laid out as `slots` says."""
     psi = digamma_fn or digamma
-    columns, expand, _ = layout or omega_columns(state)
-    z, _, _, z_next = np.shape(state.sigma)
-    sigma = np.reshape(state.sigma, (z, -1, z_next))[:, columns]
-    lam = np.reshape(state.lam, (z, -1, z_next))[:, columns]
     delta, mu, phi = (np.asarray(v, dtype=float)
                       for v in (state.delta, state.mu, state.phi))
     return FactorDigammas((psi(delta), psi(mu), psi(delta + mu)),
                           (psi(sigma), psi(lam), psi(sigma + lam)),
                           (psi(phi), psi(phi.sum(axis=1, keepdims=True))),
-                          expand)
+                          expand, slots)
 
 
 def point_estimate(state, psi=None):
@@ -256,16 +295,26 @@ def point_estimate(state, psi=None):
     `state` carries delta, mu (per-node stick Betas for eta), sigma, lam
     (per-(i,a,o,j) stick Betas for omega) and phi (per-node Dirichlets for
     pi), and optionally `visited` (see `omega_columns`). `psi` is the
-    state's `FactorDigammas`, computed here when not given. Entries are exp
-    of expected log-probabilities, hence sub-probabilities; no
-    renormalization is applied.
+    state's `FactorDigammas`, computed here, every node live, when not
+    given. The estimate covers the kernel-live nodes `psi.slots.live`.
+    Entries are exp of expected log-probabilities, hence sub-probabilities;
+    no renormalization is applied.
     """
-    psi = psi or factor_digammas(state)
-    eta = np.exp(_stick_logs(*psi.eta))
-    pi = np.exp(psi.pi[0] - psi.pi[1])
-    omega = np.exp(_stick_logs(*psi.omega))[:, psi.expand]
-    return PointEstimate(eta=eta, pi=pi,
-                         omega=omega.reshape(np.shape(state.sigma)))
+    if psi is None:
+        columns, expand, _ = omega_columns(state)
+        z = np.size(state.delta)
+        psi = stick_digammas(state, *omega_entries(state, columns),
+                             node_slots(np.arange(z), z), expand)
+    live, slot_of, counts = psi.slots[:3]
+    n = live.size * counts.size
+    eta = np.exp(_stick_logs(*psi.eta))[live]
+    pi = np.exp(psi.pi[0] - psi.pi[1])[live]
+    sticks = (np.reshape(p[:n], (live.size, counts.size, -1))
+              .transpose(0, 2, 1) for p in psi.omega)
+    omega = np.exp(_stick_logs(*sticks, counts))[..., slot_of[live]]
+    _, n_actions, n_obs, _ = np.shape(state.sigma)
+    return PointEstimate(eta=eta, pi=pi, omega=omega[:, psi.expand].reshape(
+        live.size, n_actions, n_obs, live.size))
 
 
 def prune(policy, occupancy, mass_epsilon=1e-3):

@@ -7,6 +7,28 @@ the evidence lower bound. Node-path posteriors for every episode prefix
 come from one forward and one O(T) backward pass per agent and episode
 length. Each iteration takes each digamma once (`_Shared`) and checks
 each argument once, so the special functions skip the per-call check.
+
+Kernel-live compaction. The stick-breaking prior empties most nodes
+within a few iterations, and the kernel shrinks with them: after an
+agent's sweep, a node whose share of the agent's occupancy mass is below
+`_DROP_SHARE` = 2^-100 leaves that agent's kernel for the rest of the
+run. The path weights sum to K, so the occupancy mass is at most K T and
+every accumulation x the node feeds, divided by K, is at most 2^-100 T.
+Each sum it enters holds a term many orders larger: delta = 1 + x,
+phi = theta + x, sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is
+below half an ulp of the sum: the node's delta, sigma and phi are exactly
+1, 1 and theta, and the lam of its run of dropped neighbours is one value.
+Its share of any prefix likelihood is bounded by the same occupancy, so
+the forward scales do not move either. From then on `fsc.forward`, the sweep,
+the accumulation and the point estimate run on the live sub-controller.
+The omega sticks are held as entries over the kept columns
+(`fsc.NodeSlots`): one per live source and destination slot, where a run
+of dropped destinations between live ones is one slot weighted by its
+length, and one per dropped source, standing for all its destinations
+(sigma = 1, lam = a/b); dropped sources keep their own b and their terms
+in the bound. `VariationalState` keeps the full truncation; `learn`
+writes the held sticks back to it at the end of the run. With every node
+live the same code is the uncompacted kernel.
 """
 
 import math
@@ -18,14 +40,19 @@ import numpy as np
 
 from .batch import EpisodeBatch
 from .distributions import _special_function
-from .fsc import (DEFAULT_OBS_BINS, FscPolicy, factor_digammas, forward,
-                  init_from_episodes, omega_columns, point_estimate, prune)
+from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
+                  node_slots, omega_columns, omega_entries, point_estimate,
+                  prune, stick_digammas)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
 # not called, and digamma and gammaln skip the domain check, because
 # VariationalState.assert_positive checks every argument once per iteration
 from .fsc import log_history_likelihoods  # noqa: F401
 digamma = partial(_special_function, "digamma", check=False)
 gammaln = partial(_special_function, "gammaln", check=False)
+
+# A node whose share of its agent's occupancy falls below this leaves the
+# agent's kernel for the rest of the run (see the module docstring)
+_DROP_SHARE = 2.0 ** -100
 
 
 @dataclass
@@ -38,13 +65,24 @@ class Hyperparams:
     gamma: float = 0.9  # discount
 
     def __post_init__(self):
-        if min(self.c, self.d, self.e, self.f, self.theta) <= 0.0:
-            raise ValueError("hyperparameters must be strictly positive")
+        if not all(0.0 < v < math.inf
+                   for v in (self.c, self.d, self.e, self.f, self.theta)):
+            raise ValueError("hyperparameters must be strictly positive "
+                             "and finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("discount must be in [0, 1)")
 
     @classmethod
     def from_json(cls, data):
+        """Hyperparams from a parsed JSON object; ValueError unless it is an
+        object of known keys with numbers as values."""
+        if not isinstance(data, dict):
+            raise ValueError("hyperparameters must be a JSON object")
+        for key, value in data.items():
+            if key not in cls.__dataclass_fields__:
+                raise ValueError("unknown hyperparameter %r" % key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError("hyperparameter %r must be a number" % key)
         return cls(**data)
 
 
@@ -84,22 +122,32 @@ class VariationalState:
                                      "a", "b", "g", "h")):
         """FloatingPointError unless every named parameter is positive and
         finite (a NaN fails too)."""
-        for name in names:
-            value = np.asarray(getattr(self, name))
-            if not (value.min() > 0.0 and value.max() < math.inf):
-                raise FloatingPointError("non-positive or non-finite "
-                                         "variational parameter %s" % name)
+        _assert_positive(self, names)
+
+
+def _assert_positive(owner, names):
+    for name in names:
+        value = np.asarray(getattr(owner, name))
+        if not (value.min() > 0.0 and value.max() < math.inf):
+            raise FloatingPointError("non-positive or non-finite "
+                                     "variational parameter %s" % name)
 
 
 class _Shared:
-    """What an agent's concentration update, point estimate and bound read:
-    `layout` and the a and g terms, fixed for a run as a = c + Z and
-    g = e + Z, and `psi`, taken by `refresh` after every update."""
+    """One agent's kernel for a run: what its updates, point estimate and
+    bound read. `layout` (`fsc.omega_columns`) and `slots` (`fsc.NodeSlots`,
+    the kernel-live nodes) say which omega sticks it holds; `sigma` and
+    `lam` are their entries. The a and g terms are fixed for a run as
+    a = c + Z and g = e + Z, and `psi` is taken by `refresh` after every
+    update. Built from a state, every node is live; the state's own sigma
+    and lam are written by `store`."""
 
     def __init__(self, state, hyper):
         state.assert_positive(("a", "b", "g", "h"))
         self.layout = omega_columns(state)
         z = state.node_count
+        self.slots = node_slots(np.arange(z), z)
+        self.sigma, self.lam = omega_entries(state, self.layout[0])
         self.a = state.a.reshape(z, -1)[:, self.layout[0]]
         self.psi_g, self.psi_a = digamma(state.g), digamma(self.a)
         self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(self.a)
@@ -107,8 +155,24 @@ class _Shared:
         self.refresh(state)
 
     def refresh(self, state):
-        state.assert_positive(("delta", "mu", "phi", "sigma", "lam"))
-        self.psi = factor_digammas(state, self.layout, digamma)
+        state.assert_positive(("delta", "mu", "phi"))
+        _assert_positive(self, ("sigma", "lam"))
+        self.psi = stick_digammas(state, self.sigma, self.lam, self.slots,
+                                  self.layout[1], digamma)
+
+    def store(self, state):
+        """Write the held sticks to the state's full sigma and lam: a
+        dropped destination takes its slot's entry and a dropped source
+        node its one entry."""
+        live, slot_of, counts, rows, _, starts = self.slots
+        n = live.size * counts.size
+        entry = np.empty((slot_of.size, slot_of.size), dtype=int)
+        entry[live] = starts[:live.size, None] + slot_of
+        entry[rows[n:]] = np.arange(n, rows.size)[:, None]
+        shape = state.sigma.shape
+        state.sigma, state.lam = (
+            x[entry][..., self.layout[1]].transpose(0, 2, 1).reshape(shape)
+            for x in (self.sigma, self.lam))
 
 
 # nu_tilde: per (k, t), the posterior path weight; value: the empirical
@@ -128,6 +192,9 @@ class ElboTrace:
     a: list = field(default_factory=list)       # per-agent common a value
     b_min: list = field(default_factory=list)   # per-agent smallest b
     norm: list = field(default_factory=list)    # path-weight normalization
+    live: list = field(default_factory=list)    # per-agent kernel-live nodes
+    ess: list = field(default_factory=list)     # Kish ESS of the return terms
+    max_share: list = field(default_factory=list)  # largest episode share
 
     @property
     def iterations(self):
@@ -137,10 +204,11 @@ class ElboTrace:
 @dataclass
 class LearnResult:
     states: list
-    point_estimates: list
+    point_estimates: list   # the last, over each agent's kernel-live nodes
     trace: ElboTrace
     policies: list          # pruned posterior-mean controllers
-    occupancy: list         # per-agent node occupancy mass at convergence
+    occupancy: list         # per-agent node occupancy mass at convergence,
+                            # 0.0 at each node dropped from the kernel
     converged: bool
 
 
@@ -284,54 +352,71 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared=None):
     """One coordinate sweep of a single agent's factors.
 
     `rw` holds the path weights and forward tables that `reweighted`
-    computed at `estimate`. The omega sticks are updated on the columns
-    `fsc.omega_columns` keeps and copied out to the full arrays. `shared`
-    (the agent's `_Shared`, built here if absent) is refreshed in between.
+    computed at `estimate`, a point estimate of the kernel-live nodes.
+    `shared` is the agent's `_Shared` kernel; without it one is built here,
+    every node live, and the state's sigma and lam are written at the end.
+    A node whose occupancy share this sweep is below `_DROP_SHARE` leaves
+    the kernel before the factors are set.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
     concentration), then both concentrations. Returns the per-node
-    occupancy mass accumulated this sweep.
+    occupancy mass accumulated this sweep, 0.0 at every dropped node.
     """
-    if shared is None:
+    own = shared is None
+    if own:
         shared = _Shared(state, hyper)
     z = state.node_count
     n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
     columns, expand, _ = shared.layout
+    n_live = shared.slots.live.size
     k = batch.size
-    delta_acc = np.zeros(z)
-    phi_acc = np.zeros((n_actions, z))
-    sigma_acc = np.zeros((columns.size, z, z))
-    occ_total = np.zeros(z)
+    delta_acc = np.zeros(n_live)
+    phi_acc = np.zeros((n_actions, n_live))
+    sigma_acc = np.zeros((columns.size, n_live, n_live))
+    occ_acc = np.zeros(n_live)
     for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
         aidx, obins = g.action_idx[agent], g.obs_bins[agent]
         occ, pair = _sweep_agent(estimate, aidx, obins, nu, tables[agent])
         delta_acc += occ[:, 0].sum(axis=0)
-        occ_total += occ.sum(axis=(0, 1))
+        occ_acc += occ.sum(axis=(0, 1))
         np.add.at(phi_acc, aidx, occ)
         np.add.at(sigma_acc, expand[aidx[:, :-1] * n_obs + obins], pair[:, 1:])
-    state.phi = hyper.theta + phi_acc.T / k
-    # omega sticks: lam adds the mass of heavier-indexed destinations
-    sigma_acc = sigma_acc.transpose(1, 0, 2)
-    tail_sigma = np.flip(np.cumsum(np.flip(sigma_acc, axis=-1), axis=-1),
-                         axis=-1) - sigma_acc
-    sigma = 1.0 + sigma_acc / k
-    lam = (state.a.reshape(z, -1)[:, columns]
-           / state.b.reshape(z, -1)[:, columns])[..., None] + tail_sigma / k
-    state.sigma = sigma[:, expand].reshape(state.sigma.shape)
-    state.lam = lam[:, expand].reshape(state.lam.shape)
-    tail_delta = np.flip(np.cumsum(np.flip(delta_acc))) - delta_acc
-    state.delta = 1.0 + delta_acc / k
+    keep = ~(occ_acc < _DROP_SHARE * occ_acc.sum())
+    if not keep.all():  # a dropped node never returns
+        shared.slots = node_slots(shared.slots.live[keep], z)
+    live, slot_of, counts, rows, weights, starts = shared.slots
+    occ_total, delta_full = np.zeros(z), np.zeros(z)
+    occ_total[live], delta_full[live] = occ_acc[keep], delta_acc[keep]
+    phi_full = np.zeros((z, n_actions))
+    phi_full[live] = phi_acc.T[keep]
+    state.phi = hyper.theta + phi_full / k
+    # omega sticks: lam adds the mass of heavier-indexed destination slots
+    n = live.size * counts.size
+    mass, tail = np.zeros((2, rows.size, columns.size))
+    live_mass = mass[:n].reshape(live.size, counts.size, -1)
+    live_mass[:, slot_of[live]] = \
+        sigma_acc[:, keep][:, :, keep].transpose(1, 2, 0)
+    tail[:n] = (live_mass[:, ::-1].cumsum(axis=1)[:, ::-1]
+                - live_mass).reshape(n, -1)
+    b = state.b.reshape(z, -1)[:, columns]
+    shared.sigma = 1.0 + mass / k
+    shared.lam = (shared.a / b)[rows] + tail / k
+    tail_delta = delta_full[::-1].cumsum()[::-1] - delta_full
+    state.delta = 1.0 + delta_full / k
     state.mu = state.g / state.h + tail_delta / k
     shared.refresh(state)
     _, psi_mu, psi_delta_mu = shared.psi.eta
     _, psi_lam, psi_sigma_lam = shared.psi.omega
     state.a = np.full((z, n_actions, n_obs), hyper.c + z)
-    b = np.maximum(hyper.d - np.sum(psi_lam - psi_sigma_lam, axis=-1), 1e-6)
+    b[rows[starts]] = np.maximum(hyper.d - np.add.reduceat(
+        (psi_lam - psi_sigma_lam) * weights[:, None], starts), 1e-6)
     state.b = b[:, expand].reshape(z, n_actions, n_obs)
     state.g = hyper.e + z
     state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
     state.assert_positive(("b", "h"))
+    if own:
+        shared.store(state)
     return occ_total
 
 
@@ -366,9 +451,10 @@ def elbo(states, value, hyper, shared=None):
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term.
-    The omega terms are evaluated on the columns `fsc.omega_columns` keeps,
-    each weighted by the number of columns it stands for. `shared` holds
-    each state's `_Shared`, built (and the state checked) here if absent.
+    The omega terms are evaluated on the stick entries of each agent's
+    kernel, each weighted by the (column, source, destination) triples it
+    stands for. `shared` holds each state's `_Shared`, built (and the state
+    checked) here if absent.
     """
     if shared is None:
         shared = [_Shared(st, hyper) for st in states]
@@ -379,13 +465,11 @@ def elbo(states, value, hyper, shared=None):
         total += _gamma_term(hyper.e, hyper.f, st.g, st.h, sh.psi_g,
                              sh.lgamma_e, sh.lgamma_g)
         columns, _, counts = sh.layout
-        z = st.node_count
-        b = st.b.reshape(z, -1)[:, columns]
+        rows, weights = sh.slots.rows, sh.slots.weights
+        b = st.b.reshape(st.node_count, -1)[:, columns]
         e_ln_alpha = sh.psi_a - np.log(b)
-        total += _beta_term(st.sigma.reshape(z, -1, z)[:, columns],
-                            st.lam.reshape(z, -1, z)[:, columns],
-                            sh.psi.omega, e_ln_alpha[..., None],
-                            (sh.a / b)[..., None], counts[:, None])
+        total += _beta_term(sh.sigma, sh.lam, sh.psi.omega, e_ln_alpha[rows],
+                            (sh.a / b)[rows], weights[:, None] * counts)
         total += _gamma_term(hyper.c, hyper.d, sh.a, b, sh.psi_a,
                              sh.lgamma_c, sh.lgamma_a, counts)
         phi = st.phi
@@ -407,7 +491,9 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     change drops below tol.
 
     The episodes are checked and indexed once into an `EpisodeBatch`
-    (ValueError if malformed) and are not modified.
+    (ValueError if malformed) and are not modified. During the run each
+    agent's omega sticks live in its kernel (`_Shared`); they are written
+    back to the returned states when the run ends.
     """
     if not episodes:
         raise ValueError("need at least one episode")
@@ -461,12 +547,18 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.a.append([float(s.a.flat[0]) if np.all(s.a == s.a.flat[0])
                         else math.nan for s in states])
         trace.b_min.append([float(s.b.min()) for s in states])
+        trace.live.append([sh.slots.live.size for sh in shared])
+        terms = np.concatenate([nu.ravel() for nu in rw.nu])
+        trace.ess.append(float(terms.sum() ** 2 / np.sum(terms ** 2)))
+        per_episode = np.concatenate([nu.sum(axis=1) for nu in rw.nu])
+        trace.max_share.append(float(per_episode.max() / per_episode.sum()))
         if prev_elbo is not None and abs((cur - prev_elbo) / prev_elbo) < tol:
             converged = True
             break
         prev_elbo = cur
     policies = []
     for n, st in enumerate(states):
+        shared[n].store(st)
         live = sorted(active[n])
         mask = np.zeros(st.node_count)
         mask[live] = occ_totals[n][live]

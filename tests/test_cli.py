@@ -149,7 +149,7 @@ def test_trace_csv_records_norm_a_and_b_min(tmp_path):
     assert rows[0] == ["iteration", "elbo", "discounted_value",
                        "nodes_agent_1", "nodes_agent_2", "g_1", "g_2",
                        "h_1", "h_2", "norm", "a_1", "a_2", "b_min_1",
-                       "b_min_2"]
+                       "b_min_2", "live_1", "live_2", "ess", "max_share"]
     trace = learning.learn(trajectories.load(episodes),
                            learning.Hyperparams(), max_iters=6,
                            max_nodes=4).trace
@@ -157,7 +157,8 @@ def test_trace_csv_records_norm_a_and_b_min(tmp_path):
     for i, row in enumerate(rows[1:]):
         expect = ([i + 1, trace.elbo[i], trace.value[i]]
                   + trace.node_counts[i] + trace.g[i] + trace.h[i]
-                  + [trace.norm[i]] + trace.a[i] + trace.b_min[i])
+                  + [trace.norm[i]] + trace.a[i] + trace.b_min[i]
+                  + trace.live[i] + [trace.ess[i], trace.max_share[i]])
         assert [float(v) for v in row] == expect
 
     assert main(["report", "--trace-dir", out_dir]) == 0
@@ -165,4 +166,43 @@ def test_trace_csv_records_norm_a_and_b_min(tmp_path):
         extra = list(csv.reader(fh))
     assert extra[0] == ["iteration", "norm", "a_1", "a_2", "b_min_1",
                         "b_min_2"]
-    assert [r[1:] for r in extra[1:]] == [r[9:] for r in rows[1:]]
+    assert [r[1:] for r in extra[1:]] == [r[9:14] for r in rows[1:]]
+    for name, first, stop in (("live.csv", 14, 16), ("weights.csv", 16, 18)):
+        with open(os.path.join(out_dir, name)) as fh:
+            extra = list(csv.reader(fh))
+        assert extra[0] == ["iteration"] + rows[0][first:stop]
+        assert [r[1:] for r in extra[1:]] == [r[first:stop]
+                                              for r in rows[1:]]
+
+
+def test_report_reads_a_trace_without_live_or_weights(tmp_path):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "trace.csv").write_text(
+        "iteration,elbo,discounted_value,nodes_agent_1,g_1,h_1\n"
+        "1,-10.0,2.0,3,3.1,100.0\n")
+    assert main(["report", "--trace-dir", str(out_dir)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["elbo.csv", "gh.csv", "nodes.csv",
+                                           "trace.csv", "value.csv"]
+
+
+@pytest.mark.parametrize("hyper", [
+    "[1, 2]",
+    '{"c": 0.1, "bogus": 1}',
+    '{"c": "0.1"}',
+    '{"theta": true}',
+    '{"c": Infinity}',
+], ids=["json-array", "unknown-key", "string-value", "bool-value",
+        "infinite-value"])
+def test_bad_hyper_file_exit_code(tmp_path, capsys, hyper):
+    config = write_config(tmp_path)
+    episodes = str(tmp_path / "eps.jsonl")
+    assert main(["collect", "--config", config, "--out", episodes,
+                 "--k", "2", "--t", "4", "--seed", "3"]) == 0
+    bad = tmp_path / "hyper.json"
+    bad.write_text(hyper)
+    assert main(["learn", "--episodes", episodes, "--hyper", str(bad),
+                 "--out", str(tmp_path / "run"), "--max-iters", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

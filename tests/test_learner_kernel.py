@@ -1,17 +1,26 @@
 """The learner's per-iteration kernel: the O(T) node sweep against the
-multi-endpoint sweep it replaced, how many digammas an iteration takes, and
-the once-per-iteration domain check."""
+multi-endpoint sweep it replaced, how many digammas an iteration takes, the
+once-per-iteration domain check, kernel-live node compaction against the
+same run with no node ever dropped, and the stored benchmark references."""
+
+import json
+import math
+import os
 
 import numpy as np
 import pytest
 
 import specshare.fsc
 import specshare.learning
-from specshare.fsc import PointEstimate, forward
-from specshare.learning import (Hyperparams, VariationalState, _sweep_agent,
-                                learn)
+from specshare import trajectories
+from specshare.batch import EpisodeBatch
+from specshare.fsc import (DEFAULT_OBS_BINS, PointEstimate, forward,
+                           node_slots, point_estimate)
+from specshare.learning import (Hyperparams, VariationalState, _Shared,
+                                _sweep_agent, elbo, learn, reward_bounds,
+                                reweighted)
 from tests.sweep_reference import multi_endpoint_sweep
-from tests.test_fsc import random_point_estimate
+from tests.test_fsc import random_point_estimate, random_policy
 from tests.test_learning import seeded_batch
 
 
@@ -137,3 +146,189 @@ class TestDomainCheck:
         monkeypatch.setattr(specshare.learning, "_sweep_agent", poisoned)
         with pytest.raises(FloatingPointError, match="sigma"):
             learn(seeded_batch(), Hyperparams(), max_iters=3, n_obs_bins=13)
+
+
+STORED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "data")
+TRACE_FIELDS = ("elbo", "value", "node_counts", "g", "h", "a", "b_min",
+                "norm", "ess", "max_share")
+STATE_FIELDS = ("delta", "mu", "phi", "sigma", "lam", "a", "b", "g", "h")
+
+
+def stored_batch(name):
+    return trajectories.load(os.path.join(STORED, "learn-small", name))
+
+
+@pytest.fixture(scope="module")
+def learn_small():
+    """learn on a stored learn-small batch as the benchmark's `learn`
+    command does, once per batch in this module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = learn(stored_batch(name), Hyperparams(),
+                               max_iters=200, tol=1e-5)
+        return runs[name]
+    return run
+
+
+def never_dropping(monkeypatch, *args, **kwargs):
+    """The same learn with the drop threshold at 0, so no node leaves."""
+    with monkeypatch.context() as patch:
+        patch.setattr(specshare.learning, "_DROP_SHARE", 0.0)
+        return learn(*args, **kwargs)
+
+
+def assert_same_run(res, ref):
+    assert res.trace.iterations == ref.trace.iterations
+    assert res.converged == ref.converged
+    for name in TRACE_FIELDS:
+        got = np.asarray(getattr(res.trace, name), dtype=float)
+        want = np.asarray(getattr(ref.trace, name), dtype=float)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+    for st, st_ref in zip(res.states, ref.states):
+        for name in STATE_FIELDS:
+            got, want = getattr(st, name), getattr(st_ref, name)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+    for pol, pol_ref in zip(res.policies, ref.policies):
+        for name in ("eta", "pi", "omega"):
+            assert np.allclose(getattr(pol, name), getattr(pol_ref, name),
+                               rtol=1e-12, atol=0.0), name
+
+
+def assert_compacted(res, ref):
+    """Live counts never rise, a dropped node has occupancy 0.0 where the
+    reference's is below the threshold, and the live nodes' occupancy
+    agrees; returns how many nodes were dropped."""
+    live = np.array(res.trace.live)
+    z = [st.node_count for st in res.states]
+    assert np.all(np.diff(live, axis=0) <= 0)
+    assert np.all(np.array(ref.trace.live) == z)
+    dropped = 0
+    for n, (occ, occ_ref) in enumerate(zip(res.occupancy, ref.occupancy)):
+        gone = occ == 0.0
+        assert gone.sum() == z[n] - live[-1, n]
+        assert np.all(occ_ref[gone] < specshare.learning._DROP_SHARE
+                      * occ_ref.sum())
+        assert np.all(np.abs(occ[~gone] - occ_ref[~gone])
+                      <= 1e-12 * occ_ref[~gone])
+        dropped += gone.sum()
+    return dropped
+
+
+class TestCompaction:
+    def test_node_slots(self):
+        slots = node_slots([1, 4], 7)
+        assert slots.slot_of.tolist() == [0, 1, 2, 2, 3, 4, 4]
+        assert slots.counts.tolist() == [1, 1, 2, 1, 2]
+        assert slots.rows.tolist() == [1] * 5 + [4] * 5 + [0, 2, 3, 5, 6]
+        assert slots.weights.tolist() == [1, 1, 2, 1, 2] * 2 + [7] * 5
+        assert slots.starts.tolist() == [0, 5, 10, 11, 12, 13, 14]
+        every = node_slots(np.arange(3), 3)
+        assert every.slot_of.tolist() == [0, 1, 2]
+        assert every.rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert every.weights.tolist() == [1.0] * 9
+
+    def test_compact_kernel_matches_full_state(self):
+        # a state as compaction leaves it, with dropped nodes before,
+        # between and after the live ones: sigma is 1 at every dropped
+        # node, lam is one value per run of dropped destinations and along
+        # each dropped source row
+        rng = np.random.default_rng(5)
+        hyper = Hyperparams()
+        z, live = 7, np.array([1, 4])
+        st = VariationalState(z, 3, 4, hyper)
+        for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
+            shape = np.shape(getattr(st, name))
+            setattr(st, name, rng.uniform(0.5, 3.0, size=shape))
+        slots = node_slots(live, z)
+        first = np.flatnonzero(np.diff(slots.slot_of, prepend=-1))
+        dead = np.flatnonzero(~np.isin(np.arange(z), live))
+        st.sigma[..., dead] = 1.0
+        st.sigma[dead] = 1.0
+        st.lam = st.lam[..., first[slots.slot_of]]
+        st.lam[dead] = st.lam[dead][..., :1]
+        kernel = _Shared(st, hyper)
+        held = np.concatenate([(live[:, None] * z + first).ravel(),
+                               dead * z])
+        kernel.sigma, kernel.lam = kernel.sigma[held], kernel.lam[held]
+        kernel.slots = slots
+        kernel.refresh(st)
+        est, full = point_estimate(st, kernel.psi), point_estimate(st)
+        assert np.allclose(est.eta, full.eta[live], rtol=1e-12, atol=0.0)
+        assert np.allclose(est.pi, full.pi[live], rtol=1e-12, atol=0.0)
+        assert np.allclose(est.omega, full.omega[live][..., live],
+                           rtol=1e-12, atol=0.0)
+        bound = elbo([st], 2.0, hyper)
+        assert abs(elbo([st], 2.0, hyper, [kernel]) - bound) \
+            <= 1e-12 * abs(bound)
+        stored = VariationalState(z, 3, 4, hyper)
+        kernel.store(stored)
+        assert np.array_equal(stored.sigma, st.sigma)
+        assert np.array_equal(stored.lam, st.lam)
+
+    @pytest.mark.parametrize("z", range(2, 11))
+    def test_seeded_batch_matches_never_dropping(self, monkeypatch, z):
+        # the episode-tree start merges a random batch to a few nodes, so
+        # each agent starts from a random z-node controller instead
+        def random_start(episodes, agent, action_set, n_obs_bins, max_nodes):
+            rng = np.random.default_rng(100 * z + agent)
+            return random_policy(rng, z=z, n_obs=n_obs_bins,
+                                 action_set=action_set)
+
+        monkeypatch.setattr(specshare.learning, "init_from_episodes",
+                            random_start)
+        eps = seeded_batch(seed=z)
+        kwargs = dict(max_iters=200, tol=1e-6, n_obs_bins=13)
+        res = learn(eps, Hyperparams(), **kwargs)
+        ref = never_dropping(monkeypatch, eps, Hyperparams(), **kwargs)
+        assert [st.node_count for st in res.states] == [z, z]
+        assert_same_run(res, ref)
+        assert assert_compacted(res, ref) > 0
+
+    def test_learn_small_matches_never_dropping(self, monkeypatch,
+                                                learn_small):
+        res = learn_small("batch_1.jsonl")
+        ref = never_dropping(monkeypatch, stored_batch("batch_1.jsonl"),
+                             Hyperparams(), max_iters=200, tol=1e-5)
+        assert_same_run(res, ref)
+        assert res.trace.live[-1] == [1, 1]
+        assert assert_compacted(res, ref) == 14
+
+    def test_ess_and_max_share_of_the_last_weights(self, learn_small):
+        eps = stored_batch("batch_1.jsonl")
+        res = learn_small("batch_1.jsonl")
+        action_set = tuple(sorted({a for ep in eps for tr in ep.agents
+                                   for a in tr.actions}))
+        batch = EpisodeBatch(eps, [action_set] * 2, DEFAULT_OBS_BINS)
+        rw = reweighted(batch, res.point_estimates, reward_bounds(eps)[0],
+                        Hyperparams().gamma)
+        terms = np.concatenate(rw.nu_tilde)
+        per_episode = np.array([np.sum(nu) for nu in rw.nu_tilde])
+        assert math.isclose(res.trace.ess[-1],
+                            terms.sum() ** 2 / np.sum(terms ** 2),
+                            rel_tol=1e-12)
+        assert math.isclose(res.trace.max_share[-1],
+                            per_episode.max() / per_episode.sum(),
+                            rel_tol=1e-12)
+
+
+class TestStoredReferences:
+    """The stored references of the learn-small benchmark batches, one
+    tuned-on and the held-out one, hold without running the benchmark."""
+
+    @pytest.mark.parametrize("name", ["batch_1.jsonl", "batch_9.jsonl"])
+    def test_learn_small_reference(self, name, learn_small):
+        with open(os.path.join(STORED, "inputs.json")) as fh:
+            entry, = [b for b in json.load(fh)["learn-small"]
+                      if b["file"].endswith("/" + name)]
+        want = entry["reference"]
+        res = learn_small(name)
+        assert res.converged == want["converged"]
+        assert res.trace.iterations == want["iterations"]
+        assert res.trace.node_counts[-1] == want["nodes_final"]
+        assert math.isclose(res.trace.elbo[-1], want["final_elbo"],
+                            rel_tol=1e-9, abs_tol=0.0)
+        assert math.isclose(res.trace.value[-1], want["final_value"],
+                            rel_tol=1e-9, abs_tol=0.0)
