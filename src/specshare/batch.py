@@ -12,8 +12,7 @@ class EpisodeBatch:
     Episodes are grouped by length, so each group is one rectangular block
     that the forward-backward kernel sweeps in a single call per agent.
     `action_sets` holds one entry per agent: the tuple its actions are
-    indexed in, or None to use the pre-indexed `track.action_idx` (for
-    point-estimate targets). Every obs_bin must lie in [0, n_obs_bins).
+    indexed in. Every obs_bin must lie in [0, n_obs_bins).
     The episodes themselves are only read.
     """
 
@@ -46,9 +45,12 @@ class EpisodeBatch:
 
     @classmethod
     def for_policies(cls, episodes, target, behavior=None):
-        """Index a list of episodes for evaluating the target policies; the
-        behaviour policies, if given, are evaluated on the same indices."""
+        """Index a list of episodes for evaluating the target controllers
+        and, if given, the behaviour policies; a point estimate has no
+        action set and needs an `EpisodeBatch` built for it."""
         sets = [getattr(p, "action_set", None) for p in target]
+        if None in sets:
+            raise ValueError("target policies need action sets")
         if behavior is not None \
                 and [getattr(p, "action_set", None) for p in behavior] != sets:
             raise ValueError("behavior policies must match the target "
@@ -61,17 +63,8 @@ class EpisodeBatch:
         at somewhere in the batch."""
         mask = np.zeros((n_actions, self.n_obs_bins), dtype=bool)
         for g in self.groups:
-            mask[g.action_idx[agent][:, :-1], g.obs_bins[agent]] = True
+            mask[g.actions[agent][:, :-1], g.obs_bins[agent]] = True
         return mask
-
-    def per_episode(self, blocks):
-        """Split one (K_g, ...) block per group into per-episode rows, in
-        batch order."""
-        out = [None] * self.size
-        for g, block in zip(self.groups, blocks):
-            for row, k in enumerate(g.rows):
-                out[k] = block[row]
-        return out
 
 
 class _Group:
@@ -83,13 +76,14 @@ class _Group:
 
     def __init__(self, episodes, rows, action_sets, n_obs_bins):
         self.rows = rows
-        self.action_idx = []
+        self.actions = []
         self.obs_bins = []
         log_behavior = []
         for n, aset in enumerate(action_sets):
             tracks = [ep.agents[n] for ep in episodes]
-            self.action_idx.append(np.array(
-                [_action_indices(tr, aset) for tr in tracks], dtype=int))
+            self.actions.append(np.array(
+                [[aset.index(a) for a in tr.actions] for tr in tracks],
+                dtype=int))
             bins = np.array([tr.obs_bin for tr in tracks])
             if bins.dtype.kind not in "iu" or np.any(bins < 0) \
                     or np.any(bins >= n_obs_bins):
@@ -105,10 +99,3 @@ class _Group:
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
 
-
-def _action_indices(track, action_set):
-    if action_set is not None:
-        return [action_set.index(a) for a in track.actions]
-    if hasattr(track, "action_idx"):
-        return track.action_idx
-    raise ValueError("point-estimate targets need pre-indexed actions")

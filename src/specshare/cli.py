@@ -7,6 +7,7 @@ failure.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -15,6 +16,17 @@ import numpy as np
 
 from . import fsc, learning, trajectories
 from .simulator import SimConfig
+
+# trace.csv has a column per `learning.ElboTrace` field, in field order, or
+# one per agent, "<name>_<agent>"; a field is named by its entry here or itself
+_TRACE_NAMES = {"value": "discounted_value", "node_counts": "nodes_agent"}
+
+# report files by the trace.csv column prefixes they take; a trace written
+# before a file's columns were recorded has none, and the file is skipped
+_REPORT_FILES = [("elbo.csv", "elbo"), ("nodes.csv", "nodes_agent_"),
+                 ("value.csv", "discounted_value"), ("gh.csv", ("g_", "h_")),
+                 ("norm_ab.csv", ("norm", "a_", "b_min_")),
+                 ("live.csv", "live_"), ("weights.csv", ("ess", "max_share"))]
 
 
 def _uniform_behavior(config, epsilon):
@@ -58,21 +70,19 @@ def cmd_learn(args):
     os.makedirs(args.out, exist_ok=True)
     fsc.save_policies(result.policies, os.path.join(args.out, "policies.json"))
     trace = result.trace
-    agents = range(1, len(result.states) + 1)
+    header, columns = ["iteration"], [range(1, trace.iterations + 1)]
+    for f in dataclasses.fields(trace):
+        name, values = _TRACE_NAMES.get(f.name, f.name), getattr(trace, f.name)
+        if isinstance(values[0], list):  # one column per agent
+            header += ["%s_%d" % (name, n + 1) for n in range(len(values[0]))]
+            columns += zip(*values)
+        else:
+            header.append(name)
+            columns.append(values)
     with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "elbo", "discounted_value"]
-            + ["%s_%d" % (c, n) for c in ("nodes_agent", "g", "h")
-               for n in agents]
-            + ["norm"] + ["%s_%d" % (c, n) for c in ("a", "b_min", "live")
-                          for n in agents] + ["ess", "max_share"])
-        for i in range(trace.iterations):
-            writer.writerow([i + 1] + [repr(v) for v in (
-                [trace.elbo[i], trace.value[i]] + trace.node_counts[i]
-                + trace.g[i] + trace.h[i] + [trace.norm[i]] + trace.a[i]
-                + trace.b_min[i] + trace.live[i]
-                + [trace.ess[i], trace.max_share[i]])])
+        writer.writerow(header)
+        writer.writerows(map(repr, row) for row in zip(*columns))
     print("converged=%s iterations=%d final_elbo=%r"
           % (result.converged, trace.iterations, trace.elbo[-1]))
     return 0
@@ -108,32 +118,16 @@ def cmd_report(args):
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError("trace file has no iterations")
-    header, body = rows[0], rows[1:]
-    col = {name: i for i, name in enumerate(header)}
-
-    def prefixed(*prefixes):
-        return [c for p in prefixes for c in header if c.startswith(p)]
-
-    def write(name, columns):
-        path = os.path.join(args.trace_dir, name)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration"] + columns)
-            for row in body:
-                writer.writerow([row[col["iteration"]]]
-                                + [row[col[c]] for c in columns])
-        return path
-
-    paths = [write("elbo.csv", ["elbo"]),
-             write("nodes.csv", prefixed("nodes_agent_")),
-             write("value.csv", ["discounted_value"]),
-             write("gh.csv", prefixed("g_", "h_"))]
-    # each absent from traces written before it was recorded
-    if "norm" in col:
-        paths.append(write("norm_ab.csv", prefixed("norm", "a_", "b_min_")))
-    if "ess" in col:
-        paths.append(write("live.csv", prefixed("live_")))
-        paths.append(write("weights.csv", ["ess", "max_share"]))
+    header, paths = rows[0], []
+    first = header.index("iteration")
+    for name, prefixes in _REPORT_FILES:
+        index = [i for i, c in enumerate(header) if c.startswith(prefixes)]
+        if index:
+            path = os.path.join(args.trace_dir, name)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([row[first]] + [row[i] for i in index]
+                                         for row in rows)
+            paths.append(path)
     print("\n".join(paths))
     return 0
 

@@ -148,15 +148,18 @@ def forward(policy, action_idx, obs_bins):
     alpha_hat = np.empty((k, t1, policy.eta.size))
     log_scale = np.empty((k, t1))
     alpha = policy.eta * pi_rows[:, 0]
-    for t in range(t1):
-        if t:
-            alpha = (alpha_hat[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] \
-                * pi_rows[:, t]
-        total = alpha.sum(axis=1)
-        if np.any(total <= 0.0):
-            raise ValueError("history has zero likelihood under the policy")
-        log_scale[:, t] = np.log(total)
-        alpha_hat[:, t] = alpha / total[:, None]
+    # a zero total logs as -inf and turns the rest of its row into NaN, so
+    # one check after the loop finds it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(t1):
+            if t:
+                alpha = (alpha_hat[:, t - 1, None, :]
+                         @ trans[:, t - 1])[:, 0] * pi_rows[:, t]
+            total = alpha.sum(axis=1)
+            log_scale[:, t] = np.log(total)
+            alpha_hat[:, t] = alpha / total[:, None]
+    if not np.all(log_scale > -np.inf):
+        raise ValueError("history has zero likelihood under the policy")
     if single:
         return alpha_hat[0], log_scale[0]
     return alpha_hat, log_scale

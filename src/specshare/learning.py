@@ -175,23 +175,23 @@ class _Shared:
             for x in (self.sigma, self.lam))
 
 
-# nu_tilde: per (k, t), the posterior path weight; value: the empirical
-# value the weights divide by; nu: per batch group, nu_tilde as one (K_g, t)
-# block; alpha_hat: per (group, agent), the target's (K_g, t, Z) tables
-ReweightedRewards = namedtuple("ReweightedRewards",
-                               "nu_tilde value nu alpha_hat")
+# value: the empirical value the weights divide by; nu: per batch group, the
+# (K_g, t) posterior path weights; alpha_hat: per (group, agent), the
+# target's (K_g, t, Z) tables
+ReweightedRewards = namedtuple("ReweightedRewards", "value nu alpha_hat")
 
 
 @dataclass
 class ElboTrace:
+    """Per iteration, a number or one per agent; in trace.csv's order."""
     elbo: list = field(default_factory=list)
     value: list = field(default_factory=list)
-    node_counts: list = field(default_factory=list)  # per iteration, per agent
+    node_counts: list = field(default_factory=list)  # per agent
     g: list = field(default_factory=list)
     h: list = field(default_factory=list)
+    norm: list = field(default_factory=list)    # path-weight normalization
     a: list = field(default_factory=list)       # per-agent common a value
     b_min: list = field(default_factory=list)   # per-agent smallest b
-    norm: list = field(default_factory=list)    # path-weight normalization
     live: list = field(default_factory=list)    # per-agent kernel-live nodes
     ess: list = field(default_factory=list)     # Kish ESS of the return terms
     max_share: list = field(default_factory=list)  # largest episode share
@@ -258,7 +258,7 @@ def node_marginals(policy, action_idx, obs_bins, t):
 def _log_prefix(group, policies):
     """Cumulative log joint likelihood per (episode, t) of one group,
     summed over agents, and each agent's scaled forward tables."""
-    passes = [forward(pol, group.action_idx[n], group.obs_bins[n])
+    passes = [forward(pol, group.actions[n], group.obs_bins[n])
               for n, pol in enumerate(policies)]
     logp = np.sum([np.cumsum(log_scale, axis=1) for _, log_scale in passes],
                   axis=0)
@@ -300,20 +300,16 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     return _return_terms(batch, target, behavior, r_min, gamma)[0]
 
 
-def reweighted(episodes, estimates, r_min, gamma, behavior=None):
-    """Posterior path weights nu[k][t] plus the value they normalize by.
-
-    `episodes` is a list of episodes or an `EpisodeBatch` built for them.
-    """
-    batch = episodes if isinstance(episodes, EpisodeBatch) \
-        else EpisodeBatch.for_policies(episodes, estimates, behavior)
-    value, terms, alpha_hat = _return_terms(batch, estimates, behavior,
-                                            r_min, gamma)
+def reweighted(batch, estimates, r_min, gamma):
+    """Posterior path weights of an `EpisodeBatch`, one (K_g, t) block per
+    group, plus the value they normalize by; the behaviour probabilities
+    are the stored ones."""
+    value, terms, alpha_hat = _return_terms(batch, estimates, None, r_min,
+                                            gamma)
     if not (value > 0.0 and math.isfinite(value)):
         raise FloatingPointError("empirical value is not positive: %r" % value)
-    nu = [w / value for w in terms]
-    return ReweightedRewards(nu_tilde=batch.per_episode(nu), value=value,
-                             nu=nu, alpha_hat=alpha_hat)
+    return ReweightedRewards(value=value, nu=[w / value for w in terms],
+                             alpha_hat=alpha_hat)
 
 
 def _sweep_agent(estimate, aidx, obins, nu, ahat):
@@ -348,24 +344,21 @@ def _sweep_agent(estimate, aidx, obins, nu, ahat):
     return ahat * to_go, pair
 
 
-def _update_agent(state, estimate, batch, agent, rw, hyper, shared=None):
+def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     """One coordinate sweep of a single agent's factors.
 
     `rw` holds the path weights and forward tables that `reweighted`
     computed at `estimate`, a point estimate of the kernel-live nodes.
-    `shared` is the agent's `_Shared` kernel; without it one is built here,
-    every node live, and the state's sigma and lam are written at the end.
-    A node whose occupancy share this sweep is below `_DROP_SHARE` leaves
-    the kernel before the factors are set.
+    `shared` is the agent's `_Shared` kernel, which holds the omega sticks
+    (`_Shared.store` writes them to the state). A node whose occupancy
+    share this sweep is below `_DROP_SHARE` leaves the kernel before the
+    factors are set.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
     concentration), then both concentrations. Returns the per-node
     occupancy mass accumulated this sweep, 0.0 at every dropped node.
     """
-    own = shared is None
-    if own:
-        shared = _Shared(state, hyper)
     z = state.node_count
     n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
     columns, expand, _ = shared.layout
@@ -376,7 +369,7 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared=None):
     sigma_acc = np.zeros((columns.size, n_live, n_live))
     occ_acc = np.zeros(n_live)
     for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
-        aidx, obins = g.action_idx[agent], g.obs_bins[agent]
+        aidx, obins = g.actions[agent], g.obs_bins[agent]
         occ, pair = _sweep_agent(estimate, aidx, obins, nu, tables[agent])
         delta_acc += occ[:, 0].sum(axis=0)
         occ_acc += occ.sum(axis=(0, 1))
@@ -415,8 +408,6 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared=None):
     state.g = hyper.e + z
     state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
     state.assert_positive(("b", "h"))
-    if own:
-        shared.store(state)
     return occ_total
 
 
@@ -490,11 +481,15 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     update every factor, evaluate the bound; stop when the relative bound
     change drops below tol.
 
-    The episodes are checked and indexed once into an `EpisodeBatch`
-    (ValueError if malformed) and are not modified. During the run each
-    agent's omega sticks live in its kernel (`_Shared`); they are written
-    back to the returned states when the run ends.
+    The limits, then the episodes are checked (ValueError) before any
+    work; the episodes are indexed once into an `EpisodeBatch` and are not
+    modified. During the run each agent's omega sticks live in its kernel
+    (`_Shared`); they are written back to the returned states at the end.
     """
+    if not (max_iters >= 1 and max_nodes >= 1 and 0.0 < prune_epsilon < 1.0
+            and 0.0 <= tol < math.inf):
+        raise ValueError("need max_iters >= 1, max_nodes >= 1, 0 < "
+                         "prune_epsilon < 1 and a finite tol >= 0")
     if not episodes:
         raise ValueError("need at least one episode")
     n_agents = len(episodes[0].agents)
@@ -520,7 +515,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     rw = reweighted(batch, estimates, r_min, hyper.gamma)
     for _ in range(max_iters):
         # the path-weight constraint: weights average to 1 over the batch
-        norm = sum(float(np.sum(nu)) for nu in rw.nu_tilde) / k
+        norm = sum(float(s) for nu in rw.nu for s in nu.sum(axis=1)) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)

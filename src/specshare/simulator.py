@@ -154,10 +154,6 @@ class Episode:
     agents: list
     rewards: list  # global cumulative reward per epoch index
 
-    @property
-    def length(self):
-        return len(self.rewards)
-
 
 def backoff_counter(cw, rng, cw_set=CW_SET):
     """Uniform back-off counter from [0, cw]."""
@@ -286,8 +282,8 @@ class CoexistenceSimulator:
 
         Returns True when the slot is clear (at most 5 busy readings).
         """
-        busy = self._busy_readings(self.clock, self.clock + self.config.ecca_slot_us,
-                                   assume_current=True)
+        busy = self._busy_readings(self.clock,
+                                   self.clock + self.config.ecca_slot_us)
         return busy <= 5
 
     # -- occupancy bookkeeping --------------------------------------------
@@ -308,15 +304,11 @@ class CoexistenceSimulator:
             segs.append((b - a, m))
         return segs
 
-    def _busy_readings(self, t0, t1, assume_current=False):
+    def _busy_readings(self, t0, t1):
         """Sampled count of busy per-us readings over [t0, t1)."""
         pe = self.config.pe
         busy = 0
-        if assume_current:
-            segs = [(t1 - t0, self._active_tx)]
-        else:
-            segs = self._segments(t0, t1)
-        for length, m in segs:
+        for length, m in self._segments(t0, t1):
             if m == 0 or length == 0:
                 continue
             if pe == 0.0:

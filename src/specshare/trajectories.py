@@ -6,7 +6,7 @@ stored alongside it so importance ratios stay finite downstream.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def behavior_action(behavior, agent, node, rng):
 
 def _collect_episode(config, behavior, horizon, k, seed):
     rng = np.random.default_rng(seed)
-    sim = CoexistenceSimulator(_with_seed(config, int(rng.integers(2 ** 31))))
+    sim = CoexistenceSimulator(replace(config, seed=int(rng.integers(2 ** 31))))
     n = config.agent_count
     nodes = [initial_node(behavior.policies[i], rng) for i in range(n)]
     tracks = [AgentTrack() for _ in range(n)]
@@ -102,12 +102,6 @@ def _collect_episode(config, behavior, horizon, k, seed):
     return Episode(k=k, agents=tracks, rewards=rewards)
 
 
-def _with_seed(config, seed):
-    data = config.to_json()
-    data["seed"] = int(seed)
-    return type(config).from_json(data)
-
-
 def collect(config, behavior, k_episodes, horizon, seed=0):
     """Collect k episodes of `horizon` decision epochs per agent.
 
@@ -133,21 +127,51 @@ def save(episodes, path):
 
 
 def load(path):
-    """Read a JSON-lines episode batch; rejects empty or mismatched files."""
+    """Read a JSON-lines episode batch; ValueError, naming the line, for an
+    empty file or a record that `_episode` rejects."""
     episodes = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("schema") != SCHEMA:
-                raise ValueError("unrecognized episode schema: %r"
-                                 % record.get("schema"))
-            agents = [AgentTrack(**{name: a[name] for name in TRACK_FIELDS})
-                      for a in record["agents"]]
-            episodes.append(Episode(k=record["k"], agents=agents,
-                                    rewards=record["rewards"]))
+            try:
+                episodes.append(_episode(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError("%s line %d: %s" % (path, n, exc)) from None
     if not episodes:
         raise ValueError("no episodes in %s" % path)
     return episodes
+
+
+def _episode(record):
+    """An Episode from a record: an object of the schema with an integer k,
+    whose agents are a non-empty list of objects; rewards and each agent's
+    track fields are lists of numbers, of integers for actions, obs_us and
+    obs_bin."""
+    if not isinstance(record, dict):
+        raise ValueError("an episode record must be a JSON object")
+    if record.get("schema") != SCHEMA:
+        raise ValueError("unrecognized episode schema: %r"
+                         % record.get("schema"))
+    if not isinstance(record.get("k"), int):
+        raise ValueError("k must be an integer")
+    agents = record.get("agents")
+    if not (isinstance(agents, list) and agents
+            and all(isinstance(a, dict) for a in agents)):
+        raise ValueError("agents must be a non-empty list of objects")
+    tracks = [AgentTrack(**{name: _numbers(a.get(name), name)
+                            for name in TRACK_FIELDS}) for a in agents]
+    return Episode(k=record["k"], agents=tracks,
+                   rewards=_numbers(record.get("rewards"), "rewards"))
+
+
+def _numbers(value, name):
+    """`value` if it is a list of numbers, of integers for the fields that
+    count (actions, obs_us, obs_bin)."""
+    kinds = int if name in ("actions", "obs_us", "obs_bin") else (int, float)
+    if not isinstance(value, list) or not all(
+            isinstance(x, kinds) and not isinstance(x, bool) for x in value):
+        raise ValueError("%s must be a list of %s" % (
+            name, "integers" if kinds is int else "numbers"))
+    return value

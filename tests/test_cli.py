@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specshare import learning, trajectories
 from specshare.cli import main
@@ -100,9 +105,19 @@ def test_bad_config_exit_code(tmp_path, capsys, mutate):
     lambda recs: recs[1]["agents"][1]["pi_behavior"].__setitem__(0, -0.5),
     lambda recs: recs[2]["agents"][0]["pi_behavior"].__setitem__(5, 1.5),
     lambda recs: recs[2]["rewards"].__setitem__(3, float("nan")),
+    lambda recs: recs[0].__setitem__("rewards", None),
+    lambda recs: recs[0].__setitem__("agents", 5),
+    lambda recs: recs[1]["agents"].__setitem__(0, 5),
+    lambda recs: recs[0]["agents"][1].__setitem__("actions", None),
+    lambda recs: recs[0]["agents"][0].__setitem__("actions", "15"),
+    lambda recs: recs[2]["agents"][0].__setitem__("pi_behavior", None),
+    lambda recs: recs.__setitem__(1, [1, 2]),
+    lambda recs: recs[0]["agents"][0]["actions"].__setitem__(2, 15.5),
 ], ids=["obs-bin-too-large", "obs-bin-negative", "agent-missing",
         "obs-bin-short", "pi-behavior-zero", "pi-behavior-negative",
-        "pi-behavior-above-one", "reward-nan"])
+        "pi-behavior-above-one", "reward-nan", "rewards-null", "agents-int",
+        "agent-int", "actions-null", "actions-string", "pi-behavior-null",
+        "record-array", "action-float"])
 def test_bad_batch_exit_code(tmp_path, capsys, mutate):
     config = write_config(tmp_path)
     good = tmp_path / "good.jsonl"
@@ -116,6 +131,92 @@ def test_bad_batch_exit_code(tmp_path, capsys, mutate):
                  str(tmp_path / "run"), "--max-iters", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+STORED_BATCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "data", "learn-small", "batch_1.jsonl")
+DELETE = object()  # a mutation that removes the field
+
+
+def stored_records():
+    with open(STORED_BATCH) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def field_paths(records):
+    """Every field of a batch, down to the first and last step of a list."""
+    paths = [(k,) for k in range(len(records))]
+    for k, rec in enumerate(records):
+        paths += [(k, key) for key in rec] + [(k, "rewards", 0),
+                                              (k, "rewards", -1)]
+        for n, agent in enumerate(rec["agents"]):
+            paths.append((k, "agents", n))
+            paths += [(k, "agents", n, key) for key in agent]
+            paths += [(k, "agents", n, key, t) for key in agent
+                      for t in (0, -1)]
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.deferred(
+           lambda: st.sampled_from(field_paths(stored_records()))),
+       value=st.sampled_from([DELETE, None, 5, 15.5, -1, True, "x", [], [5],
+                              {}]))
+@example(path=(0, "rewards"), value=None)
+@example(path=(0, "agents"), value=5)
+@example(path=(0, "agents", 0), value=5)
+@example(path=(0, "agents", 0, "actions"), value=None)
+@example(path=(0, "agents", 0, "actions"), value="x")
+@example(path=(0, "agents", 0, "pi_behavior"), value=None)
+@example(path=(0,), value=[5])
+@example(path=(0, "agents", 0, "actions", 0), value=15.5)
+def test_learn_on_one_mutated_field_exits_cleanly(path, value):
+    records = stored_records()
+    owner = records
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = os.path.join(tmp, "batch.jsonl")
+        with open(batch, "w") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["learn", "--episodes", batch, "--out",
+                         os.path.join(tmp, "run"), "--max-iters", "2"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", [
+    ["--max-iters", "0"],
+    ["--max-iters", "-3"],
+    ["--max-nodes", "0"],
+    ["--prune-epsilon", "0"],
+    ["--prune-epsilon", "1"],
+    ["--tol", "nan"],
+    ["--tol", "-1"],
+    ["--tol", "inf"],
+], ids=["max-iters-zero", "max-iters-negative", "max-nodes-zero",
+        "prune-epsilon-zero", "prune-epsilon-one", "tol-nan", "tol-negative",
+        "tol-infinite"])
+def test_bad_learn_limit_exit_code(tmp_path, capsys, limit):
+    config = write_config(tmp_path)
+    episodes = str(tmp_path / "eps.jsonl")
+    assert main(["collect", "--config", config, "--out", episodes,
+                 "--k", "2", "--t", "4", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["learn", "--episodes", episodes, "--out",
+                 str(tmp_path / "run")] + limit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need max_iters") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_g_column_constant(tmp_path):

@@ -10,7 +10,7 @@ import specshare.learning
 from specshare.batch import EpisodeBatch
 from specshare.fsc import (PointEstimate, forward, log_history_likelihoods,
                            observation_bin, point_estimate)
-from specshare.learning import (Hyperparams, VariationalState,
+from specshare.learning import (Hyperparams, VariationalState, _Shared,
                                 _sweep_agent, _update_agent,
                                 backward_messages, elbo, empirical_value,
                                 forward_messages, learn, mean_policy,
@@ -186,22 +186,25 @@ class TestReweighted:
             obs = rng.integers(40, 200, size=t).tolist()
             eps.append(make_episode(k, actions, obs, [0.3] * t,
                                     rng.integers(0, 10, size=t).tolist()))
-        for ep in eps:
-            for tr in ep.agents:
-                tr.action_idx = [ACTIONS.index(a) for a in tr.actions]
         est = random_point_estimate(rng, z=2, n_obs=8)
         r_min, _ = reward_bounds(eps)
-        rw = reweighted(eps, [est], r_min, 0.9)
-        norm = sum(float(np.sum(nu)) for nu in rw.nu_tilde) / len(eps)
+        rw = reweighted(EpisodeBatch(eps, [ACTIONS], 8), [est], r_min, 0.9)
+        norm = sum(float(np.sum(nu)) for nu in rw.nu) / len(eps)
         assert abs(norm - 1.0) < 1e-9
 
     def test_minimum_reward_rows_contribute_zero(self):
         rng = np.random.default_rng(11)
         est = random_point_estimate(rng, z=2, n_obs=8)
         ep = make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 6])
-        ep.agents[0].action_idx = [0, 1]
-        rw = reweighted([ep], [est], 0.0, 0.9)
-        assert rw.nu_tilde[0][0] == 0.0
+        rw = reweighted(EpisodeBatch([ep], [ACTIONS], 8), [est], 0.0, 0.9)
+        assert rw.nu[0][0, 0] == 0.0
+
+    def test_point_estimate_needs_a_batch_with_action_sets(self):
+        rng = np.random.default_rng(12)
+        est = random_point_estimate(rng, z=2, n_obs=8)
+        ep = make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 6])
+        with pytest.raises(ValueError, match="need action sets"):
+            empirical_value([ep], [est], r_min=0.0)
 
 
 class TestUpdatesAndElbo:
@@ -396,11 +399,10 @@ class TestBatchedKernel:
         rw = reweighted(batch, ests, reward_bounds(eps)[0], 0.9)
         for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
             for n, est in enumerate(ests):
-                aidx, obins = g.action_idx[n], g.obs_bins[n]
+                aidx, obins = g.actions[n], g.obs_bins[n]
                 occ, pair = _sweep_agent(est, aidx, obins, nu, tables[n])
                 _, log_scale = forward(est, aidx, obins)
                 for row, k in enumerate(g.rows):
-                    assert np.array_equal(rw.nu_tilde[k], nu[row])
                     tr = eps[k].agents[n]
                     a_k = [ACTIONS.index(a) for a in tr.actions]
                     o_k = tr.obs_bin[:-1]
@@ -439,8 +441,14 @@ class TestBatchedKernel:
             elbo(full, rw.value, hyper)
         assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)
         for n in range(2):
-            occ = _update_agent(states[n], ests[n], batch, n, rw, hyper)
-            occ_full = _update_agent(full[n], ests[n], batch, n, rw, hyper)
+            kernel, kernel_full = (_Shared(st[n], hyper)
+                                   for st in (states, full))
+            occ = _update_agent(states[n], ests[n], batch, n, rw, hyper,
+                                kernel)
+            occ_full = _update_agent(full[n], ests[n], batch, n, rw, hyper,
+                                     kernel_full)
+            kernel.store(states[n])
+            kernel_full.store(full[n])
             assert relative_gap(occ, occ_full) < 1e-12
             for name in ("delta", "mu", "phi", "sigma", "lam", "a", "b", "g",
                          "h"):
