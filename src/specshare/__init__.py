@@ -2,16 +2,14 @@
 nonparametric Bayesian learning of finite-state-controller access policies.
 """
 
-from .distributions import (digamma, gammaln, log_density_beta,
-                            log_density_dirichlet, log_density_gamma,
-                            sample_beta, sample_dirichlet, sample_gamma,
+from .distributions import (digamma, gammaln, sample_beta,
                             stick_breaking_weights, validate_simplex)
 from .simulator import (CoexistenceSimulator, DecisionOutcome, Episode,
                         SimConfig, backoff_counter, effective_throughput,
-                        global_reward, jain_index, local_reward)
+                        jain_index, local_reward)
 from .fsc import (FscPolicy, PointEstimate, history_likelihood,
                   init_from_episodes, initial_node, observation_bin,
-                  point_estimate, prune, select_action, transition_node)
+                  point_estimate, prune, transition_node)
 from .learning import (ElboTrace, Hyperparams, LearnResult, VariationalState,
                        backward_messages, elbo, empirical_value,
                        forward_messages, learn, mean_policy, node_marginals,

@@ -119,6 +119,10 @@ def cmd_report(args):
     if len(rows) < 2:
         raise ValueError("trace file has no iterations")
     header, paths = rows[0], []
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != len(header):
+            raise ValueError("trace file line %d has %d values for %d columns"
+                             % (line, len(row), len(header)))
     first = header.index("iteration")
     for name, prefixes in _REPORT_FILES:
         index = [i for i, c in enumerate(header) if c.startswith(prefixes)]

@@ -46,9 +46,13 @@ class FscPolicy:
         z, a, o = self.eta.size, len(self.action_set), self.n_obs_bins
         if self.pi.shape != (z, a) or self.omega.shape != (z, a, o, z):
             raise ValueError("inconsistent controller shapes")
-        validate_simplex(self.eta)
-        validate_simplex_rows(self.pi)
-        validate_simplex_rows(self.omega)
+        for name, check in (("eta", validate_simplex),
+                            ("pi", validate_simplex_rows),
+                            ("omega", validate_simplex_rows)):
+            try:
+                check(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (name, exc)) from None
 
     @property
     def node_count(self):
@@ -72,14 +76,57 @@ class FscPolicy:
 
     @classmethod
     def from_json(cls, data):
-        action_set = tuple(data["action_set"])
-        z, o = int(data["node_count"]), int(data["n_obs_bins"])
-        omega = np.zeros((z, len(action_set), o, z))
-        for key, row in data["omega"].items():
-            i, a, oi = (int(p) for p in key.split("/"))
-            omega[i, action_set.index(a), oi] = row
-        return cls(eta=np.array(data["eta"]), pi=np.array(data["pi"]),
-                   omega=omega, action_set=action_set, n_obs_bins=o)
+        """The policy that `to_json` wrote; ValueError, naming the field,
+        for a record of any other structure."""
+        if not isinstance(data, dict):
+            raise ValueError("a policy must be a JSON object")
+        action_set, z, o = (data.get(name) for name in
+                            ("action_set", "node_count", "n_obs_bins"))
+        if not (isinstance(action_set, list) and action_set
+                and all(_is_int(a) for a in action_set)):
+            raise ValueError("action_set must be a non-empty list of integers")
+        for name, value in (("node_count", z), ("n_obs_bins", o)):
+            if not (_is_int(value) and value >= 1):
+                raise ValueError("%s must be a positive integer" % name)
+        eta, pi = (_numbers(data.get(name), name) for name in ("eta", "pi"))
+        if eta.size != z:
+            raise ValueError("node_count must equal the length of eta")
+        rows, shape = data.get("omega"), (z, len(action_set), o)
+        # one row per (node, action, bin), so the file's size bounds omega's
+        if not (isinstance(rows, dict) and len(rows) == math.prod(shape)):
+            raise ValueError("omega must be an object of %d rows, one per "
+                             "node, action and observation bin"
+                             % math.prod(shape))
+        omega = np.zeros(shape + (z,))
+        for key, row in rows.items():
+            try:
+                i, a, oi = (int(p) for p in key.split("/"))
+                ai = action_set.index(a)
+            except ValueError:
+                raise ValueError("omega key %r is not node/action/bin of "
+                                 "this policy" % key) from None
+            row = _numbers(row, "omega row %s" % key)
+            if not (0 <= i < z and 0 <= oi < o and row.shape == (z,)):
+                raise ValueError("omega row %s is out of range or not %d "
+                                 "numbers" % (key, z))
+            omega[i, ai, oi] = row
+        return cls(eta=eta, pi=pi, omega=omega, action_set=action_set,
+                   n_obs_bins=o)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(value, name):
+    """`value`, a number or (nested) list of numbers, as a float array."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError("%s must be an array of numbers" % name)
+    return arr.astype(float)
 
 
 @dataclass
@@ -94,22 +141,10 @@ class PointEstimate:
     pi: np.ndarray
     omega: np.ndarray
 
-    @property
-    def node_count(self):
-        return self.eta.size
-
 
 def initial_node(policy, rng):
     """Sample the starting node from eta."""
     return int(rng.choice(policy.eta.size, p=policy.eta))
-
-
-def select_action(policy, node, rng):
-    """Sample an action (contention-window value) from the node's pi row."""
-    if not 0 <= node < policy.node_count:
-        raise ValueError("node index out of range")
-    idx = int(rng.choice(policy.pi.shape[1], p=policy.pi[node]))
-    return policy.action_set[idx]
 
 
 def transition_node(policy, node, action, obs_us, rng):
@@ -436,8 +471,20 @@ def save_policies(policies, path):
 
 
 def load_policies(path):
+    """The policies of a `save_policies` file; ValueError, naming the
+    policy and its field, for a file of any other structure."""
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("schema") != "specshare-policies-v1":
+    if not (isinstance(data, dict)
+            and data.get("schema") == "specshare-policies-v1"):
         raise ValueError("unrecognized policy file schema")
-    return [FscPolicy.from_json(p) for p in data["policies"]]
+    policies = data.get("policies")
+    if not (isinstance(policies, list) and policies):
+        raise ValueError("policies must be a non-empty list")
+    loaded = []
+    for n, record in enumerate(policies):
+        try:
+            loaded.append(FscPolicy.from_json(record))
+        except ValueError as exc:
+            raise ValueError("%s policy %d: %s" % (path, n, exc)) from None
+    return loaded

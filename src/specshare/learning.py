@@ -356,8 +356,10 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
-    concentration), then both concentrations. Returns the per-node
-    occupancy mass accumulated this sweep, 0.0 at every dropped node.
+    concentration), then the rates b and h of both concentrations; their
+    shapes a and g keep the values the state was built with. Returns the
+    per-node occupancy mass accumulated this sweep, 0.0 at every dropped
+    node.
     """
     z = state.node_count
     n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
@@ -401,11 +403,9 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     shared.refresh(state)
     _, psi_mu, psi_delta_mu = shared.psi.eta
     _, psi_lam, psi_sigma_lam = shared.psi.omega
-    state.a = np.full((z, n_actions, n_obs), hyper.c + z)
     b[rows[starts]] = np.maximum(hyper.d - np.add.reduceat(
         (psi_lam - psi_sigma_lam) * weights[:, None], starts), 1e-6)
     state.b = b[:, expand].reshape(z, n_actions, n_obs)
-    state.g = hyper.e + z
     state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
     state.assert_positive(("b", "h"))
     return occ_total

@@ -202,10 +202,6 @@ def local_reward(previous, throughput, jain):
     return previous + math.log(abs(jain * throughput) + 1.0)
 
 
-def global_reward(local_rewards):
-    return float(np.sum(local_rewards))
-
-
 # agent phases
 _WAIT_ACTION = "wait_action"
 _INITIAL = "initial"
@@ -276,15 +272,6 @@ class CoexistenceSimulator:
 
     def pending_agents(self):
         return [n for n, st in enumerate(self.agents) if st.phase == _WAIT_ACTION]
-
-    def sense_slot(self):
-        """Sample one 9 us back-off sensing slot against current occupancy.
-
-        Returns True when the slot is clear (at most 5 busy readings).
-        """
-        busy = self._busy_readings(self.clock,
-                                   self.clock + self.config.ecca_slot_us)
-        return busy <= 5
 
     # -- occupancy bookkeeping --------------------------------------------
 

@@ -106,10 +106,14 @@ def collect(config, behavior, k_episodes, horizon, seed=0):
     """Collect k episodes of `horizon` decision epochs per agent.
 
     Per-episode seeds are spawned deterministically from the master seed,
-    so the batch is reproducible and episodes are independent.
+    so the batch is reproducible and episodes are independent. The
+    behaviour needs exactly one policy per agent of the config.
     """
     if k_episodes < 1 or horizon < 1:
         raise ValueError("need at least one episode and one epoch")
+    if len(behavior.policies) != config.agent_count:
+        raise ValueError("%d policies for %d agents"
+                         % (len(behavior.policies), config.agent_count))
     children = np.random.SeedSequence(seed).spawn(k_episodes)
     return [_collect_episode(config, behavior, horizon, k, child)
             for k, child in enumerate(children)]

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -133,9 +135,34 @@ def test_bad_batch_exit_code(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-STORED_BATCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                            "data", "learn-small", "batch_1.jsonl")
+STORED_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "data")
+STORED_BATCH = os.path.join(STORED_DATA, "learn-small", "batch_1.jsonl")
+STORED_CONFIG = os.path.join(STORED_DATA, "small.json")
 DELETE = object()  # a mutation that removes the field
+
+
+def mutate(data, path, value):
+    """Delete the field of `data` at `path`, or set it to `value`."""
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+
+
+def assert_exits_cleanly(argv):
+    """The command exits 0, or 2 with exactly one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def stored_records():
@@ -172,26 +199,113 @@ def field_paths(records):
 @example(path=(0, "agents", 0, "actions", 0), value=15.5)
 def test_learn_on_one_mutated_field_exits_cleanly(path, value):
     records = stored_records()
-    owner = records
-    for key in path[:-1]:
-        owner = owner[key]
-    if value is DELETE:
-        del owner[path[-1]]
-    else:
-        owner[path[-1]] = value
-    err = io.StringIO()
+    mutate(records, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         batch = os.path.join(tmp, "batch.jsonl")
         with open(batch, "w") as fh:
             fh.write("".join(json.dumps(r) + "\n" for r in records))
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main(["learn", "--episodes", batch, "--out",
-                         os.path.join(tmp, "run"), "--max-iters", "2"])
-    assert code in (0, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+        assert_exits_cleanly(["learn", "--episodes", batch, "--out",
+                              os.path.join(tmp, "run"), "--max-iters", "2"])
+
+
+@functools.lru_cache(maxsize=None)
+def stored_policies_text():
+    """The policies file that three learner iterations write for the
+    stored batch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["learn", "--episodes", STORED_BATCH, "--out", tmp,
+                         "--max-iters", "3"]) == 0
+        with open(os.path.join(tmp, "policies.json")) as fh:
+            return fh.read()
+
+
+def policy_paths(data):
+    """Every field of a policies file, down to the first and last entry of
+    a list, of a pi row and of the first and last omega rows."""
+    paths = [("schema",), ("policies",)]
+    for n, pol in enumerate(data["policies"]):
+        at = ("policies", n)
+        paths += [at] + [at + (key,) for key in pol]
+        paths += [at + (key, i) for key in ("eta", "pi", "action_set")
+                  for i in (0, -1)]
+        paths += [at + ("pi", i, j) for i in (0, -1) for j in (0, -1)]
+        for row in (min(pol["omega"]), max(pol["omega"])):
+            paths += [at + ("omega", row)]
+            paths += [at + ("omega", row, i) for i in (0, -1)]
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.deferred(lambda: st.sampled_from(
+           policy_paths(json.loads(stored_policies_text())))),
+       value=st.sampled_from([DELETE, None, True, 0, 1, -1, 5, 1.5, "x", [],
+                              [5], {}, math.nan]))
+@example(path=("policies",), value={})
+@example(path=("policies", 0), value=5)
+@example(path=("policies", 1), value=DELETE)
+@example(path=("policies", 0, "action_set"), value=None)
+@example(path=("policies", 0, "eta", 0), value={})
+@example(path=("policies", 0, "pi", 0, 0), value=math.nan)
+@example(path=("policies", 0, "omega", "0/15/23", 0), value=math.nan)
+@example(path=("policies", 0, "omega"), value=[])
+@example(path=("policies", 0, "node_count"), value=0)
+@example(path=("policies", 0, "n_obs_bins"), value=True)
+@example(path=("policies", 0, "n_obs_bins"), value=1.5)
+def test_policies_with_one_mutated_field_exit_cleanly(path, value):
+    data = json.loads(stored_policies_text())
+    mutate(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        policies = os.path.join(tmp, "policies.json")
+        with open(policies, "w") as fh:
+            json.dump(data, fh)
+        assert_exits_cleanly(["evaluate", "--policies", policies,
+                              "--episodes", STORED_BATCH])
+        assert_exits_cleanly(["collect", "--config", STORED_CONFIG,
+                              "--policies", policies, "--k", "1", "--t", "3",
+                              "--out", os.path.join(tmp, "eps.jsonl")])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_collect_needs_one_policy_per_agent(tmp_path, capsys, count):
+    data = json.loads(stored_policies_text())
+    data["policies"] = (data["policies"] * 2)[:count]
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(data))
+    assert main(["collect", "--config", STORED_CONFIG, "--policies",
+                 str(policies), "--k", "1", "--t", "3",
+                 "--out", str(tmp_path / "eps.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %d policies for 2 agents\n" % count
+
+
+def config_paths():
+    """Every field of the stored config and every entry of its maps, the
+    first and last of its lists."""
+    with open(STORED_CONFIG) as fh:
+        config = json.load(fh)
+    return ([(key,) for key in config] + [("cw_set", 0), ("cw_set", -1)]
+            + [("lte_burst_ms", cw) for cw in config["lte_burst_ms"]])
+
+
+# magnitudes stay small: a long LTE burst is simulated one ms at a time
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(config_paths()),
+       value=st.sampled_from([DELETE, None, True, "x", -1, 0, 1.5, [], {},
+                              math.nan]))
+@example(path=("unknown_key",), value=1)
+@example(path=("cw_set", 0), value=0)  # a window without an LTE burst
+def test_config_with_one_mutated_field_exits_cleanly(path, value):
+    with open(STORED_CONFIG) as fh:
+        config = json.load(fh)
+    mutate(config, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, "config.json")
+        with open(mutated, "w") as fh:
+            json.dump(config, fh)
+        assert_exits_cleanly(["collect", "--config", mutated, "--k", "1",
+                              "--t", "3", "--out",
+                              os.path.join(tmp, "eps.jsonl")])
 
 
 @pytest.mark.parametrize("limit", [
@@ -285,6 +399,16 @@ def test_report_reads_a_trace_without_live_or_weights(tmp_path):
     assert main(["report", "--trace-dir", str(out_dir)]) == 0
     assert sorted(os.listdir(out_dir)) == ["elbo.csv", "gh.csv", "nodes.csv",
                                            "trace.csv", "value.csv"]
+
+
+def test_report_rejects_a_row_shorter_than_the_header(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "trace.csv").write_text(
+        "iteration,elbo,discounted_value\n1,-10.0\n")
+    assert main(["report", "--trace-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: trace file line 2 has 2 values for 3 columns\n"
 
 
 @pytest.mark.parametrize("hyper", [

@@ -9,9 +9,10 @@ from specshare.distributions import digamma
 from specshare.fsc import (FscPolicy, PointEstimate, history_likelihood,
                            init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
-                           point_estimate, prune, select_action,
-                           stick_log_expectations, transition_node)
+                           point_estimate, prune, stick_log_expectations,
+                           transition_node)
 from specshare.simulator import AgentTrack, Episode
+from specshare.trajectories import BehaviorPolicy, behavior_action
 
 ACTIONS = (15, 31, 63)
 
@@ -117,7 +118,8 @@ class TestSampling:
                         omega=np.ones((1, 3, 4, 1)),
                         action_set=ACTIONS, n_obs_bins=4)
         rng = np.random.default_rng(4)
-        assert select_action(pol, 0, rng) == 31
+        greedy = BehaviorPolicy(policies=[pol], epsilon=0.0)
+        assert behavior_action(greedy, 0, 0, rng) == (31, 1.0)
 
     def test_action_chi_square(self):
         n_actions = 7
@@ -127,7 +129,9 @@ class TestSampling:
                         action_set=(15, 31, 63, 127, 255, 511, 1023),
                         n_obs_bins=4)
         rng = np.random.default_rng(5)
-        draws = [select_action(pol, 0, rng) for _ in range(100000)]
+        greedy = BehaviorPolicy(policies=[pol], epsilon=0.0)
+        draws = [behavior_action(greedy, 0, 0, rng)[0]
+                 for _ in range(100000)]
         counts = [draws.count(a) for a in pol.action_set]
         _, p = scipy.stats.chisquare(counts)
         assert p > 0.001
@@ -147,8 +151,6 @@ class TestSampling:
     def test_invalid_node_errors(self):
         rng = np.random.default_rng(7)
         pol = random_policy(rng)
-        with pytest.raises(ValueError):
-            select_action(pol, 3, rng)
         with pytest.raises(ValueError):
             transition_node(pol, -1, 15, 100, rng)
 

@@ -9,7 +9,7 @@ import scipy.stats
 from specshare.cli import _uniform_behavior
 from specshare.simulator import (CW_SET, CoexistenceSimulator, SimConfig,
                                  backoff_counter, effective_throughput,
-                                 global_reward, jain_index, local_reward,
+                                 jain_index, local_reward,
                                  slot_clear_probability)
 from specshare.trajectories import collect
 
@@ -77,14 +77,21 @@ class TestBackoffCounter:
 
 
 class TestSenseSlot:
+    """One exact 9 us sensing slot, as the back-off judges it: the slot is
+    clear when at most 5 of its per-us readings come back busy."""
+
+    @staticmethod
+    def busy(sim):
+        return sim._busy_readings(sim.clock, sim.clock + 9)
+
     def test_empty_channel_clear(self):
         sim = CoexistenceSimulator(single_wifi())
-        assert sim.sense_slot() is True
+        assert self.busy(sim) == 0
 
     def test_one_transmitter_no_error_busy(self):
         sim = CoexistenceSimulator(single_wifi())
         sim._active_tx = 1
-        assert sim.sense_slot() is False
+        assert self.busy(sim) == 9
 
     def test_error_prone_clear_probability(self):
         # one transmitter, pe = 0.5: slot clear iff busy readings <= 5,
@@ -93,7 +100,7 @@ class TestSenseSlot:
         sim = CoexistenceSimulator(cfg)
         sim._active_tx = 1
         n = 20000
-        hits = sum(sim.sense_slot() for _ in range(n))
+        hits = sum(self.busy(sim) <= 5 for _ in range(n))
         p = 1.0 - scipy.stats.binom.cdf(3, 9, 0.5)  # P(idle readings >= 4)
         sd = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sd
@@ -197,11 +204,6 @@ class TestRewardFunctions:
         assert local_reward(0.0, 1.0, 1.0) == pytest.approx(math.log(2.0))
         r1 = local_reward(local_reward(0.0, 1.0, 1.0), 1.0, 1.0)
         assert r1 == pytest.approx(2 * math.log(2.0))
-
-    def test_global_reward(self):
-        assert global_reward([0.0, 0.0]) == 0.0
-        assert global_reward([1.0, 2.0, 3.0, 4.0]) == 10.0
-        assert global_reward([4.0, 2.0, 3.0, 1.0]) == 10.0
 
 
 class TestSlotSkipping:
