@@ -1,6 +1,5 @@
 """Learner batches: episodes checked once and turned into per-agent index
-arrays, grouped by episode length so that every group is one rectangular
-block for the batched forward-backward kernel in `learning`.
+arrays for the batched forward-backward kernel in `learning`.
 """
 
 import numpy as np
@@ -9,11 +8,12 @@ import numpy as np
 class EpisodeBatch:
     """A learner batch as per-agent index arrays, checked and built once.
 
-    Episodes are grouped by length, so each group is one rectangular block
-    that the forward-backward kernel sweeps in a single call per agent.
-    `action_sets` holds one entry per agent: the tuple its actions are
-    indexed in. Every obs_bin must lie in [0, n_obs_bins).
-    The episodes themselves are only read.
+    All K episodes have t+1 steps, as `collect` writes them, so the batch
+    is one block that the kernel sweeps in one call per agent. Per agent n
+    (indexed in `action_sets[n]`): `actions[n]` (K, t+1) and the transition
+    obs bins `obs_bins[n]` (K, t), each in [0, n_obs_bins). `log_behavior`
+    sums the agents' cumulative log behaviour probabilities, each in
+    (0, 1]; `rewards` must be finite. The episodes are only read.
     """
 
     def __init__(self, episodes, action_sets, n_obs_bins):
@@ -23,7 +23,7 @@ class EpisodeBatch:
         if len(action_sets) != n_agents:
             raise ValueError("%d policies for %d agents"
                              % (len(action_sets), n_agents))
-        by_length = {}
+        first = len(episodes[0].rewards)
         for k, ep in enumerate(episodes):
             if len(ep.agents) != n_agents:
                 raise ValueError("episode %d has %d agents, the first has %d"
@@ -37,48 +37,12 @@ class EpisodeBatch:
                         "episode %d agent %d: %d actions, %d obs_bin and %d "
                         "pi_behavior for %d rewards" % ((k, n) + lengths
                                                         + (t1,)))
-            by_length.setdefault(t1, []).append(k)
+            if t1 != first:
+                raise ValueError("episode %d has %d steps, the first has %d"
+                                 % (k, t1, first))
         self.size = len(episodes)
         self.n_obs_bins = n_obs_bins
-        self.groups = [_Group([episodes[k] for k in rows], rows, action_sets,
-                              n_obs_bins) for rows in by_length.values()]
-
-    @classmethod
-    def for_policies(cls, episodes, target, behavior=None):
-        """Index a list of episodes for evaluating the target controllers
-        and, if given, the behaviour policies; a point estimate has no
-        action set and needs an `EpisodeBatch` built for it."""
-        sets = [getattr(p, "action_set", None) for p in target]
-        if None in sets:
-            raise ValueError("target policies need action sets")
-        if behavior is not None \
-                and [getattr(p, "action_set", None) for p in behavior] != sets:
-            raise ValueError("behavior policies must match the target "
-                             "policies' agents and action sets")
-        policies = list(target) + list(behavior or [])
-        return cls(episodes, sets, min(np.shape(p.omega)[2] for p in policies))
-
-    def visited(self, agent, n_actions):
-        """(action, obs-bin) mask of the pairs the agent takes a transition
-        at somewhere in the batch."""
-        mask = np.zeros((n_actions, self.n_obs_bins), dtype=bool)
-        for g in self.groups:
-            mask[g.actions[agent][:, :-1], g.obs_bins[agent]] = True
-        return mask
-
-
-class _Group:
-    """The episodes of one length: their batch positions, per-agent action
-    indices (K_g, t+1) and transition obs bins (K_g, t), the summed
-    cumulative log of the stored behaviour probabilities and the rewards.
-    Every behaviour probability must lie in (0, 1] and every reward must be
-    finite."""
-
-    def __init__(self, episodes, rows, action_sets, n_obs_bins):
-        self.rows = rows
-        self.actions = []
-        self.obs_bins = []
-        log_behavior = []
+        self.actions, self.obs_bins, log_behavior = [], [], []
         for n, aset in enumerate(action_sets):
             tracks = [ep.agents[n] for ep in episodes]
             self.actions.append(np.array(
@@ -99,3 +63,24 @@ class _Group:
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
 
+    @classmethod
+    def for_policies(cls, episodes, target, behavior=None):
+        """Index a list of episodes for evaluating the target controllers
+        and, if given, the behaviour policies; a point estimate has no
+        action set and needs an `EpisodeBatch` built for it."""
+        sets = [getattr(p, "action_set", None) for p in target]
+        if None in sets:
+            raise ValueError("target policies need action sets")
+        if behavior is not None \
+                and [getattr(p, "action_set", None) for p in behavior] != sets:
+            raise ValueError("behavior policies must match the target "
+                             "policies' agents and action sets")
+        policies = list(target) + list(behavior or [])
+        return cls(episodes, sets, min(np.shape(p.omega)[2] for p in policies))
+
+    def visited(self, agent, n_actions):
+        """(action, obs-bin) mask of the pairs the agent takes a transition
+        at somewhere in the batch."""
+        mask = np.zeros((n_actions, self.n_obs_bins), dtype=bool)
+        mask[self.actions[agent][:, :-1], self.obs_bins[agent]] = True
+        return mask

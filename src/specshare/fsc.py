@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import digamma, validate_simplex, validate_simplex_rows
 
 DEFAULT_OBS_BINS = 24
+_MERGE_TOL = 0.1  # L1 gap below which `init_from_episodes` merges nodes
 
 
 def observation_bin(obs_us, n_bins=DEFAULT_OBS_BINS):
@@ -392,12 +393,12 @@ def _normalize_rows(counts):
 
 
 def init_from_episodes(episodes, agent, action_set, n_obs_bins=DEFAULT_OBS_BINS,
-                       max_nodes=10, merge_tol=0.1):
+                       max_nodes=10):
     """Build a starting controller for one agent from collected episodes.
 
     Grows a prefix tree over (action, observation-bin) histories, merges
     tree nodes whose empirical next-action distributions are within
-    `merge_tol` in L1, caps the node count at `max_nodes` by folding the
+    `_MERGE_TOL` in L1, caps the node count at `max_nodes` by folding the
     smallest clusters into their nearest neighbor, and smooths all rows
     with add-one pseudo-counts.
     """
@@ -424,7 +425,7 @@ def init_from_episodes(episodes, agent, action_set, n_obs_bins=DEFAULT_OBS_BINS,
     clusters = []  # [aggregate count vector, member set]
     for h in order:
         dist_h = act_counts[h] / act_counts[h].sum()
-        best, best_d = None, merge_tol
+        best, best_d = None, _MERGE_TOL
         for ci, (agg, _) in enumerate(clusters):
             d = float(np.abs(dist_h - agg / agg.sum()).sum())
             if d < best_d:

@@ -4,8 +4,8 @@ The importance-weighted discounted return of the candidate policy acts as
 the likelihood; stick-breaking Beta/Gamma priors over controller rows act
 as the prior; coordinate ascent over the factorized posterior maximizes
 the evidence lower bound. Node-path posteriors for every episode prefix
-come from one forward and one O(T) backward pass per agent and episode
-length. Each iteration takes each digamma once (`_Shared`) and checks
+come from one forward and one O(T) backward pass per agent over the
+whole batch. Each iteration takes each digamma once (`_Shared`) and checks
 each argument once, so the special functions skip the per-call check.
 
 Kernel-live compaction. The stick-breaking prior empties most nodes
@@ -55,6 +55,12 @@ gammaln = partial(_special_function, "gammaln", check=False)
 _DROP_SHARE = 2.0 ** -100
 
 
+def check_discount(gamma):
+    """ValueError unless the discount lies in [0, 1) (NaN does not)."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("discount must be in [0, 1)")
+
+
 @dataclass
 class Hyperparams:
     c: float = 0.1    # Gamma shape, prior on each omega-row concentration
@@ -69,8 +75,7 @@ class Hyperparams:
                    for v in (self.c, self.d, self.e, self.f, self.theta)):
             raise ValueError("hyperparameters must be strictly positive "
                              "and finite")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("discount must be in [0, 1)")
+        check_discount(self.gamma)
 
     @classmethod
     def from_json(cls, data):
@@ -175,9 +180,8 @@ class _Shared:
             for x in (self.sigma, self.lam))
 
 
-# value: the empirical value the weights divide by; nu: per batch group, the
-# (K_g, t) posterior path weights; alpha_hat: per (group, agent), the
-# target's (K_g, t, Z) tables
+# value: the empirical value the weights divide by; nu: the (K, t) posterior
+# path weights; alpha_hat: per agent, the target's (K, t, Z) tables
 ReweightedRewards = namedtuple("ReweightedRewards", "value nu alpha_hat")
 
 
@@ -255,10 +259,10 @@ def node_marginals(policy, action_idx, obs_bins, t):
     return occ[0], pair[0, 1:]
 
 
-def _log_prefix(group, policies):
-    """Cumulative log joint likelihood per (episode, t) of one group,
+def _log_prefix(batch, policies):
+    """Cumulative log joint likelihood per (episode, t) of the batch,
     summed over agents, and each agent's scaled forward tables."""
-    passes = [forward(pol, group.actions[n], group.obs_bins[n])
+    passes = [forward(pol, batch.actions[n], batch.obs_bins[n])
               for n, pol in enumerate(policies)]
     logp = np.sum([np.cumsum(log_scale, axis=1) for _, log_scale in passes],
                   axis=0)
@@ -266,25 +270,20 @@ def _log_prefix(group, policies):
 
 
 def _return_terms(batch, target, behavior, r_min, gamma):
-    """The empirical value and, per group, each (episode, t) return term
-    (importance ratio times shifted discounted reward) and the target's
-    scaled forward tables per agent.
+    """The empirical value, each (episode, t) return term (importance ratio
+    times shifted discounted reward) and the target's scaled forward tables
+    per agent.
 
     Behaviour policies, when given, run through the same forward call as
     the target, so equal policies cancel exactly; otherwise the per-step
     probabilities stored at collection time are used.
     """
-    terms, alpha_hat = [], []
-    for g in batch.groups:
-        logp, tables = _log_prefix(g, target)
-        logb = g.log_behavior if behavior is None \
-            else _log_prefix(g, behavior)[0]
-        t = np.arange(g.rewards.shape[1])
-        terms.append(np.exp(logp - logb)
-                     * ((gamma ** t) * (g.rewards - r_min)))
-        alpha_hat.append(tables)
-    value = sum(float(np.sum(w)) for w in terms) / batch.size
-    return value, terms, alpha_hat
+    logp, alpha_hat = _log_prefix(batch, target)
+    logb = batch.log_behavior if behavior is None \
+        else _log_prefix(batch, behavior)[0]
+    t = np.arange(batch.rewards.shape[1])
+    terms = np.exp(logp - logb) * ((gamma ** t) * (batch.rewards - r_min))
+    return float(np.sum(terms)) / batch.size, terms, alpha_hat
 
 
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
@@ -294,6 +293,7 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     proper controllers, or None to use the probabilities stored in the
     episodes. r_min defaults to the batch minimum.
     """
+    check_discount(gamma)
     if r_min is None:
         r_min, _ = reward_bounds(episodes)
     batch = EpisodeBatch.for_policies(episodes, target, behavior)
@@ -301,14 +301,14 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
 
 
 def reweighted(batch, estimates, r_min, gamma):
-    """Posterior path weights of an `EpisodeBatch`, one (K_g, t) block per
-    group, plus the value they normalize by; the behaviour probabilities
-    are the stored ones."""
+    """Posterior path weights of an `EpisodeBatch`, one (K, t) block, plus
+    the value they normalize by; the behaviour probabilities are the stored
+    ones."""
     value, terms, alpha_hat = _return_terms(batch, estimates, None, r_min,
                                             gamma)
     if not (value > 0.0 and math.isfinite(value)):
         raise FloatingPointError("empirical value is not positive: %r" % value)
-    return ReweightedRewards(value=value, nu=[w / value for w in terms],
+    return ReweightedRewards(value=value, nu=terms / value,
                              alpha_hat=alpha_hat)
 
 
@@ -366,17 +366,15 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     columns, expand, _ = shared.layout
     n_live = shared.slots.live.size
     k = batch.size
-    delta_acc = np.zeros(n_live)
+    aidx, obins = batch.actions[agent], batch.obs_bins[agent]
+    occ, pair = _sweep_agent(estimate, aidx, obins, rw.nu,
+                             rw.alpha_hat[agent])
+    delta_acc = occ[:, 0].sum(axis=0)
+    occ_acc = occ.sum(axis=(0, 1))
     phi_acc = np.zeros((n_actions, n_live))
     sigma_acc = np.zeros((columns.size, n_live, n_live))
-    occ_acc = np.zeros(n_live)
-    for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
-        aidx, obins = g.actions[agent], g.obs_bins[agent]
-        occ, pair = _sweep_agent(estimate, aidx, obins, nu, tables[agent])
-        delta_acc += occ[:, 0].sum(axis=0)
-        occ_acc += occ.sum(axis=(0, 1))
-        np.add.at(phi_acc, aidx, occ)
-        np.add.at(sigma_acc, expand[aidx[:, :-1] * n_obs + obins], pair[:, 1:])
+    np.add.at(phi_acc, aidx, occ)
+    np.add.at(sigma_acc, expand[aidx[:, :-1] * n_obs + obins], pair[:, 1:])
     keep = ~(occ_acc < _DROP_SHARE * occ_acc.sum())
     if not keep.all():  # a dropped node never returns
         shared.slots = node_slots(shared.slots.live[keep], z)
@@ -515,7 +513,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     rw = reweighted(batch, estimates, r_min, hyper.gamma)
     for _ in range(max_iters):
         # the path-weight constraint: weights average to 1 over the batch
-        norm = sum(float(s) for nu in rw.nu for s in nu.sum(axis=1)) / k
+        norm = sum(float(s) for s in rw.nu.sum(axis=1)) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
@@ -543,9 +541,8 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
                         else math.nan for s in states])
         trace.b_min.append([float(s.b.min()) for s in states])
         trace.live.append([sh.slots.live.size for sh in shared])
-        terms = np.concatenate([nu.ravel() for nu in rw.nu])
-        trace.ess.append(float(terms.sum() ** 2 / np.sum(terms ** 2)))
-        per_episode = np.concatenate([nu.sum(axis=1) for nu in rw.nu])
+        trace.ess.append(float(rw.nu.sum() ** 2 / np.sum(rw.nu ** 2)))
+        per_episode = rw.nu.sum(axis=1)
         trace.max_share.append(float(per_episode.max() / per_episode.sum()))
         if prev_elbo is not None and abs((cur - prev_elbo) / prev_elbo) < tol:
             converged = True

@@ -24,6 +24,7 @@ import numpy as np
 
 CW_SET = (15, 31, 63, 127, 255, 511, 1023)
 DEFAULT_LTE_BURST_MS = {15: 3, 31: 6, 63: 6, 127: 8, 255: 8, 511: 10, 1023: 10}
+MAX_TX_MS = 10  # LAA's longest channel occupancy (3GPP TS 36.213 sec. 15)
 
 
 def _require_int(name, value, least):
@@ -83,6 +84,10 @@ class SimConfig:
             raise ValueError("pe must be in [0, 1)")
         if any(cw not in self.lte_burst_ms for cw in self.cw_set):
             raise ValueError("lte_burst_ms must cover every contention window")
+        if max(self.lte_burst_ms.values()) > MAX_TX_MS \
+                or self.wifi_packet_us > 1000 * MAX_TX_MS:
+            raise ValueError("an LTE burst or Wi-Fi packet may last at most "
+                             "%d ms" % MAX_TX_MS)
 
     @property
     def agent_count(self):

@@ -86,8 +86,11 @@ def test_data_error_exit_code(tmp_path):
     lambda d: {**d, "wifi_slot_us": 0},
     lambda d: {**d, "lte_burst_ms": {k: 0 for k in d["lte_burst_ms"]}},
     lambda d: {**d, "wifi_packet_bytes": 0},
+    lambda d: {**d, "lte_burst_ms": {**d["lte_burst_ms"], "1023": 11}},
+    lambda d: {**d, "wifi_packet_bytes": 37501},  # 10,000.3 us at 30 Mbps
 ], ids=["unknown-key", "string-count", "json-array", "zero-rate",
-        "zero-slot", "zero-lte-burst", "zero-packet"])
+        "zero-slot", "zero-lte-burst", "zero-packet", "11-ms-lte-burst",
+        "over-10-ms-packet"])
 def test_bad_config_exit_code(tmp_path, capsys, mutate):
     good = SimConfig(lte_count=1, wifi_count=1, seed=0).to_json()
     bad = tmp_path / "bad.json"
@@ -288,14 +291,23 @@ def config_paths():
             + [("lte_burst_ms", cw) for cw in config["lte_burst_ms"]])
 
 
-# magnitudes stay small: a long LTE burst is simulated one ms at a time
+def config_mutations(path):
+    """The values a config field is mutated to: 10**9 too, except for the
+    agent counts, which would build one agent per unit."""
+    values = [DELETE, None, True, "x", -1, 0, 1.5, [], {}, math.nan]
+    if path not in (("lte_count",), ("wifi_count",)):
+        values.append(10 ** 9)
+    return st.tuples(st.just(path), st.sampled_from(values))
+
+
 @settings(max_examples=60, deadline=None)
-@given(path=st.sampled_from(config_paths()),
-       value=st.sampled_from([DELETE, None, True, "x", -1, 0, 1.5, [], {},
-                              math.nan]))
-@example(path=("unknown_key",), value=1)
-@example(path=("cw_set", 0), value=0)  # a window without an LTE burst
-def test_config_with_one_mutated_field_exits_cleanly(path, value):
+@given(mutation=st.sampled_from(config_paths()).flatmap(config_mutations))
+@example(mutation=(("unknown_key",), 1))
+@example(mutation=(("cw_set", 0), 0))  # a window without an LTE burst
+@example(mutation=(("lte_burst_ms", "1023"), 10 ** 9))
+@example(mutation=(("wifi_packet_bytes",), 10 ** 9))
+def test_config_with_one_mutated_field_exits_cleanly(mutation):
+    path, value = mutation
     with open(STORED_CONFIG) as fh:
         config = json.load(fh)
     mutate(config, path, value)
@@ -431,3 +443,32 @@ def test_bad_hyper_file_exit_code(tmp_path, capsys, hyper):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_mixed_length_batch_exit_code(tmp_path, capsys):
+    lines = []
+    for t in (6, 10):
+        part = tmp_path / ("t%d.jsonl" % t)
+        assert main(["collect", "--config", STORED_CONFIG, "--out", str(part),
+                     "--k", "1", "--t", str(t), "--seed", "5"]) == 0
+        lines.append(part.read_text())
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(lines))
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    capsys.readouterr()
+    for argv in (["learn", "--out", str(tmp_path / "run")],
+                 ["evaluate", "--policies", str(policies)]):
+        assert main(argv + ["--episodes", str(mixed)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: episode 1 has 10 steps, the first has 6\n"
+
+
+@pytest.mark.parametrize("gamma", ["1.5", "nan", "-0.5", "inf", "1"])
+def test_evaluate_rejects_a_discount_outside_zero_one(tmp_path, capsys, gamma):
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    assert main(["evaluate", "--policies", str(policies), "--episodes",
+                 STORED_BATCH, "--gamma", gamma]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: discount must be in [0, 1)\n"

@@ -304,8 +304,8 @@ class TestCompaction:
         batch = EpisodeBatch(eps, [action_set] * 2, DEFAULT_OBS_BINS)
         rw = reweighted(batch, res.point_estimates, reward_bounds(eps)[0],
                         Hyperparams().gamma)
-        terms = np.concatenate([nu.ravel() for nu in rw.nu])
-        per_episode = np.concatenate([nu.sum(axis=1) for nu in rw.nu])
+        terms = rw.nu.ravel()
+        per_episode = rw.nu.sum(axis=1)
         assert math.isclose(res.trace.ess[-1],
                             terms.sum() ** 2 / np.sum(terms ** 2),
                             rel_tol=1e-12)

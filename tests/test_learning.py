@@ -197,7 +197,7 @@ class TestReweighted:
         est = random_point_estimate(rng, z=2, n_obs=8)
         ep = make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 6])
         rw = reweighted(EpisodeBatch([ep], [ACTIONS], 8), [est], 0.0, 0.9)
-        assert rw.nu[0][0, 0] == 0.0
+        assert rw.nu[0, 0] == 0.0
 
     def test_point_estimate_needs_a_batch_with_action_sets(self):
         rng = np.random.default_rng(12)
@@ -385,37 +385,40 @@ def relative_gap(got, want):
 
 
 class TestBatchedKernel:
-    def ragged_batch(self):
-        short = seeded_batch(seed=1, n_episodes=3, t=6)
-        long = seeded_batch(seed=2, n_episodes=3, t=10)
-        return [ep for pair in zip(short, long) for ep in pair]
-
-    def test_ragged_batch_matches_one_episode_at_a_time(self):
-        eps = self.ragged_batch()
+    def test_batch_matches_one_episode_at_a_time(self):
+        eps = seeded_batch(seed=2, n_episodes=6, t=10)
         rng = np.random.default_rng(3)
         ests = [random_point_estimate(rng, z=3, n_obs=13) for _ in range(2)]
         batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
-        assert sorted(len(g.rows) for g in batch.groups) == [3, 3]
         rw = reweighted(batch, ests, reward_bounds(eps)[0], 0.9)
-        for g, nu, tables in zip(batch.groups, rw.nu, rw.alpha_hat):
-            for n, est in enumerate(ests):
-                aidx, obins = g.actions[n], g.obs_bins[n]
-                occ, pair = _sweep_agent(est, aidx, obins, nu, tables[n])
-                _, log_scale = forward(est, aidx, obins)
-                for row, k in enumerate(g.rows):
-                    tr = eps[k].agents[n]
-                    a_k = [ACTIONS.index(a) for a in tr.actions]
-                    o_k = tr.obs_bin[:-1]
-                    one = log_history_likelihoods(est, a_k, o_k)
-                    assert relative_gap(np.cumsum(log_scale[row]), one) < 1e-12
-                    e_occ = np.zeros(occ[row].shape)
-                    e_pair = np.zeros(pair[row].shape)
-                    for t in range(len(a_k)):
-                        singles, pairs = node_marginals(est, a_k, o_k, t)
-                        e_occ[:t + 1] += nu[row, t] * singles
-                        e_pair[1:t + 1] += nu[row, t] * pairs
-                    assert relative_gap(occ[row], e_occ) < 1e-12
-                    assert relative_gap(pair[row], e_pair) < 1e-12
+        assert rw.nu.shape == (6, 10)
+        for n, est in enumerate(ests):
+            aidx, obins = batch.actions[n], batch.obs_bins[n]
+            occ, pair = _sweep_agent(est, aidx, obins, rw.nu,
+                                     rw.alpha_hat[n])
+            _, log_scale = forward(est, aidx, obins)
+            for k, ep in enumerate(eps):
+                tr = ep.agents[n]
+                a_k = [ACTIONS.index(a) for a in tr.actions]
+                o_k = tr.obs_bin[:-1]
+                one = log_history_likelihoods(est, a_k, o_k)
+                assert relative_gap(np.cumsum(log_scale[k]), one) < 1e-12
+                e_occ = np.zeros(occ[k].shape)
+                e_pair = np.zeros(pair[k].shape)
+                for t in range(len(a_k)):
+                    singles, pairs = node_marginals(est, a_k, o_k, t)
+                    e_occ[:t + 1] += rw.nu[k, t] * singles
+                    e_pair[1:t + 1] += rw.nu[k, t] * pairs
+                assert relative_gap(occ[k], e_occ) < 1e-12
+                assert relative_gap(pair[k], e_pair) < 1e-12
+
+    def test_mixed_length_batch_raises(self):
+        short = seeded_batch(seed=1, n_episodes=3, t=6)
+        long = seeded_batch(seed=2, n_episodes=3, t=10)
+        eps = [ep for pair in zip(short, long) for ep in pair]
+        with pytest.raises(ValueError,
+                           match="episode 1 has 10 steps, the first has 6"):
+            EpisodeBatch(eps, [ACTIONS] * 2, 13)
 
     def test_visited_columns_match_all_visited(self):
         eps = seeded_batch()
