@@ -11,9 +11,8 @@ from .fsc import (FscPolicy, PointEstimate, history_likelihood,
                   init_from_episodes, initial_node, observation_bin,
                   point_estimate, prune, transition_node)
 from .learning import (ElboTrace, Hyperparams, LearnResult, VariationalState,
-                       backward_messages, elbo, empirical_value,
-                       forward_messages, learn, mean_policy, node_marginals,
-                       reward_bounds, reweighted)
+                       elbo, empirical_value, learn, mean_policy,
+                       node_marginals, reward_bounds, reweighted)
 from .trajectories import (SCHEDULES, BehaviorPolicy, EpsilonSchedule,
                            behavior_action, collect, load, save)
 

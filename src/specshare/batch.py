@@ -4,6 +4,8 @@ arrays for the batched forward-backward kernel in `learning`.
 
 import numpy as np
 
+from .fsc import DEFAULT_OBS_BINS
+
 
 class EpisodeBatch:
     """A learner batch as per-agent index arrays, checked and built once.
@@ -13,13 +15,22 @@ class EpisodeBatch:
     (indexed in `action_sets[n]`): `actions[n]` (K, t+1) and the transition
     obs bins `obs_bins[n]` (K, t), each in [0, n_obs_bins). `log_behavior`
     sums the agents' cumulative log behaviour probabilities, each in
-    (0, 1]; `rewards` must be finite. The episodes are only read.
+    (0, 1]; `rewards` must be finite. A tuple of actions is one action set
+    for every agent, and None is the sorted union of the batch's actions.
+    The learner reads episodes only here, and never modifies them.
     """
 
-    def __init__(self, episodes, action_sets, n_obs_bins):
+    def __init__(self, episodes, action_sets=None,
+                 n_obs_bins=DEFAULT_OBS_BINS):
         if not episodes:
             raise ValueError("need at least one episode")
         n_agents = len(episodes[0].agents)
+        if action_sets is None:
+            action_sets = tuple(sorted({a for ep in episodes
+                                        for tr in ep.agents
+                                        for a in tr.actions}))
+        if isinstance(action_sets, tuple):  # one set for every agent
+            action_sets = [action_sets] * n_agents
         if len(action_sets) != n_agents:
             raise ValueError("%d policies for %d agents"
                              % (len(action_sets), n_agents))
@@ -41,6 +52,7 @@ class EpisodeBatch:
                 raise ValueError("episode %d has %d steps, the first has %d"
                                  % (k, t1, first))
         self.size = len(episodes)
+        self.action_sets = action_sets
         self.n_obs_bins = n_obs_bins
         self.actions, self.obs_bins, log_behavior = [], [], []
         for n, aset in enumerate(action_sets):

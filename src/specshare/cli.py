@@ -49,7 +49,8 @@ def cmd_collect(args):
                                                epsilon=epsilon)
     else:
         behavior = _uniform_behavior(config, epsilon)
-    episodes = trajectories.collect(config, behavior, args.k, args.t,
+    horizon = config.horizon if args.t is None else args.t
+    episodes = trajectories.collect(config, behavior, args.k, horizon,
                                     seed=args.seed)
     trajectories.save(episodes, args.out)
     print("wrote %d episodes to %s (epsilon=%.3f)"
@@ -91,12 +92,15 @@ def cmd_learn(args):
 def cmd_evaluate(args):
     policies = fsc.load_policies(args.policies)
     episodes = trajectories.load(args.episodes)
+    config = SimConfig.load(args.config) if args.config else None
+    if args.gamma is None:
+        args.gamma = 0.9 if config is None else config.gamma
     value = learning.empirical_value(episodes, policies, gamma=args.gamma)
     report = {"discounted_value": value}
-    if args.config:
-        config = SimConfig.load(args.config)
+    if config is not None:
         behavior = trajectories.BehaviorPolicy(policies=policies, epsilon=0.0)
-        rollouts = trajectories.collect(config, behavior, args.k, args.t,
+        horizon = config.horizon if args.t is None else args.t
+        rollouts = trajectories.collect(config, behavior, args.k, horizon,
                                         seed=args.seed)
         agent_rewards = [[tr.rewards[-1] for tr in ep.agents]
                          for ep in rollouts]
@@ -148,7 +152,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--policies", help="learned policies to act epsilon-greedily on")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--t", type=int, default=50)
+    p.add_argument("--t", type=int, help="epochs per episode (default: the "
+                   "config's horizon)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon-schedule", choices=("a", "b"), default="a")
     p.add_argument("--round", type=int, default=0,
@@ -169,9 +174,11 @@ def build_parser():
     p.add_argument("--policies", required=True)
     p.add_argument("--episodes", required=True)
     p.add_argument("--config", help="simulate fresh greedy rollouts as well")
-    p.add_argument("--gamma", type=float, default=0.9)
+    p.add_argument("--gamma", type=float,
+                   help="discount (default: the config's gamma, else 0.9)")
     p.add_argument("--k", type=int, default=20)
-    p.add_argument("--t", type=int, default=50)
+    p.add_argument("--t", type=int,
+                   help="rollout epochs (default: the config's horizon)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

@@ -1,5 +1,5 @@
-"""Special functions, the Beta sampler, stick-breaking weights and the
-simplex checks.
+"""Special functions, the Beta sampler, stick-breaking weights, and the
+simplex and discount checks.
 
 digamma and gammaln come from scipy and the Beta sampler from
 ``numpy.random.Generator``; this module adds the parameter checks. It is
@@ -99,3 +99,9 @@ def validate_simplex_rows(weights, tol=1e-12):
     if not np.all(np.abs(w.sum(axis=-1) - 1.0) <= tol):
         raise ValueError("simplex weights must sum to 1 within %g" % tol)
     return w
+
+
+def check_discount(gamma):
+    """ValueError unless the discount gamma lies in [0, 1) (NaN does not)."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma: discount must be in [0, 1)")

@@ -217,22 +217,14 @@ def log_history_likelihoods(policy, action_idx, obs_bins):
     return np.cumsum(forward(policy, action_idx, obs_bins)[1])
 
 
-def stick_log_expectations(first, second):
-    """Expected log stick weights from Beta(first, second) break factors.
+def _stick_logs(psi_first, psi_second, psi_sum, counts=1.0):
+    """Expected log stick weights from Beta(first, second) break factors,
+    given digamma of first, second and their sum, along the last axis.
 
     Index i < last combines E[ln u_i] with the accumulated E[ln(1-u_m)]
-    for m < i; the last index uses only the accumulated (1-u) terms. Works
-    along the final axis of matching arrays.
+    for m < i; the last index uses only the accumulated (1-u) terms. A
+    stick along the last axis stands for `counts` equal sticks in a row.
     """
-    first = np.asarray(first, dtype=float)
-    second = np.asarray(second, dtype=float)
-    return _stick_logs(digamma(first), digamma(second),
-                       digamma(first + second))
-
-
-def _stick_logs(psi_first, psi_second, psi_sum, counts=1.0):
-    """`stick_log_expectations` from digamma of first, second and sum; a
-    stick along the last axis stands for `counts` equal sticks in a row."""
     e_ln_u = psi_first - psi_sum
     e_ln_1mu = (psi_second - psi_sum) * counts
     prefix = np.zeros_like(e_ln_1mu)
@@ -388,81 +380,41 @@ def prune(policy, occupancy, mass_epsilon=1e-3):
     return reduced, kept
 
 
-def _normalize_rows(counts):
-    return counts / counts.sum(axis=-1, keepdims=True)
+def init_from_episodes(actions, obs_bins, n_actions, max_nodes=10):
+    """The start of one agent's controller: its nodes' action rows, (Z, A).
 
-
-def init_from_episodes(episodes, agent, action_set, n_obs_bins=DEFAULT_OBS_BINS,
-                       max_nodes=10):
-    """Build a starting controller for one agent from collected episodes.
-
-    Grows a prefix tree over (action, observation-bin) histories, merges
-    tree nodes whose empirical next-action distributions are within
-    `_MERGE_TOL` in L1, caps the node count at `max_nodes` by folding the
-    smallest clusters into their nearest neighbor, and smooths all rows
-    with add-one pseudo-counts.
+    `actions` (K, t+1) and `obs_bins` (K, t) are the agent's action indices
+    and transition obs bins in an `EpisodeBatch`. Grows a prefix tree over
+    (action, observation-bin) histories, merges tree nodes whose empirical
+    next-action distributions are within `_MERGE_TOL` in L1, caps the node
+    count at `max_nodes` by folding the smallest clusters into their
+    nearest neighbor, and smooths the rows with add-one pseudo-counts.
     """
-    if not episodes:
-        raise ValueError("need at least one episode")
-    action_set = tuple(action_set)
-    n_actions = len(action_set)
     act_counts = {}   # history tuple -> action count vector
-    edges = []        # (history, action idx, obs bin, child history)
-    for ep in episodes:
-        track = ep.agents[agent]
-        hist = ()
-        for action, ob in zip(track.actions, track.obs_bin, strict=True):
-            ai = action_set.index(action)
+    for acts, bins in zip(actions.tolist(), obs_bins.tolist()):
+        hist = ()  # the last action has no transition, so no obs bin
+        for ai, ob in zip(acts, bins + [None]):
             act_counts.setdefault(hist, np.zeros(n_actions))[ai] += 1.0
-            child = hist + ((ai, ob),)
-            edges.append((hist, ai, ob, child))
-            hist = child
-        act_counts.setdefault(hist, np.zeros(n_actions))
+            hist += ((ai, ob),)
 
-    # greedy clustering of tree nodes by next-action distribution
-    order = sorted((h for h, c in act_counts.items() if c.sum() > 0),
-                   key=lambda h: (-act_counts[h].sum(), h))
-    clusters = []  # [aggregate count vector, member set]
-    for h in order:
-        dist_h = act_counts[h] / act_counts[h].sum()
-        best, best_d = None, _MERGE_TOL
-        for ci, (agg, _) in enumerate(clusters):
-            d = float(np.abs(dist_h - agg / agg.sum()).sum())
-            if d < best_d:
-                best, best_d = ci, d
-        if best is None:
-            clusters.append([act_counts[h].copy(), {h}])
+    # greedy clustering of tree nodes by next-action distribution, the
+    # most visited first; a node joins the nearest cluster within tolerance
+    clusters = []  # aggregate count vectors
+    for h in sorted(act_counts, key=lambda h: (-act_counts[h].sum(), h)):
+        dist = act_counts[h] / act_counts[h].sum()
+        gaps = [np.abs(dist - agg / agg.sum()).sum() for agg in clusters]
+        if gaps and min(gaps) < _MERGE_TOL:
+            clusters[gaps.index(min(gaps))] += act_counts[h]
         else:
-            clusters[best][0] += act_counts[h]
-            clusters[best][1].add(h)
+            clusters.append(act_counts[h].copy())
     while len(clusters) > max_nodes:
-        smallest = min(range(len(clusters)), key=lambda i: clusters[i][0].sum())
-        src = clusters.pop(smallest)
-        p_src = src[0] / src[0].sum()
-        near = min(range(len(clusters)),
-                   key=lambda i: float(np.abs(
-                       p_src - clusters[i][0] / clusters[i][0].sum()).sum()))
-        clusters[near][0] += src[0]
-        clusters[near][1] |= src[1]
-    clusters.sort(key=lambda c: -c[0].sum())
-
-    z = len(clusters)
-    # leaves with no recorded action join the top cluster
-    assign = {h: 0 for h in act_counts}
-    assign.update({h: ci for ci, (_, members) in enumerate(clusters)
-                   for h in members})
-
-    pi_counts = 1.0 + np.array([agg for agg, _ in clusters])
-    omega_counts = np.ones((z, n_actions, n_obs_bins, z))
-    for h, ai, ob, child in edges:
-        omega_counts[assign[h], ai, ob, assign[child]] += 1.0
-    eta_counts = np.ones(z)
-    eta_counts[assign[()]] += float(len(episodes))
-
-    return FscPolicy(eta=_normalize_rows(eta_counts),
-                     pi=_normalize_rows(pi_counts),
-                     omega=_normalize_rows(omega_counts),
-                     action_set=action_set, n_obs_bins=n_obs_bins)
+        src = clusters.pop(int(np.argmin([c.sum() for c in clusters])))
+        dist = src / src.sum()
+        gaps = [np.abs(dist - agg / agg.sum()).sum() for agg in clusters]
+        clusters[gaps.index(min(gaps))] += src
+    clusters.sort(key=lambda c: -c.sum())
+    pi_counts = 1.0 + np.array(clusters)
+    return pi_counts / pi_counts.sum(axis=-1, keepdims=True)
 
 
 def save_policies(policies, path):

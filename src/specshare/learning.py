@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .batch import EpisodeBatch
-from .distributions import _special_function
+from .distributions import _special_function, check_discount
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
                   node_slots, omega_columns, omega_entries, point_estimate,
                   prune, stick_digammas)
@@ -53,12 +53,6 @@ gammaln = partial(_special_function, "gammaln", check=False)
 # A node whose share of its agent's occupancy falls below this leaves the
 # agent's kernel for the rest of the run (see the module docstring)
 _DROP_SHARE = 2.0 ** -100
-
-
-def check_discount(gamma):
-    """ValueError unless the discount lies in [0, 1) (NaN does not)."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("discount must be in [0, 1)")
 
 
 @dataclass
@@ -216,31 +210,12 @@ class LearnResult:
     converged: bool
 
 
-def reward_bounds(episodes):
-    """(min, max) over every global cumulative reward in the batch."""
-    rewards = [r for ep in episodes for r in ep.rewards]
-    if not rewards:
-        raise ValueError("no rewards in batch")
-    lo, hi = float(min(rewards)), float(max(rewards))
+def reward_bounds(batch):
+    """(min, max) over every global cumulative reward in an `EpisodeBatch`."""
+    lo, hi = float(batch.rewards.min()), float(batch.rewards.max())
     if hi <= lo:
         raise ValueError("degenerate reward batch: max equals min")
     return lo, hi
-
-
-def forward_messages(policy, action_idx, obs_bins):
-    """Unscaled forward table alpha[tau, i] over controller nodes."""
-    alpha_hat, log_scale = forward(policy, action_idx, obs_bins)
-    return alpha_hat * np.exp(np.cumsum(log_scale))[:, None]
-
-
-def backward_messages(policy, action_idx, obs_bins, t):
-    """Unscaled backward table beta[tau, i] for the prefix ending at t."""
-    beta = np.empty((t + 1, policy.eta.size))
-    beta[t] = 1.0
-    for tau in range(t - 1, -1, -1):
-        trans = policy.omega[:, action_idx[tau], obs_bins[tau], :]
-        beta[tau] = trans @ (policy.pi[:, action_idx[tau + 1]] * beta[tau + 1])
-    return beta
 
 
 def node_marginals(policy, action_idx, obs_bins, t):
@@ -282,8 +257,13 @@ def _return_terms(batch, target, behavior, r_min, gamma):
     logb = batch.log_behavior if behavior is None \
         else _log_prefix(batch, behavior)[0]
     t = np.arange(batch.rewards.shape[1])
-    terms = np.exp(logp - logb) * ((gamma ** t) * (batch.rewards - r_min))
-    return float(np.sum(terms)) / batch.size, terms, alpha_hat
+    # an overflowing ratio makes the value inf or NaN, checked once here
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(logp - logb) * ((gamma ** t) * (batch.rewards - r_min))
+        value = float(np.sum(terms)) / batch.size
+    if not math.isfinite(value):
+        raise FloatingPointError("empirical value is not finite: %r" % value)
+    return value, terms, alpha_hat
 
 
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
@@ -294,9 +274,9 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     episodes. r_min defaults to the batch minimum.
     """
     check_discount(gamma)
-    if r_min is None:
-        r_min, _ = reward_bounds(episodes)
     batch = EpisodeBatch.for_policies(episodes, target, behavior)
+    if r_min is None:
+        r_min, _ = reward_bounds(batch)
     return _return_terms(batch, target, behavior, r_min, gamma)[0]
 
 
@@ -306,7 +286,7 @@ def reweighted(batch, estimates, r_min, gamma):
     ones."""
     value, terms, alpha_hat = _return_terms(batch, estimates, None, r_min,
                                             gamma)
-    if not (value > 0.0 and math.isfinite(value)):
+    if not value > 0.0:
         raise FloatingPointError("empirical value is not positive: %r" % value)
     return ReweightedRewards(value=value, nu=terms / value,
                              alpha_hat=alpha_hat)
@@ -488,22 +468,18 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             and 0.0 <= tol < math.inf):
         raise ValueError("need max_iters >= 1, max_nodes >= 1, 0 < "
                          "prune_epsilon < 1 and a finite tol >= 0")
-    if not episodes:
-        raise ValueError("need at least one episode")
-    n_agents = len(episodes[0].agents)
-    if action_set is None:
-        action_set = tuple(sorted({a for ep in episodes
-                                   for tr in ep.agents for a in tr.actions}))
-    batch = EpisodeBatch(episodes, [action_set] * n_agents, n_obs_bins)
-    r_min, _ = reward_bounds(episodes)
-    k = len(episodes)
+    batch = EpisodeBatch(episodes, None if action_set is None
+                         else tuple(action_set), n_obs_bins)
+    action_set = batch.action_sets[0]
+    n_agents, n_actions, k = len(batch.actions), len(action_set), batch.size
+    r_min, _ = reward_bounds(batch)
     states = []
     for n in range(n_agents):
-        init = init_from_episodes(episodes, n, action_set,
-                                  n_obs_bins=n_obs_bins, max_nodes=max_nodes)
+        pi_seed = init_from_episodes(batch.actions[n], batch.obs_bins[n],
+                                     n_actions, max_nodes)
         states.append(VariationalState(
-            init.node_count, len(action_set), n_obs_bins, hyper,
-            pi_seed=init.pi, visited=batch.visited(n, len(action_set))))
+            len(pi_seed), n_actions, n_obs_bins, hyper, pi_seed=pi_seed,
+            visited=batch.visited(n, n_actions)))
     trace = ElboTrace()
     active = [set(range(s.node_count)) for s in states]
     occ_totals = [np.ones(s.node_count) for s in states]

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .distributions import check_discount
+
 CW_SET = (15, 31, 63, 127, 255, 511, 1023)
 DEFAULT_LTE_BURST_MS = {15: 3, 31: 6, 63: 6, 127: 8, 255: 8, 511: 10, 1023: 10}
 MAX_TX_MS = 10  # LAA's longest channel occupancy (3GPP TS 36.213 sec. 15)
@@ -78,8 +80,7 @@ class SimConfig:
             raise ValueError("need at least one agent")
         if list(self.cw_set) != sorted(set(self.cw_set)):
             raise ValueError("cw_set must be strictly increasing")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+        check_discount(self.gamma)
         if not 0.0 <= self.pe < 1.0:
             raise ValueError("pe must be in [0, 1)")
         if any(cw not in self.lte_burst_ms for cw in self.cw_set):

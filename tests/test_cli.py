@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -471,4 +472,59 @@ def test_evaluate_rejects_a_discount_outside_zero_one(tmp_path, capsys, gamma):
     assert main(["evaluate", "--policies", str(policies), "--episodes",
                  STORED_BATCH, "--gamma", gamma]) == 2
     err = capsys.readouterr().err
-    assert err == "error: discount must be in [0, 1)\n"
+    assert err == "error: gamma: discount must be in [0, 1)\n"
+
+
+def test_overflowing_importance_ratios_exit_3(tmp_path, capsys):
+    # 1e-300 lies in the (0, 1] a batch accepts, but as every behaviour
+    # probability it makes the importance ratios overflow
+    records = stored_records()
+    for rec in records:
+        for agent in rec["agents"]:
+            agent["pi_behavior"] = [1e-300] * len(agent["pi_behavior"])
+    batch = tmp_path / "tiny.jsonl"
+    batch.write_text("".join(json.dumps(r) + "\n" for r in records))
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        for argv in (["learn", "--out", str(tmp_path / "run")],
+                     ["evaluate", "--policies", str(policies)]):
+            assert main(argv + ["--episodes", str(batch)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("numeric failure: ") \
+                and err.count("\n") == 1
+
+
+def test_collect_runs_the_config_horizon_by_default(tmp_path):
+    config = write_config(tmp_path, horizon=7)
+    paths = [str(tmp_path / name) for name in ("default.jsonl", "t7.jsonl")]
+    for path, extra in zip(paths, ([], ["--t", "7"])):
+        assert main(["collect", "--config", config, "--out", path,
+                     "--k", "2"] + extra) == 0
+    episodes = trajectories.load(paths[0])
+    assert [len(tr.actions) for ep in episodes for tr in ep.agents] == [7] * 4
+    with open(paths[0], "rb") as fh, open(paths[1], "rb") as fh_t:
+        assert fh.read() == fh_t.read()
+
+
+def test_evaluate_takes_gamma_and_horizon_from_the_config(tmp_path, capsys):
+    config = write_config(tmp_path, gamma=0.5, horizon=6)
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    base = ["evaluate", "--policies", str(policies), "--episodes",
+            STORED_BATCH]
+    reports = []
+    for argv in (base + ["--config", config, "--k", "2"],
+                 base + ["--config", config, "--k", "2", "--gamma", "0.5",
+                         "--t", "6"],
+                 base + ["--config", config, "--k", "2", "--gamma", "0.9"],
+                 base, base + ["--gamma", "0.9"]):
+        capsys.readouterr()
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]  # the config's gamma and horizon
+    assert reports[2]["discounted_value"] != reports[0]["discounted_value"]
+    assert reports[3] == reports[4]  # without a config, gamma stays 0.9

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from specshare.batch import EpisodeBatch
 from specshare.distributions import digamma
 from specshare.fsc import (FscPolicy, PointEstimate, history_likelihood,
                            init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
-                           point_estimate, prune, stick_log_expectations,
-                           transition_node)
+                           point_estimate, prune, transition_node)
 from specshare.simulator import AgentTrack, Episode
 from specshare.trajectories import BehaviorPolicy, behavior_action
+from tests.learner_reference import stick_log_expectations
 
 ACTIONS = (15, 31, 63)
 
@@ -271,7 +272,7 @@ class TestPrune:
 
 
 class TestInitFromEpisodes:
-    def make_episodes(self, rng, n_episodes=5, t=8, constant_action=None):
+    def make_batch(self, rng, n_episodes=5, t=8, constant_action=None):
         episodes = []
         for k in range(n_episodes):
             actions = ([constant_action] * t if constant_action is not None
@@ -283,28 +284,30 @@ class TestInitFromEpisodes:
                                rewards=list(range(t)))
             episodes.append(Episode(k=k, agents=[track],
                                     rewards=list(range(t))))
-        return episodes
+        return EpisodeBatch(episodes, ACTIONS, 12)
+
+    def start(self, batch, max_nodes=10):
+        return init_from_episodes(batch.actions[0], batch.obs_bins[0],
+                                  len(ACTIONS), max_nodes)
 
     def test_single_action_concentrates(self):
         rng = np.random.default_rng(15)
-        eps = self.make_episodes(rng, constant_action=15)
-        pol = init_from_episodes(eps, 0, ACTIONS, n_obs_bins=12)
-        assert np.all(np.argmax(pol.pi, axis=1) == 0)
+        pi = self.start(self.make_batch(rng, constant_action=15))
+        assert np.all(np.argmax(pi, axis=1) == 0)
 
     def test_node_cap(self):
         rng = np.random.default_rng(16)
-        eps = self.make_episodes(rng, n_episodes=20, t=15)
-        pol = init_from_episodes(eps, 0, ACTIONS, n_obs_bins=12, max_nodes=4)
-        assert 1 <= pol.node_count <= 4
+        pi = self.start(self.make_batch(rng, n_episodes=20, t=15),
+                        max_nodes=4)
+        assert 1 <= len(pi) <= 4
 
     def test_proper_policy(self):
         rng = np.random.default_rng(17)
-        pol = init_from_episodes(self.make_episodes(rng), 0, ACTIONS,
-                                 n_obs_bins=12)
-        # construction already validates rows; check basic sanity
-        assert pol.node_count >= 1
-        assert np.allclose(pol.pi.sum(axis=1), 1.0)
+        pi = self.start(self.make_batch(rng))
+        assert pi.shape[0] >= 1 and pi.shape[1] == len(ACTIONS)
+        assert np.all(pi > 0.0)
+        assert np.allclose(pi.sum(axis=1), 1.0)
 
     def test_requires_episodes(self):
-        with pytest.raises(ValueError):
-            init_from_episodes([], 0, ACTIONS)
+        with pytest.raises(ValueError, match="need at least one episode"):
+            EpisodeBatch([])

@@ -3,6 +3,7 @@ multi-endpoint sweep it replaced, how many digammas an iteration takes, the
 once-per-iteration domain check, kernel-live node compaction against the
 same run with no node ever dropped, and the stored benchmark references."""
 
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import specshare.fsc
 import specshare.learning
 from specshare import trajectories
 from specshare.batch import EpisodeBatch
-from specshare.fsc import (DEFAULT_OBS_BINS, PointEstimate, forward,
+from specshare.fsc import (PointEstimate, forward, init_from_episodes,
                            node_slots, point_estimate)
 from specshare.learning import (Hyperparams, VariationalState, _Shared,
                                 _sweep_agent, elbo, learn, reward_bounds,
@@ -271,11 +272,13 @@ class TestCompaction:
     @pytest.mark.parametrize("z", range(2, 11))
     def test_seeded_batch_matches_never_dropping(self, monkeypatch, z):
         # the episode-tree start merges a random batch to a few nodes, so
-        # each agent starts from a random z-node controller instead
-        def random_start(episodes, agent, action_set, n_obs_bins, max_nodes):
-            rng = np.random.default_rng(100 * z + agent)
-            return random_policy(rng, z=z, n_obs=n_obs_bins,
-                                 action_set=action_set)
+        # each agent starts from the action rows of a random z-node
+        # controller instead; learn seeds agents 0 and 1 in turn, once per run
+        calls = itertools.count()
+
+        def random_start(actions, obs_bins, n_actions, max_nodes):
+            rng = np.random.default_rng(100 * z + next(calls) % 2)
+            return random_policy(rng, z=z, n_actions=n_actions).pi
 
         monkeypatch.setattr(specshare.learning, "init_from_episodes",
                             random_start)
@@ -297,12 +300,9 @@ class TestCompaction:
         assert assert_compacted(res, ref) == 14
 
     def test_ess_and_max_share_of_the_last_weights(self, learn_small):
-        eps = stored_batch("batch_1.jsonl")
+        batch = EpisodeBatch(stored_batch("batch_1.jsonl"))
         res = learn_small("batch_1.jsonl")
-        action_set = tuple(sorted({a for ep in eps for tr in ep.agents
-                                   for a in tr.actions}))
-        batch = EpisodeBatch(eps, [action_set] * 2, DEFAULT_OBS_BINS)
-        rw = reweighted(batch, res.point_estimates, reward_bounds(eps)[0],
+        rw = reweighted(batch, res.point_estimates, reward_bounds(batch)[0],
                         Hyperparams().gamma)
         terms = rw.nu.ravel()
         per_episode = rw.nu.sum(axis=1)
@@ -332,3 +332,18 @@ class TestStoredReferences:
                             rel_tol=1e-9, abs_tol=0.0)
         assert math.isclose(res.trace.value[-1], want["final_value"],
                             rel_tol=1e-9, abs_tol=0.0)
+
+    @pytest.mark.parametrize("path, nodes", [
+        ("learn-small/batch_1.jsonl", [8, 8]),
+        ("learn-paper/batch_1.jsonl", [9, 9, 9, 9])])
+    def test_start_from_the_batch_arrays(self, path, nodes):
+        # node counts of the episode-tree start when it was built from the
+        # episode lists; each agent's rows are smoothed, hence positive
+        batch = EpisodeBatch(trajectories.load(os.path.join(STORED, path)))
+        starts = [init_from_episodes(batch.actions[n], batch.obs_bins[n],
+                                     len(batch.action_sets[n]))
+                  for n in range(len(batch.actions))]
+        assert [len(pi) for pi in starts] == nodes
+        for pi in starts:
+            assert pi.shape[1] == 7 and np.all(pi > 0.0)
+            assert np.allclose(pi.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)

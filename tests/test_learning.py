@@ -11,11 +11,11 @@ from specshare.batch import EpisodeBatch
 from specshare.fsc import (PointEstimate, forward, log_history_likelihoods,
                            observation_bin, point_estimate)
 from specshare.learning import (Hyperparams, VariationalState, _Shared,
-                                _sweep_agent, _update_agent,
-                                backward_messages, elbo, empirical_value,
-                                forward_messages, learn, mean_policy,
+                                _sweep_agent, _update_agent, elbo,
+                                empirical_value, learn, mean_policy,
                                 node_marginals, reward_bounds, reweighted)
 from specshare.simulator import AgentTrack, Episode
+from tests.learner_reference import backward_messages, forward_messages
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
 
 
@@ -127,16 +127,16 @@ class TestForwardBackward:
 class TestRewardBounds:
     def test_min_max(self):
         eps = [make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 10])]
-        assert reward_bounds(eps) == (0.0, 10.0)
+        assert reward_bounds(EpisodeBatch(eps, ACTIONS, 8)) == (0.0, 10.0)
 
     def test_degenerate_rejected(self):
         eps = [make_episode(0, [15], [50], [0.5], [3])]
-        with pytest.raises(ValueError):
-            reward_bounds(eps)
+        with pytest.raises(ValueError, match="degenerate reward batch"):
+            reward_bounds(EpisodeBatch(eps, ACTIONS, 8))
 
     def test_mixed_sign(self):
         eps = [make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [-4, 2])]
-        assert reward_bounds(eps) == (-4.0, 2.0)
+        assert reward_bounds(EpisodeBatch(eps, ACTIONS, 8)) == (-4.0, 2.0)
 
 
 class TestEmpiricalValue:
@@ -187,8 +187,8 @@ class TestReweighted:
             eps.append(make_episode(k, actions, obs, [0.3] * t,
                                     rng.integers(0, 10, size=t).tolist()))
         est = random_point_estimate(rng, z=2, n_obs=8)
-        r_min, _ = reward_bounds(eps)
-        rw = reweighted(EpisodeBatch(eps, [ACTIONS], 8), [est], r_min, 0.9)
+        batch = EpisodeBatch(eps, [ACTIONS], 8)
+        rw = reweighted(batch, [est], reward_bounds(batch)[0], 0.9)
         norm = sum(float(np.sum(nu)) for nu in rw.nu) / len(eps)
         assert abs(norm - 1.0) < 1e-9
 
@@ -390,7 +390,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(3)
         ests = [random_point_estimate(rng, z=3, n_obs=13) for _ in range(2)]
         batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
-        rw = reweighted(batch, ests, reward_bounds(eps)[0], 0.9)
+        rw = reweighted(batch, ests, reward_bounds(batch)[0], 0.9)
         assert rw.nu.shape == (6, 10)
         for n, est in enumerate(ests):
             aidx, obins = batch.actions[n], batch.obs_bins[n]
@@ -424,9 +424,7 @@ class TestBatchedKernel:
         eps = seeded_batch()
         hyper = Hyperparams()
         res = learn(eps, hyper, max_iters=5, n_obs_bins=13)
-        action_set = tuple(sorted({a for ep in eps for tr in ep.agents
-                                   for a in tr.actions}))
-        batch = EpisodeBatch(eps, [action_set] * 2, 13)
+        batch = EpisodeBatch(eps, None, 13)
         states = res.states
         for st in states:
             assert st.visited.any() and not st.visited.all()
@@ -439,7 +437,7 @@ class TestBatchedKernel:
                 assert relative_gap(getattr(est, name),
                                     getattr(est_full, name)) < 1e-12
         ests = [point_estimate(st) for st in states]
-        rw = reweighted(batch, ests, reward_bounds(eps)[0], hyper.gamma)
+        rw = reweighted(batch, ests, reward_bounds(batch)[0], hyper.gamma)
         bound, bound_full = elbo(states, rw.value, hyper), \
             elbo(full, rw.value, hyper)
         assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)

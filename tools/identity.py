@@ -1,0 +1,177 @@
+"""Output-identity check: run a fixed list of specshare commands and print
+one SHA-256 per output file.
+
+    python3 tools/identity.py --out DIR [--repo CHECKOUT] [--compare OLD]
+
+The commands run in this interpreter through `specshare.cli.main`, on the
+package under CHECKOUT/src (default: the checkout this script is in) and
+the stored batches under CHECKOUT/perfbench/data:
+- `learn`, `report` and `evaluate`, without and with `--config <the
+  batch's config> --k 3 --t 10`, on every stored batch;
+- `collect --k 10 --t 50` on paper.json and small.json at seeds 0 and 7.
+
+Outputs are written under DIR with paths relative to it, so that printed
+paths do not depend on DIR. Each command's stdout, stderr and exit code go
+to a `<command>.txt` file beside its outputs. `--compare OLD` then lists
+the files that differ from, or are missing in, an earlier run's DIR, and
+for a differing trace.csv the largest relative difference per column.
+
+Hashes depend on the Python, numpy and BLAS builds, so compare only runs
+made in one environment. Exits 1 if a command exits nonzero, else 0.
+"""
+
+import argparse
+import contextlib
+import csv
+import glob
+import hashlib
+import io
+import math
+import os
+import sys
+
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = {"learn-small": "small.json", "learn-paper": "paper.json"}
+COLLECT_SEEDS = (0, 7)
+
+
+def commands(data):
+    """(output file stem, argv) pairs in run order; argv paths to outputs
+    are relative to the output directory."""
+    runs = []
+    for workload, config in CONFIGS.items():
+        config = os.path.join(data, config)
+        for path in sorted(glob.glob(os.path.join(data, workload, "*.jsonl"))):
+            out = os.path.join(workload, os.path.basename(path)[:-6])
+            runs += [
+                (os.path.join(out, "learn"),
+                 ["learn", "--episodes", path, "--out", out]),
+                (os.path.join(out, "report"), ["report", "--trace-dir", out]),
+                (os.path.join(out, "evaluate"),
+                 ["evaluate", "--policies", os.path.join(out, "policies.json"),
+                  "--episodes", path]),
+                (os.path.join(out, "evaluate_config"),
+                 ["evaluate", "--policies", os.path.join(out, "policies.json"),
+                  "--episodes", path, "--config", config, "--k", "3",
+                  "--t", "10"])]
+    for name in ("paper", "small"):
+        for seed in COLLECT_SEEDS:
+            stem = os.path.join("collect", "%s_seed%d" % (name, seed))
+            runs.append((stem, ["collect", "--config",
+                                os.path.join(data, name + ".json"),
+                                "--out", stem + ".jsonl", "--k", "10",
+                                "--t", "50", "--seed", str(seed)]))
+    return runs
+
+
+def import_cli(repo):
+    """`specshare.cli` from repo/src, refusing any other copy."""
+    src = os.path.join(repo, "src")
+    sys.path.insert(0, src)
+    from specshare import cli
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit("specshare was imported from %s, not %s"
+                         % (cli.__file__, src))
+    return cli
+
+
+def run(repo, out_dir):
+    """Run every command into out_dir; returns how many exited nonzero."""
+    cli = import_cli(repo)
+    data = os.path.join(repo, "perfbench", "data")
+    runs = commands(data)  # absolute input paths, before the chdir
+    os.makedirs(out_dir, exist_ok=True)
+    os.chdir(out_dir)
+    failed = 0
+    for stem, argv in runs:
+        os.makedirs(os.path.dirname(stem), exist_ok=True)
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured), \
+                contextlib.redirect_stderr(captured):
+            code = cli.main(argv)
+        with open(stem + ".txt", "w") as fh:
+            fh.write(captured.getvalue() + "exit %d\n" % code)
+        if code:
+            failed += 1
+            print("%s exited %d" % (stem, code), file=sys.stderr)
+    return failed
+
+
+def hashes(root):
+    """{path relative to root: SHA-256} of every file under root."""
+    found = {}
+    for base, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = \
+                    hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+def relative_gap(new, old):
+    if new == old:
+        return 0.0
+    return abs(new - old) / abs(old) if old and math.isfinite(new - old) \
+        else math.inf
+
+
+def column_gaps(new_path, old_path):
+    """{column: largest relative difference} of two trace.csv files, over
+    the rows and columns both hold."""
+    tables = []
+    for path in (new_path, old_path):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        tables.append({name: [float(row[i]) for row in rows]
+                       for i, name in enumerate(header)})
+    new, old = tables
+    return {name: max(map(relative_gap, new[name], old[name]), default=0.0)
+            for name in new.keys() & old.keys()}
+
+
+def compare(new_dir, old_dir, new, old):
+    """Print the files that differ between two runs, with the columns that
+    differ in each differing trace.csv."""
+    paths = new.keys() | old.keys()
+    differ = sorted(p for p in paths if new.get(p) != old.get(p))
+    for path in differ:
+        if path not in old or path not in new:
+            print("only in %s: %s"
+                  % (new_dir if path in new else old_dir, path))
+            continue
+        print("differs: %s" % path)
+        if os.path.basename(path) == "trace.csv":
+            gaps = column_gaps(os.path.join(new_dir, path),
+                               os.path.join(old_dir, path))
+            for name, gap in sorted(gaps.items()):
+                if gap:
+                    print("    %s: largest relative difference %.3g"
+                          % (name, gap))
+    print("%d of %d files identical" % (len(paths) - len(differ), len(paths)))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True,
+                        help="directory for the outputs (created)")
+    parser.add_argument("--repo", default=CHECKOUT,
+                        help="checkout whose src/ and stored batches to run")
+    parser.add_argument("--compare", metavar="OLD",
+                        help="output directory of an earlier run")
+    args = parser.parse_args(argv)
+    out_dir = os.path.abspath(args.out)
+    old_dir = args.compare and os.path.abspath(args.compare)
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        parser.error("%s is not empty" % args.out)
+    failed = run(os.path.abspath(args.repo), out_dir)
+    new = hashes(out_dir)
+    for path in sorted(new):
+        print("%s  %s" % (new[path], path))
+    if old_dir:
+        compare(out_dir, old_dir, new, hashes(old_dir))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
