@@ -89,6 +89,9 @@ class SimConfig:
                 or self.wifi_packet_us > 1000 * MAX_TX_MS:
             raise ValueError("an LTE burst or Wi-Fi packet may last at most "
                              "%d ms" % MAX_TX_MS)
+        if round(self.wifi_packet_us) < 1:
+            raise ValueError("a Wi-Fi packet must last at least 1 us, got "
+                             "%g us" % self.wifi_packet_us)
 
     @property
     def agent_count(self):
@@ -131,7 +134,6 @@ class SimConfig:
 @dataclass
 class DecisionOutcome:
     agent: int
-    epoch: int
     action: int
     backoff_counter: int
     observation_us: int
@@ -139,7 +141,6 @@ class DecisionOutcome:
     tx_duration_us: int
     throughput_mbps: float
     jain: float
-    reward_increment: float
     local_cumulative_reward: float
     completed_at_us: int
 
@@ -218,7 +219,7 @@ _TRANSMIT = "transmit"
 
 class _AgentState:
     __slots__ = ("kind", "phase", "gen", "action", "counter", "remaining",
-                 "epoch_start", "epoch", "cum_reward", "last_share",
+                 "epoch_start", "cum_reward", "last_share",
                  "tx_start", "tx_end", "init_dur", "slot_us", "run_start",
                  "run_q", "due")
 
@@ -232,7 +233,6 @@ class _AgentState:
         self.counter = 0
         self.remaining = 0
         self.epoch_start = 0
-        self.epoch = 0
         self.cum_reward = 0.0
         self.last_share = 0.0
         self.tx_start = 0
@@ -263,7 +263,11 @@ class CoexistenceSimulator:
             self.agents.append(_AgentState(kind, *timing))
         self._heap = []
         self._seq = 0
-        self._tx_log = []   # (start, end, agent), pruned as time advances
+        self._tx_log = []   # (start, end, agent)
+        # no transmission outlasts MAX_TX_MS and no read looks back further
+        # than one, or one sensing window: completions drop older entries
+        self._reach = max(1000 * MAX_TX_MS, cfg.icca_us, cfg.difs_us,
+                          cfg.ecca_slot_us, cfg.wifi_slot_us)
         self._active_tx = 0
         self._last_change = 0  # time _active_tx last changed
         self._outstanding = set()  # agents with a submitted, uncompleted attempt
@@ -281,19 +285,25 @@ class CoexistenceSimulator:
 
     # -- occupancy bookkeeping --------------------------------------------
 
+    def _overlaps(self, t0, t1, skip=None):
+        """(start, end) of every logged transmission, except agent `skip`'s,
+        that overlaps [t0, t1)."""
+        return [(s, e) for s, e, a in self._tx_log
+                if s < t1 and e > t0 and a != skip]
+
     def _segments(self, t0, t1):
         """Piecewise-constant transmitter counts over [t0, t1)."""
         if self._last_change <= t0:
             return [(t1 - t0, self._active_tx)]
+        spans = self._overlaps(t0, t1)
         points = {t0, t1}
-        for s, e, _ in self._tx_log:
-            if s < t1 and e > t0:
-                points.add(max(s, t0))
-                points.add(min(e, t1))
+        for s, e in spans:
+            points.add(max(s, t0))
+            points.add(min(e, t1))
         cuts = sorted(points)
         segs = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            m = sum(1 for s, e, _ in self._tx_log if s <= a and e >= b)
+            m = sum(1 for s, e in spans if s <= a and e >= b)
             segs.append((b - a, m))
         return segs
 
@@ -320,11 +330,6 @@ class CoexistenceSimulator:
             if p_all == 0.0 or self.rng.random() >= p_all:
                 return False
         return True
-
-    def _prune_tx_log(self):
-        horizon = self.clock - 200000
-        if len(self._tx_log) > 64:
-            self._tx_log = [t for t in self._tx_log if t[1] >= horizon]
 
     # -- event machinery ---------------------------------------------------
 
@@ -384,32 +389,25 @@ class CoexistenceSimulator:
         st = self.agents[agent]
         cfg = self.config
         self._active_tx -= 1
-        # payload surviving collisions
-        if st.kind == "wifi":
-            collided = any(a != agent and s < st.tx_end and e > st.tx_start
-                           for s, e, a in self._tx_log)
-            payload = 0.0 if collided else cfg.wifi_packet_bytes * 8.0
-        else:
-            payload = 0.0
-            for j in range((st.tx_end - st.tx_start) // 1000):
-                f0 = st.tx_start + 1000 * j
-                f1 = f0 + 1000
-                hit = any(a != agent and s < f1 and e > f0
-                          for s, e, a in self._tx_log)
-                if not hit:
-                    payload += 1000.0 * cfg.rate_mbps
+        # a transmission is a run of units, the whole Wi-Fi packet or 1 ms
+        # LTE sub-frames; a unit delivers its bits unless an overlap hits it
+        unit, bits = ((st.tx_end - st.tx_start, cfg.wifi_packet_bytes * 8.0)
+                      if st.kind == "wifi" else (1000, 1000.0 * cfg.rate_mbps))
+        hits = self._overlaps(st.tx_start, st.tx_end, skip=agent)
+        payload = 0.0
+        for f0 in range(st.tx_start, st.tx_end, unit):
+            if not any(s < f0 + unit and e > f0 for s, e in hits):
+                payload += bits
         duration = st.tx_end - st.epoch_start
         th = effective_throughput(payload, duration)
         fair_share = cfg.rate_mbps / cfg.agent_count
         shares = np.array([self.agents[i].last_share for i in range(cfg.agent_count)])
         shares[agent] = th / fair_share
         j_index = jain_index(shares)
-        increment = local_reward(0.0, th, j_index)
-        st.cum_reward += increment
+        st.cum_reward += local_reward(0.0, th, j_index)
         st.last_share = th / fair_share
         outcome = DecisionOutcome(
             agent=agent,
-            epoch=st.epoch,
             action=st.action,
             backoff_counter=st.counter,
             observation_us=int(st.tx_start - st.epoch_start),
@@ -417,15 +415,14 @@ class CoexistenceSimulator:
             tx_duration_us=int(duration),
             throughput_mbps=th,
             jain=j_index,
-            reward_increment=increment,
             local_cumulative_reward=st.cum_reward,
             completed_at_us=now,
         )
-        st.epoch += 1
         st.phase = _WAIT_ACTION
         st.gen += 1
         self._occupancy_changed(now)
-        self._prune_tx_log()
+        horizon = now - self._reach
+        self._tx_log = [t for t in self._tx_log if t[1] >= horizon]
         return outcome
 
     def _handle(self, time, agent, kind):

@@ -68,20 +68,14 @@ def _collect_episode(config, behavior, horizon, k, seed):
     n = config.agent_count
     nodes = [initial_node(behavior.policies[i], rng) for i in range(n)]
     tracks = [AgentTrack() for _ in range(n)]
-    done = [False] * n
-    while not all(done):
+    while any(len(tr.actions) < horizon for tr in tracks):
         actions = {}
         for agent in sim.pending_agents():
-            if done[agent]:
-                continue
             if len(tracks[agent].actions) >= horizon:
-                done[agent] = True
                 continue
             action, prob = behavior_action(behavior, agent, nodes[agent], rng)
             actions[agent] = action
             tracks[agent].pi_behavior.append(prob)
-        if not actions and all(done):
-            break
         outcomes = sim.step_epoch(actions, wait="any")
         for out in outcomes:
             tr = tracks[out.agent]
@@ -94,11 +88,7 @@ def _collect_episode(config, behavior, horizon, k, seed):
             nodes[out.agent] = transition_node(pol, nodes[out.agent],
                                                out.action, out.observation_us,
                                                rng)
-    t_max = min(len(t.actions) for t in tracks)
-    for tr in tracks:
-        for name in TRACK_FIELDS:
-            setattr(tr, name, getattr(tr, name)[:t_max])
-    rewards = [sum(tr.rewards[t] for tr in tracks) for t in range(t_max)]
+    rewards = [sum(tr.rewards[t] for tr in tracks) for t in range(horizon)]
     return Episode(k=k, agents=tracks, rewards=rewards)
 
 

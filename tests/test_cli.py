@@ -89,9 +89,11 @@ def test_data_error_exit_code(tmp_path):
     lambda d: {**d, "wifi_packet_bytes": 0},
     lambda d: {**d, "lte_burst_ms": {**d["lte_burst_ms"], "1023": 11}},
     lambda d: {**d, "wifi_packet_bytes": 37501},  # 10,000.3 us at 30 Mbps
+    lambda d: {**d, "wifi_packet_bytes": 1},  # 0.27 us at 30 Mbps
+    lambda d: {**d, "rate_mbps": 1e9},  # 15,000 bytes in 0.00012 us
 ], ids=["unknown-key", "string-count", "json-array", "zero-rate",
         "zero-slot", "zero-lte-burst", "zero-packet", "11-ms-lte-burst",
-        "over-10-ms-packet"])
+        "over-10-ms-packet", "sub-us-packet", "packet-rounds-to-zero"])
 def test_bad_config_exit_code(tmp_path, capsys, mutate):
     good = SimConfig(lte_count=1, wifi_count=1, seed=0).to_json()
     bad = tmp_path / "bad.json"

@@ -7,10 +7,10 @@ import pytest
 import scipy.stats
 
 from specshare.cli import _uniform_behavior
-from specshare.simulator import (CW_SET, CoexistenceSimulator, SimConfig,
-                                 backoff_counter, effective_throughput,
-                                 jain_index, local_reward,
-                                 slot_clear_probability)
+from specshare.simulator import (CW_SET, MAX_TX_MS, CoexistenceSimulator,
+                                 SimConfig, backoff_counter,
+                                 effective_throughput, jain_index,
+                                 local_reward, slot_clear_probability)
 from specshare.trajectories import collect
 
 from . import stepping_reference
@@ -181,6 +181,58 @@ class TestStepEpoch:
                 prev = last.get(out.agent, 0.0)
                 assert out.local_cumulative_reward >= prev - 1e-12
                 last[out.agent] = out.local_cumulative_reward
+
+
+class TestTransmissionLog:
+    """The log keeps what can still overlap a read, and a transmission is a
+    run of units (the whole Wi-Fi packet, or 1 ms LTE sub-frames) of which
+    each overlapped one delivers nothing."""
+
+    def test_log_holds_only_entries_that_can_still_overlap(self):
+        cfg = SimConfig(lte_count=2, wifi_count=2, seed=1)
+        reach = max(1000 * MAX_TX_MS, cfg.icca_us, cfg.difs_us,
+                    cfg.ecca_slot_us, cfg.wifi_slot_us)
+        sim = CoexistenceSimulator(cfg)
+        rng = np.random.default_rng(0)
+        decisions = 0
+        while decisions < 50 * cfg.agent_count:
+            actions = {a: int(rng.choice(CW_SET)) for a in sim.pending_agents()}
+            decisions += len(sim.step_epoch(actions, wait="any"))
+            # every step ends on a completion, which bounds the log
+            assert all(end >= sim.clock - reach for _, end, _ in sim._tx_log)
+        assert sim.clock > 10 * reach
+
+    @pytest.mark.parametrize("second_start, bits", [(9999, 0.0),
+                                                    (10000, 300000.0)])
+    def test_overlap_in_the_first_microsecond_collides(self, second_start,
+                                                       bits):
+        # 37,500 bytes at 30 Mbps is a 10 ms packet, the longest allowed;
+        # the first packet completes, and prunes the log, before the second
+        sim = CoexistenceSimulator(SimConfig(lte_count=0, wifi_count=2,
+                                             wifi_packet_bytes=37500, pe=0.0))
+        sim._start_transmission(0, 0)
+        sim._start_transmission(1, second_start)
+        first = sim._complete_transmission(0, 10000)
+        second = sim._complete_transmission(1, second_start + 10000)
+        assert first.payload_bits == second.payload_bits == bits
+
+    @pytest.mark.parametrize("wifi_starts, clear_subframes", [
+        ((1000,), 10), ((1001,), 9), ((8000,), 6), ((8500,), 5),
+        ((11000,), 6), ((1001, 11000), 5)])
+    def test_lte_burst_loses_exactly_the_overlapped_subframes(
+            self, wifi_starts, clear_subframes):
+        # a 10 ms burst over [5000, 15000) and 4 ms Wi-Fi packets, which
+        # complete, and prune the log, before the burst does
+        sim = CoexistenceSimulator(SimConfig(lte_count=1, pe=0.0,
+                                             wifi_count=len(wifi_starts)))
+        sim.agents[0].action = 1023
+        starts = [(5000, 0)] + [(t, a) for a, t in enumerate(wifi_starts, 1)]
+        for start, agent in sorted(starts):
+            sim._start_transmission(agent, start)
+        for agent, start in enumerate(wifi_starts, 1):
+            sim._complete_transmission(agent, start + 4000)
+        burst = sim._complete_transmission(0, 15000)
+        assert burst.payload_bits == clear_subframes * 30000.0
 
 
 class TestRewardFunctions:

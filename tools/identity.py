@@ -8,7 +8,11 @@ package under CHECKOUT/src (default: the checkout this script is in) and
 the stored batches under CHECKOUT/perfbench/data:
 - `learn`, `report` and `evaluate`, without and with `--config <the
   batch's config> --k 3 --t 10`, on every stored batch;
-- `collect --k 10 --t 50` on paper.json and small.json at seeds 0 and 7.
+- `collect --k 10 --t 50` at seeds 0 and 7 on paper.json, small.json and
+  three variants of paper.json that the tool writes into DIR under
+  `collect/`: 3 LTE at pe 0.3, 3 Wi-Fi at pe 0 (both collision-heavy), and
+  4 LTE + 4 Wi-Fi at pe 0.1 with a 20 ms ICCA, a sensing window longer
+  than the longest transmission.
 
 Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
@@ -26,6 +30,7 @@ import csv
 import glob
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -33,11 +38,17 @@ import sys
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = {"learn-small": "small.json", "learn-paper": "paper.json"}
 COLLECT_SEEDS = (0, 7)
+VARIANTS = {  # paper.json overrides
+    "lte3": {"lte_count": 3, "wifi_count": 0, "pe": 0.3},
+    "wifi3": {"lte_count": 0, "wifi_count": 3, "pe": 0.0},
+    "mixed8_icca20ms": {"lte_count": 4, "wifi_count": 4, "pe": 0.1,
+                        "icca_us": 20000},
+}
 
 
 def commands(data):
     """(output file stem, argv) pairs in run order; argv paths to outputs
-    are relative to the output directory."""
+    and to the variant configs are relative to the output directory."""
     runs = []
     for workload, config in CONFIGS.items():
         config = os.path.join(data, config)
@@ -54,14 +65,32 @@ def commands(data):
                  ["evaluate", "--policies", os.path.join(out, "policies.json"),
                   "--episodes", path, "--config", config, "--k", "3",
                   "--t", "10"])]
-    for name in ("paper", "small"):
+    configs = {name: os.path.join(data, name + ".json")
+               for name in ("paper", "small")}
+    configs.update((name, variant_path(name)) for name in VARIANTS)
+    for name, config in configs.items():
         for seed in COLLECT_SEEDS:
             stem = os.path.join("collect", "%s_seed%d" % (name, seed))
-            runs.append((stem, ["collect", "--config",
-                                os.path.join(data, name + ".json"),
+            runs.append((stem, ["collect", "--config", config,
                                 "--out", stem + ".jsonl", "--k", "10",
                                 "--t", "50", "--seed", str(seed)]))
     return runs
+
+
+def variant_path(name):
+    return os.path.join("collect", name + ".json")
+
+
+def write_variants(data):
+    """Write each paper.json variant to its path under the current
+    directory."""
+    with open(os.path.join(data, "paper.json")) as fh:
+        paper = json.load(fh)
+    os.makedirs("collect", exist_ok=True)
+    for name, overrides in VARIANTS.items():
+        with open(variant_path(name), "w") as fh:
+            json.dump({**paper, **overrides}, fh, indent=1)
+            fh.write("\n")
 
 
 def import_cli(repo):
@@ -79,9 +108,10 @@ def run(repo, out_dir):
     """Run every command into out_dir; returns how many exited nonzero."""
     cli = import_cli(repo)
     data = os.path.join(repo, "perfbench", "data")
-    runs = commands(data)  # absolute input paths, before the chdir
+    runs = commands(data)  # absolute paths into data, before the chdir
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
+    write_variants(data)
     failed = 0
     for stem, argv in runs:
         os.makedirs(os.path.dirname(stem), exist_ok=True)
