@@ -9,8 +9,10 @@ Observations are integer microsecond waits quantized into logarithmic bins
 so the observation alphabet stays finite.
 """
 
+import functools
 import json
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -54,6 +56,20 @@ class FscPolicy:
                 check(getattr(self, name))
             except ValueError as exc:
                 raise ValueError("%s: %s" % (name, exc)) from None
+
+    # the cumulative rows that `draw` samples from, built on first use, so
+    # the learner, which never draws, does not hold them
+    @functools.cached_property
+    def eta_cdf(self):
+        return cumulative_rows(self.eta)
+
+    @functools.cached_property
+    def pi_cdf(self):
+        return cumulative_rows(self.pi)
+
+    @functools.cached_property
+    def omega_cdf(self):
+        return cumulative_rows(self.omega)
 
     @property
     def node_count(self):
@@ -143,9 +159,22 @@ class PointEstimate:
     omega: np.ndarray
 
 
+def cumulative_rows(p):
+    """Cumulative sums along the last axis of `p`, each row divided by its
+    last entry, as nested lists: the rows `Generator.choice` builds."""
+    cdf = np.cumsum(p, axis=-1)
+    return (cdf / cdf[..., -1:]).tolist()
+
+
+def draw(cdf, rng):
+    """The index `Generator.choice(len(row), p=row)` draws, from the same one
+    double of `rng`, given the cumulative row `cdf` of `row`."""
+    return bisect_right(cdf, rng.random())
+
+
 def initial_node(policy, rng):
     """Sample the starting node from eta."""
-    return int(rng.choice(policy.eta.size, p=policy.eta))
+    return draw(policy.eta_cdf, rng)
 
 
 def transition_node(policy, node, action, obs_us, rng):
@@ -154,7 +183,7 @@ def transition_node(policy, node, action, obs_us, rng):
         raise ValueError("node index out of range")
     ai = policy.action_index(action)
     oi = observation_bin(obs_us, policy.n_obs_bins)
-    return int(rng.choice(policy.node_count, p=policy.omega[node, ai, oi]))
+    return draw(policy.omega_cdf[node][ai][oi], rng)
 
 
 def forward(policy, action_idx, obs_bins):

@@ -14,7 +14,6 @@ one full access attempt (sense, back off, transmit).
 """
 
 import functools
-import heapq
 import json
 import math
 import numbers
@@ -192,16 +191,20 @@ def jain_index(x):
     Defined as 1 for the all-zero vector (start of an episode, before any
     agent has completed a transmission).
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 1:
+    x = [float(v) for v in x]
+    if not x:
         raise ValueError("need at least one allocation")
-    if np.any(x < 0.0):
+    if any(v < 0.0 for v in x):
         raise ValueError("allocations must be non-negative")
-    total_sq = float(np.sum(x * x))
+    # left-to-right sums, which equal numpy's below 8 terms; sum() is not
+    # used because from Python 3.12 it compensates float rounding
+    total = total_sq = 0.0
+    for v in x:
+        total += v
+        total_sq += v * v
     if total_sq == 0.0:
         return 1.0
-    total = float(np.sum(x))
-    return total * total / (x.size * total_sq)
+    return total * total / (len(x) * total_sq)
 
 
 def local_reward(previous, throughput, jain):
@@ -216,9 +219,12 @@ _WAIT_IDLE = "wait_idle"
 _BACKOFF = "backoff"
 _TRANSMIT = "transmit"
 
+# an empty event slot; it sorts after every event
+_NO_EVENT = (math.inf, 0, None, None)
+
 
 class _AgentState:
-    __slots__ = ("kind", "phase", "gen", "action", "counter", "remaining",
+    __slots__ = ("kind", "phase", "action", "counter", "remaining",
                  "epoch_start", "cum_reward", "last_share",
                  "tx_start", "tx_end", "init_dur", "slot_us", "run_start",
                  "run_q", "due")
@@ -228,7 +234,6 @@ class _AgentState:
         self.init_dur = init_dur
         self.slot_us = slot_us
         self.phase = _WAIT_ACTION
-        self.gen = 0
         self.action = None
         self.counter = 0
         self.remaining = 0
@@ -261,7 +266,8 @@ class CoexistenceSimulator:
             timing = ((cfg.icca_us, cfg.ecca_slot_us) if kind == "lte"
                       else (cfg.difs_us, cfg.wifi_slot_us))
             self.agents.append(_AgentState(kind, *timing))
-        self._heap = []
+        # each agent's one live event, (time, seq, agent, kind), or _NO_EVENT
+        self._events = [_NO_EVENT] * cfg.agent_count
         self._seq = 0
         self._tx_log = []   # (start, end, agent)
         # no transmission outlasts MAX_TX_MS and no read looks back further
@@ -334,21 +340,20 @@ class CoexistenceSimulator:
     # -- event machinery ---------------------------------------------------
 
     def _push(self, time, agent, kind):
+        """Make (time, kind) agent's one live event, replacing any other."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, agent, kind, self.agents[agent].gen))
+        self._events[agent] = (time, self._seq, agent, kind)
 
     def _occupancy_changed(self, now):
         # re-derive wait-idle waits and back-off runs; both are memoryless
         self._last_change = now
         for n, st in enumerate(self.agents):
             if st.phase == _WAIT_IDLE:
-                st.gen += 1
                 self._schedule_wait_idle(n, now)
             elif st.phase == _BACKOFF and st.due != now:
                 done, into = divmod(now - st.run_start, st.slot_us)
                 if st.run_q == 1.0:
                     st.remaining -= done  # every finished slot was clear
-                st.gen += 1
                 self._schedule_slot(n, now - into, exact=into > 0)
 
     def _schedule_wait_idle(self, agent, now):
@@ -359,14 +364,14 @@ class CoexistenceSimulator:
             return
         p_idle = pe ** m
         if p_idle == 0.0:
-            return  # next occupancy change will reschedule
+            self._events[agent] = _NO_EVENT  # the next change reschedules
+            return
         wait = int(self.rng.geometric(p_idle))
         self._push(now + wait, agent, "idle_found")
 
     def _start_initial(self, agent, now):
         st = self.agents[agent]
         st.phase = _INITIAL
-        st.gen += 1
         self._push(now + st.init_dur, agent, "initial_end")
 
     def _start_transmission(self, agent, now):
@@ -377,7 +382,6 @@ class CoexistenceSimulator:
         else:
             dur = cfg.lte_burst_ms[st.action] * 1000
         st.phase = _TRANSMIT
-        st.gen += 1
         st.tx_start = now
         st.tx_end = now + dur
         self._tx_log.append((now, st.tx_end, agent))
@@ -401,7 +405,7 @@ class CoexistenceSimulator:
         duration = st.tx_end - st.epoch_start
         th = effective_throughput(payload, duration)
         fair_share = cfg.rate_mbps / cfg.agent_count
-        shares = np.array([self.agents[i].last_share for i in range(cfg.agent_count)])
+        shares = [a.last_share for a in self.agents]
         shares[agent] = th / fair_share
         j_index = jain_index(shares)
         st.cum_reward += local_reward(0.0, th, j_index)
@@ -419,7 +423,6 @@ class CoexistenceSimulator:
             completed_at_us=now,
         )
         st.phase = _WAIT_ACTION
-        st.gen += 1
         self._occupancy_changed(now)
         horizon = now - self._reach
         self._tx_log = [t for t in self._tx_log if t[1] >= horizon]
@@ -431,13 +434,11 @@ class CoexistenceSimulator:
         if kind == "initial_end":
             if self._window_all_idle(time - st.init_dur, time):
                 st.phase = _BACKOFF
-                st.gen += 1
                 st.counter = backoff_counter(st.action, self.rng, cfg.cw_set)
                 st.remaining = st.counter + 1
                 self._schedule_slot(agent, time)
             else:
                 st.phase = _WAIT_IDLE
-                st.gen += 1
                 self._schedule_wait_idle(agent, time)
         elif kind == "idle_found":
             self._start_initial(agent, time)
@@ -471,7 +472,8 @@ class CoexistenceSimulator:
         elif q > 0.0:
             slots = int(self.rng.geometric(q))
         else:
-            st.due = None  # the next occupancy change reschedules
+            st.due = None
+            self._events[agent] = _NO_EVENT  # the next change reschedules
             return
         st.due = start + st.slot_us * slots
         self._push(st.due, agent, "slot_end")
@@ -503,11 +505,10 @@ class CoexistenceSimulator:
         outcomes = []
         while ((wait == "all" and waiting)
                or (wait == "any" and not outcomes and self._outstanding)):
-            if not self._heap:
+            time, _, agent, kind = min(self._events)
+            if agent is None:
                 raise RuntimeError("event queue drained with pending attempts")
-            time, _, agent, kind, gen = heapq.heappop(self._heap)
-            if gen != self.agents[agent].gen:
-                continue
+            self._events[agent] = _NO_EVENT
             self.clock = time
             out = self._handle(time, agent, kind)
             if out is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fsc import initial_node, observation_bin, transition_node
+from .fsc import draw, initial_node, observation_bin, transition_node
 from .simulator import AgentTrack, CoexistenceSimulator, Episode
 
 SCHEMA = "specshare-episodes-v1"
@@ -56,7 +56,7 @@ def behavior_action(behavior, agent, node, rng):
     if rng.random() < behavior.epsilon:
         idx = int(rng.integers(n_actions))
     else:
-        idx = int(rng.choice(n_actions, p=pol.pi[node]))
+        idx = draw(pol.pi_cdf[node], rng)
     prob = behavior.epsilon / n_actions \
         + (1.0 - behavior.epsilon) * float(pol.pi[node, idx])
     return pol.action_set[idx], prob
@@ -97,13 +97,19 @@ def collect(config, behavior, k_episodes, horizon, seed=0):
 
     Per-episode seeds are spawned deterministically from the master seed,
     so the batch is reproducible and episodes are independent. The
-    behaviour needs exactly one policy per agent of the config.
+    behaviour needs exactly one policy per agent of the config, each
+    acting only in the config's contention-window set.
     """
     if k_episodes < 1 or horizon < 1:
         raise ValueError("need at least one episode and one epoch")
     if len(behavior.policies) != config.agent_count:
         raise ValueError("%d policies for %d agents"
                          % (len(behavior.policies), config.agent_count))
+    for n, pol in enumerate(behavior.policies):
+        outside = [a for a in pol.action_set if a not in config.cw_set]
+        if outside:
+            raise ValueError("policy %d: action_set entries %s are not in "
+                             "the config's cw_set" % (n, outside))
     children = np.random.SeedSequence(seed).spawn(k_episodes)
     return [_collect_episode(config, behavior, horizon, k, child)
             for k, child in enumerate(children)]

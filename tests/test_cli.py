@@ -285,6 +285,26 @@ def test_collect_needs_one_policy_per_agent(tmp_path, capsys, count):
     assert err == "error: %d policies for 2 agents\n" % count
 
 
+def test_collect_rejects_actions_outside_the_cw_set(tmp_path, capsys):
+    # shifted by one, the last action is 1024: rejected before simulating,
+    # whether or not a run would ever draw it
+    data = json.loads(stored_policies_text())
+    pol = data["policies"][1]
+    pol["action_set"] = [a + 1 for a in pol["action_set"]]
+    pol["omega"] = {"%s/%d/%s" % (i, int(a) + 1, o): row
+                    for (i, a, o), row in
+                    ((key.split("/"), row) for key, row in pol["omega"].items())}
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(data))
+    out = tmp_path / "eps.jsonl"
+    assert main(["collect", "--config", STORED_CONFIG, "--policies",
+                 str(policies), "--k", "1", "--t", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy 1: action_set entries [16, ")
+    assert err.endswith(", 1024] are not in the config's cw_set\n")
+    assert not out.exists()
+
+
 def config_paths():
     """Every field of the stored config and every entry of its maps, the
     first and last of its lists."""

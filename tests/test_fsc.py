@@ -7,8 +7,8 @@ import scipy.stats
 
 from specshare.batch import EpisodeBatch
 from specshare.distributions import digamma
-from specshare.fsc import (FscPolicy, PointEstimate, history_likelihood,
-                           init_from_episodes, initial_node,
+from specshare.fsc import (FscPolicy, PointEstimate, cumulative_rows, draw,
+                           history_likelihood, init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
                            point_estimate, prune, transition_node)
 from specshare.simulator import AgentTrack, Episode
@@ -154,6 +154,38 @@ class TestSampling:
         pol = random_policy(rng)
         with pytest.raises(ValueError):
             transition_node(pol, -1, 15, 100, rng)
+
+
+class TestDraw:
+    """`draw` on a cumulative row stands in for `Generator.choice(n, p=row)`:
+    the same index from the same one double."""
+
+    @staticmethod
+    def assert_draws_like_choice(row, seed):
+        by_choice, by_draw = (np.random.default_rng(seed) for _ in range(2))
+        cdf = cumulative_rows(row)
+        for _ in range(5):
+            assert draw(cdf, by_draw) == by_choice.choice(len(row), p=row)
+        assert by_draw.random() == by_choice.random()
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(8)
+        for seed in range(1000):
+            n = int(rng.integers(1, 11))
+            row = rng.dirichlet(np.ones(n))
+            row[rng.random(n) < 0.3] = 0.0  # exact zeros, leading ones too
+            if not row.any():
+                row[int(rng.integers(n))] = 1.0
+            self.assert_draws_like_choice(row / row.sum(), seed)
+
+    def test_single_node_row_consumes_one_double(self):
+        self.assert_draws_like_choice(np.array([1.0]), 9)
+
+    def test_policy_rows(self):
+        pol = random_policy(np.random.default_rng(10))
+        assert pol.eta_cdf == cumulative_rows(pol.eta)
+        assert pol.pi_cdf[2] == cumulative_rows(pol.pi[2])
+        assert pol.omega_cdf[1][2][3] == cumulative_rows(pol.omega[1, 2, 3])
 
 
 class TestHistoryLikelihood:

@@ -248,8 +248,27 @@ class TestRewardFunctions:
         assert jain_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
         assert jain_index([7.3]) == pytest.approx(1.0)
         assert jain_index([0.0, 0.0]) == 1.0  # defined start-of-episode value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             jain_index([-1.0, 1.0])
+        with pytest.raises(ValueError, match="at least one"):
+            jain_index([])
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_jain_index_matches_numpy_sums(self, n):
+        # the numpy form it replaced: numpy sums fewer than 8 terms left to
+        # right, as jain_index does, and more pairwise, so from 8 terms the
+        # two may differ by the rounding of the sums
+        rng = np.random.default_rng(n)
+        rel = 0.0 if n < 8 else 3 * (n - 1) * np.finfo(float).eps
+        for _ in range(300):
+            x = rng.uniform(0.0, n, size=n)
+            x[rng.random(n) < 0.2] = 0.0
+            if not x.any():
+                continue
+            total = float(np.sum(x))
+            expected = total * total / (n * float(np.sum(x * x)))
+            assert jain_index(x.tolist()) == pytest.approx(expected, rel=rel,
+                                                           abs=0.0)
 
     def test_local_reward(self):
         assert local_reward(0.0, 0.0, 1.0) == 0.0
@@ -296,6 +315,9 @@ class TestSlotSkipping:
         assert decisions == 200
         # per-slot stepping took about 1,800 events per decision
         assert events[0] / decisions < 60
+        # the live events the event heap handled; a dropped or duplicated
+        # event changes the count
+        assert events[0] == 5151
 
     @pytest.mark.parametrize("case", sorted(stepping_reference.DIST_CASES))
     def test_matches_per_slot_stepping_in_distribution(self, case):

@@ -12,13 +12,17 @@ the stored batches under CHECKOUT/perfbench/data:
   three variants of paper.json that the tool writes into DIR under
   `collect/`: 3 LTE at pe 0.3, 3 Wi-Fi at pe 0 (both collision-heavy), and
   4 LTE + 4 Wi-Fi at pe 0.1 with a 20 ms ICCA, a sensing window longer
-  than the longest transmission.
+  than the longest transmission;
+- `learn --max-iters 1` on learn-paper batch_1, whose controllers have
+  several nodes per agent, and `collect --k 10 --t 50` at seeds 0 and 7 on
+  paper.json acting on them (`--policies`, schedule b, round 39).
 
 Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
 to a `<command>.txt` file beside its outputs. `--compare OLD` then lists
 the files that differ from, or are missing in, an earlier run's DIR, and
-for a differing trace.csv the largest relative difference per column.
+the largest relative difference per column of a differing trace.csv and
+per policy field of a differing policies.json.
 
 Hashes depend on the Python, numpy and BLAS builds, so compare only runs
 made in one environment. Exits 1 if a command exits nonzero, else 0.
@@ -44,6 +48,7 @@ VARIANTS = {  # paper.json overrides
     "mixed8_icca20ms": {"lte_count": 4, "wifi_count": 4, "pe": 0.1,
                         "icca_us": 20000},
 }
+LEARNED = os.path.join("collect", "learned")  # controllers collect acts on
 
 
 def commands(data):
@@ -74,6 +79,18 @@ def commands(data):
             runs.append((stem, ["collect", "--config", config,
                                 "--out", stem + ".jsonl", "--k", "10",
                                 "--t", "50", "--seed", str(seed)]))
+    runs.append((os.path.join(LEARNED, "learn"),
+                 ["learn", "--episodes",
+                  os.path.join(data, "learn-paper", "batch_1.jsonl"),
+                  "--out", LEARNED, "--max-iters", "1"]))
+    for seed in COLLECT_SEEDS:
+        stem = os.path.join("collect", "learned_seed%d" % seed)
+        runs.append((stem, ["collect", "--config", configs["paper"],
+                            "--policies",
+                            os.path.join(LEARNED, "policies.json"),
+                            "--out", stem + ".jsonl", "--k", "10", "--t",
+                            "50", "--seed", str(seed), "--epsilon-schedule",
+                            "b", "--round", "39"]))
     return runs
 
 
@@ -160,9 +177,45 @@ def column_gaps(new_path, old_path):
             for name in new.keys() & old.keys()}
 
 
+def leaves(value, path=()):
+    """(path, leaf) of every number, and every empty list or object, in a
+    JSON value."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        items = None
+    if not items:
+        return [(path, value)]
+    return [leaf for key, v in items for leaf in leaves(v, path + (key,))]
+
+
+def policy_gaps(new_path, old_path):
+    """{field: largest relative difference} of two policies.json files, over
+    the policies and fields both hold; inf for a field whose shape differs."""
+    policies = []
+    for path in (new_path, old_path):
+        with open(path) as fh:
+            policies.append(json.load(fh)["policies"])
+    gaps = {}
+    for new, old in zip(*policies):
+        for name in new.keys() & old.keys():
+            (new_paths, new_values), (old_paths, old_values) = (
+                zip(*leaves(p[name])) for p in (new, old))
+            gap = (max(map(relative_gap, new_values, old_values))
+                   if new_paths == old_paths else math.inf)
+            gaps[name] = max(gaps.get(name, 0.0), gap)
+    return gaps
+
+
+GAPS = {"trace.csv": column_gaps, "policies.json": policy_gaps}
+
+
 def compare(new_dir, old_dir, new, old):
-    """Print the files that differ between two runs, with the columns that
-    differ in each differing trace.csv."""
+    """Print the files that differ between two runs, with the largest
+    relative difference per column or field of each differing trace.csv
+    or policies.json."""
     paths = new.keys() | old.keys()
     differ = sorted(p for p in paths if new.get(p) != old.get(p))
     for path in differ:
@@ -171,9 +224,10 @@ def compare(new_dir, old_dir, new, old):
                   % (new_dir if path in new else old_dir, path))
             continue
         print("differs: %s" % path)
-        if os.path.basename(path) == "trace.csv":
-            gaps = column_gaps(os.path.join(new_dir, path),
-                               os.path.join(old_dir, path))
+        gaps_of = GAPS.get(os.path.basename(path))
+        if gaps_of:
+            gaps = gaps_of(os.path.join(new_dir, path),
+                           os.path.join(old_dir, path))
             for name, gap in sorted(gaps.items()):
                 if gap:
                     print("    %s: largest relative difference %.3g"
