@@ -91,7 +91,8 @@ class VariationalState:
     delta, mu: per-node Beta for the eta stick breaks; phi: per-node
     Dirichlet over actions; sigma, lam: per-(node, action, obs, next-node)
     Beta for the omega stick breaks; g, h: Gamma for the eta concentration;
-    a, b: per-(node, action, obs) Gamma for the omega concentrations.
+    a, b: Gamma for the per-(node, action, obs) omega concentrations, a
+    shared shape a = c + Z, which no update changes, and per-entry rates b.
     visited: (action, obs) mask of the pairs some episode takes a
     transition at, or None for all; the stick arithmetic runs only on
     these columns plus one stand-in for the rest (`fsc.omega_columns`).
@@ -109,7 +110,7 @@ class VariationalState:
         self.lam = np.ones((z, n_actions, n_obs, z))
         self.g = hyper.e + z
         self.h = hyper.f
-        self.a = np.full((z, n_actions, n_obs), hyper.c + z)
+        self.a = hyper.c + z
         self.b = np.full((z, n_actions, n_obs), hyper.d)
         self.visited = visited
 
@@ -147,9 +148,8 @@ class _Shared:
         z = state.node_count
         self.slots = node_slots(np.arange(z), z)
         self.sigma, self.lam = omega_entries(state, self.layout[0])
-        self.a = state.a.reshape(z, -1)[:, self.layout[0]]
-        self.psi_g, self.psi_a = digamma(state.g), digamma(self.a)
-        self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(self.a)
+        self.psi_g, self.psi_a = digamma(state.g), digamma(state.a)
+        self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(state.a)
         self.lgamma_e, self.lgamma_c = gammaln(hyper.e), gammaln(hyper.c)
         self.refresh(state)
 
@@ -374,7 +374,7 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
                 - live_mass).reshape(n, -1)
     b = state.b.reshape(z, -1)[:, columns]
     shared.sigma = 1.0 + mass / k
-    shared.lam = (shared.a / b)[rows] + tail / k
+    shared.lam = (state.a / b)[rows] + tail / k
     tail_delta = delta_full[::-1].cumsum()[::-1] - delta_full
     state.delta = 1.0 + delta_full / k
     state.mu = state.g / state.h + tail_delta / k
@@ -438,8 +438,8 @@ def elbo(states, value, hyper, shared=None):
         b = st.b.reshape(st.node_count, -1)[:, columns]
         e_ln_alpha = sh.psi_a - np.log(b)
         total += _beta_term(sh.sigma, sh.lam, sh.psi.omega, e_ln_alpha[rows],
-                            (sh.a / b)[rows], weights[:, None] * counts)
-        total += _gamma_term(hyper.c, hyper.d, sh.a, b, sh.psi_a,
+                            (st.a / b)[rows], weights[:, None] * counts)
+        total += _gamma_term(hyper.c, hyper.d, st.a, b, sh.psi_a,
                              sh.lgamma_c, sh.lgamma_a, counts)
         phi = st.phi
         n_actions = phi.shape[1]
@@ -513,8 +513,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.node_counts.append([len(active[n]) for n in range(n_agents)])
         trace.g.append([s.g for s in states])
         trace.h.append([s.h for s in states])
-        trace.a.append([float(s.a.flat[0]) if np.all(s.a == s.a.flat[0])
-                        else math.nan for s in states])
+        trace.a.append([float(s.a) for s in states])
         trace.b_min.append([float(s.b.min()) for s in states])
         trace.live.append([sh.slots.live.size for sh in shared])
         trace.ess.append(float(rw.nu.sum() ** 2 / np.sum(rw.nu ** 2)))

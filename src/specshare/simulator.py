@@ -13,6 +13,7 @@ previous transmission ends. One submitted contention-window action covers
 one full access attempt (sense, back off, transmit).
 """
 
+import bisect
 import functools
 import json
 import math
@@ -226,8 +227,7 @@ _NO_EVENT = (math.inf, 0, None, None)
 class _AgentState:
     __slots__ = ("kind", "phase", "action", "counter", "remaining",
                  "epoch_start", "cum_reward", "last_share",
-                 "tx_start", "tx_end", "init_dur", "slot_us", "run_start",
-                 "run_q", "due")
+                 "tx_start", "init_dur", "slot_us", "run_start", "run_q")
 
     def __init__(self, kind, init_dur, slot_us):
         self.kind = kind
@@ -241,12 +241,10 @@ class _AgentState:
         self.cum_reward = 0.0
         self.last_share = 0.0
         self.tx_start = 0
-        self.tx_end = 0
         # back-off run: slots counted from run_start, each clear with
-        # probability run_q (None: one exact slot); decrement event at due
+        # probability run_q (None: one exact slot)
         self.run_start = 0
         self.run_q = None
-        self.due = None
 
 
 class CoexistenceSimulator:
@@ -269,14 +267,13 @@ class CoexistenceSimulator:
         # each agent's one live event, (time, seq, agent, kind), or _NO_EVENT
         self._events = [_NO_EVENT] * cfg.agent_count
         self._seq = 0
-        self._tx_log = []   # (start, end, agent)
+        # the transmitter count as a step function: (time, transmitters
+        # from then on), one step per transmission start and end
+        self._steps = [(0, 0)]
         # no transmission outlasts MAX_TX_MS and no read looks back further
-        # than one, or one sensing window: completions drop older entries
+        # than one, or one sensing window: completions drop older steps
         self._reach = max(1000 * MAX_TX_MS, cfg.icca_us, cfg.difs_us,
                           cfg.ecca_slot_us, cfg.wifi_slot_us)
-        self._active_tx = 0
-        self._last_change = 0  # time _active_tx last changed
-        self._outstanding = set()  # agents with a submitted, uncompleted attempt
         return self
 
     # -- public inspection ------------------------------------------------
@@ -284,33 +281,29 @@ class CoexistenceSimulator:
     @property
     def occupancy(self):
         """Number of agents currently transmitting (global state value)."""
-        return self._active_tx
+        return self._steps[-1][1]
 
     def pending_agents(self):
         return [n for n, st in enumerate(self.agents) if st.phase == _WAIT_ACTION]
 
     # -- occupancy bookkeeping --------------------------------------------
 
-    def _overlaps(self, t0, t1, skip=None):
-        """(start, end) of every logged transmission, except agent `skip`'s,
-        that overlaps [t0, t1)."""
-        return [(s, e) for s, e, a in self._tx_log
-                if s < t1 and e > t0 and a != skip]
-
     def _segments(self, t0, t1):
-        """Piecewise-constant transmitter counts over [t0, t1)."""
-        if self._last_change <= t0:
-            return [(t1 - t0, self._active_tx)]
-        spans = self._overlaps(t0, t1)
-        points = {t0, t1}
-        for s, e in spans:
-            points.add(max(s, t0))
-            points.add(min(e, t1))
-        cuts = sorted(points)
+        """(length, transmitters) pieces of [t0, t1), cut at every
+        transmission start and end inside it, also where the count does not
+        change (one transmission ends as another starts)."""
+        steps = self._steps
+        i = bisect.bisect(steps, (t0, math.inf)) - 1  # the step in effect
         segs = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            m = sum(1 for s, e in spans if s <= a and e >= b)
-            segs.append((b - a, m))
+        start, m = t0, steps[i][1]
+        for time, count in steps[i + 1:]:
+            if time >= t1:
+                break
+            if time > start:
+                segs.append((time - start, m))
+                start = time
+            m = count
+        segs.append((t1 - start, m))
         return segs
 
     def _busy_readings(self, t0, t1):
@@ -318,7 +311,7 @@ class CoexistenceSimulator:
         pe = self.config.pe
         busy = 0
         for length, m in self._segments(t0, t1):
-            if m == 0 or length == 0:
+            if m == 0:
                 continue
             if pe == 0.0:
                 busy += length
@@ -330,7 +323,7 @@ class CoexistenceSimulator:
         """Whether every per-us reading over [t0, t1) came back idle."""
         pe = self.config.pe
         for length, m in self._segments(t0, t1):
-            if m == 0 or length == 0:
+            if m == 0:
                 continue
             p_all = (pe ** m) ** length
             if p_all == 0.0 or self.rng.random() >= p_all:
@@ -344,13 +337,13 @@ class CoexistenceSimulator:
         self._seq += 1
         self._events[agent] = (time, self._seq, agent, kind)
 
-    def _occupancy_changed(self, now):
+    def _occupancy_changed(self, now, change):
+        self._steps.append((now, self._steps[-1][1] + change))
         # re-derive wait-idle waits and back-off runs; both are memoryless
-        self._last_change = now
         for n, st in enumerate(self.agents):
             if st.phase == _WAIT_IDLE:
                 self._schedule_wait_idle(n, now)
-            elif st.phase == _BACKOFF and st.due != now:
+            elif st.phase == _BACKOFF and self._events[n][0] != now:
                 done, into = divmod(now - st.run_start, st.slot_us)
                 if st.run_q == 1.0:
                     st.remaining -= done  # every finished slot was clear
@@ -358,7 +351,7 @@ class CoexistenceSimulator:
 
     def _schedule_wait_idle(self, agent, now):
         pe = self.config.pe
-        m = self._active_tx
+        m = self.occupancy
         if m == 0:
             self._push(now + 1, agent, "idle_found")
             return
@@ -383,26 +376,26 @@ class CoexistenceSimulator:
             dur = cfg.lte_burst_ms[st.action] * 1000
         st.phase = _TRANSMIT
         st.tx_start = now
-        st.tx_end = now + dur
-        self._tx_log.append((now, st.tx_end, agent))
-        self._active_tx += 1
-        self._push(st.tx_end, agent, "tx_end")
-        self._occupancy_changed(now)
+        self._push(now + dur, agent, "tx_end")
+        self._occupancy_changed(now, 1)
 
     def _complete_transmission(self, agent, now):
         st = self.agents[agent]
         cfg = self.config
-        self._active_tx -= 1
         # a transmission is a run of units, the whole Wi-Fi packet or 1 ms
-        # LTE sub-frames; a unit delivers its bits unless an overlap hits it
-        unit, bits = ((st.tx_end - st.tx_start, cfg.wifi_packet_bytes * 8.0)
+        # LTE sub-frames; a unit delivers its bits unless the count reaches
+        # two, this transmission and another, somewhere in it
+        unit, bits = ((now - st.tx_start, cfg.wifi_packet_bytes * 8.0)
                       if st.kind == "wifi" else (1000, 1000.0 * cfg.rate_mbps))
-        hits = self._overlaps(st.tx_start, st.tx_end, skip=agent)
+        lost, t = set(), 0  # t: us into the transmission
+        for length, m in self._segments(st.tx_start, now):
+            if m > 1:
+                lost.update(range(t // unit, (t + length - 1) // unit + 1))
+            t += length
         payload = 0.0
-        for f0 in range(st.tx_start, st.tx_end, unit):
-            if not any(s < f0 + unit and e > f0 for s, e in hits):
-                payload += bits
-        duration = st.tx_end - st.epoch_start
+        for _ in range(t // unit - len(lost)):
+            payload += bits  # per unit: bits * n may round differently
+        duration = now - st.epoch_start
         th = effective_throughput(payload, duration)
         fair_share = cfg.rate_mbps / cfg.agent_count
         shares = [a.last_share for a in self.agents]
@@ -423,9 +416,10 @@ class CoexistenceSimulator:
             completed_at_us=now,
         )
         st.phase = _WAIT_ACTION
-        self._occupancy_changed(now)
-        horizon = now - self._reach
-        self._tx_log = [t for t in self._tx_log if t[1] >= horizon]
+        self._occupancy_changed(now, -1)
+        # keep the step in effect at now - _reach and every later one
+        first = bisect.bisect(self._steps, (now - self._reach, math.inf)) - 1
+        del self._steps[:max(first, 0)]
         return outcome
 
     def _handle(self, time, agent, kind):
@@ -464,7 +458,7 @@ class CoexistenceSimulator:
         st = self.agents[agent]
         st.run_start = start
         st.run_q = q = None if exact else slot_clear_probability(
-            st.slot_us, self.config.pe, self._active_tx)
+            st.slot_us, self.config.pe, self.occupancy)
         if q is None:
             slots = 1
         elif q == 1.0:
@@ -472,11 +466,9 @@ class CoexistenceSimulator:
         elif q > 0.0:
             slots = int(self.rng.geometric(q))
         else:
-            st.due = None
             self._events[agent] = _NO_EVENT  # the next change reschedules
             return
-        st.due = start + st.slot_us * slots
-        self._push(st.due, agent, "slot_end")
+        self._push(start + st.slot_us * slots, agent, "slot_end")
 
     # -- stepping ------------------------------------------------------------
 
@@ -500,11 +492,12 @@ class CoexistenceSimulator:
         """
         for agent, cw in sorted(actions.items()):
             self.submit_action(agent, cw)
-            self._outstanding.add(agent)
         waiting = set(actions)
+        # only a completion ends an attempt, and one ends a wait="any" run
+        in_flight = any(st.phase != _WAIT_ACTION for st in self.agents)
         outcomes = []
         while ((wait == "all" and waiting)
-               or (wait == "any" and not outcomes and self._outstanding)):
+               or (wait == "any" and not outcomes and in_flight)):
             time, _, agent, kind = min(self._events)
             if agent is None:
                 raise RuntimeError("event queue drained with pending attempts")
@@ -514,5 +507,4 @@ class CoexistenceSimulator:
             if out is not None:
                 outcomes.append(out)
                 waiting.discard(out.agent)
-                self._outstanding.discard(out.agent)
         return outcomes

@@ -154,7 +154,8 @@ def _episode(record):
     if record.get("schema") != SCHEMA:
         raise ValueError("unrecognized episode schema: %r"
                          % record.get("schema"))
-    if not isinstance(record.get("k"), int):
+    k = record.get("k")
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError("k must be an integer")
     agents = record.get("agents")
     if not (isinstance(agents, list) and agents
@@ -162,7 +163,7 @@ def _episode(record):
         raise ValueError("agents must be a non-empty list of objects")
     tracks = [AgentTrack(**{name: _numbers(a.get(name), name)
                             for name in TRACK_FIELDS}) for a in agents]
-    return Episode(k=record["k"], agents=tracks,
+    return Episode(k=k, agents=tracks,
                    rewards=_numbers(record.get("rewards"), "rewards"))
 
 

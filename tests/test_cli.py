@@ -121,11 +121,12 @@ def test_bad_config_exit_code(tmp_path, capsys, mutate):
     lambda recs: recs[2]["agents"][0].__setitem__("pi_behavior", None),
     lambda recs: recs.__setitem__(1, [1, 2]),
     lambda recs: recs[0]["agents"][0]["actions"].__setitem__(2, 15.5),
+    lambda recs: recs[1].__setitem__("k", True),
 ], ids=["obs-bin-too-large", "obs-bin-negative", "agent-missing",
         "obs-bin-short", "pi-behavior-zero", "pi-behavior-negative",
         "pi-behavior-above-one", "reward-nan", "rewards-null", "agents-int",
         "agent-int", "actions-null", "actions-string", "pi-behavior-null",
-        "record-array", "action-float"])
+        "record-array", "action-float", "k-bool"])
 def test_bad_batch_exit_code(tmp_path, capsys, mutate):
     config = write_config(tmp_path)
     good = tmp_path / "good.jsonl"
@@ -530,6 +531,31 @@ def test_collect_runs_the_config_horizon_by_default(tmp_path):
     assert [len(tr.actions) for ep in episodes for tr in ep.agents] == [7] * 4
     with open(paths[0], "rb") as fh, open(paths[1], "rb") as fh_t:
         assert fh.read() == fh_t.read()
+
+
+def test_collect_and_evaluate_run_the_config_seed_by_default(tmp_path,
+                                                            capsys):
+    config = tmp_path / "seed5.json"
+    config.write_text(json.dumps(SimConfig(lte_count=1, wifi_count=1,
+                                           seed=5).to_json()))
+    config = str(config)
+    paths = [str(tmp_path / name)
+             for name in ("default.jsonl", "seed5.jsonl", "seed0.jsonl")]
+    for path, extra in zip(paths, ([], ["--seed", "5"], ["--seed", "0"])):
+        assert main(["collect", "--config", config, "--out", path,
+                     "--k", "2", "--t", "4"] + extra) == 0
+    default, seed_5, seed_0 = (open(path, "rb").read() for path in paths)
+    assert default == seed_5 != seed_0
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    reports = []
+    for extra in ([], ["--seed", "5"], ["--seed", "0"]):
+        capsys.readouterr()
+        assert main(["evaluate", "--policies", str(policies), "--episodes",
+                     STORED_BATCH, "--config", config, "--k", "2",
+                     "--t", "4"] + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] != reports[2]
 
 
 def test_evaluate_takes_gamma_and_horizon_from_the_config(tmp_path, capsys):

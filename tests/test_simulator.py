@@ -90,7 +90,7 @@ class TestSenseSlot:
 
     def test_one_transmitter_no_error_busy(self):
         sim = CoexistenceSimulator(single_wifi())
-        sim._active_tx = 1
+        sim._steps = [(0, 1)]
         assert self.busy(sim) == 9
 
     def test_error_prone_clear_probability(self):
@@ -98,7 +98,7 @@ class TestSenseSlot:
         # i.e. idle readings >= 4 out of Binomial(9, 0.5)
         cfg = SimConfig(lte_count=0, wifi_count=1, pe=0.5, seed=2)
         sim = CoexistenceSimulator(cfg)
-        sim._active_tx = 1
+        sim._steps = [(0, 1)]
         n = 20000
         hits = sum(self.busy(sim) <= 5 for _ in range(n))
         p = 1.0 - scipy.stats.binom.cdf(3, 9, 0.5)  # P(idle readings >= 4)
@@ -184,7 +184,7 @@ class TestStepEpoch:
 
 
 class TestTransmissionLog:
-    """The log keeps what can still overlap a read, and a transmission is a
+    """The steps keep what a read can still reach, and a transmission is a
     run of units (the whole Wi-Fi packet, or 1 ms LTE sub-frames) of which
     each overlapped one delivers nothing."""
 
@@ -198,8 +198,9 @@ class TestTransmissionLog:
         while decisions < 50 * cfg.agent_count:
             actions = {a: int(rng.choice(CW_SET)) for a in sim.pending_agents()}
             decisions += len(sim.step_epoch(actions, wait="any"))
-            # every step ends on a completion, which bounds the log
-            assert all(end >= sim.clock - reach for _, end, _ in sim._tx_log)
+            # every step_epoch call ends on a completion, which bounds the
+            # steps: only the one in effect at clock - reach is older
+            assert all(t > sim.clock - reach for t, _ in sim._steps[1:])
         assert sim.clock > 10 * reach
 
     @pytest.mark.parametrize("second_start, bits", [(9999, 0.0),
@@ -207,7 +208,7 @@ class TestTransmissionLog:
     def test_overlap_in_the_first_microsecond_collides(self, second_start,
                                                        bits):
         # 37,500 bytes at 30 Mbps is a 10 ms packet, the longest allowed;
-        # the first packet completes, and prunes the log, before the second
+        # the first packet completes, and prunes the steps, before the second
         sim = CoexistenceSimulator(SimConfig(lte_count=0, wifi_count=2,
                                              wifi_packet_bytes=37500, pe=0.0))
         sim._start_transmission(0, 0)
@@ -221,18 +222,79 @@ class TestTransmissionLog:
         ((11000,), 6), ((1001, 11000), 5)])
     def test_lte_burst_loses_exactly_the_overlapped_subframes(
             self, wifi_starts, clear_subframes):
-        # a 10 ms burst over [5000, 15000) and 4 ms Wi-Fi packets, which
-        # complete, and prune the log, before the burst does
+        # a 10 ms burst over [5000, 15000) and 4 ms Wi-Fi packets, started
+        # and completed in time order, as the event loop does
         sim = CoexistenceSimulator(SimConfig(lte_count=1, pe=0.0,
                                              wifi_count=len(wifi_starts)))
         sim.agents[0].action = 1023
-        starts = [(5000, 0)] + [(t, a) for a, t in enumerate(wifi_starts, 1)]
-        for start, agent in sorted(starts):
-            sim._start_transmission(agent, start)
+        events = [(5000, "start", 0), (15000, "end", 0)]
         for agent, start in enumerate(wifi_starts, 1):
-            sim._complete_transmission(agent, start + 4000)
-        burst = sim._complete_transmission(0, 15000)
-        assert burst.payload_bits == clear_subframes * 30000.0
+            events += [(start, "start", agent), (start + 4000, "end", agent)]
+        payloads = {}
+        for time, kind, agent in sorted(events):
+            if kind == "start":
+                sim._start_transmission(agent, time)
+            else:
+                payloads[agent] = \
+                    sim._complete_transmission(agent, time).payload_bits
+        assert payloads[0] == clear_subframes * 30000.0
+
+
+def interval_segments(intervals, t0, t1):
+    """The transmission-log reading of [t0, t1): cut at every start and end
+    inside it, each piece counting the (start, end) intervals covering it."""
+    cuts = sorted({t0, t1} | {t for span in intervals for t in span
+                              if t0 < t < t1})
+    return [(b - a, sum(1 for s, e in intervals if s <= a and e >= b))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class TestSegments:
+    """The step function reads every window as the interval list does."""
+
+    @pytest.mark.parametrize("end_first", [True, False])
+    def test_back_to_back_transmissions_are_two_pieces(self, end_first):
+        sim = CoexistenceSimulator(SimConfig(lte_count=0, wifi_count=2))
+        sim._start_transmission(0, 0)
+        handoff = [(sim._complete_transmission, 0),
+                   (sim._start_transmission, 1)]
+        for call, agent in handoff if end_first else handoff[::-1]:
+            call(agent, 4000)
+        assert sim._segments(2000, 6000) == [(2000, 1), (2000, 1)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_starts_and_completions_match_the_intervals(self, seed):
+        # starts and ends on a 1 ms grid, so many coincide, over several
+        # reaches, so completions prune; ties run in random order
+        cfg = SimConfig(lte_count=2, wifi_count=2)
+        sim = CoexistenceSimulator(cfg)
+        rng = np.random.default_rng(seed)
+        events = []
+        for agent in range(cfg.agent_count):
+            t = 1000 * int(rng.integers(0, 5))
+            while t < 60000:
+                cw = int(rng.choice(cfg.cw_set))
+                dur = (cfg.lte_burst_ms[cw] * 1000 if agent < cfg.lte_count
+                       else int(round(cfg.wifi_packet_us)))
+                events += [(t, rng.random(), "start", agent, cw, t + dur),
+                           (t + dur, rng.random(), "end", agent, cw, None)]
+                t += dur + 1000 * int(rng.integers(1, 4))
+        intervals = []
+        for now, _, kind, agent, cw, end in sorted(events):
+            if kind == "start":
+                sim.agents[agent].action = cw
+                sim._start_transmission(agent, now)
+                intervals.append((now, end))
+            else:
+                sim._complete_transmission(agent, now)
+            for _ in range(3):
+                t0, t1 = sorted(int(x) for x in rng.integers(
+                    max(0, now - sim._reach), now + 1, size=2))
+                if rng.random() < 0.5:  # on the grid, where steps are
+                    t0, t1 = 1000 * (t0 // 1000), 1000 * -(-t1 // 1000)
+                if t0 < t1 <= now and t0 >= now - sim._reach:
+                    assert sim._segments(t0, t1) == \
+                        interval_segments(intervals, t0, t1), (now, t0, t1)
 
 
 class TestRewardFunctions:
