@@ -50,9 +50,8 @@ def cmd_collect(args):
     else:
         behavior = _uniform_behavior(config, epsilon)
     horizon = config.horizon if args.t is None else args.t
-    seed = config.seed if args.seed is None else args.seed
     episodes = trajectories.collect(config, behavior, args.k, horizon,
-                                    seed=seed)
+                                    seed=args.seed)
     trajectories.save(episodes, args.out)
     print("wrote %d episodes to %s (epsilon=%.3f)"
           % (len(episodes), args.out, epsilon))
@@ -101,9 +100,8 @@ def cmd_evaluate(args):
     if config is not None:
         behavior = trajectories.BehaviorPolicy(policies=policies, epsilon=0.0)
         horizon = config.horizon if args.t is None else args.t
-        seed = config.seed if args.seed is None else args.seed
         rollouts = trajectories.collect(config, behavior, args.k, horizon,
-                                        seed=seed)
+                                        seed=args.seed)
         agent_rewards = [[tr.rewards[-1] for tr in ep.agents]
                          for ep in rollouts]
         report["mean_final_local_rewards"] = \
@@ -156,8 +154,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--t", type=int, help="epochs per episode (default: the "
                    "config's horizon)")
-    p.add_argument("--seed", type=int, help="master seed (default: the "
-                   "config's seed)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon-schedule", choices=("a", "b"), default="a")
     p.add_argument("--round", type=int, default=0,
                    help="learning round index for the epsilon schedule")
@@ -182,8 +179,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--t", type=int,
                    help="rollout epochs (default: the config's horizon)")
-    p.add_argument("--seed", type=int,
-                   help="rollout seed (default: the config's seed)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

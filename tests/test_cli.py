@@ -533,31 +533,6 @@ def test_collect_runs_the_config_horizon_by_default(tmp_path):
         assert fh.read() == fh_t.read()
 
 
-def test_collect_and_evaluate_run_the_config_seed_by_default(tmp_path,
-                                                            capsys):
-    config = tmp_path / "seed5.json"
-    config.write_text(json.dumps(SimConfig(lte_count=1, wifi_count=1,
-                                           seed=5).to_json()))
-    config = str(config)
-    paths = [str(tmp_path / name)
-             for name in ("default.jsonl", "seed5.jsonl", "seed0.jsonl")]
-    for path, extra in zip(paths, ([], ["--seed", "5"], ["--seed", "0"])):
-        assert main(["collect", "--config", config, "--out", path,
-                     "--k", "2", "--t", "4"] + extra) == 0
-    default, seed_5, seed_0 = (open(path, "rb").read() for path in paths)
-    assert default == seed_5 != seed_0
-    policies = tmp_path / "policies.json"
-    policies.write_text(stored_policies_text())
-    reports = []
-    for extra in ([], ["--seed", "5"], ["--seed", "0"]):
-        capsys.readouterr()
-        assert main(["evaluate", "--policies", str(policies), "--episodes",
-                     STORED_BATCH, "--config", config, "--k", "2",
-                     "--t", "4"] + extra) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    assert reports[0] == reports[1] != reports[2]
-
-
 def test_evaluate_takes_gamma_and_horizon_from_the_config(tmp_path, capsys):
     config = write_config(tmp_path, gamma=0.5, horizon=6)
     policies = tmp_path / "policies.json"
