@@ -39,8 +39,18 @@ def _uniform_behavior(config, epsilon):
     return trajectories.BehaviorPolicy(policies=policies, epsilon=epsilon)
 
 
+def _load_config(path):
+    """The config at `path`. Every episode is seeded from `--seed`, so a
+    non-zero `seed` in the file would change nothing: ValueError."""
+    config = SimConfig.load(path)
+    if config.seed != 0:
+        raise ValueError("%s: seed must be 0; episodes are seeded from "
+                         "--seed" % path)
+    return config
+
+
 def cmd_collect(args):
-    config = SimConfig.load(args.config)
+    config = _load_config(args.config)
     schedule = trajectories.SCHEDULES[args.epsilon_schedule]
     epsilon = schedule.epsilon(args.round)
     if args.policies:
@@ -90,18 +100,25 @@ def cmd_learn(args):
 
 
 def cmd_evaluate(args):
+    rollout = [flag for flag in ("k", "t", "seed")
+               if getattr(args, flag) is not None]
+    if rollout and not args.config:
+        print("usage: evaluate: rollout options (--%s) need --config"
+              % ", --".join(rollout), file=sys.stderr)
+        return 1
     policies = fsc.load_policies(args.policies)
     episodes = trajectories.load(args.episodes)
-    config = SimConfig.load(args.config) if args.config else None
+    config = _load_config(args.config) if args.config else None
     if args.gamma is None:
         args.gamma = 0.9 if config is None else config.gamma
     value = learning.empirical_value(episodes, policies, gamma=args.gamma)
     report = {"discounted_value": value}
     if config is not None:
         behavior = trajectories.BehaviorPolicy(policies=policies, epsilon=0.0)
-        horizon = config.horizon if args.t is None else args.t
-        rollouts = trajectories.collect(config, behavior, args.k, horizon,
-                                        seed=args.seed)
+        rollouts = trajectories.collect(
+            config, behavior, 20 if args.k is None else args.k,
+            config.horizon if args.t is None else args.t,
+            seed=0 if args.seed is None else args.seed)
         agent_rewards = [[tr.rewards[-1] for tr in ep.agents]
                          for ep in rollouts]
         report["mean_final_local_rewards"] = \
@@ -176,10 +193,12 @@ def build_parser():
     p.add_argument("--config", help="simulate fresh greedy rollouts as well")
     p.add_argument("--gamma", type=float,
                    help="discount (default: the config's gamma, else 0.9)")
-    p.add_argument("--k", type=int, default=20)
+    # the rollout flags default to None so that, without --config, a given
+    # one is rejected rather than ignored
+    p.add_argument("--k", type=int, help="rollout episodes (default: 20)")
     p.add_argument("--t", type=int,
                    help="rollout epochs (default: the config's horizon)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="rollout seed (default: 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

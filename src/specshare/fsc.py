@@ -198,6 +198,11 @@ def forward(policy, action_idx, obs_bins):
     log history likelihood of every prefix. Per-step scaling keeps T = 50
     histories from underflowing. 1-D inputs are the K = 1 case and give
     results without the K axis.
+
+    With one node there is nothing to step through: alpha_hat is all ones
+    and each scale is that step's factor, eta pi[a_0] first and then
+    omega[a_{t-1}, o_{t-1}] pi[a_t], the values the recursion reaches
+    exactly (x / x = 1 and 1 x = x), so both paths give the same bits.
     """
     aidx = np.asarray(action_idx, dtype=int)
     obins = np.asarray(obs_bins, dtype=int)
@@ -210,19 +215,25 @@ def forward(policy, action_idx, obs_bins):
     pi_rows = policy.pi.T[aidx]  # (K, t+1, Z): pi[:, a] at every step
     # (K, t, Z, Z): omega[:, a, o, :] at every transition
     trans = policy.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins]
-    alpha_hat = np.empty((k, t1, policy.eta.size))
-    log_scale = np.empty((k, t1))
-    alpha = policy.eta * pi_rows[:, 0]
-    # a zero total logs as -inf and turns the rest of its row into NaN, so
-    # one check after the loop finds it
+    # a zero total logs as -inf and, in the loop, turns the rest of its row
+    # into NaN, so one check at the end finds it
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(t1):
-            if t:
-                alpha = (alpha_hat[:, t - 1, None, :]
-                         @ trans[:, t - 1])[:, 0] * pi_rows[:, t]
-            total = alpha.sum(axis=1)
-            log_scale[:, t] = np.log(total)
-            alpha_hat[:, t] = alpha / total[:, None]
+        if policy.eta.size == 1:
+            alpha_hat = np.ones((k, t1, 1))
+            log_scale = np.log(np.concatenate(
+                [np.broadcast_to(policy.eta, (k, 1)), trans[:, :, 0, 0]],
+                axis=1) * pi_rows[..., 0])
+        else:
+            alpha_hat = np.empty((k, t1, policy.eta.size))
+            log_scale = np.empty((k, t1))
+            alpha = policy.eta * pi_rows[:, 0]
+            for t in range(t1):
+                if t:
+                    alpha = (alpha_hat[:, t - 1, None, :]
+                             @ trans[:, t - 1])[:, 0] * pi_rows[:, t]
+                total = alpha.sum(axis=1)
+                log_scale[:, t] = np.log(total)
+                alpha_hat[:, t] = alpha / total[:, None]
     if not np.all(log_scale > -np.inf):
         raise ValueError("history has zero likelihood under the policy")
     if single:
@@ -447,9 +458,12 @@ def init_from_episodes(actions, obs_bins, n_actions, max_nodes=10):
 
 
 def save_policies(policies, path):
+    # one dumps call runs the C encoder; json.dump to a file runs the
+    # pure-Python one chunk by chunk, for the same text
+    text = json.dumps({"schema": "specshare-policies-v1",
+                       "policies": [p.to_json() for p in policies]})
     with open(path, "w") as fh:
-        json.dump({"schema": "specshare-policies-v1",
-                   "policies": [p.to_json() for p in policies]}, fh)
+        fh.write(text)
 
 
 def load_policies(path):

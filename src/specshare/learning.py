@@ -20,15 +20,17 @@ below half an ulp of the sum: the node's delta, sigma and phi are exactly
 1, 1 and theta, and the lam of its run of dropped neighbours is one value.
 Its share of any prefix likelihood is bounded by the same occupancy, so
 the forward scales do not move either. From then on `fsc.forward`, the sweep,
-the accumulation and the point estimate run on the live sub-controller.
+the accumulation and the point estimate run on the live sub-controller;
+once it is one node, `fsc.forward` and the sweep take closed forms in place
+of their steps through time.
 The omega sticks are held as entries over the kept columns
 (`fsc.NodeSlots`): one per live source and destination slot, where a run
 of dropped destinations between live ones is one slot weighted by its
 length, and one per dropped source, standing for all its destinations
 (sigma = 1, lam = a/b); dropped sources keep their own b and their terms
 in the bound. `VariationalState` keeps the full truncation; `learn`
-writes the held sticks back to it at the end of the run. With every node
-live the same code is the uncompacted kernel.
+writes the held sticks and rates b back to it at the end of the run. With
+every node live the same code is the uncompacted kernel.
 """
 
 import math
@@ -137,10 +139,11 @@ class _Shared:
     """One agent's kernel for a run: what its updates, point estimate and
     bound read. `layout` (`fsc.omega_columns`) and `slots` (`fsc.NodeSlots`,
     the kernel-live nodes) say which omega sticks it holds; `sigma` and
-    `lam` are their entries. The a and g terms are fixed for a run as
-    a = c + Z and g = e + Z, and `psi` is taken by `refresh` after every
-    update. Built from a state, every node is live; the state's own sigma
-    and lam are written by `store`."""
+    `lam` are their entries, and `b`, (Z, columns), holds the rates b on
+    the kept columns. The a and g terms are fixed for a run as a = c + Z
+    and g = e + Z, and `psi` is taken by `refresh` after every update.
+    Built from a state, every node is live; the state's own sigma, lam and
+    b are written by `store`."""
 
     def __init__(self, state, hyper):
         state.assert_positive(("a", "b", "g", "h"))
@@ -148,6 +151,7 @@ class _Shared:
         z = state.node_count
         self.slots = node_slots(np.arange(z), z)
         self.sigma, self.lam = omega_entries(state, self.layout[0])
+        self.b = state.b.reshape(z, -1)[:, self.layout[0]]
         self.psi_g, self.psi_a = digamma(state.g), digamma(state.a)
         self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(state.a)
         self.lgamma_e, self.lgamma_c = gammaln(hyper.e), gammaln(hyper.c)
@@ -160,9 +164,9 @@ class _Shared:
                                   self.layout[1], digamma)
 
     def store(self, state):
-        """Write the held sticks to the state's full sigma and lam: a
-        dropped destination takes its slot's entry and a dropped source
-        node its one entry."""
+        """Write the held sticks and rates to the state's full sigma, lam
+        and b: a dropped destination takes its slot's entry, a dropped
+        source node its one entry and every column its kept column's."""
         live, slot_of, counts, rows, _, starts = self.slots
         n = live.size * counts.size
         entry = np.empty((slot_of.size, slot_of.size), dtype=int)
@@ -172,6 +176,7 @@ class _Shared:
         state.sigma, state.lam = (
             x[entry][..., self.layout[1]].transpose(0, 2, 1).reshape(shape)
             for x in (self.sigma, self.lam))
+        state.b = self.b[:, self.layout[1]].reshape(state.b.shape)
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
@@ -307,8 +312,16 @@ def _sweep_agent(estimate, aidx, obins, nu, ahat):
     omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}] and the forward scale
     c_{tau+1} = sum(ahat_tau M_tau); occ_tau = ahat_tau G_tau and
     pair_{tau+1}[i, j] = ahat_tau[i] M_tau[i, j] G_{tau+1}[j] / c_{tau+1}.
+    With one node ahat is all ones and M_tau = c_{tau+1}, so G is the
+    reverse cumulative sum of nu, occ = G and pair_{tau+1} = G_{tau+1};
+    the recursion's M (G / c) differs from these by about an ulp.
     """
     k, t1, z = ahat.shape
+    if z == 1:
+        to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1, None]
+        pair = np.zeros((k, t1, 1, 1))
+        pair[:, 1:, 0] = to_go[:, 1:]
+        return to_go, pair
     m = estimate.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins] \
         * estimate.pi.T[aidx[:, 1:]][:, :, None, :]
     scale = (ahat[:, :-1, None, :] @ m)[:, :, 0].sum(axis=-1)
@@ -330,9 +343,10 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     `rw` holds the path weights and forward tables that `reweighted`
     computed at `estimate`, a point estimate of the kernel-live nodes.
     `shared` is the agent's `_Shared` kernel, which holds the omega sticks
-    (`_Shared.store` writes them to the state). A node whose occupancy
-    share this sweep is below `_DROP_SHARE` leaves the kernel before the
-    factors are set.
+    and the rates b (`_Shared.store` writes them to the state). A node
+    whose occupancy share this sweep is below `_DROP_SHARE` leaves the
+    kernel before the factors are set; only then are the accumulations
+    re-indexed.
 
     Order: action rows, then omega sticks (using the previous omega
     concentrations), then eta sticks (using the previous eta
@@ -358,21 +372,22 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     keep = ~(occ_acc < _DROP_SHARE * occ_acc.sum())
     if not keep.all():  # a dropped node never returns
         shared.slots = node_slots(shared.slots.live[keep], z)
+        occ_acc, delta_acc = occ_acc[keep], delta_acc[keep]
+        phi_acc, sigma_acc = phi_acc[:, keep], sigma_acc[:, keep][:, :, keep]
     live, slot_of, counts, rows, weights, starts = shared.slots
     occ_total, delta_full = np.zeros(z), np.zeros(z)
-    occ_total[live], delta_full[live] = occ_acc[keep], delta_acc[keep]
+    occ_total[live], delta_full[live] = occ_acc, delta_acc
     phi_full = np.zeros((z, n_actions))
-    phi_full[live] = phi_acc.T[keep]
+    phi_full[live] = phi_acc.T
     state.phi = hyper.theta + phi_full / k
     # omega sticks: lam adds the mass of heavier-indexed destination slots
     n = live.size * counts.size
     mass, tail = np.zeros((2, rows.size, columns.size))
     live_mass = mass[:n].reshape(live.size, counts.size, -1)
-    live_mass[:, slot_of[live]] = \
-        sigma_acc[:, keep][:, :, keep].transpose(1, 2, 0)
+    live_mass[:, slot_of[live]] = sigma_acc.transpose(1, 2, 0)
     tail[:n] = (live_mass[:, ::-1].cumsum(axis=1)[:, ::-1]
                 - live_mass).reshape(n, -1)
-    b = state.b.reshape(z, -1)[:, columns]
+    b = shared.b
     shared.sigma = 1.0 + mass / k
     shared.lam = (state.a / b)[rows] + tail / k
     tail_delta = delta_full[::-1].cumsum()[::-1] - delta_full
@@ -383,9 +398,9 @@ def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
     _, psi_lam, psi_sigma_lam = shared.psi.omega
     b[rows[starts]] = np.maximum(hyper.d - np.add.reduceat(
         (psi_lam - psi_sigma_lam) * weights[:, None], starts), 1e-6)
-    state.b = b[:, expand].reshape(z, n_actions, n_obs)
+    _assert_positive(shared, ("b",))
     state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
-    state.assert_positive(("b", "h"))
+    state.assert_positive(("h",))
     return occ_total
 
 
@@ -433,9 +448,8 @@ def elbo(states, value, hyper, shared=None):
                             sh.psi_g - math.log(st.h), st.g / st.h)
         total += _gamma_term(hyper.e, hyper.f, st.g, st.h, sh.psi_g,
                              sh.lgamma_e, sh.lgamma_g)
-        columns, _, counts = sh.layout
+        counts, b = sh.layout[2], sh.b
         rows, weights = sh.slots.rows, sh.slots.weights
-        b = st.b.reshape(st.node_count, -1)[:, columns]
         e_ln_alpha = sh.psi_a - np.log(b)
         total += _beta_term(sh.sigma, sh.lam, sh.psi.omega, e_ln_alpha[rows],
                             (st.a / b)[rows], weights[:, None] * counts)
@@ -461,8 +475,9 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
 
     The limits, then the episodes are checked (ValueError) before any
     work; the episodes are indexed once into an `EpisodeBatch` and are not
-    modified. During the run each agent's omega sticks live in its kernel
-    (`_Shared`); they are written back to the returned states at the end.
+    modified. During the run each agent's omega sticks and rates b live in
+    its kernel (`_Shared`); they are written back to the returned states at
+    the end.
     """
     if not (max_iters >= 1 and max_nodes >= 1 and 0.0 < prune_epsilon < 1.0
             and 0.0 <= tol < math.inf):
@@ -514,7 +529,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.g.append([s.g for s in states])
         trace.h.append([s.h for s in states])
         trace.a.append([float(s.a) for s in states])
-        trace.b_min.append([float(s.b.min()) for s in states])
+        trace.b_min.append([float(sh.b.min()) for sh in shared])
         trace.live.append([sh.slots.live.size for sh in shared])
         trace.ess.append(float(rw.nu.sum() ** 2 / np.sum(rw.nu ** 2)))
         per_episode = rw.nu.sum(axis=1)

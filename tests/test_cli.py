@@ -551,3 +551,41 @@ def test_evaluate_takes_gamma_and_horizon_from_the_config(tmp_path, capsys):
     assert reports[0] == reports[1]  # the config's gamma and horizon
     assert reports[2]["discounted_value"] != reports[0]["discounted_value"]
     assert reports[3] == reports[4]  # without a config, gamma stays 0.9
+
+
+@pytest.mark.parametrize("flag", [["--k", "3"], ["--t", "5"], ["--seed", "1"],
+                                  ["--k", "3", "--seed", "1"]])
+def test_evaluate_rollout_flags_need_a_config(tmp_path, capsys, flag):
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    capsys.readouterr()
+    assert main(["evaluate", "--policies", str(policies), "--episodes",
+                 STORED_BATCH] + flag) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and err.count("\n") == 1
+    assert all(f in err for f in flag if f.startswith("--"))
+
+
+def test_a_config_seed_other_than_zero_exits_2(tmp_path, capsys):
+    # every episode is seeded from --seed, so the file's seed would change
+    # nothing; seed 0, as in every stored config, still runs
+    config = write_config(tmp_path)
+    data = json.loads(open(config).read())
+    data["seed"] = 5
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(data))
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    capsys.readouterr()
+    for argv in (["collect", "--out", str(tmp_path / "eps.jsonl"), "--k", "1",
+                  "--t", "3"],
+                 ["evaluate", "--policies", str(policies), "--episodes",
+                  STORED_BATCH, "--k", "1", "--t", "3"]):
+        assert main(argv + ["--config", str(seeded)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s: seed must be 0; episodes are seeded " \
+            "from --seed\n" % seeded
+        assert main(argv + ["--config", config]) == 0
+        capsys.readouterr()

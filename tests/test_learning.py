@@ -61,6 +61,21 @@ class TestForwardBackward:
             expect *= est.omega[0, aidx[tau - 1], obins[tau - 1], 0] \
                 * est.pi[0, aidx[tau]]
             assert abs(alpha[tau, 0] - expect) < 1e-15
+        # a batch of one-node histories: every table entry is 1 and each
+        # scale is the step's own factor
+        aidx = rng.integers(0, 3, size=(3, 50))
+        obins = rng.integers(0, 4, size=(3, 49))
+        alpha_hat, log_scale = forward(est, aidx, obins)
+        assert alpha_hat.shape == (3, 50, 1) and np.all(alpha_hat == 1.0)
+        factors = np.empty((3, 50))
+        factors[:, 0] = est.eta[0] * est.pi[0, aidx[:, 0]]
+        factors[:, 1:] = est.omega[0, aidx[:, :-1], obins, 0] \
+            * est.pi[0, aidx[:, 1:]]
+        assert np.allclose(np.exp(log_scale), factors, rtol=1e-14, atol=0.0)
+        # a history through a zero omega entry has zero likelihood
+        est.omega[0, aidx[1, 20], obins[1, 20], 0] = 0.0
+        with pytest.raises(ValueError, match="zero likelihood"):
+            forward(est, aidx, obins)
 
     def test_forward_matches_enumeration(self):
         rng = np.random.default_rng(1)
