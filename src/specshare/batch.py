@@ -1,4 +1,4 @@
-"""Learner batches: episodes checked once and turned into per-agent index
+"""Learner batches: episodes checked once and turned into stacked index
 arrays for the batched forward-backward kernel in `learning`.
 """
 
@@ -8,12 +8,13 @@ from .fsc import DEFAULT_OBS_BINS
 
 
 class EpisodeBatch:
-    """A learner batch as per-agent index arrays, checked and built once.
+    """A learner batch as stacked index arrays, checked and built once.
 
     All K episodes have t+1 steps, as `collect` writes them, so the batch
-    is one block that the kernel sweeps in one call per agent. Per agent n
-    (indexed in `action_sets[n]`): `actions[n]` (K, t+1) and the transition
-    obs bins `obs_bins[n]` (K, t), each in [0, n_obs_bins). `log_behavior`
+    is one block that the kernel sweeps in one call for all N agents:
+    `actions` (N, K, t+1), indexed in each agent's `action_sets[n]`, and
+    the transition obs bins `obs_bins` (N, K, t), each in [0, n_obs_bins),
+    one (K, t+1) and (K, t) slice per agent. `log_behavior`
     sums the agents' cumulative log behaviour probabilities, each in
     (0, 1]; `rewards` must be finite. A tuple of actions is one action set
     for every agent, and None is the sorted union of the batch's actions.
@@ -70,6 +71,8 @@ class EpisodeBatch:
             if not np.all((probs > 0.0) & (probs <= 1.0)):
                 raise ValueError("pi_behavior values must lie in (0, 1]")
             log_behavior.append(np.cumsum(np.log(probs), axis=1))
+        self.actions, self.obs_bins = (np.stack(self.actions),
+                                       np.stack(self.obs_bins))
         self.log_behavior = np.sum(log_behavior, axis=0)
         self.rewards = np.array([ep.rewards for ep in episodes], dtype=float)
         if not np.all(np.isfinite(self.rewards)):

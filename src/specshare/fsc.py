@@ -187,7 +187,8 @@ def transition_node(policy, node, action, obs_us, rng):
 
 
 def forward(policy, action_idx, obs_bins):
-    """Scaled forward recursion over controller nodes, batched over episodes.
+    """Scaled forward recursion over controller nodes, batched over episodes
+    and stacked over agents.
 
     `action_idx` are action indices, shape (K, t+1), and `obs_bins` are
     observation-bin indices, shape (K, t): one row per episode, all of
@@ -199,46 +200,81 @@ def forward(policy, action_idx, obs_bins):
     histories from underflowing. 1-D inputs are the K = 1 case and give
     results without the K axis.
 
+    A stacked policy (`stack_policies`: eta (N, Z), pi (N, Z, A), omega
+    (N, Z, A, O, Z), zero beyond each agent's own nodes) takes (N, K, t+1)
+    and (N, K, t) indices, and all N K rows run in one pass; a zero node
+    adds only exact zeros, so only summation order differs from N passes.
     With one node there is nothing to step through: alpha_hat is all ones
     and each scale is that step's factor, eta pi[a_0] first and then
-    omega[a_{t-1}, o_{t-1}] pi[a_t], the values the recursion reaches
-    exactly (x / x = 1 and 1 x = x), so both paths give the same bits.
+    omega[a_{t-1}, o_{t-1}] pi[a_t], gathered at once, the values the
+    recursion reaches exactly (x / x = 1 and 1 x = x). A history of zero
+    likelihood raises ValueError; any other non-finite scale
+    FloatingPointError.
     """
     aidx = np.asarray(action_idx, dtype=int)
     obins = np.asarray(obs_bins, dtype=int)
-    single = aidx.ndim == 1
-    if single:
-        aidx, obins = aidx[None], obins[None]
-    if obins.shape != (aidx.shape[0], aidx.shape[1] - 1):
+    shape = aidx.shape  # of the results, without the node axis
+    if obins.shape != shape[:-1] + (shape[-1] - 1,):
         raise ValueError("need exactly one fewer observation than actions")
-    k, t1 = aidx.shape
-    pi_rows = policy.pi.T[aidx]  # (K, t+1, Z): pi[:, a] at every step
-    # (K, t, Z, Z): omega[:, a, o, :] at every transition
-    trans = policy.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins]
+    eta, pi, omega = (np.asarray(x, dtype=float)
+                      for x in (policy.eta, policy.pi, policy.omega))
+    if eta.ndim == 1:
+        eta, pi, omega = eta[None], pi[None], omega[None]
+    elif aidx.ndim != 3 or len(aidx) != len(eta):
+        raise ValueError("a stacked policy needs (agents, K, t+1) actions")
+    n, z = eta.shape
+    aidx = aidx.reshape(n, -1, shape[-1])
+    k, t1 = aidx.shape[1:]
+    obins = obins.reshape(n, k, t1 - 1)
+    agent = np.arange(n)[:, None, None]
     # a zero total logs as -inf and, in the loop, turns the rest of its row
     # into NaN, so one check at the end finds it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if policy.eta.size == 1:
-            alpha_hat = np.ones((k, t1, 1))
-            log_scale = np.log(np.concatenate(
-                [np.broadcast_to(policy.eta, (k, 1)), trans[:, :, 0, 0]],
-                axis=1) * pi_rows[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if z == 1:
+            alpha_hat = np.ones((n, k, t1, 1))
+            log_scale = np.empty((n, k, t1))
+            log_scale[..., 0] = eta
+            log_scale[..., 1:] = omega[agent, 0, aidx[..., :-1], obins, 0]
+            log_scale *= pi[agent, 0, aidx]
+            np.log(log_scale, out=log_scale)
         else:
-            alpha_hat = np.empty((k, t1, policy.eta.size))
-            log_scale = np.empty((k, t1))
-            alpha = policy.eta * pi_rows[:, 0]
+            pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
+            # omega[:, a, o, :] at every transition
+            trans = omega.transpose(0, 2, 3, 1, 4)[agent, aidx[..., :-1],
+                                                   obins]
+            alpha_hat = np.empty((n, k, t1, z))
+            log_scale = np.empty((n, k, t1))
+            alpha = eta[:, None] * pi_rows[:, :, 0]
             for t in range(t1):
                 if t:
-                    alpha = (alpha_hat[:, t - 1, None, :]
-                             @ trans[:, t - 1])[:, 0] * pi_rows[:, t]
-                total = alpha.sum(axis=1)
-                log_scale[:, t] = np.log(total)
-                alpha_hat[:, t] = alpha / total[:, None]
-    if not np.all(log_scale > -np.inf):
-        raise ValueError("history has zero likelihood under the policy")
-    if single:
-        return alpha_hat[0], log_scale[0]
-    return alpha_hat, log_scale
+                    alpha = (alpha_hat[:, :, t - 1, None, :]
+                             @ trans[:, :, t - 1])[:, :, 0] * pi_rows[:, :, t]
+                total = alpha.sum(axis=-1)
+                log_scale[..., t] = np.log(total)
+                alpha_hat[:, :, t] = alpha / total[..., None]
+    if not np.isfinite(log_scale).all():
+        if np.any(log_scale == -np.inf):
+            raise ValueError("history has zero likelihood under the policy")
+        raise FloatingPointError("forward pass is not finite")
+    return alpha_hat.reshape(shape + (z,)), log_scale.reshape(shape)
+
+
+def stack_policies(policies):
+    """Controllers or point estimates of N agents as one `PointEstimate` of
+    stacked arrays, eta (N, Z), pi (N, Z, A) and omega (N, Z, A, O, Z),
+    zero beyond each agent's own nodes, actions and bins, as `forward`
+    takes them. An estimate that is stacked already is returned as it is."""
+    if isinstance(policies, PointEstimate):
+        return policies
+    stacked = []
+    for name in ("eta", "pi", "omega"):
+        parts = [np.asarray(getattr(p, name), dtype=float) for p in policies]
+        out = np.zeros((len(parts),) + tuple(np.max([x.shape for x in parts],
+                                                    axis=0)))
+        for n, x in enumerate(parts):
+            out[(n,) + tuple(map(slice, x.shape))] = x
+        stacked.append(out)
+    return PointEstimate(*stacked)
 
 
 def history_likelihood(policy, action_idx, obs_bins):
@@ -257,40 +293,19 @@ def log_history_likelihoods(policy, action_idx, obs_bins):
     return np.cumsum(forward(policy, action_idx, obs_bins)[1])
 
 
-def _stick_logs(psi_first, psi_second, psi_sum, counts=1.0):
-    """Expected log stick weights from Beta(first, second) break factors,
-    given digamma of first, second and their sum, along the last axis.
-
-    Index i < last combines E[ln u_i] with the accumulated E[ln(1-u_m)]
-    for m < i; the last index uses only the accumulated (1-u) terms. A
-    stick along the last axis stands for `counts` equal sticks in a row.
-    """
-    e_ln_u = psi_first - psi_sum
-    e_ln_1mu = (psi_second - psi_sum) * counts
-    prefix = np.zeros_like(e_ln_1mu)
-    prefix[..., 1:] = np.cumsum(e_ln_1mu[..., :-1], axis=-1)
-    logp = prefix + e_ln_u
-    logp[..., -1] = prefix[..., -1]
-    return logp
-
-
-def omega_columns(state):
+def omega_columns(visited, n_actions, n_obs):
     """The (action, obs-bin) columns of omega's stick arrays that can differ.
 
-    `state.visited`, an (A, O) boolean array when present, marks the pairs
-    at which some episode takes a transition; without it every pair counts
-    as visited. The learner's updates keep the parameters of all other
-    columns identical to one another, so one of them stands for the rest.
-    Returns (columns, expand, counts): the flat a * O + o index of each kept
-    column (the stand-in last), the kept column that every flat column
-    takes its values from, and how many flat columns each kept one covers.
+    `visited`, an (A, O) boolean array or None for all, marks the pairs at
+    which some episode takes a transition. The learner's updates keep the
+    parameters of all other columns identical to one another, so one of
+    them stands for the rest. Returns (columns, expand, counts): the flat
+    a * O + o index of each kept column (the stand-in last), the kept
+    column that every flat column takes its values from, and how many flat
+    columns each kept one covers.
     """
-    _, n_actions, n_obs, _ = np.shape(state.sigma)
-    visited = getattr(state, "visited", None)
-    if visited is None:
-        flat = np.ones(n_actions * n_obs, dtype=bool)
-    else:
-        flat = np.asarray(visited, dtype=bool).reshape(n_actions * n_obs)
+    flat = np.ones(n_actions * n_obs, dtype=bool) if visited is None \
+        else np.asarray(visited, dtype=bool).reshape(n_actions * n_obs)
     columns = np.flatnonzero(flat)
     expand = np.empty(flat.size, dtype=int)
     expand[columns] = np.arange(columns.size)
@@ -301,16 +316,12 @@ def omega_columns(state):
     return columns, expand, np.bincount(expand)
 
 
-# Which omega sticks a learner kernel holds once some nodes have left it.
-# `live`: the kernel-live nodes, ascending. Destination slots: each live
-# node is a slot of its own and each run of dropped nodes between live ones
-# is one slot; `slot_of` maps every node to its slot and `counts` is the
-# number of nodes per slot. The stick entries, one row of kept columns
-# each, are every (live node, slot) pair in row-major order, then one entry
-# per dropped source node, standing for all its destinations: `rows` is
-# the source node of each entry, `weights` the (source, destination) pairs
-# it stands for, and `starts` the first entry of each source node.
-NodeSlots = namedtuple("NodeSlots", "live slot_of counts rows weights starts")
+# The destination slots of one agent's omega sticks once some nodes have
+# left its kernel. `live`: the kernel-live nodes, ascending. Each live node
+# is a slot of its own and each run of dropped nodes between live ones is
+# one slot; `slot_of` maps every node to its slot and `counts` is the
+# number of nodes per slot.
+NodeSlots = namedtuple("NodeSlots", "live slot_of counts")
 
 
 def node_slots(live, z):
@@ -322,42 +333,236 @@ def node_slots(live, z):
     new_slot[0] = True
     new_slot[1:] |= alive[:-1]
     slot_of = np.cumsum(new_slot) - 1
-    counts = np.bincount(slot_of)
-    dead = np.flatnonzero(~alive)
-    n = live.size * counts.size
-    return NodeSlots(
-        live, slot_of, counts,
-        rows=np.concatenate([np.repeat(live, counts.size), dead]),
-        weights=np.concatenate([np.tile(counts, live.size),
-                                np.full(dead.size, z)]).astype(float),
-        starts=np.concatenate([np.arange(0, n, counts.size),
-                               np.arange(n, n + dead.size)]))
+    return NodeSlots(live, slot_of, np.bincount(slot_of))
 
 
-def omega_entries(state, columns):
-    """sigma and lam of `state` on the kept `columns` as the stick entries
-    of a kernel in which every node is live, (Z * Z, columns) each."""
-    z = np.size(state.delta)
-    return tuple(np.reshape(x, (z, -1, z))[:, columns].transpose(0, 2, 1)
-                 .reshape(z * z, -1) for x in (state.sigma, state.lam))
+# Views of a kernel's flat buffer (`KernelLayout.split`): the sticks' first
+# parameters (delta, then sigma), phi, the second parameters (mu, then lam),
+# the sticks' sums and phi's row sums
+Sticks = namedtuple("Sticks", "first phi second total phisum delta sigma mu "
+                              "lam")
+# digamma of each part of the buffer, plus `log_rest`, E[ln(1 - u)] of each
+# stick times the sticks it stands for, followed by a 0, and the layout
+FactorDigammas = namedtuple("FactorDigammas",
+                            Sticks._fields + ("log_rest", "layout"))
 
 
-# digamma of (delta, mu, delta + mu), of the omega stick entries (sigma,
-# lam, sigma + lam) and of (phi, phi's row sums), omega_columns' expand and
-# the entries' `NodeSlots`
-FactorDigammas = namedtuple("FactorDigammas", "eta omega pi expand slots")
+class KernelLayout:
+    """Where a learner kernel over N agents holds each parameter, and the
+    index maps of the steps that follow each agent's own nodes.
+
+    Nodes are numbered agent after agent (`offsets`). The omega sticks are
+    the entries of each agent's `NodeSlots`, node after node: a live node
+    holds one per destination slot and a dropped node one (`rows`,
+    `weights`, `starts`), each a row over the kept columns, the union of
+    every agent's (`omega_columns`); a column an agent never transitions
+    at evolves exactly like its stand-in. The flat buffer (`split`) holds
+    delta and the entries' sigma (the `n_sticks` first parameters), phi,
+    mu and lam, then the sticks' sums and phi's row sums; its first
+    `n_params` values are the parameters. The rates live in their own
+    buffer, b on the kept columns node after node and then h per agent;
+    `rate_of` is the concentration rate of each stick.
+
+    Steps along an agent's nodes or slots read the sticks through one
+    padded block, `grid`, of rows, one per agent (eta) and one per live
+    node and column (omega): its cumulative sums give the point
+    estimate's prefix sums (each agent's last stick takes the rest,
+    `not_last`), and backward the update's masses of heavier sticks. The
+    point estimate pads every agent to `n_lanes` live nodes with zeros
+    (`eta_map`, `pi_map`, `omega_map`), and the sweep's accumulators hold
+    `n_lanes` lanes per agent (`accumulators`, `gather_index`). Every pad
+    index is -1, and every array it indexes ends in the value a pad
+    reads. A layout is built again only when a node leaves the kernel.
+    """
+
+    def __init__(self, node_counts, live, columns, n_actions, n_obs):
+        z = np.asarray(node_counts, dtype=int)
+        self.node_counts, self.n_agents = z, z.size
+        self.live = [np.asarray(nodes, dtype=int) for nodes in live]
+        self.columns, self.expand, self.counts = columns
+        self.n_actions, self.n_obs = n_actions, n_obs
+        n_cols = self.counts.size
+        self.offsets = np.concatenate([[0], np.cumsum(z)])
+        self.n_nodes = n_nodes = int(self.offsets[-1])
+        self.agent_of_node = agent_of_node = np.repeat(np.arange(z.size), z)
+        self.slots = [node_slots(nodes, zn)
+                      for nodes, zn in zip(self.live, z)]
+        self.n_live = np.array([nodes.size for nodes in self.live])
+        self.n_lanes = lanes = int(self.n_live.max())
+        n_slots = np.array([sl.counts.size for sl in self.slots])
+        smax = int(n_slots.max())
+        # per agent and slot: its node count, first node and live node
+        size, first = np.zeros((2, z.size, smax), dtype=int)
+        holder = np.full((z.size, smax), -1)
+        for n, (nodes, sl) in enumerate(zip(self.live, self.slots)):
+            size[n, :sl.counts.size] = sl.counts
+            first[n, :sl.counts.size] = np.cumsum(sl.counts) - sl.counts
+            holder[n, sl.slot_of[nodes]] = self.offsets[n] + nodes
+        alive = np.zeros(n_nodes, dtype=bool)
+        alive[np.concatenate([self.offsets[n] + nodes
+                              for n, nodes in enumerate(self.live)])] = True
+        # stick entries node after node
+        per_node = np.where(alive, n_slots[agent_of_node], 1)
+        self.rows = rows = np.repeat(np.arange(n_nodes), per_node)
+        self.starts = starts = np.cumsum(per_node) - per_node
+        self.entry_offsets = np.append(starts[self.offsets[:-1]], rows.size)
+        slot = np.arange(rows.size) - starts[rows]
+        held, agent = alive[rows], agent_of_node[rows]
+        self.weights = np.where(held, size[agent, slot],
+                                z[agent]).astype(float)
+        # each entry's first destination node and, if any, its live one
+        self.dest = np.where(held, first[agent, slot], 0)
+        self.dest_node = np.where(held, holder[agent, slot], -1)
+        self.n_entries = n_ent = rows.size
+        f = self.n_sticks = n_nodes + n_ent * n_cols
+        p = n_nodes * n_actions
+        self.n_params, self.size = 2 * f + p, 3 * f + p + n_nodes
+        col = np.arange(n_cols)
+        self.rate_of = np.concatenate([n_nodes * n_cols + agent_of_node,
+                                       (rows[:, None] * n_cols + col).ravel()])
+        self.stick_weight = np.concatenate([np.ones(n_nodes),
+                                            np.repeat(self.weights, n_cols)])
+        self.bound_weight = np.concatenate([
+            np.ones(n_nodes), (self.weights[:, None] * self.counts).ravel()])
+        # stick rows: each agent's nodes, then each live node's slots per
+        # column, then one row of pads; `grid` holds each row's sticks after
+        # a leading pad, and a pad is -1: every array it indexes ends in a 0
+        width = max(int(z.max()), smax)
+        step = np.arange(width)
+        live_nodes = np.flatnonzero(alive)
+        length = np.concatenate([z, np.repeat(
+            n_slots[agent_of_node[live_nodes]], n_cols), [0]])
+        seq = np.concatenate([
+            self.offsets[:-1, None] + step,
+            (n_nodes + (starts[live_nodes, None, None] + step) * n_cols
+             + col[:, None]).reshape(-1, width), [step]])
+        seq[step >= length[:, None]] = -1
+        self.grid = np.hstack([np.full((len(seq), 1), -1), seq])
+        row, at = np.nonzero(seq >= 0)
+        stick = seq[row, at]
+        self.not_last = np.ones(f)
+        self.not_last[stick[at == length[row] - 1]] = 0.0
+        # cumulative sums along a grid row give at column j the sum of the
+        # row's first j sticks, and along the row reversed, at column
+        # width - 1 - j, the sum of its sticks from j on; a dropped node's
+        # entry reads the row of pads
+        self.prefix_cell, self.tail_cell = np.full((2, f), self.grid.size - 1)
+        self.prefix_cell[stick] = row * (width + 1) + at
+        self.tail_cell[stick] = row * (width + 1) + width - 1 - at
+        # the point estimate's gathers from [stick logs, pi logs, -inf]
+        lane = np.full(n_nodes, -1)
+        for n, nodes in enumerate(self.live):
+            lane[self.offsets[n] + nodes] = np.arange(nodes.size)
+        self.eta_map = np.full((z.size, lanes), -1)
+        self.eta_map[agent_of_node[alive], lane[alive]] = live_nodes
+        self.pi_map = np.full((z.size, lanes, n_actions), -1)
+        self.pi_map[agent_of_node[alive], lane[alive]] = \
+            f + live_nodes[:, None] * n_actions + np.arange(n_actions)
+        omega_map = np.full((z.size, lanes, n_actions * n_obs, lanes), -1)
+        for n, (nodes, sl) in enumerate(zip(self.live, self.slots)):
+            entry = starts[self.offsets[n] + nodes, None] \
+                + sl.slot_of[nodes]
+            omega_map[n, :nodes.size, :, :nodes.size] = n_nodes + (
+                entry[:, None, :] * n_cols + self.expand[:, None])
+        self.omega_map = omega_map.reshape(z.size, lanes, n_actions, n_obs,
+                                           lanes)
+        self.lane_real = np.arange(lanes) < self.n_live[:, None]
+        self.gather, self.occupancy = self.gather_index(
+            [np.arange(nodes.size) for nodes in self.live], lanes)
+
+    def split(self, x):
+        """`Sticks` views of a flat buffer of this layout."""
+        nn, f = self.n_nodes, self.n_sticks
+        p = nn * self.n_actions
+        first, second = x[:f], x[f + p:2 * f + p]
+        return Sticks(first=first, phi=x[f:f + p].reshape(nn, -1),
+                      second=second, total=x[2 * f + p:3 * f + p],
+                      phisum=x[3 * f + p:].reshape(nn, 1),
+                      delta=first[:nn], sigma=first[nn:].reshape(
+                          self.n_entries, -1),
+                      mu=second[:nn], lam=second[nn:].reshape(
+                          self.n_entries, -1))
+
+    def _accumulator_shapes(self, lanes):
+        n, a, c = self.n_agents, self.n_actions, self.counts.size
+        return [(n, lanes), (n, lanes), (n, a, lanes), (n, c, lanes, lanes)]
+
+    def accumulators(self, lanes):
+        """Zeroed accumulators of a sweep over `lanes` lanes per agent:
+        delta (N, L), occupancy (N, L), phi (N, A, L) and sigma (N, C, L,
+        L), views of one flat buffer, returned last, whose last entry is
+        never written."""
+        shapes = self._accumulator_shapes(lanes)
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes])
+        buf = np.zeros(ends[-1] + 1)
+        return [buf[i:j].reshape(s) for i, j, s in
+                zip(ends[:-1], ends[1:], shapes)] + [buf]
+
+    def gather_index(self, lanes, n_lanes):
+        """Where the `accumulators` over `n_lanes` lanes hold each live
+        node's masses, `lanes[n]` being the lanes of agent n's live nodes:
+        the index of every first stick parameter and phi entry, then -1,
+        and the index of every node's occupancy; -1 reads the buffer's
+        last entry, 0, for everything a dropped node holds."""
+        n, a, c = self.n_agents, self.n_actions, self.counts.size
+        ends = np.cumsum([math.prod(s)
+                          for s in self._accumulator_shapes(n_lanes)])
+        lane = np.full(self.n_nodes + 1, -1)  # the last: no destination
+        for k, nodes in enumerate(self.live):
+            lane[self.offsets[k] + nodes] = lanes[k]
+        node, agent = lane[:-1], self.agent_of_node
+        src, dst = lane[self.rows], lane[self.dest_node]
+        sigma = ends[2] + ((agent[self.rows, None] * c + np.arange(c))
+                           * n_lanes + src[:, None]) * n_lanes + dst[:, None]
+        phi = ends[1] + (agent[:, None] * a + np.arange(a)) * n_lanes \
+            + node[:, None]
+        index = np.concatenate([
+            np.where(node >= 0, agent * n_lanes + node, -1),
+            np.where(((src >= 0) & (dst >= 0))[:, None], sigma, -1).ravel(),
+            np.where(node[:, None] >= 0, phi, -1).ravel(), [-1]])
+        return index, np.where(node >= 0, ends[0] + agent * n_lanes + node,
+                               -1)
+
+    def fill(self, states):
+        """A flat buffer of this layout holding the states' parameters (a
+        dropped destination's sigma and lam taken from the first node of
+        its slot, a dropped source's from destination 0); the sums are
+        taken by `stick_digammas`."""
+        x = np.empty(self.size)
+        v = self.split(x)
+        for n, st in enumerate(states):
+            nodes = slice(self.offsets[n], self.offsets[n + 1])
+            v.delta[nodes], v.mu[nodes], v.phi[nodes] = \
+                st.delta, st.mu, st.phi
+            ent = slice(self.entry_offsets[n], self.entry_offsets[n + 1])
+            z = self.node_counts[n]
+            src = self.rows[ent, None] - self.offsets[n]
+            for part, full in ((v.sigma, st.sigma), (v.lam, st.lam)):
+                part[ent] = np.reshape(full, (z, -1, z))[
+                    src, self.columns, self.dest[ent, None]]
+        return x
+
+    def entries(self, agent):
+        """(Z, Z) entry holding each (source, destination) stick of one
+        agent's omega."""
+        sl, start = self.slots[agent], self.offsets[agent]
+        entry = self.starts[start:start + sl.slot_of.size, None] \
+            + np.zeros_like(sl.slot_of)
+        entry[sl.live] += sl.slot_of
+        return entry
 
 
-def stick_digammas(state, sigma, lam, slots, expand, digamma_fn=None):
-    """`FactorDigammas` of the eta and pi factors of `state` and of the
-    omega stick entries `sigma` and `lam`, laid out as `slots` says."""
-    psi = digamma_fn or digamma
-    delta, mu, phi = (np.asarray(v, dtype=float)
-                      for v in (state.delta, state.mu, state.phi))
-    return FactorDigammas((psi(delta), psi(mu), psi(delta + mu)),
-                          (psi(sigma), psi(lam), psi(sigma + lam)),
-                          (psi(phi), psi(phi.sum(axis=1, keepdims=True))),
-                          expand, slots)
+def stick_digammas(x, layout, digamma_fn=None):
+    """`FactorDigammas` of a flat buffer of `layout`, whose parameters are
+    set; the sticks' sums and phi's row sums are taken here first."""
+    v = layout.split(x)
+    np.add(v.first, v.second, out=v.total)
+    np.sum(v.phi, axis=1, keepdims=True, out=v.phisum)
+    psi = layout.split((digamma_fn or digamma)(x))
+    log_rest = np.zeros(layout.n_sticks + 1)
+    np.subtract(psi.second, psi.total, out=log_rest[:-1])
+    log_rest[:-1] *= layout.stick_weight
+    return FactorDigammas(*psi, log_rest, layout)
 
 
 def point_estimate(state, psi=None):
@@ -365,27 +570,36 @@ def point_estimate(state, psi=None):
 
     `state` carries delta, mu (per-node stick Betas for eta), sigma, lam
     (per-(i,a,o,j) stick Betas for omega) and phi (per-node Dirichlets for
-    pi), and optionally `visited` (see `omega_columns`). `psi` is the
-    state's `FactorDigammas`, computed here, every node live, when not
-    given. The estimate covers the kernel-live nodes `psi.slots.live`.
-    Entries are exp of expected log-probabilities, hence sub-probabilities;
-    no renormalization is applied.
+    pi), and optionally `visited` (see `omega_columns`); its estimate
+    covers every node. Given `psi`, the `FactorDigammas` of a learner
+    kernel, the estimate is instead that kernel's, over each agent's
+    kernel-live nodes, stacked and zero-padded as `forward` takes it, from
+    one `exp` and three gathers. Entries are exp of expected
+    log-probabilities, hence sub-probabilities; no renormalization is
+    applied.
     """
     if psi is None:
-        columns, expand, _ = omega_columns(state)
         z = np.size(state.delta)
-        psi = stick_digammas(state, *omega_entries(state, columns),
-                             node_slots(np.arange(z), z), expand)
-    live, slot_of, counts = psi.slots[:3]
-    n = live.size * counts.size
-    eta = np.exp(_stick_logs(*psi.eta))[live]
-    pi = np.exp(psi.pi[0] - psi.pi[1])[live]
-    sticks = (np.reshape(p[:n], (live.size, counts.size, -1))
-              .transpose(0, 2, 1) for p in psi.omega)
-    omega = np.exp(_stick_logs(*sticks, counts))[..., slot_of[live]]
-    _, n_actions, n_obs, _ = np.shape(state.sigma)
-    return PointEstimate(eta=eta, pi=pi, omega=omega[:, psi.expand].reshape(
-        live.size, n_actions, n_obs, live.size))
+        _, n_actions, n_obs, _ = np.shape(state.sigma)
+        layout = KernelLayout([z], [np.arange(z)], omega_columns(
+            getattr(state, "visited", None), n_actions, n_obs),
+            n_actions, n_obs)
+        est = point_estimate(None, stick_digammas(layout.fill([state]),
+                                                  layout))
+        return PointEstimate(eta=est.eta[0], pi=est.pi[0],
+                             omega=est.omega[0])
+    lay = psi.layout
+    f = lay.n_sticks
+    logp = np.empty(f + psi.phi.size + 1)
+    logp[-1] = -np.inf  # what a pad, -1, reads
+    np.subtract(psi.first, psi.total, out=logp[:f])
+    logp[:f] *= lay.not_last
+    logp[:f] += psi.log_rest[lay.grid].cumsum(axis=1).ravel()[
+        lay.prefix_cell]
+    np.subtract(psi.phi, psi.phisum, out=logp[f:-1].reshape(psi.phi.shape))
+    p = np.exp(logp)
+    return PointEstimate(eta=p[lay.eta_map], pi=p[lay.pi_map],
+                         omega=p[lay.omega_map])
 
 
 def prune(policy, occupancy, mass_epsilon=1e-3):

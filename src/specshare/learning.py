@@ -4,33 +4,41 @@ The importance-weighted discounted return of the candidate policy acts as
 the likelihood; stick-breaking Beta/Gamma priors over controller rows act
 as the prior; coordinate ascent over the factorized posterior maximizes
 the evidence lower bound. Node-path posteriors for every episode prefix
-come from one forward and one O(T) backward pass per agent over the
-whole batch. Each iteration takes each digamma once (`_Shared`) and checks
-each argument once, so the special functions skip the per-call check.
+come from one forward and one O(T) backward pass over the whole batch.
+
+One kernel (`_Kernel`) holds every agent's factors for a run, in flat
+buffers laid out by `fsc.KernelLayout`, so each step of an iteration runs
+once for all agents: the stacked forward pass and sweep over all N K
+episode rows, the accumulation, one domain check of the parameters, one
+digamma call on all of them, the rates b and h, one `exp` for the point
+estimates and one pass per term of the bound. Steps that follow each
+agent's own nodes go through the layout's padded index maps; a pad adds
+exact zeros, so the arithmetic differs from one agent at a time only in
+summation order, and the number of numpy calls per iteration does not
+depend on the number of agents.
 
 Kernel-live compaction. The stick-breaking prior empties most nodes
-within a few iterations, and the kernel shrinks with them: after an
-agent's sweep, a node whose share of the agent's occupancy mass is below
-`_DROP_SHARE` = 2^-100 leaves that agent's kernel for the rest of the
-run. The path weights sum to K, so the occupancy mass is at most K T and
-every accumulation x the node feeds, divided by K, is at most 2^-100 T.
-Each sum it enters holds a term many orders larger: delta = 1 + x,
-phi = theta + x, sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is
-below half an ulp of the sum: the node's delta, sigma and phi are exactly
-1, 1 and theta, and the lam of its run of dropped neighbours is one value.
-Its share of any prefix likelihood is bounded by the same occupancy, so
-the forward scales do not move either. From then on `fsc.forward`, the sweep,
-the accumulation and the point estimate run on the live sub-controller;
-once it is one node, `fsc.forward` and the sweep take closed forms in place
-of their steps through time.
-The omega sticks are held as entries over the kept columns
-(`fsc.NodeSlots`): one per live source and destination slot, where a run
-of dropped destinations between live ones is one slot weighted by its
-length, and one per dropped source, standing for all its destinations
-(sigma = 1, lam = a/b); dropped sources keep their own b and their terms
-in the bound. `VariationalState` keeps the full truncation; `learn`
-writes the held sticks and rates b back to it at the end of the run. With
-every node live the same code is the uncompacted kernel.
+within a few iterations, and the kernel shrinks with them: after the
+sweep, a node whose share of its agent's occupancy mass is below
+`_DROP_SHARE` = 2^-100 leaves the kernel for the rest of the run. The
+path weights sum to K, so the occupancy mass is at most K T and every
+accumulation x the node feeds, divided by K, is at most 2^-100 T. Each sum
+it enters holds a term many orders larger: delta = 1 + x, phi = theta + x,
+sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is below half an ulp
+of the sum: the node's delta, sigma and phi are exactly 1, 1 and theta,
+and the lam of its run of dropped neighbours is one value. Its share of
+any prefix likelihood is bounded by the same occupancy, so the forward
+scales do not move either. From then on `fsc.forward`, the sweep, the
+accumulation and the point estimate run on the live sub-controllers; once
+every agent is at one node, `fsc.forward` and the sweep take closed forms
+in place of their steps through time. The omega sticks are held as
+entries over the kept columns (`fsc.NodeSlots`): one per live source and
+destination slot, where a run of dropped destinations between live ones
+is one slot weighted by its length, and one per dropped source, standing
+for all its destinations (sigma = 1, lam = a/b); dropped sources keep
+their own b and their terms in the bound. `VariationalState` keeps the
+full truncation; `learn` writes the kernel back to it at the end of the
+run. With every node live the same code is the uncompacted kernel.
 """
 
 import math
@@ -42,18 +50,18 @@ import numpy as np
 
 from .batch import EpisodeBatch
 from .distributions import _special_function, check_discount
-from .fsc import (DEFAULT_OBS_BINS, FscPolicy, forward, init_from_episodes,
-                  node_slots, omega_columns, omega_entries, point_estimate,
-                  prune, stick_digammas)
+from .fsc import (DEFAULT_OBS_BINS, FscPolicy, KernelLayout, PointEstimate,
+                  forward, init_from_episodes, omega_columns, point_estimate,
+                  prune, stack_policies, stick_digammas)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
-# not called, and digamma and gammaln skip the domain check, because
-# VariationalState.assert_positive checks every argument once per iteration
+# not called, and digamma and gammaln skip the domain check, because the
+# kernel checks every argument once per iteration
 from .fsc import log_history_likelihoods  # noqa: F401
 digamma = partial(_special_function, "digamma", check=False)
 gammaln = partial(_special_function, "gammaln", check=False)
 
 # A node whose share of its agent's occupancy falls below this leaves the
-# agent's kernel for the rest of the run (see the module docstring)
+# kernel for the rest of the run (see the module docstring)
 _DROP_SHARE = 2.0 ** -100
 
 
@@ -135,52 +143,111 @@ def _assert_positive(owner, names):
                                      "variational parameter %s" % name)
 
 
-class _Shared:
-    """One agent's kernel for a run: what its updates, point estimate and
-    bound read. `layout` (`fsc.omega_columns`) and `slots` (`fsc.NodeSlots`,
-    the kernel-live nodes) say which omega sticks it holds; `sigma` and
-    `lam` are their entries, and `b`, (Z, columns), holds the rates b on
-    the kept columns. The a and g terms are fixed for a run as a = c + Z
-    and g = e + Z, and `psi` is taken by `refresh` after every update.
-    Built from a state, every node is live; the state's own sigma, lam and
-    b are written by `store`."""
+class _Kernel:
+    """Every agent's factors for a run: what the updates, point estimates
+    and bound read, in the flat buffers of `layout` (`fsc.KernelLayout`).
 
-    def __init__(self, state, hyper):
-        state.assert_positive(("a", "b", "g", "h"))
-        self.layout = omega_columns(state)
-        z = state.node_count
-        self.slots = node_slots(np.arange(z), z)
-        self.sigma, self.lam = omega_entries(state, self.layout[0])
-        self.b = state.b.reshape(z, -1)[:, self.layout[0]]
-        self.psi_g, self.psi_a = digamma(state.g), digamma(state.a)
-        self.lgamma_g, self.lgamma_a = gammaln(state.g), gammaln(state.a)
-        self.lgamma_e, self.lgamma_c = gammaln(hyper.e), gammaln(hyper.c)
-        self.refresh(state)
+    `x` holds the sticks and phi (`sticks` are its views) and `psi` their
+    `fsc.FactorDigammas`; `rates` holds b on the kept columns (`b`, one
+    row per node) and h per agent (`h`). Each rate comes with the terms of
+    its Gamma factor, which are fixed for a run: the shape (a = c + Z or
+    g = e + Z), its digamma and log-gamma, and the prior's c, d or e, f.
+    Built from states, every node is live; the states' own parameters are
+    written by `store`. Given a batch, the kernel also holds its action
+    indices and the kept column of every transition.
+    """
 
-    def refresh(self, state):
-        state.assert_positive(("delta", "mu", "phi"))
-        _assert_positive(self, ("sigma", "lam"))
-        self.psi = stick_digammas(state, self.sigma, self.lam, self.slots,
-                                  self.layout[1], digamma)
+    def __init__(self, states, hyper, batch=None):
+        for st in states:
+            st.assert_positive(("a", "b", "g", "h"))
+        self.hyper = hyper
+        _, n_actions, n_obs, _ = np.shape(states[0].sigma)
+        visited = [st.visited for st in states]
+        self.columns = omega_columns(
+            None if any(v is None for v in visited)
+            else np.logical_or.reduce(visited), n_actions, n_obs)
+        z = [st.node_count for st in states]
+        self.layout = KernelLayout(z, [np.arange(n) for n in z],
+                                   self.columns, n_actions, n_obs)
+        self._allocate(self.layout.fill(states))
+        lay, n_cols = self.layout, self.columns[2].size
+        self.b = np.concatenate([np.reshape(st.b, (st.node_count, -1))[
+            :, self.columns[0]] for st in states])
+        self.rates = np.concatenate([self.b.ravel(), [st.h for st in states]])
+        self.b, self.h = (self.rates[:self.b.size].reshape(self.b.shape),
+                          self.rates[self.b.size:])
+        self.g, self.a = (np.array([float(getattr(st, name)) for st in states])
+                          for name in ("g", "a"))
+        psi_g, psi_a = np.split(digamma(np.concatenate([self.g, self.a])), 2)
+        lgamma = gammaln(np.concatenate([self.g, self.a,
+                                         [hyper.c, hyper.e]]))
+        lgamma_g, lgamma_a = np.split(lgamma[:-2], 2)
 
-    def store(self, state):
-        """Write the held sticks and rates to the state's full sigma, lam
-        and b: a dropped destination takes its slot's entry, a dropped
-        source node its one entry and every column its kept column's."""
-        live, slot_of, counts, rows, _, starts = self.slots
-        n = live.size * counts.size
-        entry = np.empty((slot_of.size, slot_of.size), dtype=int)
-        entry[live] = starts[:live.size, None] + slot_of
-        entry[rows[n:]] = np.arange(n, rows.size)[:, None]
-        shape = state.sigma.shape
-        state.sigma, state.lam = (
-            x[entry][..., self.layout[1]].transpose(0, 2, 1).reshape(shape)
-            for x in (self.sigma, self.lam))
-        state.b = self.b[:, self.layout[1]].reshape(state.b.shape)
+        def per_rate(omega_value, eta_value):  # per node's b, then per h
+            return np.concatenate([
+                np.repeat(np.broadcast_to(omega_value, lay.n_nodes), n_cols),
+                np.broadcast_to(eta_value, len(z))])
+        node_a = lay.agent_of_node
+        self.shape_q = per_rate(self.a[node_a], self.g)
+        self.psi_q = per_rate(psi_a[node_a], psi_g)
+        self.lgamma_q = per_rate(lgamma_a[node_a], lgamma_g)
+        shape_p = per_rate(hyper.c, hyper.e)
+        rate_p = per_rate(hyper.d, hyper.f)
+        self.prior_q = shape_p * np.log(rate_p) - per_rate(*lgamma[-2:])
+        self.shape_p1 = shape_p - 1.0
+        self.rate_shape = rate_p * self.shape_q
+        self.weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
+                                        np.ones(len(z))])
+        self.refresh()
+        if batch is not None:
+            self.actions, self.obs_bins = batch.actions, batch.obs_bins
+            self.size = batch.size
+            self.transitions = self.columns[1][
+                batch.actions[..., :-1] * n_obs + batch.obs_bins]
+
+    def _allocate(self, x):
+        self.x, self.sticks = x, self.layout.split(x)
+        lay = self.layout
+        self.accumulators = lay.accumulators(lay.n_lanes)
+        self.base = np.concatenate([np.ones(lay.n_sticks), np.full(
+            lay.n_nodes * lay.n_actions, self.hyper.theta)])
+
+    def relayout(self, live):
+        """Hold only the nodes `live` (per agent) from now on; the sticks and
+        phi are to be set before the next `refresh`."""
+        lay = self.layout
+        self.layout = KernelLayout(lay.node_counts, live, self.columns,
+                                   lay.n_actions, lay.n_obs)
+        self._allocate(np.empty(self.layout.size))
+
+    def refresh(self):
+        """Check the sticks and phi once, then take their digammas."""
+        params = self.x[:self.layout.n_params]
+        if not (params.min() > 0.0 and params.max() < math.inf):
+            _assert_positive(self.sticks, ("delta", "mu", "phi", "sigma",
+                                           "lam"))
+        self.psi = stick_digammas(self.x, self.layout, digamma)
+
+    def store(self, states):
+        """Write the kernel to the states: a dropped destination takes its
+        slot's entry, a dropped source node its one entry and every column
+        its kept column's."""
+        lay, v, expand = self.layout, self.sticks, self.columns[1]
+        for n, st in enumerate(states):
+            nodes = slice(lay.offsets[n], lay.offsets[n + 1])
+            st.delta, st.mu, st.phi = (x[nodes].copy()
+                                       for x in (v.delta, v.mu, v.phi))
+            st.h = float(self.h[n])
+            entry = lay.entries(n)
+            shape = np.shape(st.sigma)
+            st.sigma, st.lam = (
+                x[entry][..., expand].transpose(0, 2, 1).reshape(shape)
+                for x in (v.sigma, v.lam))
+            st.b = self.b[nodes][:, expand].reshape(np.shape(st.b))
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
-# path weights; alpha_hat: per agent, the target's (K, t, Z) tables
+# path weights; alpha_hat: the target's (N, K, t, Z) stacked tables
 ReweightedRewards = namedtuple("ReweightedRewards", "value nu alpha_hat")
 
 
@@ -235,24 +302,23 @@ def node_marginals(policy, action_idx, obs_bins, t):
     alpha_hat, _ = forward(policy, aidx, obins)
     nu = np.zeros((1, t + 1))
     nu[0, t] = 1.0
-    occ, pair = _sweep_agent(policy, aidx, obins, nu, alpha_hat)
+    occ, pair = _sweep(policy, aidx, obins, nu, alpha_hat)
     return occ[0], pair[0, 1:]
 
 
 def _log_prefix(batch, policies):
     """Cumulative log joint likelihood per (episode, t) of the batch,
-    summed over agents, and each agent's scaled forward tables."""
-    passes = [forward(pol, batch.actions[n], batch.obs_bins[n])
-              for n, pol in enumerate(policies)]
-    logp = np.sum([np.cumsum(log_scale, axis=1) for _, log_scale in passes],
-                  axis=0)
-    return logp, [table for table, _ in passes]
+    summed over agents, and the stacked scaled forward tables, from one
+    forward pass over every agent's episodes."""
+    alpha_hat, log_scale = forward(stack_policies(policies), batch.actions,
+                                   batch.obs_bins)
+    return np.cumsum(log_scale, axis=2).sum(axis=0), alpha_hat
 
 
 def _return_terms(batch, target, behavior, r_min, gamma):
     """The empirical value, each (episode, t) return term (importance ratio
-    times shifted discounted reward) and the target's scaled forward tables
-    per agent.
+    times shifted discounted reward) and the target's stacked scaled
+    forward tables.
 
     Behaviour policies, when given, run through the same forward call as
     the target, so equal policies cancel exactly; otherwise the per-step
@@ -288,7 +354,8 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
 def reweighted(batch, estimates, r_min, gamma):
     """Posterior path weights of an `EpisodeBatch`, one (K, t) block, plus
     the value they normalize by; the behaviour probabilities are the stored
-    ones."""
+    ones. `estimates` are per-agent point estimates or controllers, or one
+    stacked estimate (`fsc.stack_policies`)."""
     value, terms, alpha_hat = _return_terms(batch, estimates, None, r_min,
                                             gamma)
     if not value > 0.0:
@@ -297,174 +364,169 @@ def reweighted(batch, estimates, r_min, gamma):
                              alpha_hat=alpha_hat)
 
 
-def _sweep_agent(estimate, aidx, obins, nu, ahat):
-    """nu-weighted posterior node statistics for one agent over a block of
-    equal-length episodes.
+def _sweep(estimate, aidx, obins, nu, ahat):
+    """nu-weighted posterior node statistics over a block of equal-length
+    episodes, for one agent or stacked over agents as in `fsc.forward`.
 
     `aidx` (K, t1) and `obins` (K, t1 - 1) index the episodes, `nu`
     (K, t1) holds their path weights and `ahat` (K, t1, Z) their scaled
-    forward tables from `forward`. Returns (occ, pair): occ[k, tau, i]
-    sums the singleton marginals of z_tau over every prefix endpoint
-    t >= tau, each weighted by nu[k, t]; pair[k, tau] (tau >= 1) likewise
-    sums the weighted pairwise marginals coupling z_{tau-1} and z_tau.
-    All endpoints share one reward-to-go recursion (Toussaint & Storkey
-    2006): G_tau = nu_tau + M_tau G_{tau+1} / c_{tau+1}, with M_tau[i, j] =
-    omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}] and the forward scale
-    c_{tau+1} = sum(ahat_tau M_tau); occ_tau = ahat_tau G_tau and
-    pair_{tau+1}[i, j] = ahat_tau[i] M_tau[i, j] G_{tau+1}[j] / c_{tau+1}.
-    With one node ahat is all ones and M_tau = c_{tau+1}, so G is the
-    reverse cumulative sum of nu, occ = G and pair_{tau+1} = G_{tau+1};
-    the recursion's M (G / c) differs from these by about an ulp.
+    forward tables from `forward`; a stacked estimate takes (N, K, t1),
+    (N, K, t1 - 1) and (N, K, t1, Z), and the same `nu`. Returns (occ,
+    pair): occ[k, tau, i] sums the singleton marginals of z_tau over every
+    prefix endpoint t >= tau, each weighted by nu[k, t]; pair[k, tau]
+    (tau >= 1) likewise sums the weighted pairwise marginals coupling
+    z_{tau-1} and z_tau. All endpoints share one reward-to-go recursion
+    (Toussaint & Storkey 2006): G_tau = nu_tau + M_tau G_{tau+1} /
+    c_{tau+1}, with M_tau[i, j] = omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}]
+    and the forward scale c_{tau+1} = sum(ahat_tau M_tau); occ_tau = ahat_tau
+    G_tau and pair_{tau+1}[i, j] = ahat_tau[i] M_tau[i, j] G_{tau+1}[j] /
+    c_{tau+1}. With one node ahat is all ones and M_tau = c_{tau+1}, so G
+    is the reverse cumulative sum of nu, the same for every agent, occ = G
+    and pair_{tau+1} = G_{tau+1}; the recursion's M (G / c) differs from
+    these by about an ulp. A non-finite G raises FloatingPointError.
     """
-    k, t1, z = ahat.shape
+    single = np.ndim(estimate.eta) == 1
+    if single:
+        estimate = PointEstimate(*(np.asarray(x)[None] for x in (
+            estimate.eta, estimate.pi, estimate.omega)))
+        aidx, obins, ahat = aidx[None], obins[None], ahat[None]
+    n, k, t1, z = ahat.shape
     if z == 1:
-        to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1, None]
-        pair = np.zeros((k, t1, 1, 1))
-        pair[:, 1:, 0] = to_go[:, 1:]
-        return to_go, pair
-    m = estimate.omega.transpose(1, 2, 0, 3)[aidx[:, :-1], obins] \
-        * estimate.pi.T[aidx[:, 1:]][:, :, None, :]
-    scale = (ahat[:, :-1, None, :] @ m)[:, :, 0].sum(axis=-1)
-    to_go = np.empty((k, t1, z))
-    to_go[:, -1] = nu[:, -1:]
-    for tau in range(t1 - 2, -1, -1):
-        after = to_go[:, tau + 1] / scale[:, tau, None]
-        to_go[:, tau] = nu[:, tau, None] \
-            + (m[:, tau] @ after[..., None])[..., 0]
-    pair = np.zeros((k, t1, z, z))
-    pair[:, 1:] = ahat[:, :-1, :, None] * m \
-        * (to_go[:, 1:] / scale[..., None])[:, :, None, :]
-    return ahat * to_go, pair
+        to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1]
+        _check_finite(to_go, "node sweep")
+        occ = np.repeat(to_go[None, :, :, None], n, axis=0)
+        pair = np.zeros((n, k, t1, 1, 1))
+        pair[:, :, 1:, 0, 0] = to_go[:, 1:]
+    else:
+        agent = np.arange(n)[:, None, None]
+        m = estimate.omega.transpose(0, 2, 3, 1, 4)[
+            agent, aidx[..., :-1], obins] * estimate.pi.transpose(
+                0, 2, 1)[agent, aidx[..., 1:]][..., None, :]
+        scale = (ahat[:, :, :-1, None, :] @ m)[..., 0, :].sum(axis=-1)
+        to_go = np.empty((n, k, t1, z))
+        to_go[:, :, -1] = nu[:, -1:]
+        for tau in range(t1 - 2, -1, -1):
+            after = to_go[:, :, tau + 1] / scale[:, :, tau, None]
+            to_go[:, :, tau] = nu[:, tau, None] \
+                + (m[:, :, tau] @ after[..., None])[..., 0]
+        _check_finite(to_go, "node sweep")
+        pair = np.zeros((n, k, t1, z, z))
+        pair[:, :, 1:] = ahat[:, :, :-1, :, None] * m \
+            * (to_go[:, :, 1:] / scale[..., None])[..., None, :]
+        occ = ahat * to_go
+    if single:
+        return occ[0], pair[0]
+    return occ, pair
 
 
-def _update_agent(state, estimate, batch, agent, rw, hyper, shared):
-    """One coordinate sweep of a single agent's factors.
+def _check_finite(table, name):
+    if not np.isfinite(table).all():
+        raise FloatingPointError("%s is not finite" % name)
 
-    `rw` holds the path weights and forward tables that `reweighted`
-    computed at `estimate`, a point estimate of the kernel-live nodes.
-    `shared` is the agent's `_Shared` kernel, which holds the omega sticks
-    and the rates b (`_Shared.store` writes them to the state). A node
-    whose occupancy share this sweep is below `_DROP_SHARE` leaves the
-    kernel before the factors are set; only then are the accumulations
-    re-indexed.
 
-    Order: action rows, then omega sticks (using the previous omega
-    concentrations), then eta sticks (using the previous eta
-    concentration), then the rates b and h of both concentrations; their
-    shapes a and g keep the values the state was built with. Returns the
-    per-node occupancy mass accumulated this sweep, 0.0 at every dropped
-    node.
+def _update_agent(kernel, estimate, rw):
+    """One coordinate sweep of every agent's factors, in one pass over the
+    kernel (the name is the traced span's).
+
+    `rw` holds the path weights and stacked forward tables that
+    `reweighted` computed at `estimate`, the kernel's stacked point
+    estimate. A node whose occupancy share this sweep is below
+    `_DROP_SHARE` leaves the kernel before the factors are set; only then
+    is the layout built again, and the accumulations read through the old
+    lanes once.
+
+    Order: action rows, omega sticks (using the previous omega
+    concentrations) and eta sticks (using the previous eta concentrations),
+    then the rates b and h of both concentrations; their shapes a and g
+    keep the values the states were built with. Returns the occupancy mass
+    of every node accumulated this sweep, 0.0 at every dropped node.
     """
-    z = state.node_count
-    n_actions, n_obs = state.phi.shape[1], state.sigma.shape[2]
-    columns, expand, _ = shared.layout
-    n_live = shared.slots.live.size
-    k = batch.size
-    aidx, obins = batch.actions[agent], batch.obs_bins[agent]
-    occ, pair = _sweep_agent(estimate, aidx, obins, rw.nu,
-                             rw.alpha_hat[agent])
-    delta_acc = occ[:, 0].sum(axis=0)
-    occ_acc = occ.sum(axis=(0, 1))
-    phi_acc = np.zeros((n_actions, n_live))
-    sigma_acc = np.zeros((columns.size, n_live, n_live))
-    np.add.at(phi_acc, aidx, occ)
-    np.add.at(sigma_acc, expand[aidx[:, :-1] * n_obs + obins], pair[:, 1:])
-    keep = ~(occ_acc < _DROP_SHARE * occ_acc.sum())
-    if not keep.all():  # a dropped node never returns
-        shared.slots = node_slots(shared.slots.live[keep], z)
-        occ_acc, delta_acc = occ_acc[keep], delta_acc[keep]
-        phi_acc, sigma_acc = phi_acc[:, keep], sigma_acc[:, keep][:, :, keep]
-    live, slot_of, counts, rows, weights, starts = shared.slots
-    occ_total, delta_full = np.zeros(z), np.zeros(z)
-    occ_total[live], delta_full[live] = occ_acc, delta_acc
-    phi_full = np.zeros((z, n_actions))
-    phi_full[live] = phi_acc.T
-    state.phi = hyper.theta + phi_full / k
-    # omega sticks: lam adds the mass of heavier-indexed destination slots
-    n = live.size * counts.size
-    mass, tail = np.zeros((2, rows.size, columns.size))
-    live_mass = mass[:n].reshape(live.size, counts.size, -1)
-    live_mass[:, slot_of[live]] = sigma_acc.transpose(1, 2, 0)
-    tail[:n] = (live_mass[:, ::-1].cumsum(axis=1)[:, ::-1]
-                - live_mass).reshape(n, -1)
-    b = shared.b
-    shared.sigma = 1.0 + mass / k
-    shared.lam = (state.a / b)[rows] + tail / k
-    tail_delta = delta_full[::-1].cumsum()[::-1] - delta_full
-    state.delta = 1.0 + delta_full / k
-    state.mu = state.g / state.h + tail_delta / k
-    shared.refresh(state)
-    _, psi_mu, psi_delta_mu = shared.psi.eta
-    _, psi_lam, psi_sigma_lam = shared.psi.omega
-    b[rows[starts]] = np.maximum(hyper.d - np.add.reduceat(
-        (psi_lam - psi_sigma_lam) * weights[:, None], starts), 1e-6)
-    _assert_positive(shared, ("b",))
-    state.h = max(hyper.f - float(np.sum(psi_mu - psi_delta_mu)), 1e-6)
-    state.assert_positive(("h",))
-    return occ_total
+    lay, hyper = kernel.layout, kernel.hyper
+    occ, pair = _sweep(estimate, kernel.actions, kernel.obs_bins, rw.nu,
+                       rw.alpha_hat)
+    lanes = occ.shape[-1]
+    delta_acc, occ_acc, phi_acc, sigma_acc, acc = kernel.accumulators
+    acc.fill(0.0)
+    agent = np.arange(lay.n_agents)[:, None, None]
+    occ[:, :, 0].sum(axis=1, out=delta_acc)
+    occ.sum(axis=(1, 2), out=occ_acc)
+    np.add.at(phi_acc, (agent, kernel.actions), occ)
+    np.add.at(sigma_acc, (agent, kernel.transitions), pair[:, :, 1:])
+    gather, occ_index = lay.gather, lay.occupancy
+    drop = (occ_acc < _DROP_SHARE * occ_acc.sum(axis=1, keepdims=True)) \
+        & lay.lane_real
+    if drop.any():  # a dropped node never returns
+        kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
+        kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
+        lay = kernel.layout
+        gather, occ_index = lay.gather_index(kept, lanes)
+    # each stick's and phi entry's mass, then the mass of the heavier
+    # sticks of its row: lam and mu add it to the concentration's mean
+    mass = acc[gather]
+    tail = mass[lay.grid][:, ::-1].cumsum(axis=1).ravel()[lay.tail_cell]
+    f, k, v = lay.n_sticks, kernel.size, kernel.sticks
+    np.add(kernel.base, mass[:-1] / k, out=kernel.x[:f + v.phi.size])
+    tail -= mass[:f]
+    tail /= k
+    np.add((kernel.shape_q / kernel.rates)[lay.rate_of], tail, out=v.second)
+    kernel.refresh()
+    rest = kernel.psi.log_rest
+    np.subtract(hyper.d, np.add.reduceat(
+        rest[lay.n_nodes:f].reshape(lay.n_entries, -1), lay.starts),
+        out=kernel.b)
+    np.subtract(hyper.f, np.add.reduceat(rest[:lay.n_nodes],
+                                         lay.offsets[:-1]), out=kernel.h)
+    np.maximum(kernel.rates, 1e-6, out=kernel.rates)
+    if not (kernel.rates.min() > 0.0 and kernel.rates.max() < math.inf):
+        _assert_positive(kernel, ("b", "h"))
+    return acc[occ_index]
 
 
-def _beta_term(first, second, psi, e_ln_conc, e_conc, weight=1.0):
-    """Weighted sum of E[ln Beta(x; 1, conc)] - E[ln q(x)],
-    q(x) = Beta(first, second), with the concentration's expected log and
-    mean under its own factor; `psi` is digamma of first, second and sum."""
-    psi_first, psi_second, psi_sum = psi
-    e_ln_x = psi_first - psi_sum
-    e_ln_1mx = psi_second - psi_sum
-    prior = e_ln_conc + (e_conc - 1.0) * e_ln_1mx
-    entropy = (gammaln(first + second) - gammaln(first) - gammaln(second)
-               + (first - 1.0) * e_ln_x + (second - 1.0) * e_ln_1mx)
-    return float(np.sum((prior - entropy) * weight))
-
-
-def _gamma_term(shape_p, rate_p, shape_q, rate_q, psi_q, lgamma_p, lgamma_q,
-                weight=1.0):
-    """Weighted sum of E[ln Gamma(x; shape_p, rate_p)] - E[ln q(x)], given
-    digamma(shape_q), gammaln(shape_p) and gammaln(shape_q)."""
-    e_ln = psi_q - np.log(rate_q)
-    prior = (shape_p * np.log(rate_p) - lgamma_p
-             + (shape_p - 1.0) * e_ln - rate_p * shape_q / rate_q)
-    entropy = (shape_q * np.log(rate_q) - lgamma_q
-               + (shape_q - 1.0) * e_ln - shape_q)
-    return float(np.sum((prior - entropy) * weight))
-
-
-def elbo(states, value, hyper, shared=None):
+def elbo(states, value, hyper, kernel=None):
     """Evidence lower bound at the current factors and point estimate.
 
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
-    every other factor contributes an analytic prior-minus-entropy term.
-    The omega terms are evaluated on the stick entries of each agent's
-    kernel, each weighted by the (column, source, destination) triples it
-    stands for. `shared` holds each state's `_Shared`, built (and the state
-    checked) here if absent.
+    every other factor contributes an analytic prior-minus-entropy term,
+    each taken in one pass over every agent: the Beta terms of all eta
+    and omega sticks, the Gamma terms of all concentrations and the
+    Dirichlet terms of all action rows. The omega sticks are the entries
+    of the kernel, each weighted by the (column, source, destination)
+    triples it stands for. `kernel` is the states' `_Kernel`, built (and
+    the states checked) here if absent.
     """
-    if shared is None:
-        shared = [_Shared(st, hyper) for st in states]
-    total = math.log(value)
-    for st, sh in zip(states, shared):
-        total += _beta_term(st.delta, st.mu, sh.psi.eta,
-                            sh.psi_g - math.log(st.h), st.g / st.h)
-        total += _gamma_term(hyper.e, hyper.f, st.g, st.h, sh.psi_g,
-                             sh.lgamma_e, sh.lgamma_g)
-        counts, b = sh.layout[2], sh.b
-        rows, weights = sh.slots.rows, sh.slots.weights
-        e_ln_alpha = sh.psi_a - np.log(b)
-        total += _beta_term(sh.sigma, sh.lam, sh.psi.omega, e_ln_alpha[rows],
-                            (st.a / b)[rows], weights[:, None] * counts)
-        total += _gamma_term(hyper.c, hyper.d, st.a, b, sh.psi_a,
-                             sh.lgamma_c, sh.lgamma_a, counts)
-        phi = st.phi
-        n_actions = phi.shape[1]
-        e_ln_pi = sh.psi.pi[0] - sh.psi.pi[1]
-        prior = (phi.shape[0] * (math.lgamma(n_actions * hyper.theta)
-                                 - n_actions * math.lgamma(hyper.theta))
-                 + float(np.sum((hyper.theta - 1.0) * e_ln_pi)))
-        entropy = float(np.sum(gammaln(phi.sum(axis=1))) - np.sum(gammaln(phi))
-                        + np.sum((phi - 1.0) * e_ln_pi))
-        total += prior - entropy
-    return total
+    if kernel is None:
+        kernel = _Kernel(states, hyper)
+    lay, psi, x = kernel.layout, kernel.psi, kernel.sticks
+    lg = lay.split(gammaln(kernel.x))
+    log_rate = np.log(kernel.rates)
+    e_ln_rate = kernel.psi_q - log_rate
+    # Beta sticks: E[ln Beta(u; 1, conc)] - E[ln q(u)], q = Beta(first,
+    # second), with the concentration's expected log and mean
+    e_ln_u = psi.first - psi.total
+    e_ln_1mu = psi.second - psi.total
+    prior = e_ln_rate[lay.rate_of] \
+        + ((kernel.shape_q / kernel.rates)[lay.rate_of] - 1.0) * e_ln_1mu
+    entropy = (lg.total - lg.first - lg.second + (x.first - 1.0) * e_ln_u
+               + (x.second - 1.0) * e_ln_1mu)
+    total = math.log(value) + float(np.sum((prior - entropy)
+                                           * lay.bound_weight))
+    # Gamma concentrations: E[ln Gamma(x; c or e, d or f)] - E[ln q(x)],
+    # q = Gamma(a or g, b or h)
+    prior = kernel.prior_q + kernel.shape_p1 * e_ln_rate \
+        - kernel.rate_shape / kernel.rates
+    entropy = (kernel.shape_q * log_rate - kernel.lgamma_q
+               + (kernel.shape_q - 1.0) * e_ln_rate - kernel.shape_q)
+    total += float(np.sum((prior - entropy) * kernel.weight_q))
+    # Dirichlet action rows
+    n_actions = lay.n_actions
+    e_ln_pi = psi.phi - psi.phisum
+    prior = (lay.n_nodes * (math.lgamma(n_actions * hyper.theta)
+                            - n_actions * math.lgamma(hyper.theta))
+             + float(np.sum((hyper.theta - 1.0) * e_ln_pi)))
+    entropy = float(np.sum(lg.phisum) - np.sum(lg.phi)
+                    + np.sum((x.phi - 1.0) * e_ln_pi))
+    return total + prior - entropy
 
 
 def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
@@ -475,9 +537,9 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
 
     The limits, then the episodes are checked (ValueError) before any
     work; the episodes are indexed once into an `EpisodeBatch` and are not
-    modified. During the run each agent's omega sticks and rates b live in
-    its kernel (`_Shared`); they are written back to the returned states at
-    the end.
+    modified. During the run every agent's factors live in one kernel
+    (`_Kernel`), and each step of an iteration runs once for all agents;
+    the kernel is written back to the returned states at the end.
     """
     if not (max_iters >= 1 and max_nodes >= 1 and 0.0 < prune_epsilon < 1.0
             and 0.0 <= tol < math.inf):
@@ -496,41 +558,39 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             len(pi_seed), n_actions, n_obs_bins, hyper, pi_seed=pi_seed,
             visited=batch.visited(n, n_actions)))
     trace = ElboTrace()
-    active = [set(range(s.node_count)) for s in states]
-    occ_totals = [np.ones(s.node_count) for s in states]
+    kernel = _Kernel(states, hyper, batch)
+    offsets, node_agent = kernel.layout.offsets, kernel.layout.agent_of_node
+    active = np.ones(offsets[-1], dtype=bool)
     prev_elbo, converged = None, False
-    shared = [_Shared(s, hyper) for s in states]
-    estimates = [point_estimate(s, sh.psi) for s, sh in zip(states, shared)]
-    rw = reweighted(batch, estimates, r_min, hyper.gamma)
+    estimate = point_estimate(kernel, kernel.psi)
+    rw = reweighted(batch, estimate, r_min, hyper.gamma)
     for _ in range(max_iters):
         # the path-weight constraint: weights average to 1 over the batch
         norm = sum(float(s) for s in rw.nu.sum(axis=1)) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
-        occ_totals = [_update_agent(states[n], estimates[n], batch, n,
-                                    rw, hyper, shared[n])
-                      for n in range(n_agents)]
-        estimates = [point_estimate(s, sh.psi)
-                     for s, sh in zip(states, shared)]
-        rw = reweighted(batch, estimates, r_min, hyper.gamma)
-        cur = elbo(states, rw.value, hyper, shared)
+        occ_total = _update_agent(kernel, estimate, rw)
+        estimate = point_estimate(kernel, kernel.psi)
+        rw = reweighted(batch, estimate, r_min, hyper.gamma)
+        cur = elbo(states, rw.value, hyper, kernel)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")
         trace.elbo.append(cur)
         trace.value.append(rw.value)
-        for n in range(n_agents):
-            total = occ_totals[n].sum()
-            live = {i for i in active[n]
-                    if occ_totals[n][i] >= prune_epsilon * total}
-            if live:
-                active[n] = live  # pruning never resurrects a node
-        trace.node_counts.append([len(active[n]) for n in range(n_agents)])
-        trace.g.append([s.g for s in states])
-        trace.h.append([s.h for s in states])
-        trace.a.append([float(s.a) for s in states])
-        trace.b_min.append([float(sh.b.min()) for sh in shared])
-        trace.live.append([sh.slots.live.size for sh in shared])
+        # pruning never resurrects a node, and leaves each agent one
+        totals = np.add.reduceat(occ_total, offsets[:-1])
+        live = active & (occ_total >= prune_epsilon * totals[node_agent])
+        kept = np.logical_or.reduceat(live, offsets[:-1])
+        active = np.where(kept[node_agent], live, active)
+        trace.node_counts.append(
+            np.add.reduceat(active.astype(int), offsets[:-1]).tolist())
+        trace.g.append(kernel.g.tolist())
+        trace.h.append(kernel.h.tolist())
+        trace.a.append(kernel.a.tolist())
+        trace.b_min.append(np.minimum.reduceat(
+            kernel.b.min(axis=1), offsets[:-1]).tolist())
+        trace.live.append(kernel.layout.n_live.tolist())
         trace.ess.append(float(rw.nu.sum() ** 2 / np.sum(rw.nu ** 2)))
         per_episode = rw.nu.sum(axis=1)
         trace.max_share.append(float(per_episode.max() / per_episode.sum()))
@@ -538,16 +598,19 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             converged = True
             break
         prev_elbo = cur
-    policies = []
+    kernel.store(states)
+    occupancy = np.split(occ_total, offsets[1:-1])
+    estimates, policies = [], []
     for n, st in enumerate(states):
-        shared[n].store(st)
-        live = sorted(active[n])
-        mask = np.zeros(st.node_count)
-        mask[live] = occ_totals[n][live]
+        lanes = kernel.layout.n_live[n]
+        estimates.append(PointEstimate(
+            eta=estimate.eta[n, :lanes], pi=estimate.pi[n, :lanes],
+            omega=estimate.omega[n, :lanes, ..., :lanes]))
+        mask = np.where(active[offsets[n]:offsets[n + 1]], occupancy[n], 0.0)
         policies.append(prune(mean_policy(st, action_set, n_obs_bins), mask,
                               prune_epsilon)[0])
     return LearnResult(states=states, point_estimates=estimates, trace=trace,
-                       policies=policies, occupancy=occ_totals,
+                       policies=policies, occupancy=occupancy,
                        converged=converged)
 
 

@@ -423,17 +423,38 @@ class CoexistenceSimulator:
         return outcome
 
     def _handle(self, time, agent, kind):
+        """Run the agent's event `kind` at `time`; a `DecisionOutcome` when
+        it ends an access attempt, else None.
+
+        A failed sensing window is retried here, without a return to
+        `step_epoch`, for as long as the retry's next `idle_found` and
+        `initial_end` each come strictly before every other agent's live
+        event: `step_epoch` would run them next (on a tie the other event
+        goes first, having the smaller sequence number), and until then no
+        transmission starts or ends, so occupancy holds. Each retry makes
+        the draws of those two events, in their order.
+        """
         st = self.agents[agent]
         cfg = self.config
         if kind == "initial_end":
-            if self._window_all_idle(time - st.init_dur, time):
-                st.phase = _BACKOFF
-                st.counter = backoff_counter(st.action, self.rng, cfg.cw_set)
-                st.remaining = st.counter + 1
-                self._schedule_slot(agent, time)
-            else:
+            horizon = min(self._events)[0]  # this agent's slot is empty
+            while not self._window_all_idle(time - st.init_dur, time):
                 st.phase = _WAIT_IDLE
                 self._schedule_wait_idle(agent, time)
+                time = self._events[agent][0]
+                if not time < horizon:
+                    return None
+                self.clock = time  # the idle_found
+                self._start_initial(agent, time)
+                time += st.init_dur
+                if not time < horizon:
+                    return None
+                self._events[agent] = _NO_EVENT  # the initial_end
+                self.clock = time
+            st.phase = _BACKOFF
+            st.counter = backoff_counter(st.action, self.rng, cfg.cw_set)
+            st.remaining = st.counter + 1
+            self._schedule_slot(agent, time)
         elif kind == "idle_found":
             self._start_initial(agent, time)
         elif kind == "slot_end":

@@ -10,7 +10,7 @@ way, so the tests can check the production code against them.
 import numpy as np
 
 from specshare.distributions import digamma
-from specshare.fsc import _stick_logs, forward
+from specshare.fsc import forward
 
 
 def forward_messages(policy, action_idx, obs_bins):
@@ -27,6 +27,22 @@ def backward_messages(policy, action_idx, obs_bins, t):
         trans = policy.omega[:, action_idx[tau], obs_bins[tau], :]
         beta[tau] = trans @ (policy.pi[:, action_idx[tau + 1]] * beta[tau + 1])
     return beta
+
+
+def _stick_logs(psi_first, psi_second, psi_sum):
+    """Expected log stick weights along the last axis, given digamma of the
+    break factors' first and second parameters and of their sum.
+
+    Index i < last combines E[ln u_i] with the accumulated E[ln(1-u_m)]
+    for m < i; the last index uses only the accumulated (1-u) terms.
+    """
+    e_ln_u = psi_first - psi_sum
+    e_ln_1mu = psi_second - psi_sum
+    prefix = np.zeros_like(e_ln_1mu)
+    prefix[..., 1:] = np.cumsum(e_ln_1mu[..., :-1], axis=-1)
+    logp = prefix + e_ln_u
+    logp[..., -1] = prefix[..., -1]
+    return logp
 
 
 def stick_log_expectations(first, second):

@@ -1,4 +1,4 @@
-"""The multi-endpoint node sweep that `learning._sweep_agent` replaced.
+"""The multi-endpoint node sweep that `learning._sweep` replaced.
 
 It carries one backward column per prefix endpoint, renormalised by its
 largest entry at every step, and sums the endpoints' marginals column by
@@ -11,7 +11,7 @@ import numpy as np
 
 
 def multi_endpoint_sweep(estimate, aidx, obins, nu, ahat):
-    """(occ, pair) with the meaning and shapes of `learning._sweep_agent`."""
+    """(occ, pair) with the meaning and shapes of one agent's `learning._sweep`."""
     k, t1 = aidx.shape
     z = estimate.eta.size
     # m[k, tau, i, j] = omega[i, a_tau, o_tau, j] * pi[j, a_{tau+1}]

@@ -1,8 +1,12 @@
 """The learner's per-iteration kernel: the O(T) node sweep against the
-multi-endpoint sweep it replaced, how many digammas an iteration takes, the
-once-per-iteration domain check, kernel-live node compaction against the
-same run with no node ever dropped, and the stored benchmark references."""
+multi-endpoint sweep it replaced, how many special-function calls an
+iteration takes, the once-per-iteration domain check and the checks of the
+forward and sweep tables, one kernel over every agent against one kernel
+per agent, kernel-live node compaction against the same run with no node
+ever dropped, and the stored benchmark references."""
 
+import collections
+import copy
 import itertools
 import json
 import math
@@ -15,14 +19,17 @@ import specshare.fsc
 import specshare.learning
 from specshare import trajectories
 from specshare.batch import EpisodeBatch
-from specshare.fsc import (PointEstimate, forward, init_from_episodes,
-                           node_slots, point_estimate)
-from specshare.learning import (Hyperparams, VariationalState, _Shared,
-                                _sweep_agent, elbo, learn, reward_bounds,
+from specshare.fsc import (KernelLayout, PointEstimate, forward,
+                           init_from_episodes, node_slots, omega_columns,
+                           point_estimate, stack_policies)
+from specshare.learning import (Hyperparams, ReweightedRewards,
+                                VariationalState, _Kernel, _sweep,
+                                _update_agent, elbo, learn, reward_bounds,
                                 reweighted)
+from specshare.simulator import Episode
 from tests.sweep_reference import multi_endpoint_sweep
-from tests.test_fsc import random_point_estimate, random_policy
-from tests.test_learning import seeded_batch
+from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
+from tests.test_learning import relative_gap, seeded_batch
 
 
 def extreme_estimate(rng, z, n_actions=3, n_obs=4):
@@ -67,7 +74,7 @@ class TestRewardToGoSweep:
             obins = rng.integers(0, 4, size=(k, t - 1))
             nu = rng.random((k, t)) * (rng.random((k, t)) < 0.8)
             ahat, _ = forward(est, aidx, obins)
-            got = _sweep_agent(est, aidx, obins, nu, ahat)
+            got = _sweep(est, aidx, obins, nu, ahat)
             want = multi_endpoint_sweep(est, aidx, obins, nu, ahat)
             for g, w in zip(got, want):
                 gap, share = slice_gap(g, w)
@@ -77,6 +84,29 @@ class TestRewardToGoSweep:
             assert min(finite) == 1.0
         assert np.mean(finite) > 0.5
 
+    @pytest.mark.parametrize("t", [50, 200])
+    def test_one_node_near_1e_300_on_visited_steps(self, t):
+        # 1e-300 on the omega columns of action 2 and on pi of action 1,
+        # and no step from action 2 to action 1, so every visited step's
+        # factor holds at most one of them (two would underflow)
+        rng = np.random.default_rng(t)
+        k = 4
+        aidx = rng.integers(0, 3, size=(k, t))
+        for tau in range(1, t):
+            aidx[:, tau][(aidx[:, tau - 1] == 2) & (aidx[:, tau] == 1)] = 0
+        obins = rng.integers(0, 4, size=(k, t - 1))
+        nu = rng.random((k, t)) * (rng.random((k, t)) < 0.8)
+        est = random_point_estimate(rng, z=1)
+        est.omega[0, 2] *= 1e-300
+        est.pi[0, 1] *= 1e-300
+        ahat, log_scale = forward(est, aidx, obins)
+        assert np.sum(log_scale < -600.0) > t  # the tiny entries are used
+        got = _sweep(est, aidx, obins, nu, ahat)
+        want = multi_endpoint_sweep(est, aidx, obins, nu, ahat)
+        for g, w in zip(got, want):
+            gap, share = slice_gap(g, w)
+            assert gap <= 1e-12 and share == 1.0
+
     def test_single_step_episodes(self):
         rng = np.random.default_rng(3)
         est = random_point_estimate(rng, z=3)
@@ -84,7 +114,7 @@ class TestRewardToGoSweep:
         obins = np.zeros((2, 0), dtype=int)
         nu = np.array([[0.5], [2.0]])
         ahat, _ = forward(est, aidx, obins)
-        occ, pair = _sweep_agent(est, aidx, obins, nu, ahat)
+        occ, pair = _sweep(est, aidx, obins, nu, ahat)
         assert np.array_equal(occ, ahat * nu[:, :, None])
         assert pair.shape == (2, 1, 3, 3) and not pair.any()
 
@@ -112,6 +142,131 @@ class TestSharedDigammas:
         assert 0 < len(calls) <= 8 * n * res.trace.iterations + 10 * n
 
 
+    def test_special_function_calls_do_not_grow_with_agents(self,
+                                                             monkeypatch):
+        # one digamma call per iteration in the update and one gammaln call
+        # in the bound, plus one of each when the kernel is built, at any
+        # number of agents
+        def counted(n_agents):
+            calls = collections.Counter()
+
+            def counting(name, original):
+                def wrapper(x):
+                    calls[name] += 1
+                    return original(x)
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                for name in ("digamma", "gammaln"):
+                    patch.setattr(specshare.learning, name, counting(
+                        name, getattr(specshare.learning, name)))
+                res = learn(seeded_batch(n_agents=n_agents), Hyperparams(),
+                            max_iters=6, tol=0.0, n_obs_bins=13)
+            assert res.trace.iterations == 6
+            return {name: count / 6 for name, count in calls.items()}
+
+        two, four = counted(2), counted(4)
+        assert two == four
+        assert two["digamma"] <= 1 + 2 / 6 and two["gammaln"] <= 1 + 1 / 6
+
+
+class TestTableChecks:
+    def test_infinite_estimate_fails_at_the_forward_pass(self):
+        batch = EpisodeBatch(seeded_batch(), [ACTIONS] * 2, 13)
+        rng = np.random.default_rng(8)
+        ests = [random_point_estimate(rng, z=2, n_obs=13) for _ in range(2)]
+        ests[1].pi[0, batch.actions[1, 0, 3]] = np.inf
+        with pytest.raises(FloatingPointError,
+                           match="forward pass is not finite"):
+            reweighted(batch, ests, reward_bounds(batch)[0], 0.9)
+
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_infinite_weight_fails_at_the_sweep(self, z):
+        rng = np.random.default_rng(9)
+        est = random_point_estimate(rng, z=z)
+        aidx = rng.integers(0, 3, size=(2, 6))
+        obins = rng.integers(0, 4, size=(2, 5))
+        ahat, _ = forward(est, aidx, obins)
+        nu = rng.random((2, 6))
+        nu[1, 4] = np.inf
+        with pytest.raises(FloatingPointError, match="node sweep is not "
+                                                     "finite"):
+            _sweep(est, aidx, obins, nu, ahat)
+
+
+class TestOneKernel:
+    def test_stacked_forward_matches_each_agent(self):
+        batch = EpisodeBatch(seeded_batch(seed=4, n_agents=3),
+                             [ACTIONS] * 3, 13)
+        rng = np.random.default_rng(21)
+        ests = [random_point_estimate(rng, z=z, n_obs=13) for z in (1, 3, 5)]
+        alpha_hat, log_scale = forward(stack_policies(ests), batch.actions,
+                                       batch.obs_bins)
+        for n, est in enumerate(ests):
+            one_hat, one_scale = forward(est, batch.actions[n],
+                                         batch.obs_bins[n])
+            z = est.eta.size
+            assert relative_gap(log_scale[n], one_scale) < 1e-12
+            assert relative_gap(alpha_hat[n, ..., :z], one_hat) < 1e-12
+            assert not alpha_hat[n, ..., z:].any()
+        # every agent at one node: the closed form, bit for bit
+        ones = [random_point_estimate(rng, z=1, n_obs=13) for _ in range(3)]
+        _, log_scale = forward(stack_policies(ones), batch.actions,
+                               batch.obs_bins)
+        for n, est in enumerate(ones):
+            assert np.array_equal(log_scale[n], forward(
+                est, batch.actions[n], batch.obs_bins[n])[1])
+
+    def test_matches_one_kernel_per_agent(self):
+        # one update of agents with 2, 4 and 3 nodes and different visited
+        # columns, in one kernel and in one kernel per agent, from the same
+        # path weights: only summation order differs
+        eps = seeded_batch(seed=6, n_agents=3)
+        hyper = Hyperparams()
+        rng = np.random.default_rng(6)
+        batch = EpisodeBatch(eps, [ACTIONS] * 3, 13)
+        states = []
+        for n, z in enumerate((2, 4, 3)):
+            st = VariationalState(z, 3, 13, hyper, visited=batch.visited(n, 3))
+            for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
+                setattr(st, name, rng.uniform(0.5, 3.0,
+                                              size=np.shape(getattr(st, name))))
+            # as the updates keep them: a column the agent never
+            # transitions at holds its stand-in's values
+            columns, expand, _ = omega_columns(st.visited, 3, 13)
+            st.sigma, st.lam = (x.reshape(z, -1, z)[:, columns[expand]]
+                                .reshape(x.shape) for x in (st.sigma, st.lam))
+            st.b = st.b.reshape(z, -1)[:, columns[expand]].reshape(st.b.shape)
+            states.append(st)
+        singles = copy.deepcopy(states)
+        kernel = _Kernel(states, hyper, batch)
+        est = point_estimate(kernel, kernel.psi)
+        rw = reweighted(batch, est, reward_bounds(batch)[0], hyper.gamma)
+        occ = _update_agent(kernel, est, rw)
+        kernel.store(states)
+        for n, st in enumerate(singles):
+            one = EpisodeBatch([Episode(k=ep.k, agents=[ep.agents[n]],
+                                        rewards=ep.rewards) for ep in eps],
+                               [ACTIONS], 13)
+            own = _Kernel([st], hyper, one)
+            own_est = point_estimate(own, own.psi)
+            z = st.node_count
+            for got, want in ((est.eta[n, :z], own_est.eta[0]),
+                              (est.pi[n, :z], own_est.pi[0]),
+                              (est.omega[n, :z, ..., :z], own_est.omega[0])):
+                assert relative_gap(got, want) < 1e-12
+            ahat, _ = forward(own_est, one.actions, one.obs_bins)
+            own_occ = _update_agent(own, own_est, ReweightedRewards(
+                rw.value, rw.nu, ahat))
+            own.store([st])
+            offsets = kernel.layout.offsets
+            assert relative_gap(occ[offsets[n]:offsets[n + 1]],
+                                own_occ) < 1e-12
+            for name in ("delta", "mu", "phi", "sigma", "lam", "b", "h"):
+                assert relative_gap(getattr(states[n], name),
+                                    getattr(st, name)) < 1e-12, name
+
+
 class TestDomainCheck:
     def test_nan_and_inf_rejected(self):
         hyper = Hyperparams()
@@ -137,14 +292,14 @@ class TestDomainCheck:
     def test_learn_stops_at_a_nan_factor(self, monkeypatch):
         # a sweep that goes NaN reaches the stick factors, whose check runs
         # before any digamma sees them
-        original = specshare.learning._sweep_agent
+        original = specshare.learning._sweep
 
         def poisoned(*args):
             occ, pair = original(*args)
             pair[..., 0] = np.nan
             return occ, pair
 
-        monkeypatch.setattr(specshare.learning, "_sweep_agent", poisoned)
+        monkeypatch.setattr(specshare.learning, "_sweep", poisoned)
         with pytest.raises(FloatingPointError, match="sigma"):
             learn(seeded_batch(), Hyperparams(), max_iters=3, n_obs_bins=13)
 
@@ -220,16 +375,22 @@ def assert_compacted(res, ref):
 
 class TestCompaction:
     def test_node_slots(self):
+        # the stick entries node after node: a live node has one per
+        # destination slot, a dropped node one standing for all 7
         slots = node_slots([1, 4], 7)
         assert slots.slot_of.tolist() == [0, 1, 2, 2, 3, 4, 4]
         assert slots.counts.tolist() == [1, 1, 2, 1, 2]
-        assert slots.rows.tolist() == [1] * 5 + [4] * 5 + [0, 2, 3, 5, 6]
-        assert slots.weights.tolist() == [1, 1, 2, 1, 2] * 2 + [7] * 5
-        assert slots.starts.tolist() == [0, 5, 10, 11, 12, 13, 14]
+        lay = KernelLayout([7], [[1, 4]], omega_columns(None, 1, 1), 1, 1)
+        assert lay.rows.tolist() == [0] + [1] * 5 + [2, 3] + [4] * 5 + [5, 6]
+        assert lay.weights.tolist() == [7] + [1, 1, 2, 1, 2] + [7] * 2 \
+            + [1, 1, 2, 1, 2] + [7] * 2
+        assert lay.starts.tolist() == [0, 1, 6, 7, 8, 13, 14]
         every = node_slots(np.arange(3), 3)
         assert every.slot_of.tolist() == [0, 1, 2]
-        assert every.rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        assert every.weights.tolist() == [1.0] * 9
+        lay = KernelLayout([3], [np.arange(3)], omega_columns(None, 1, 1),
+                           1, 1)
+        assert lay.rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert lay.weights.tolist() == [1.0] * 9
 
     def test_compact_kernel_matches_full_state(self):
         # a state as compaction leaves it, with dropped nodes before,
@@ -250,22 +411,20 @@ class TestCompaction:
         st.sigma[dead] = 1.0
         st.lam = st.lam[..., first[slots.slot_of]]
         st.lam[dead] = st.lam[dead][..., :1]
-        kernel = _Shared(st, hyper)
-        held = np.concatenate([(live[:, None] * z + first).ravel(),
-                               dead * z])
-        kernel.sigma, kernel.lam = kernel.sigma[held], kernel.lam[held]
-        kernel.slots = slots
-        kernel.refresh(st)
-        est, full = point_estimate(st, kernel.psi), point_estimate(st)
-        assert np.allclose(est.eta, full.eta[live], rtol=1e-12, atol=0.0)
-        assert np.allclose(est.pi, full.pi[live], rtol=1e-12, atol=0.0)
-        assert np.allclose(est.omega, full.omega[live][..., live],
+        kernel = _Kernel([st], hyper)
+        kernel.relayout([live])
+        kernel.x[:] = kernel.layout.fill([st])
+        kernel.refresh()
+        est, full = point_estimate(kernel, kernel.psi), point_estimate(st)
+        assert np.allclose(est.eta[0], full.eta[live], rtol=1e-12, atol=0.0)
+        assert np.allclose(est.pi[0], full.pi[live], rtol=1e-12, atol=0.0)
+        assert np.allclose(est.omega[0], full.omega[live][..., live],
                            rtol=1e-12, atol=0.0)
         bound = elbo([st], 2.0, hyper)
-        assert abs(elbo([st], 2.0, hyper, [kernel]) - bound) \
+        assert abs(elbo([st], 2.0, hyper, kernel) - bound) \
             <= 1e-12 * abs(bound)
         stored = VariationalState(z, 3, 4, hyper)
-        kernel.store(stored)
+        kernel.store([stored])
         assert np.array_equal(stored.sigma, st.sigma)
         assert np.array_equal(stored.lam, st.lam)
 

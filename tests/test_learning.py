@@ -10,8 +10,8 @@ import specshare.learning
 from specshare.batch import EpisodeBatch
 from specshare.fsc import (PointEstimate, forward, log_history_likelihoods,
                            observation_bin, point_estimate)
-from specshare.learning import (Hyperparams, VariationalState, _Shared,
-                                _sweep_agent, _update_agent, elbo,
+from specshare.learning import (Hyperparams, VariationalState, _Kernel,
+                                _sweep, _update_agent, elbo,
                                 empirical_value, learn, mean_policy,
                                 node_marginals, reward_bounds, reweighted)
 from specshare.simulator import AgentTrack, Episode
@@ -360,7 +360,9 @@ class TestSharedForwardPass:
         original = specshare.fsc.forward
 
         def counting(policy, action_idx, obs_bins):
-            calls.append(len(np.atleast_2d(action_idx)))  # episodes in call
+            # agent-episode rows in the call: (K, t+1) per agent, or
+            # (N, K, t+1) stacked
+            calls.append(np.size(action_idx) // np.shape(action_idx)[-1])
             return original(policy, action_idx, obs_bins)
 
         monkeypatch.setattr(specshare.fsc, "forward", counting)
@@ -409,8 +411,7 @@ class TestBatchedKernel:
         assert rw.nu.shape == (6, 10)
         for n, est in enumerate(ests):
             aidx, obins = batch.actions[n], batch.obs_bins[n]
-            occ, pair = _sweep_agent(est, aidx, obins, rw.nu,
-                                     rw.alpha_hat[n])
+            occ, pair = _sweep(est, aidx, obins, rw.nu, rw.alpha_hat[n])
             _, log_scale = forward(est, aidx, obins)
             for k, ep in enumerate(eps):
                 tr = ep.agents[n]
@@ -456,16 +457,16 @@ class TestBatchedKernel:
         bound, bound_full = elbo(states, rw.value, hyper), \
             elbo(full, rw.value, hyper)
         assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)
+        # one update of every agent in each kernel, from the same estimate
+        kernel, kernel_full = (_Kernel(st, hyper, batch)
+                               for st in (states, full))
+        est = point_estimate(kernel, kernel.psi)
+        occ = _update_agent(kernel, est, rw)
+        occ_full = _update_agent(kernel_full, est, rw)
+        kernel.store(states)
+        kernel_full.store(full)
+        assert relative_gap(occ, occ_full) < 1e-12
         for n in range(2):
-            kernel, kernel_full = (_Shared(st[n], hyper)
-                                   for st in (states, full))
-            occ = _update_agent(states[n], ests[n], batch, n, rw, hyper,
-                                kernel)
-            occ_full = _update_agent(full[n], ests[n], batch, n, rw, hyper,
-                                     kernel_full)
-            kernel.store(states[n])
-            kernel_full.store(full[n])
-            assert relative_gap(occ, occ_full) < 1e-12
             for name in ("delta", "mu", "phi", "sigma", "lam", "a", "b", "g",
                          "h"):
                 assert relative_gap(getattr(states[n], name),

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -362,24 +363,37 @@ class TestSlotSkipping:
         assert got == ref["sha256"]
 
     def test_events_per_decision(self, monkeypatch):
-        events = [0]
-        handle = CoexistenceSimulator._handle
+        # `_handle` runs the events `step_epoch` hands it and the sensing
+        # retries it runs inline; every idle_found (and every submitted
+        # action) starts a sensing window, and every initial_end judges one
+        handled, calls = collections.Counter(), collections.Counter()
 
-        def counting(self, time, agent, kind):
-            events[0] += 1
-            return handle(self, time, agent, kind)
+        def counting(name, original):
+            def wrapper(self, *args):
+                calls[name] += 1
+                if name == "_handle":
+                    handled[args[-1]] += 1
+                return original(self, *args)
+            return wrapper
 
-        monkeypatch.setattr(CoexistenceSimulator, "_handle", counting)
+        for name in ("_handle", "_start_initial", "_window_all_idle"):
+            monkeypatch.setattr(CoexistenceSimulator, name, counting(
+                name, getattr(CoexistenceSimulator, name)))
         config = SimConfig(lte_count=2, wifi_count=2)
         episodes = collect(config, _uniform_behavior(config, 0.9), 1, 50,
                            seed=3)
         decisions = sum(len(tr.actions) for tr in episodes[0].agents)
         assert decisions == 200
+        events = (handled["slot_end"] + handled["tx_end"]
+                  + calls["_start_initial"] - decisions
+                  + calls["_window_all_idle"])
         # per-slot stepping took about 1,800 events per decision
-        assert events[0] / decisions < 60
-        # the live events the event heap handled; a dropped or duplicated
+        assert events / decisions < 60
+        # the live events handled or run inline; a dropped or duplicated
         # event changes the count
-        assert events[0] == 5151
+        assert events == 5151
+        # most failed windows are retried inline
+        assert calls["_handle"] == 1950
 
     @pytest.mark.parametrize("case", sorted(stepping_reference.DIST_CASES))
     def test_matches_per_slot_stepping_in_distribution(self, case):
