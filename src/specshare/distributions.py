@@ -1,5 +1,5 @@
 """Special functions, the Beta sampler, stick-breaking weights, and the
-simplex and discount checks.
+simplex, discount and integer checks.
 
 digamma and gammaln come from scipy and the Beta sampler from
 ``numpy.random.Generator``; this module adds the parameter checks. It is
@@ -11,6 +11,7 @@ generator state.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -105,3 +106,8 @@ def check_discount(gamma):
     """ValueError unless the discount gamma lies in [0, 1) (NaN does not)."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma: discount must be in [0, 1)")
+
+
+def is_integer(value):
+    """True for an integer, a numpy one included, and False for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import digamma, validate_simplex, validate_simplex_rows
+from .distributions import (digamma, is_integer, validate_simplex,
+                            validate_simplex_rows)
 
 DEFAULT_OBS_BINS = 24
 _MERGE_TOL = 0.1  # L1 gap below which `init_from_episodes` merges nodes
@@ -100,10 +101,10 @@ class FscPolicy:
         action_set, z, o = (data.get(name) for name in
                             ("action_set", "node_count", "n_obs_bins"))
         if not (isinstance(action_set, list) and action_set
-                and all(_is_int(a) for a in action_set)):
+                and all(is_integer(a) for a in action_set)):
             raise ValueError("action_set must be a non-empty list of integers")
         for name, value in (("node_count", z), ("n_obs_bins", o)):
-            if not (_is_int(value) and value >= 1):
+            if not (is_integer(value) and value >= 1):
                 raise ValueError("%s must be a positive integer" % name)
         eta, pi = (_numbers(data.get(name), name) for name in ("eta", "pi"))
         if eta.size != z:
@@ -129,10 +130,6 @@ class FscPolicy:
             omega[i, ai, oi] = row
         return cls(eta=eta, pi=pi, omega=omega, action_set=action_set,
                    n_obs_bins=o)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _numbers(value, name):
@@ -369,9 +366,10 @@ class KernelLayout:
     estimate's prefix sums (each agent's last stick takes the rest,
     `not_last`), and backward the update's masses of heavier sticks. The
     point estimate pads every agent to `n_lanes` live nodes with zeros
-    (`eta_map`, `pi_map`, `omega_map`), and the sweep's accumulators hold
-    `n_lanes` lanes per agent (`accumulators`, `gather_index`). Every pad
-    index is -1, and every array it indexes ends in the value a pad
+    (`eta_map`, `pi_map`, `omega_map`: the buffer entry of each lane),
+    and the update reads the same maps the other way, scattering the
+    sweep's masses over those lanes into the entries they name. Every
+    pad index is -1, and every array it indexes ends in the value a pad
     reads. A layout is built again only when a node leaves the kernel.
     """
 
@@ -391,13 +389,11 @@ class KernelLayout:
         self.n_lanes = lanes = int(self.n_live.max())
         n_slots = np.array([sl.counts.size for sl in self.slots])
         smax = int(n_slots.max())
-        # per agent and slot: its node count, first node and live node
+        # per agent and slot: its node count and first node
         size, first = np.zeros((2, z.size, smax), dtype=int)
-        holder = np.full((z.size, smax), -1)
-        for n, (nodes, sl) in enumerate(zip(self.live, self.slots)):
+        for n, sl in enumerate(self.slots):
             size[n, :sl.counts.size] = sl.counts
             first[n, :sl.counts.size] = np.cumsum(sl.counts) - sl.counts
-            holder[n, sl.slot_of[nodes]] = self.offsets[n] + nodes
         alive = np.zeros(n_nodes, dtype=bool)
         alive[np.concatenate([self.offsets[n] + nodes
                               for n, nodes in enumerate(self.live)])] = True
@@ -410,9 +406,8 @@ class KernelLayout:
         held, agent = alive[rows], agent_of_node[rows]
         self.weights = np.where(held, size[agent, slot],
                                 z[agent]).astype(float)
-        # each entry's first destination node and, if any, its live one
+        # each entry's first destination node
         self.dest = np.where(held, first[agent, slot], 0)
-        self.dest_node = np.where(held, holder[agent, slot], -1)
         self.n_entries = n_ent = rows.size
         f = self.n_sticks = n_nodes + n_ent * n_cols
         p = n_nodes * n_actions
@@ -449,7 +444,8 @@ class KernelLayout:
         self.prefix_cell, self.tail_cell = np.full((2, f), self.grid.size - 1)
         self.prefix_cell[stick] = row * (width + 1) + at
         self.tail_cell[stick] = row * (width + 1) + width - 1 - at
-        # the point estimate's gathers from [stick logs, pi logs, -inf]
+        # the point estimate's gathers from [stick logs, pi logs, -inf],
+        # and the update's scatter into the buffer
         lane = np.full(n_nodes, -1)
         for n, nodes in enumerate(self.live):
             lane[self.offsets[n] + nodes] = np.arange(nodes.size)
@@ -459,16 +455,13 @@ class KernelLayout:
         self.pi_map[agent_of_node[alive], lane[alive]] = \
             f + live_nodes[:, None] * n_actions + np.arange(n_actions)
         omega_map = np.full((z.size, lanes, n_actions * n_obs, lanes), -1)
-        for n, (nodes, sl) in enumerate(zip(self.live, self.slots)):
-            entry = starts[self.offsets[n] + nodes, None] \
-                + sl.slot_of[nodes]
+        for n, nodes in enumerate(self.live):
+            entry = self.entries(n)[np.ix_(nodes, nodes)]
             omega_map[n, :nodes.size, :, :nodes.size] = n_nodes + (
                 entry[:, None, :] * n_cols + self.expand[:, None])
         self.omega_map = omega_map.reshape(z.size, lanes, n_actions, n_obs,
                                            lanes)
         self.lane_real = np.arange(lanes) < self.n_live[:, None]
-        self.gather, self.occupancy = self.gather_index(
-            [np.arange(nodes.size) for nodes in self.live], lanes)
 
     def split(self, x):
         """`Sticks` views of a flat buffer of this layout."""
@@ -482,46 +475,6 @@ class KernelLayout:
                           self.n_entries, -1),
                       mu=second[:nn], lam=second[nn:].reshape(
                           self.n_entries, -1))
-
-    def _accumulator_shapes(self, lanes):
-        n, a, c = self.n_agents, self.n_actions, self.counts.size
-        return [(n, lanes), (n, lanes), (n, a, lanes), (n, c, lanes, lanes)]
-
-    def accumulators(self, lanes):
-        """Zeroed accumulators of a sweep over `lanes` lanes per agent:
-        delta (N, L), occupancy (N, L), phi (N, A, L) and sigma (N, C, L,
-        L), views of one flat buffer, returned last, whose last entry is
-        never written."""
-        shapes = self._accumulator_shapes(lanes)
-        ends = np.cumsum([0] + [math.prod(s) for s in shapes])
-        buf = np.zeros(ends[-1] + 1)
-        return [buf[i:j].reshape(s) for i, j, s in
-                zip(ends[:-1], ends[1:], shapes)] + [buf]
-
-    def gather_index(self, lanes, n_lanes):
-        """Where the `accumulators` over `n_lanes` lanes hold each live
-        node's masses, `lanes[n]` being the lanes of agent n's live nodes:
-        the index of every first stick parameter and phi entry, then -1,
-        and the index of every node's occupancy; -1 reads the buffer's
-        last entry, 0, for everything a dropped node holds."""
-        n, a, c = self.n_agents, self.n_actions, self.counts.size
-        ends = np.cumsum([math.prod(s)
-                          for s in self._accumulator_shapes(n_lanes)])
-        lane = np.full(self.n_nodes + 1, -1)  # the last: no destination
-        for k, nodes in enumerate(self.live):
-            lane[self.offsets[k] + nodes] = lanes[k]
-        node, agent = lane[:-1], self.agent_of_node
-        src, dst = lane[self.rows], lane[self.dest_node]
-        sigma = ends[2] + ((agent[self.rows, None] * c + np.arange(c))
-                           * n_lanes + src[:, None]) * n_lanes + dst[:, None]
-        phi = ends[1] + (agent[:, None] * a + np.arange(a)) * n_lanes \
-            + node[:, None]
-        index = np.concatenate([
-            np.where(node >= 0, agent * n_lanes + node, -1),
-            np.where(((src >= 0) & (dst >= 0))[:, None], sigma, -1).ravel(),
-            np.where(node[:, None] >= 0, phi, -1).ravel(), [-1]])
-        return index, np.where(node >= 0, ends[0] + agent * n_lanes + node,
-                               -1)
 
     def fill(self, states):
         """A flat buffer of this layout holding the states' parameters (a

@@ -9,27 +9,28 @@ come from one forward and one O(T) backward pass over the whole batch.
 One kernel (`_Kernel`) holds every agent's factors for a run, in flat
 buffers laid out by `fsc.KernelLayout`, so each step of an iteration runs
 once for all agents: the stacked forward pass and sweep over all N K
-episode rows, the accumulation, one domain check of the parameters, one
-digamma call on all of them, the rates b and h, one `exp` for the point
-estimates and one pass per term of the bound. Steps that follow each
-agent's own nodes go through the layout's padded index maps; a pad adds
-exact zeros, so the arithmetic differs from one agent at a time only in
-summation order, and the number of numpy calls per iteration does not
-depend on the number of agents.
+episode rows, one scatter of the sweep's masses into the factors through
+the point estimate's own index maps, one domain check of the parameters,
+one digamma call on all of them, the rates b and h, one `exp` for the
+point estimates and one pass per term of the bound. Steps that follow
+each agent's own nodes go through the layout's padded index maps; a pad
+adds exact zeros, so the arithmetic differs from one agent at a time
+only in summation order, and the number of numpy calls per iteration
+does not depend on the number of agents.
 
 Kernel-live compaction. The stick-breaking prior empties most nodes
 within a few iterations, and the kernel shrinks with them: after the
 sweep, a node whose share of its agent's occupancy mass is below
 `_DROP_SHARE` = 2^-100 leaves the kernel for the rest of the run. The
 path weights sum to K, so the occupancy mass is at most K T and every
-accumulation x the node feeds, divided by K, is at most 2^-100 T. Each sum
+mass x the node feeds, divided by K, is at most 2^-100 T. Each sum
 it enters holds a term many orders larger: delta = 1 + x, phi = theta + x,
 sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is below half an ulp
 of the sum: the node's delta, sigma and phi are exactly 1, 1 and theta,
 and the lam of its run of dropped neighbours is one value. Its share of
 any prefix likelihood is bounded by the same occupancy, so the forward
 scales do not move either. From then on `fsc.forward`, the sweep, the
-accumulation and the point estimate run on the live sub-controllers; once
+scatter and the point estimate run on the live sub-controllers; once
 every agent is at one node, `fsc.forward` and the sweep take closed forms
 in place of their steps through time. The omega sticks are held as
 entries over the kept columns (`fsc.NodeSlots`): one per live source and
@@ -153,14 +154,15 @@ class _Kernel:
     its Gamma factor, which are fixed for a run: the shape (a = c + Z or
     g = e + Z), its digamma and log-gamma, and the prior's c, d or e, f.
     Built from states, every node is live; the states' own parameters are
-    written by `store`. Given a batch, the kernel also holds its action
-    indices and the kept column of every transition.
+    written by `store`. Given a batch, the kernel also holds it and
+    `scatter`: one more than the entry of `x` that each mass of a sweep
+    over it adds to, and 0 for a pad.
     """
 
     def __init__(self, states, hyper, batch=None):
         for st in states:
             st.assert_positive(("a", "b", "g", "h"))
-        self.hyper = hyper
+        self.hyper, self.batch = hyper, batch
         _, n_actions, n_obs, _ = np.shape(states[0].sigma)
         visited = [st.visited for st in states]
         self.columns = omega_columns(
@@ -199,18 +201,21 @@ class _Kernel:
         self.weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
                                         np.ones(len(z))])
         self.refresh()
-        if batch is not None:
-            self.actions, self.obs_bins = batch.actions, batch.obs_bins
-            self.size = batch.size
-            self.transitions = self.columns[1][
-                batch.actions[..., :-1] * n_obs + batch.obs_bins]
 
     def _allocate(self, x):
         self.x, self.sticks = x, self.layout.split(x)
         lay = self.layout
-        self.accumulators = lay.accumulators(lay.n_lanes)
         self.base = np.concatenate([np.ones(lay.n_sticks), np.full(
             lay.n_nodes * lay.n_actions, self.hyper.theta)])
+        if self.batch is not None:
+            # the point estimate's maps at every transition (pair masses)
+            # and every step (occupancy), shifted by one: a pad adds to 0
+            agent = np.arange(lay.n_agents)[:, None, None]
+            actions = self.batch.actions
+            self.scatter = 1 + np.concatenate((
+                lay.omega_map[agent, :, actions[..., :-1],
+                              self.batch.obs_bins],
+                lay.pi_map[agent, :, actions]), axis=None)
 
     def relayout(self, live):
         """Hold only the nodes `live` (per agent) from now on; the sticks and
@@ -430,10 +435,15 @@ def _update_agent(kernel, estimate, rw):
 
     `rw` holds the path weights and stacked forward tables that
     `reweighted` computed at `estimate`, the kernel's stacked point
-    estimate. A node whose occupancy share this sweep is below
-    `_DROP_SHARE` leaves the kernel before the factors are set; only then
-    is the layout built again, and the accumulations read through the old
-    lanes once.
+    estimate. The sweep's masses go into the factors in one scatter
+    (`np.bincount`) through the maps the point estimate reads: each pair
+    mass of a transition to its omega entry and each occupancy of a step
+    to its phi entry, so every parameter gets its terms in episode and
+    step order; the first step's occupancy, summed over episodes, goes to
+    the eta sticks through `eta_map`. A node whose occupancy share
+    this sweep is below `_DROP_SHARE` leaves the kernel before the
+    factors are set; only then is the layout built again, and the sweep's
+    output first moved onto the kept lanes.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations) and eta sticks (using the previous eta concentrations),
@@ -441,30 +451,36 @@ def _update_agent(kernel, estimate, rw):
     keep the values the states were built with. Returns the occupancy mass
     of every node accumulated this sweep, 0.0 at every dropped node.
     """
-    lay, hyper = kernel.layout, kernel.hyper
-    occ, pair = _sweep(estimate, kernel.actions, kernel.obs_bins, rw.nu,
+    lay, hyper, batch = kernel.layout, kernel.hyper, kernel.batch
+    occ, pair = _sweep(estimate, batch.actions, batch.obs_bins, rw.nu,
                        rw.alpha_hat)
-    lanes = occ.shape[-1]
-    delta_acc, occ_acc, phi_acc, sigma_acc, acc = kernel.accumulators
-    acc.fill(0.0)
-    agent = np.arange(lay.n_agents)[:, None, None]
-    occ[:, :, 0].sum(axis=1, out=delta_acc)
-    occ.sum(axis=(1, 2), out=occ_acc)
-    np.add.at(phi_acc, (agent, kernel.actions), occ)
-    np.add.at(sigma_acc, (agent, kernel.transitions), pair[:, :, 1:])
-    gather, occ_index = lay.gather, lay.occupancy
-    drop = (occ_acc < _DROP_SHARE * occ_acc.sum(axis=1, keepdims=True)) \
+    # delta's mass and each node's occupancy, per agent and lane, summed
+    # on the sweep's own lanes: numpy's summation order follows the shape
+    first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
+    drop = (total < _DROP_SHARE * total.sum(axis=1, keepdims=True)) \
         & lay.lane_real
     if drop.any():  # a dropped node never returns
         kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
         kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
         lay = kernel.layout
-        gather, occ_index = lay.gather_index(kept, lanes)
-    # each stick's and phi entry's mass, then the mass of the heavier
-    # sticks of its row: lam and mu add it to the concentration's mean
-    mass = acc[gather]
+        # the sweep's output on the kept lanes; a pad lane reads lane 0
+        lane = np.zeros(lay.lane_real.shape, dtype=int)
+        lane[lay.lane_real] = np.concatenate(kept)
+        first, total = (np.take_along_axis(x, lane, 1) for x in (first, total))
+        occ = np.take_along_axis(occ, lane[:, None, None], 3)
+        src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
+        pair = np.take_along_axis(np.take_along_axis(pair, src, 3), dst, 4)
+    # each stick's and phi entry's mass, after bin 0 where the pads add and
+    # followed by a 0 that the grid's pads read; then the mass of the
+    # heavier sticks of its row: lam and mu add it to the concentration's
+    # mean
+    f, k, v = lay.n_sticks, batch.size, kernel.sticks
+    mass = np.bincount(kernel.scatter, np.concatenate((pair[:, :, 1:], occ),
+                                                      axis=None),
+                       minlength=f + v.phi.size + 2)
+    mass[lay.eta_map + 1] = first
+    mass = mass[1:]
     tail = mass[lay.grid][:, ::-1].cumsum(axis=1).ravel()[lay.tail_cell]
-    f, k, v = lay.n_sticks, kernel.size, kernel.sticks
     np.add(kernel.base, mass[:-1] / k, out=kernel.x[:f + v.phi.size])
     tail -= mass[:f]
     tail /= k
@@ -479,7 +495,8 @@ def _update_agent(kernel, estimate, rw):
     np.maximum(kernel.rates, 1e-6, out=kernel.rates)
     if not (kernel.rates.min() > 0.0 and kernel.rates.max() < math.inf):
         _assert_positive(kernel, ("b", "h"))
-    return acc[occ_index]
+    return np.bincount(lay.eta_map.ravel() + 1, total.ravel(),
+                       minlength=lay.n_nodes + 1)[1:]
 
 
 def elbo(states, value, hyper, kernel=None):

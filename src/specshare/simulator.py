@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .distributions import check_discount
+from .distributions import check_discount, is_integer
 
 CW_SET = (15, 31, 63, 127, 255, 511, 1023)
 DEFAULT_LTE_BURST_MS = {15: 3, 31: 6, 63: 6, 127: 8, 255: 8, 511: 10, 1023: 10}
@@ -30,7 +30,7 @@ MAX_TX_MS = 10  # LAA's longest channel occupancy (3GPP TS 36.213 sec. 15)
 
 
 def _require_int(name, value, least):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ValueError("%s must be an integer, got %r" % (name, value))
     if value < least:
         raise ValueError("%s must be at least %d, got %d" % (name, least, value))

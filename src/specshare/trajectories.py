@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distributions import is_integer
 from .fsc import draw, initial_node, observation_bin, transition_node
 from .simulator import AgentTrack, CoexistenceSimulator, Episode
 
@@ -155,7 +156,7 @@ def _episode(record):
         raise ValueError("unrecognized episode schema: %r"
                          % record.get("schema"))
     k = record.get("k")
-    if isinstance(k, bool) or not isinstance(k, int):
+    if not is_integer(k):
         raise ValueError("k must be an integer")
     agents = record.get("agents")
     if not (isinstance(agents, list) and agents
@@ -170,9 +171,10 @@ def _episode(record):
 def _numbers(value, name):
     """`value` if it is a list of numbers, of integers for the fields that
     count (actions, obs_us, obs_bin)."""
-    kinds = int if name in ("actions", "obs_us", "obs_bin") else (int, float)
+    counts = name in ("actions", "obs_us", "obs_bin")
     if not isinstance(value, list) or not all(
-            isinstance(x, kinds) and not isinstance(x, bool) for x in value):
+            is_integer(x) or (not counts and isinstance(x, float))
+            for x in value):
         raise ValueError("%s must be a list of %s" % (
-            name, "integers" if kinds is int else "numbers"))
+            name, "integers" if counts else "numbers"))
     return value

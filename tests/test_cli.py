@@ -30,7 +30,8 @@ def test_collect_learn_evaluate_report_pipeline(tmp_path, capsys):
     episodes = str(tmp_path / "episodes.jsonl")
     assert main(["collect", "--config", config, "--out", episodes,
                  "--k", "4", "--t", "10", "--seed", "1"]) == 0
-    assert sum(1 for _ in open(episodes)) == 4
+    with open(episodes) as fh:
+        assert sum(1 for _ in fh) == 4
 
     out_dir = str(tmp_path / "run")
     assert main(["learn", "--episodes", episodes, "--out", out_dir,
@@ -61,7 +62,8 @@ def test_collect_deterministic_file_hash(tmp_path):
         out = str(tmp_path / name)
         assert main(["collect", "--config", config, "--out", out,
                      "--k", "2", "--t", "6", "--seed", "9"]) == 0
-        digests.append(hashlib.sha256(open(out, "rb").read()).hexdigest())
+        digests.append(hashlib.sha256((tmp_path / name).read_bytes())
+                       .hexdigest())
     assert digests[0] == digests[1]
 
 
@@ -571,7 +573,8 @@ def test_a_config_seed_other_than_zero_exits_2(tmp_path, capsys):
     # every episode is seeded from --seed, so the file's seed would change
     # nothing; seed 0, as in every stored config, still runs
     config = write_config(tmp_path)
-    data = json.loads(open(config).read())
+    with open(config) as fh:
+        data = json.load(fh)
     data["seed"] = 5
     seeded = tmp_path / "seeded.json"
     seeded.write_text(json.dumps(data))

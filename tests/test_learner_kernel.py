@@ -428,6 +428,56 @@ class TestCompaction:
         assert np.array_equal(stored.sigma, st.sigma)
         assert np.array_equal(stored.lam, st.lam)
 
+    def test_dropping_a_middle_node_matches_never_dropping(self,
+                                                           monkeypatch):
+        # agent 0's node 1 of 4 is all but unreachable, so it leaves the
+        # kernel in the first update: its neighbours change lanes, agent 0
+        # gets a pad lane and agent 1 none. Every kept node's factors and
+        # occupancy equal those of the same update with no node dropped,
+        # bit for bit: the dropped node's masses are below half an ulp of
+        # every sum they would enter
+        eps = seeded_batch(seed=8)
+        hyper = Hyperparams()
+        rng = np.random.default_rng(8)
+        batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
+        states = []
+        for n in range(2):
+            st = VariationalState(4, 3, 13, hyper, visited=batch.visited(n, 3))
+            for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
+                setattr(st, name, rng.uniform(0.5, 3.0,
+                                              size=np.shape(getattr(st, name))))
+            states.append(st)
+        states[0].delta[1] = 0.011
+        states[0].sigma[..., 1] = 0.011
+
+        def update(share):
+            sts = copy.deepcopy(states)
+            with monkeypatch.context() as patch:
+                patch.setattr(specshare.learning, "_DROP_SHARE", share)
+                kernel = _Kernel(sts, hyper, batch)
+                est = point_estimate(kernel, kernel.psi)
+                rw = reweighted(batch, est, reward_bounds(batch)[0],
+                                hyper.gamma)
+                occ = _update_agent(kernel, est, rw)
+            kernel.store(sts)
+            return kernel.layout, np.split(occ, 2), sts
+
+        lay, occ, got = update(specshare.learning._DROP_SHARE)
+        _, occ_ref, want = update(0.0)
+        assert [nodes.tolist() for nodes in lay.live] == [[0, 2, 3],
+                                                          [0, 1, 2, 3]]
+        assert occ[0][1] == 0.0 < occ_ref[0][1]
+        for n, kept in enumerate(lay.live):
+            assert np.array_equal(occ[n][kept], occ_ref[n][kept])
+            assert got[n].h == want[n].h
+            for name in ("delta", "mu", "phi", "b"):
+                assert np.array_equal(getattr(got[n], name)[kept],
+                                      getattr(want[n], name)[kept]), name
+            for name in ("sigma", "lam"):
+                assert np.array_equal(
+                    getattr(got[n], name)[kept][..., kept],
+                    getattr(want[n], name)[kept][..., kept]), name
+
     @pytest.mark.parametrize("z", range(2, 11))
     def test_seeded_batch_matches_never_dropping(self, monkeypatch, z):
         # the episode-tree start merges a random batch to a few nodes, so
