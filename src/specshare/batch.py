@@ -58,9 +58,15 @@ class EpisodeBatch:
         self.actions, self.obs_bins, log_behavior = [], [], []
         for n, aset in enumerate(action_sets):
             tracks = [ep.agents[n] for ep in episodes]
+            index = {a: i for i, a in enumerate(aset)}
+            for k, tr in enumerate(tracks):
+                outside = [a for a in tr.actions if a not in index]
+                if outside:
+                    raise ValueError("episode %d agent %d: action %r is not "
+                                     "in the action set %s"
+                                     % (k, n, outside[0], list(aset)))
             self.actions.append(np.array(
-                [[aset.index(a) for a in tr.actions] for tr in tracks],
-                dtype=int))
+                [[index[a] for a in tr.actions] for tr in tracks], dtype=int))
             bins = np.array([tr.obs_bin for tr in tracks])
             if bins.dtype.kind not in "iu" or np.any(bins < 0) \
                     or np.any(bins >= n_obs_bins):

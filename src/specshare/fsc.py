@@ -183,34 +183,41 @@ def transition_node(policy, node, action, obs_us, rng):
     return draw(policy.omega_cdf[node][ai][oi], rng)
 
 
-def forward(policy, action_idx, obs_bins):
+# What `forward_pass` returns: alpha_hat (N, K, t+1, Z), the scales (N, K,
+# t+1) it was divided by and the step matrices (N, K, t, Z, Z)
+ForwardPass = namedtuple("ForwardPass", "alpha_hat scale steps")
+
+
+def forward_pass(policy, action_idx, obs_bins):
     """Scaled forward recursion over controller nodes, batched over episodes
-    and stacked over agents.
+    and stacked over agents, as a `ForwardPass`.
 
     `action_idx` are action indices, shape (K, t+1), and `obs_bins` are
     observation-bin indices, shape (K, t): one row per episode, all of
-    the same length. Returns (alpha_hat, log_scale), shapes (K, t+1, Z)
-    and (K, t+1): alpha_hat[k, tau] is episode k's node posterior given
-    its history up to tau, and log_scale[k, tau] is the log of the factor
-    it was divided by, so the cumulative sum of log_scale along tau is the
-    log history likelihood of every prefix. Per-step scaling keeps T = 50
-    histories from underflowing. 1-D inputs are the K = 1 case and give
-    results without the K axis.
+    the same length; 1-D inputs are the K = 1 case. alpha_hat[n, k, tau]
+    is episode k's node posterior given its history up to tau, and
+    scale[n, k, tau] the factor it was divided by, so the product of the
+    scales along tau is the history likelihood of every prefix. Per-step
+    scaling keeps T = 50 histories from underflowing. The node sweep of
+    `learning` reads the same scales and step matrices backward.
 
     A stacked policy (`stack_policies`: eta (N, Z), pi (N, Z, A), omega
     (N, Z, A, O, Z), zero beyond each agent's own nodes) takes (N, K, t+1)
     and (N, K, t) indices, and all N K rows run in one pass; a zero node
     adds only exact zeros, so only summation order differs from N passes.
-    With one node there is nothing to step through: alpha_hat is all ones
-    and each scale is that step's factor, eta pi[a_0] first and then
+    A single policy gives N = 1. Each step matrix, steps[n, k, tau] = M_tau
+    with M_tau[i, j] = omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}], is
+    gathered once, and alpha advances by one matmul per step. With one
+    node there is nothing to step through: alpha_hat is all ones and each
+    scale is that step's factor, eta pi[a_0] first and then
     omega[a_{t-1}, o_{t-1}] pi[a_t], gathered at once, the values the
-    recursion reaches exactly (x / x = 1 and 1 x = x). A history of zero
-    likelihood raises ValueError; any other non-finite scale
-    FloatingPointError.
+    recursion reaches exactly (x / x = 1 and 1 x = x); the step matrices
+    are then the scales' 1 x 1 views. A history of zero likelihood raises
+    ValueError; any other non-finite scale FloatingPointError.
     """
     aidx = np.asarray(action_idx, dtype=int)
     obins = np.asarray(obs_bins, dtype=int)
-    shape = aidx.shape  # of the results, without the node axis
+    shape = aidx.shape
     if obins.shape != shape[:-1] + (shape[-1] - 1,):
         raise ValueError("need exactly one fewer observation than actions")
     eta, pi, omega = (np.asarray(x, dtype=float)
@@ -224,43 +231,51 @@ def forward(policy, action_idx, obs_bins):
     k, t1 = aidx.shape[1:]
     obins = obins.reshape(n, k, t1 - 1)
     agent = np.arange(n)[:, None, None]
-    # a zero total logs as -inf and, in the loop, turns the rest of its row
-    # into NaN, so one check at the end finds it
+    scale = np.empty((n, k, t1))
+    # a zero total turns the rest of its row into NaN; one check at the end
+    # finds the zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if z == 1:
             alpha_hat = np.ones((n, k, t1, 1))
-            log_scale = np.empty((n, k, t1))
-            log_scale[..., 0] = eta
-            log_scale[..., 1:] = omega[agent, 0, aidx[..., :-1], obins, 0]
-            log_scale *= pi[agent, 0, aidx]
-            np.log(log_scale, out=log_scale)
+            scale[..., 0] = eta
+            scale[..., 1:] = omega[agent, 0, aidx[..., :-1], obins, 0]
+            scale *= pi[agent, 0, aidx]
+            steps = scale[..., 1:, None, None]
         else:
             pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
-            # omega[:, a, o, :] at every transition
-            trans = omega.transpose(0, 2, 3, 1, 4)[agent, aidx[..., :-1],
-                                                   obins]
+            steps = omega.transpose(0, 2, 3, 1, 4)[
+                agent, aidx[..., :-1], obins] * pi_rows[:, :, 1:, None, :]
             alpha_hat = np.empty((n, k, t1, z))
-            log_scale = np.empty((n, k, t1))
             alpha = eta[:, None] * pi_rows[:, :, 0]
             for t in range(t1):
                 if t:
                     alpha = (alpha_hat[:, :, t - 1, None, :]
-                             @ trans[:, :, t - 1])[:, :, 0] * pi_rows[:, :, t]
-                total = alpha.sum(axis=-1)
-                log_scale[..., t] = np.log(total)
+                             @ steps[:, :, t - 1])[:, :, 0]
+                scale[..., t] = total = alpha.sum(axis=-1)
                 alpha_hat[:, :, t] = alpha / total[..., None]
-    if not np.isfinite(log_scale).all():
-        if np.any(log_scale == -np.inf):
+    if not np.all((scale > 0.0) & (scale < math.inf)):
+        if np.any(scale == 0.0):
             raise ValueError("history has zero likelihood under the policy")
         raise FloatingPointError("forward pass is not finite")
-    return alpha_hat.reshape(shape + (z,)), log_scale.reshape(shape)
+    return ForwardPass(alpha_hat, scale, steps)
+
+
+def forward(policy, action_idx, obs_bins):
+    """(alpha_hat, log_scale) of `forward_pass`, in the inputs' shape: (K,
+    t+1, Z) and (K, t+1) for (K, t+1) actions, without the K axis for 1-D
+    inputs and with the agent axis for a stacked policy. The cumulative sum
+    of log_scale along tau is the log history likelihood of every prefix."""
+    alpha_hat, scale, _ = forward_pass(policy, action_idx, obs_bins)
+    shape = np.shape(action_idx)
+    return alpha_hat.reshape(shape + (-1,)), np.log(scale).reshape(shape)
 
 
 def stack_policies(policies):
     """Controllers or point estimates of N agents as one `PointEstimate` of
     stacked arrays, eta (N, Z), pi (N, Z, A) and omega (N, Z, A, O, Z),
-    zero beyond each agent's own nodes, actions and bins, as `forward`
-    takes them. An estimate that is stacked already is returned as it is."""
+    zero beyond each agent's own nodes, actions and bins, as
+    `forward_pass` takes them. An estimate that is stacked already is
+    returned as it is."""
     if isinstance(policies, PointEstimate):
         return policies
     stacked = []
@@ -280,8 +295,7 @@ def history_likelihood(policy, action_idx, obs_bins):
     For sub-probability point estimates the result is a non-negative
     weight rather than a probability.
     """
-    _, log_scale = forward(policy, action_idx, obs_bins)
-    return math.exp(float(np.sum(log_scale)))
+    return math.exp(float(np.sum(forward(policy, action_idx, obs_bins)[1])))
 
 
 def log_history_likelihoods(policy, action_idx, obs_bins):
@@ -526,8 +540,8 @@ def point_estimate(state, psi=None):
     pi), and optionally `visited` (see `omega_columns`); its estimate
     covers every node. Given `psi`, the `FactorDigammas` of a learner
     kernel, the estimate is instead that kernel's, over each agent's
-    kernel-live nodes, stacked and zero-padded as `forward` takes it, from
-    one `exp` and three gathers. Entries are exp of expected
+    kernel-live nodes, stacked and zero-padded as `forward_pass` takes it,
+    from one `exp` and three gathers. Entries are exp of expected
     log-probabilities, hence sub-probabilities; no renormalization is
     applied.
     """

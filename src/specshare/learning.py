@@ -4,7 +4,9 @@ The importance-weighted discounted return of the candidate policy acts as
 the likelihood; stick-breaking Beta/Gamma priors over controller rows act
 as the prior; coordinate ascent over the factorized posterior maximizes
 the evidence lower bound. Node-path posteriors for every episode prefix
-come from one forward and one O(T) backward pass over the whole batch.
+come from one forward and one O(T) backward pass over the whole batch; the
+backward pass reads the forward pass's scales and step matrices
+(`fsc.ForwardPass`) and gathers and recomputes none of them.
 
 One kernel (`_Kernel`) holds every agent's factors for a run, in flat
 buffers laid out by `fsc.KernelLayout`, so each step of an iteration runs
@@ -29,17 +31,17 @@ sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is below half an ulp
 of the sum: the node's delta, sigma and phi are exactly 1, 1 and theta,
 and the lam of its run of dropped neighbours is one value. Its share of
 any prefix likelihood is bounded by the same occupancy, so the forward
-scales do not move either. From then on `fsc.forward`, the sweep, the
-scatter and the point estimate run on the live sub-controllers; once
-every agent is at one node, `fsc.forward` and the sweep take closed forms
-in place of their steps through time. The omega sticks are held as
-entries over the kept columns (`fsc.NodeSlots`): one per live source and
-destination slot, where a run of dropped destinations between live ones
-is one slot weighted by its length, and one per dropped source, standing
-for all its destinations (sigma = 1, lam = a/b); dropped sources keep
-their own b and their terms in the bound. `VariationalState` keeps the
-full truncation; `learn` writes the kernel back to it at the end of the
-run. With every node live the same code is the uncompacted kernel.
+scales do not move either. From then on `fsc.forward_pass`, the sweep,
+the scatter and the point estimate run on the live sub-controllers;
+once every agent is at one node, `fsc.forward_pass` and the sweep take
+closed forms in place of their steps through time. The omega sticks are
+held as entries over the kept columns (`fsc.NodeSlots`): one per live
+source and destination slot, where a run of dropped destinations between
+live ones is one slot weighted by its length, and one per dropped source,
+standing for all its destinations (sigma = 1, lam = a/b); dropped
+sources keep their own b and their terms in the bound. `VariationalState`
+keeps the full truncation; `learn` writes the kernel back to it at the
+end of the run. With every node live the same code is the uncompacted kernel.
 """
 
 import math
@@ -52,8 +54,8 @@ import numpy as np
 from .batch import EpisodeBatch
 from .distributions import _special_function, check_discount
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, KernelLayout, PointEstimate,
-                  forward, init_from_episodes, omega_columns, point_estimate,
-                  prune, stack_policies, stick_digammas)
+                  forward_pass, init_from_episodes, omega_columns,
+                  point_estimate, prune, stack_policies, stick_digammas)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
 # not called, and digamma and gammaln skip the domain check, because the
 # kernel checks every argument once per iteration
@@ -180,22 +182,18 @@ class _Kernel:
                           self.rates[self.b.size:])
         self.g, self.a = (np.array([float(getattr(st, name)) for st in states])
                           for name in ("g", "a"))
-        psi_g, psi_a = np.split(digamma(np.concatenate([self.g, self.a])), 2)
-        lgamma = gammaln(np.concatenate([self.g, self.a,
-                                         [hyper.c, hyper.e]]))
-        lgamma_g, lgamma_a = np.split(lgamma[:-2], 2)
 
         def per_rate(omega_value, eta_value):  # per node's b, then per h
             return np.concatenate([
                 np.repeat(np.broadcast_to(omega_value, lay.n_nodes), n_cols),
                 np.broadcast_to(eta_value, len(z))])
-        node_a = lay.agent_of_node
-        self.shape_q = per_rate(self.a[node_a], self.g)
-        self.psi_q = per_rate(psi_a[node_a], psi_g)
-        self.lgamma_q = per_rate(lgamma_a[node_a], lgamma_g)
+        self.shape_q = per_rate(self.a[lay.agent_of_node], self.g)
+        self.psi_q = digamma(self.shape_q)
         shape_p = per_rate(hyper.c, hyper.e)
         rate_p = per_rate(hyper.d, hyper.f)
-        self.prior_q = shape_p * np.log(rate_p) - per_rate(*lgamma[-2:])
+        self.lgamma_q, lgamma_p = np.split(
+            gammaln(np.concatenate([self.shape_q, shape_p])), 2)
+        self.prior_q = shape_p * np.log(rate_p) - lgamma_p
         self.shape_p1 = shape_p - 1.0
         self.rate_shape = rate_p * self.shape_q
         self.weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
@@ -252,8 +250,8 @@ class _Kernel:
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
-# path weights; alpha_hat: the target's (N, K, t, Z) stacked tables
-ReweightedRewards = namedtuple("ReweightedRewards", "value nu alpha_hat")
+# path weights; fwd: the target's stacked `fsc.ForwardPass`
+ReweightedRewards = namedtuple("ReweightedRewards", "value nu fwd")
 
 
 @dataclass
@@ -302,34 +300,28 @@ def node_marginals(policy, action_idx, obs_bins, t):
     pairwise slice tau - 1 couples z_{tau-1} and z_tau, tau = 1..t. This
     is the learner's own sweep with all path weight on endpoint t.
     """
-    aidx = np.asarray(action_idx[:t + 1], dtype=int)[None]
-    obins = np.asarray(obs_bins[:t], dtype=int)[None]
-    alpha_hat, _ = forward(policy, aidx, obins)
-    nu = np.zeros((1, t + 1))
-    nu[0, t] = 1.0
-    occ, pair = _sweep(policy, aidx, obins, nu, alpha_hat)
-    return occ[0], pair[0, 1:]
+    occ, pair = _sweep(forward_pass(policy, action_idx[:t + 1], obs_bins[:t]),
+                       np.eye(1, t + 1, t))  # nu: all weight on t
+    return occ[0, 0], pair[0, 0, 1:]
 
 
 def _log_prefix(batch, policies):
     """Cumulative log joint likelihood per (episode, t) of the batch,
-    summed over agents, and the stacked scaled forward tables, from one
-    forward pass over every agent's episodes."""
-    alpha_hat, log_scale = forward(stack_policies(policies), batch.actions,
-                                   batch.obs_bins)
-    return np.cumsum(log_scale, axis=2).sum(axis=0), alpha_hat
+    summed over agents, and the stacked `fsc.ForwardPass` it comes from,
+    one pass over every agent's episodes; the scales' log is taken once."""
+    fwd = forward_pass(stack_policies(policies), batch.actions, batch.obs_bins)
+    return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
 
 
 def _return_terms(batch, target, behavior, r_min, gamma):
     """The empirical value, each (episode, t) return term (importance ratio
-    times shifted discounted reward) and the target's stacked scaled
-    forward tables.
+    times shifted discounted reward) and the target's stacked forward pass.
 
     Behaviour policies, when given, run through the same forward call as
     the target, so equal policies cancel exactly; otherwise the per-step
     probabilities stored at collection time are used.
     """
-    logp, alpha_hat = _log_prefix(batch, target)
+    logp, fwd = _log_prefix(batch, target)
     logb = batch.log_behavior if behavior is None \
         else _log_prefix(batch, behavior)[0]
     t = np.arange(batch.rewards.shape[1])
@@ -339,7 +331,7 @@ def _return_terms(batch, target, behavior, r_min, gamma):
         value = float(np.sum(terms)) / batch.size
     if not math.isfinite(value):
         raise FloatingPointError("empirical value is not finite: %r" % value)
-    return value, terms, alpha_hat
+    return value, terms, fwd
 
 
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
@@ -361,40 +353,33 @@ def reweighted(batch, estimates, r_min, gamma):
     the value they normalize by; the behaviour probabilities are the stored
     ones. `estimates` are per-agent point estimates or controllers, or one
     stacked estimate (`fsc.stack_policies`)."""
-    value, terms, alpha_hat = _return_terms(batch, estimates, None, r_min,
-                                            gamma)
+    value, terms, fwd = _return_terms(batch, estimates, None, r_min, gamma)
     if not value > 0.0:
         raise FloatingPointError("empirical value is not positive: %r" % value)
-    return ReweightedRewards(value=value, nu=terms / value,
-                             alpha_hat=alpha_hat)
+    return ReweightedRewards(value=value, nu=terms / value, fwd=fwd)
 
 
-def _sweep(estimate, aidx, obins, nu, ahat):
+def _sweep(fwd, nu):
     """nu-weighted posterior node statistics over a block of equal-length
-    episodes, for one agent or stacked over agents as in `fsc.forward`.
+    episodes, stacked over agents, read backward from their forward pass.
 
-    `aidx` (K, t1) and `obins` (K, t1 - 1) index the episodes, `nu`
-    (K, t1) holds their path weights and `ahat` (K, t1, Z) their scaled
-    forward tables from `forward`; a stacked estimate takes (N, K, t1),
-    (N, K, t1 - 1) and (N, K, t1, Z), and the same `nu`. Returns (occ,
-    pair): occ[k, tau, i] sums the singleton marginals of z_tau over every
-    prefix endpoint t >= tau, each weighted by nu[k, t]; pair[k, tau]
+    `fwd` is the `fsc.ForwardPass` of (N, K, t1) episodes and `nu` (K, t1)
+    their path weights, the same for every agent. Returns (occ, pair):
+    occ[n, k, tau, i] sums the singleton marginals of z_tau over every
+    prefix endpoint t >= tau, each weighted by nu[k, t]; pair[n, k, tau]
     (tau >= 1) likewise sums the weighted pairwise marginals coupling
     z_{tau-1} and z_tau. All endpoints share one reward-to-go recursion
     (Toussaint & Storkey 2006): G_tau = nu_tau + M_tau G_{tau+1} /
-    c_{tau+1}, with M_tau[i, j] = omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}]
-    and the forward scale c_{tau+1} = sum(ahat_tau M_tau); occ_tau = ahat_tau
-    G_tau and pair_{tau+1}[i, j] = ahat_tau[i] M_tau[i, j] G_{tau+1}[j] /
-    c_{tau+1}. With one node ahat is all ones and M_tau = c_{tau+1}, so G
-    is the reverse cumulative sum of nu, the same for every agent, occ = G
-    and pair_{tau+1} = G_{tau+1}; the recursion's M (G / c) differs from
-    these by about an ulp. A non-finite G raises FloatingPointError.
+    c_{tau+1}, over the forward pass's step matrices M_tau and its scales
+    c_{tau+1} = sum(ahat_tau M_tau), neither gathered nor computed again
+    here; occ_tau = ahat_tau G_tau and pair_{tau+1}[i, j] = ahat_tau[i]
+    M_tau[i, j] G_{tau+1}[j] / c_{tau+1}. With one node ahat is all ones
+    and M_tau = c_{tau+1}, so G is the reverse cumulative sum of nu, the
+    same for every agent, occ = G and pair_{tau+1} = G_{tau+1}; the
+    recursion's M (G / c) differs from these by about an ulp. A non-finite
+    G raises FloatingPointError.
     """
-    single = np.ndim(estimate.eta) == 1
-    if single:
-        estimate = PointEstimate(*(np.asarray(x)[None] for x in (
-            estimate.eta, estimate.pi, estimate.omega)))
-        aidx, obins, ahat = aidx[None], obins[None], ahat[None]
+    ahat, scale, m = fwd.alpha_hat, fwd.scale[..., 1:], fwd.steps
     n, k, t1, z = ahat.shape
     if z == 1:
         to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -402,26 +387,18 @@ def _sweep(estimate, aidx, obins, nu, ahat):
         occ = np.repeat(to_go[None, :, :, None], n, axis=0)
         pair = np.zeros((n, k, t1, 1, 1))
         pair[:, :, 1:, 0, 0] = to_go[:, 1:]
-    else:
-        agent = np.arange(n)[:, None, None]
-        m = estimate.omega.transpose(0, 2, 3, 1, 4)[
-            agent, aidx[..., :-1], obins] * estimate.pi.transpose(
-                0, 2, 1)[agent, aidx[..., 1:]][..., None, :]
-        scale = (ahat[:, :, :-1, None, :] @ m)[..., 0, :].sum(axis=-1)
-        to_go = np.empty((n, k, t1, z))
-        to_go[:, :, -1] = nu[:, -1:]
-        for tau in range(t1 - 2, -1, -1):
-            after = to_go[:, :, tau + 1] / scale[:, :, tau, None]
-            to_go[:, :, tau] = nu[:, tau, None] \
-                + (m[:, :, tau] @ after[..., None])[..., 0]
-        _check_finite(to_go, "node sweep")
-        pair = np.zeros((n, k, t1, z, z))
-        pair[:, :, 1:] = ahat[:, :, :-1, :, None] * m \
-            * (to_go[:, :, 1:] / scale[..., None])[..., None, :]
-        occ = ahat * to_go
-    if single:
-        return occ[0], pair[0]
-    return occ, pair
+        return occ, pair
+    to_go = np.empty((n, k, t1, z))
+    to_go[:, :, -1] = nu[:, -1:]
+    for tau in range(t1 - 2, -1, -1):
+        after = to_go[:, :, tau + 1] / scale[:, :, tau, None]
+        to_go[:, :, tau] = nu[:, tau, None] \
+            + (m[:, :, tau] @ after[..., None])[..., 0]
+    _check_finite(to_go, "node sweep")
+    pair = np.zeros((n, k, t1, z, z))
+    pair[:, :, 1:] = ahat[:, :, :-1, :, None] * m \
+        * (to_go[:, :, 1:] / scale[..., None])[..., None, :]
+    return ahat * to_go, pair
 
 
 def _check_finite(table, name):
@@ -429,21 +406,22 @@ def _check_finite(table, name):
         raise FloatingPointError("%s is not finite" % name)
 
 
-def _update_agent(kernel, estimate, rw):
+def _update_agent(kernel, rw):
     """One coordinate sweep of every agent's factors, in one pass over the
     kernel (the name is the traced span's).
 
-    `rw` holds the path weights and stacked forward tables that
-    `reweighted` computed at `estimate`, the kernel's stacked point
-    estimate. The sweep's masses go into the factors in one scatter
-    (`np.bincount`) through the maps the point estimate reads: each pair
-    mass of a transition to its omega entry and each occupancy of a step
-    to its phi entry, so every parameter gets its terms in episode and
-    step order; the first step's occupancy, summed over episodes, goes to
-    the eta sticks through `eta_map`. A node whose occupancy share
-    this sweep is below `_DROP_SHARE` leaves the kernel before the
-    factors are set; only then is the layout built again, and the sweep's
-    output first moved onto the kept lanes.
+    `rw` holds the path weights and the stacked forward pass that
+    `reweighted` computed at the kernel's stacked point estimate; the
+    sweep reads the pass's posteriors, scales and step matrices, so the
+    estimate itself is not read again. The sweep's masses go into the
+    factors in one scatter (`np.bincount`) through the maps the point
+    estimate reads: each pair mass of a transition to its omega entry and
+    each occupancy of a step to its phi entry, so every parameter gets its
+    terms in episode and step order; the first step's occupancy, summed
+    over episodes, goes to the eta sticks through `eta_map`. A node whose
+    occupancy share this sweep is below `_DROP_SHARE` leaves the kernel
+    before the factors are set; only then is the layout built again, and
+    the sweep's output first moved onto the kept lanes.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations) and eta sticks (using the previous eta concentrations),
@@ -452,8 +430,7 @@ def _update_agent(kernel, estimate, rw):
     of every node accumulated this sweep, 0.0 at every dropped node.
     """
     lay, hyper, batch = kernel.layout, kernel.hyper, kernel.batch
-    occ, pair = _sweep(estimate, batch.actions, batch.obs_bins, rw.nu,
-                       rw.alpha_hat)
+    occ, pair = _sweep(rw.fwd, rw.nu)
     # delta's mass and each node's occupancy, per agent and lane, summed
     # on the sweep's own lanes: numpy's summation order follows the shape
     first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
@@ -587,7 +564,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
-        occ_total = _update_agent(kernel, estimate, rw)
+        occ_total = _update_agent(kernel, rw)
         estimate = point_estimate(kernel, kernel.psi)
         rw = reweighted(batch, estimate, r_min, hyper.gamma)
         cur = elbo(states, rw.value, hyper, kernel)

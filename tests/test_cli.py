@@ -490,6 +490,22 @@ def test_mixed_length_batch_exit_code(tmp_path, capsys):
         assert err == "error: episode 1 has 10 steps, the first has 6\n"
 
 
+def test_evaluate_names_an_action_outside_the_action_set(tmp_path, capsys):
+    records = stored_records()
+    records[0]["agents"][0]["actions"][0] = 17
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(r) + "\n" for r in records))
+    policies = tmp_path / "policies.json"
+    policies.write_text(stored_policies_text())
+    action_set = json.loads(policies.read_text())["policies"][0]["action_set"]
+    capsys.readouterr()
+    assert main(["evaluate", "--policies", str(policies), "--episodes",
+                 str(batch)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: episode 0 agent 0: action 17 is not in the action "
+                   "set %s\n" % action_set)
+
+
 @pytest.mark.parametrize("gamma", ["1.5", "nan", "-0.5", "inf", "1"])
 def test_evaluate_rejects_a_discount_outside_zero_one(tmp_path, capsys, gamma):
     policies = tmp_path / "policies.json"

@@ -20,8 +20,8 @@ import specshare.learning
 from specshare import trajectories
 from specshare.batch import EpisodeBatch
 from specshare.fsc import (KernelLayout, PointEstimate, forward,
-                           init_from_episodes, node_slots, omega_columns,
-                           point_estimate, stack_policies)
+                           forward_pass, init_from_episodes, node_slots,
+                           omega_columns, point_estimate, stack_policies)
 from specshare.learning import (Hyperparams, ReweightedRewards,
                                 VariationalState, _Kernel, _sweep,
                                 _update_agent, elbo, learn, reward_bounds,
@@ -74,7 +74,7 @@ class TestRewardToGoSweep:
             obins = rng.integers(0, 4, size=(k, t - 1))
             nu = rng.random((k, t)) * (rng.random((k, t)) < 0.8)
             ahat, _ = forward(est, aidx, obins)
-            got = _sweep(est, aidx, obins, nu, ahat)
+            got = [x[0] for x in _sweep(forward_pass(est, aidx, obins), nu)]
             want = multi_endpoint_sweep(est, aidx, obins, nu, ahat)
             for g, w in zip(got, want):
                 gap, share = slice_gap(g, w)
@@ -101,7 +101,7 @@ class TestRewardToGoSweep:
         est.pi[0, 1] *= 1e-300
         ahat, log_scale = forward(est, aidx, obins)
         assert np.sum(log_scale < -600.0) > t  # the tiny entries are used
-        got = _sweep(est, aidx, obins, nu, ahat)
+        got = [x[0] for x in _sweep(forward_pass(est, aidx, obins), nu)]
         want = multi_endpoint_sweep(est, aidx, obins, nu, ahat)
         for g, w in zip(got, want):
             gap, share = slice_gap(g, w)
@@ -114,7 +114,7 @@ class TestRewardToGoSweep:
         obins = np.zeros((2, 0), dtype=int)
         nu = np.array([[0.5], [2.0]])
         ahat, _ = forward(est, aidx, obins)
-        occ, pair = _sweep(est, aidx, obins, nu, ahat)
+        occ, pair = (x[0] for x in _sweep(forward_pass(est, aidx, obins), nu))
         assert np.array_equal(occ, ahat * nu[:, :, None])
         assert pair.shape == (2, 1, 3, 3) and not pair.any()
 
@@ -186,12 +186,12 @@ class TestTableChecks:
         est = random_point_estimate(rng, z=z)
         aidx = rng.integers(0, 3, size=(2, 6))
         obins = rng.integers(0, 4, size=(2, 5))
-        ahat, _ = forward(est, aidx, obins)
+        fwd = forward_pass(est, aidx, obins)
         nu = rng.random((2, 6))
         nu[1, 4] = np.inf
         with pytest.raises(FloatingPointError, match="node sweep is not "
                                                      "finite"):
-            _sweep(est, aidx, obins, nu, ahat)
+            _sweep(fwd, nu)
 
 
 class TestOneKernel:
@@ -242,7 +242,7 @@ class TestOneKernel:
         kernel = _Kernel(states, hyper, batch)
         est = point_estimate(kernel, kernel.psi)
         rw = reweighted(batch, est, reward_bounds(batch)[0], hyper.gamma)
-        occ = _update_agent(kernel, est, rw)
+        occ = _update_agent(kernel, rw)
         kernel.store(states)
         for n, st in enumerate(singles):
             one = EpisodeBatch([Episode(k=ep.k, agents=[ep.agents[n]],
@@ -255,9 +255,9 @@ class TestOneKernel:
                               (est.pi[n, :z], own_est.pi[0]),
                               (est.omega[n, :z, ..., :z], own_est.omega[0])):
                 assert relative_gap(got, want) < 1e-12
-            ahat, _ = forward(own_est, one.actions, one.obs_bins)
-            own_occ = _update_agent(own, own_est, ReweightedRewards(
-                rw.value, rw.nu, ahat))
+            own_occ = _update_agent(own, ReweightedRewards(
+                rw.value, rw.nu, forward_pass(own_est, one.actions,
+                                              one.obs_bins)))
             own.store([st])
             offsets = kernel.layout.offsets
             assert relative_gap(occ[offsets[n]:offsets[n + 1]],
@@ -458,7 +458,7 @@ class TestCompaction:
                 est = point_estimate(kernel, kernel.psi)
                 rw = reweighted(batch, est, reward_bounds(batch)[0],
                                 hyper.gamma)
-                occ = _update_agent(kernel, est, rw)
+                occ = _update_agent(kernel, rw)
             kernel.store(sts)
             return kernel.layout, np.split(occ, 2), sts
 

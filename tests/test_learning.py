@@ -8,8 +8,9 @@ import pytest
 import specshare.fsc
 import specshare.learning
 from specshare.batch import EpisodeBatch
-from specshare.fsc import (PointEstimate, forward, log_history_likelihoods,
-                           observation_bin, point_estimate)
+from specshare.fsc import (PointEstimate, forward, forward_pass,
+                           log_history_likelihoods, observation_bin,
+                           point_estimate)
 from specshare.learning import (Hyperparams, VariationalState, _Kernel,
                                 _sweep, _update_agent, elbo,
                                 empirical_value, learn, mean_policy,
@@ -357,7 +358,7 @@ class TestSharedForwardPass:
 
     def test_one_forward_pass_per_agent_episode_iteration(self, monkeypatch):
         calls = []
-        original = specshare.fsc.forward
+        original = specshare.fsc.forward_pass
 
         def counting(policy, action_idx, obs_bins):
             # agent-episode rows in the call: (K, t+1) per agent, or
@@ -365,8 +366,8 @@ class TestSharedForwardPass:
             calls.append(np.size(action_idx) // np.shape(action_idx)[-1])
             return original(policy, action_idx, obs_bins)
 
-        monkeypatch.setattr(specshare.fsc, "forward", counting)
-        monkeypatch.setattr(specshare.learning, "forward", counting)
+        monkeypatch.setattr(specshare.fsc, "forward_pass", counting)
+        monkeypatch.setattr(specshare.learning, "forward_pass", counting)
         eps = seeded_batch()
         res = learn(eps, Hyperparams(), max_iters=6, n_obs_bins=13)
         k, n = len(eps), len(eps[0].agents)
@@ -411,7 +412,8 @@ class TestBatchedKernel:
         assert rw.nu.shape == (6, 10)
         for n, est in enumerate(ests):
             aidx, obins = batch.actions[n], batch.obs_bins[n]
-            occ, pair = _sweep(est, aidx, obins, rw.nu, rw.alpha_hat[n])
+            occ, pair = (x[0] for x in _sweep(forward_pass(est, aidx, obins),
+                                              rw.nu))
             _, log_scale = forward(est, aidx, obins)
             for k, ep in enumerate(eps):
                 tr = ep.agents[n]
@@ -461,8 +463,8 @@ class TestBatchedKernel:
         kernel, kernel_full = (_Kernel(st, hyper, batch)
                                for st in (states, full))
         est = point_estimate(kernel, kernel.psi)
-        occ = _update_agent(kernel, est, rw)
-        occ_full = _update_agent(kernel_full, est, rw)
+        occ = _update_agent(kernel, rw)
+        occ_full = _update_agent(kernel_full, rw)
         kernel.store(states)
         kernel_full.store(full)
         assert relative_gap(occ, occ_full) < 1e-12

@@ -21,8 +21,10 @@ Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
 to a `<command>.txt` file beside its outputs. `--compare OLD` then lists
 the files that differ from, or are missing in, an earlier run's DIR, and
-the largest relative difference per column of a differing trace.csv and
-per policy field of a differing policies.json.
+the largest relative difference per column of a differing trace.csv (and
+both row counts if they differ), per policy field of a differing
+policies.json and per track field and episode rewards of a differing
+episode .jsonl.
 
 Hashes depend on the Python, numpy and BLAS builds, so compare only runs
 made in one environment. Exits 1 if a command exits nonzero, else 0.
@@ -163,18 +165,29 @@ def relative_gap(new, old):
         else math.inf
 
 
+def gap_lines(gaps):
+    """One line per nonzero entry of {name: largest relative difference}."""
+    return ["%s: largest relative difference %.3g" % (name, gap)
+            for name, gap in sorted(gaps.items()) if gap]
+
+
 def column_gaps(new_path, old_path):
-    """{column: largest relative difference} of two trace.csv files, over
-    the rows and columns both hold."""
-    tables = []
+    """Both row counts of two trace.csv files if they differ, then the
+    largest relative difference per column, over the rows and columns
+    both hold."""
+    tables, counts = [], []
     for path in (new_path, old_path):
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
+        counts.append(len(rows))
         tables.append({name: [float(row[i]) for row in rows]
                        for i, name in enumerate(header)})
     new, old = tables
-    return {name: max(map(relative_gap, new[name], old[name]), default=0.0)
-            for name in new.keys() & old.keys()}
+    rows = ["rows: %d new, %d old" % tuple(counts)] \
+        if counts[0] != counts[1] else []
+    return rows + gap_lines({
+        name: max(map(relative_gap, new[name], old[name]), default=0.0)
+        for name in new.keys() & old.keys()})
 
 
 def leaves(value, path=()):
@@ -191,31 +204,55 @@ def leaves(value, path=()):
     return [leaf for key, v in items for leaf in leaves(v, path + (key,))]
 
 
+def record_gaps(pairs, gaps):
+    """Add to {field: largest relative difference} the gap of each (field,
+    new value, old value) in `pairs`; inf for a value whose shape
+    differs."""
+    for name, new, old in pairs:
+        (new_paths, new_values), (old_paths, old_values) = (
+            zip(*leaves(value)) for value in (new, old))
+        gap = (max(map(relative_gap, new_values, old_values))
+               if new_paths == old_paths else math.inf)
+        gaps[name] = max(gaps.get(name, 0.0), gap)
+    return gaps
+
+
 def policy_gaps(new_path, old_path):
-    """{field: largest relative difference} of two policies.json files, over
-    the policies and fields both hold; inf for a field whose shape differs."""
+    """The largest relative difference per field of two policies.json
+    files, over the policies and fields both hold."""
     policies = []
     for path in (new_path, old_path):
         with open(path) as fh:
             policies.append(json.load(fh)["policies"])
+    return gap_lines(record_gaps(
+        ((name, new[name], old[name]) for new, old in zip(*policies)
+         for name in new.keys() & old.keys()), {}))
+
+
+def episode_gaps(new_path, old_path):
+    """The largest relative difference per track field, over every agent,
+    and of the episode rewards, of two episode .jsonl files, over the
+    episodes and agents both hold."""
+    episodes = []
+    for path in (new_path, old_path):
+        with open(path) as fh:
+            episodes.append([json.loads(line) for line in fh])
     gaps = {}
-    for new, old in zip(*policies):
-        for name in new.keys() & old.keys():
-            (new_paths, new_values), (old_paths, old_values) = (
-                zip(*leaves(p[name])) for p in (new, old))
-            gap = (max(map(relative_gap, new_values, old_values))
-                   if new_paths == old_paths else math.inf)
-            gaps[name] = max(gaps.get(name, 0.0), gap)
-    return gaps
+    for new, old in zip(*episodes):
+        record_gaps([("episode rewards", new["rewards"], old["rewards"])]
+                    + [(name, a[name], b[name])
+                       for a, b in zip(new["agents"], old["agents"])
+                       for name in a.keys() & b.keys()], gaps)
+    return gap_lines(gaps)
 
 
-GAPS = {"trace.csv": column_gaps, "policies.json": policy_gaps}
+GAPS = {"trace.csv": column_gaps, "policies.json": policy_gaps,
+        ".jsonl": episode_gaps}
 
 
 def compare(new_dir, old_dir, new, old):
-    """Print the files that differ between two runs, with the largest
-    relative difference per column or field of each differing trace.csv
-    or policies.json."""
+    """Print the files that differ between two runs, with what `GAPS` finds
+    in each differing trace.csv, policies.json or episode file."""
     paths = new.keys() | old.keys()
     differ = sorted(p for p in paths if new.get(p) != old.get(p))
     for path in differ:
@@ -224,14 +261,11 @@ def compare(new_dir, old_dir, new, old):
                   % (new_dir if path in new else old_dir, path))
             continue
         print("differs: %s" % path)
-        gaps_of = GAPS.get(os.path.basename(path))
-        if gaps_of:
-            gaps = gaps_of(os.path.join(new_dir, path),
-                           os.path.join(old_dir, path))
-            for name, gap in sorted(gaps.items()):
-                if gap:
-                    print("    %s: largest relative difference %.3g"
-                          % (name, gap))
+        for suffix, gaps_of in GAPS.items():
+            if path.endswith(suffix):
+                for line in gaps_of(os.path.join(new_dir, path),
+                                    os.path.join(old_dir, path)):
+                    print("    " + line)
     print("%d of %d files identical" % (len(paths) - len(differ), len(paths)))
 
 
