@@ -18,25 +18,27 @@ import numpy as np
 _special = None  # scipy.special once the first special function has run
 
 
-def digamma(x):
+def digamma(x, out=None):
     """Digamma function, valid for positive arguments.
 
     Delegates to ``scipy.special.digamma`` after checking the domain.
-    Accepts scalars or arrays; scalars come back as float.
+    Accepts scalars or arrays; scalars come back as float. Given `out`, an
+    array of x's shape, the values are written into it and it is returned.
     """
-    return _special_function("digamma", x)
+    return _special_function("digamma", x, out=out)
 
 
-def gammaln(x):
+def gammaln(x, out=None):
     """Log of the gamma function, valid for positive arguments.
 
     Delegates to ``scipy.special.gammaln`` after checking the domain.
-    Accepts scalars or arrays; scalars come back as float.
+    Accepts scalars or arrays; scalars come back as float. Given `out`, an
+    array of x's shape, the values are written into it and it is returned.
     """
-    return _special_function("gammaln", x)
+    return _special_function("gammaln", x, out=out)
 
 
-def _special_function(name, x, check=True):
+def _special_function(name, x, check=True, out=None):
     global _special
     arr = np.asarray(x, dtype=float)
     # min > 0 is False for a NaN, so one reduction per bound covers both
@@ -47,8 +49,8 @@ def _special_function(name, x, check=True):
     if _special is None:
         import scipy.special
         _special = scipy.special
-    out = getattr(_special, name)(arr)
-    return float(out) if arr.ndim == 0 else out
+    result = getattr(_special, name)(arr, out=out)
+    return float(result) if arr.ndim == 0 else result
 
 
 def sample_beta(first, second, rng):

@@ -183,6 +183,15 @@ def transition_node(policy, node, action, obs_us, rng):
     return draw(policy.omega_cdf[node][ai][oi], rng)
 
 
+@functools.lru_cache(maxsize=None)
+def agent_index(n):
+    """(n, 1, 1) agent numbers, which index the agent axis of a stacked
+    policy or batch against (K, t) episode arrays; built once per n."""
+    index = np.arange(n)[:, None, None]
+    index.flags.writeable = False
+    return index
+
+
 # What `forward_pass` returns: alpha_hat (N, K, t+1, Z), the scales (N, K,
 # t+1) it was divided by and the step matrices (N, K, t, Z, Z)
 ForwardPass = namedtuple("ForwardPass", "alpha_hat scale steps")
@@ -230,7 +239,7 @@ def forward_pass(policy, action_idx, obs_bins):
     aidx = aidx.reshape(n, -1, shape[-1])
     k, t1 = aidx.shape[1:]
     obins = obins.reshape(n, k, t1 - 1)
-    agent = np.arange(n)[:, None, None]
+    agent = agent_index(n)
     scale = np.empty((n, k, t1))
     # a zero total turns the rest of its row into NaN; one check at the end
     # finds the zero
@@ -253,7 +262,8 @@ def forward_pass(policy, action_idx, obs_bins):
                              @ steps[:, :, t - 1])[:, :, 0]
                 scale[..., t] = total = alpha.sum(axis=-1)
                 alpha_hat[:, :, t] = alpha / total[..., None]
-    if not np.all((scale > 0.0) & (scale < math.inf)):
+    # min > 0 is False for a NaN, so one reduction per bound covers both
+    if not (scale.min() > 0.0 and scale.max() < math.inf):
         if np.any(scale == 0.0):
             raise ValueError("history has zero likelihood under the policy")
         raise FloatingPointError("forward pass is not finite")
@@ -349,11 +359,12 @@ def node_slots(live, z):
 
 # Views of a kernel's flat buffer (`KernelLayout.split`): the sticks' first
 # parameters (delta, then sigma), phi, the second parameters (mu, then lam),
-# the sticks' sums and phi's row sums
+# the sticks' sums and phi's row sums, and the whole buffer
 Sticks = namedtuple("Sticks", "first phi second total phisum delta sigma mu "
-                              "lam")
-# digamma of each part of the buffer, plus `log_rest`, E[ln(1 - u)] of each
-# stick times the sticks it stands for, followed by a 0, and the layout
+                              "lam flat")
+# digamma of each part of the buffer (`KernelLayout.digammas`), plus
+# `log_rest`, E[ln(1 - u)] of each stick times the sticks it stands for,
+# followed by a 0, and the layout
 FactorDigammas = namedtuple("FactorDigammas",
                             Sticks._fields + ("log_rest", "layout"))
 
@@ -488,7 +499,13 @@ class KernelLayout:
                       delta=first[:nn], sigma=first[nn:].reshape(
                           self.n_entries, -1),
                       mu=second[:nn], lam=second[nn:].reshape(
-                          self.n_entries, -1))
+                          self.n_entries, -1), flat=x)
+
+    def digammas(self, flat):
+        """`FactorDigammas` views of `flat`, a buffer of this layout's size,
+        and a new `log_rest`, for `stick_digammas` to fill."""
+        return FactorDigammas(*self.split(flat), np.zeros(self.n_sticks + 1),
+                              self)
 
     def fill(self, states):
         """A flat buffer of this layout holding the states' parameters (a
@@ -519,17 +536,18 @@ class KernelLayout:
         return entry
 
 
-def stick_digammas(x, layout, digamma_fn=None):
-    """`FactorDigammas` of a flat buffer of `layout`, whose parameters are
-    set; the sticks' sums and phi's row sums are taken here first."""
-    v = layout.split(x)
-    np.add(v.first, v.second, out=v.total)
-    np.sum(v.phi, axis=1, keepdims=True, out=v.phisum)
-    psi = layout.split((digamma_fn or digamma)(x))
-    log_rest = np.zeros(layout.n_sticks + 1)
-    np.subtract(psi.second, psi.total, out=log_rest[:-1])
-    log_rest[:-1] *= layout.stick_weight
-    return FactorDigammas(*psi, log_rest, layout)
+def stick_digammas(sticks, psi, digamma_fn=None):
+    """Fill `psi`, `FactorDigammas` views (`KernelLayout.digammas`), with
+    the digammas of the buffer that `sticks` views, whose parameters are
+    set; the sticks' sums and phi's row sums are taken here first. Returns
+    `psi`."""
+    np.add(sticks.first, sticks.second, out=sticks.total)
+    sticks.phi.sum(axis=1, keepdims=True, out=sticks.phisum)
+    (digamma_fn or digamma)(sticks.flat, out=psi.flat)
+    rest = psi.log_rest[:-1]
+    np.subtract(psi.second, psi.total, out=rest)
+    rest *= psi.layout.stick_weight
+    return psi
 
 
 def point_estimate(state, psi=None):
@@ -551,8 +569,9 @@ def point_estimate(state, psi=None):
         layout = KernelLayout([z], [np.arange(z)], omega_columns(
             getattr(state, "visited", None), n_actions, n_obs),
             n_actions, n_obs)
-        est = point_estimate(None, stick_digammas(layout.fill([state]),
-                                                  layout))
+        est = point_estimate(None, stick_digammas(
+            layout.split(layout.fill([state])),
+            layout.digammas(np.empty(layout.size))))
         return PointEstimate(eta=est.eta[0], pi=est.pi[0],
                              omega=est.omega[0])
     lay = psi.layout
@@ -619,22 +638,32 @@ def init_from_episodes(actions, obs_bins, n_actions, max_nodes=10):
             hist += ((ai, ob),)
 
     # greedy clustering of tree nodes by next-action distribution, the
-    # most visited first; a node joins the nearest cluster within tolerance
-    clusters = []  # aggregate count vectors
+    # most visited first; a node joins the nearest cluster within tolerance.
+    # The first m rows of `counts` are the clusters' aggregate counts and
+    # those of `rows` the same normalized, so one expression gives a node's
+    # L1 gap to every cluster
+    counts, rows = np.zeros((2, len(act_counts), n_actions))
+    m = 0
     for h in sorted(act_counts, key=lambda h: (-act_counts[h].sum(), h)):
         dist = act_counts[h] / act_counts[h].sum()
-        gaps = [np.abs(dist - agg / agg.sum()).sum() for agg in clusters]
-        if gaps and min(gaps) < _MERGE_TOL:
-            clusters[gaps.index(min(gaps))] += act_counts[h]
+        if m:
+            gaps = np.abs(dist - rows[:m]).sum(axis=1)
+            j = int(np.argmin(gaps))
+        if m and gaps[j] < _MERGE_TOL:
+            counts[j] += act_counts[h]
+            rows[j] = counts[j] / counts[j].sum()
         else:
-            clusters.append(act_counts[h].copy())
-    while len(clusters) > max_nodes:
-        src = clusters.pop(int(np.argmin([c.sum() for c in clusters])))
-        dist = src / src.sum()
-        gaps = [np.abs(dist - agg / agg.sum()).sum() for agg in clusters]
-        clusters[gaps.index(min(gaps))] += src
-    clusters.sort(key=lambda c: -c.sum())
-    pi_counts = 1.0 + np.array(clusters)
+            counts[m], rows[m] = act_counts[h], dist
+            m += 1
+    counts, rows = counts[:m], rows[:m]
+    while len(counts) > max_nodes:
+        i = int(np.argmin(counts.sum(axis=1)))
+        src = counts[i]
+        counts, rows = np.delete(counts, i, 0), np.delete(rows, i, 0)
+        j = int(np.argmin(np.abs(src / src.sum() - rows).sum(axis=1)))
+        counts[j] += src
+        rows[j] = counts[j] / counts[j].sum()
+    pi_counts = 1.0 + counts[np.argsort(-counts.sum(axis=1), kind="stable")]
     return pi_counts / pi_counts.sum(axis=-1, keepdims=True)
 
 

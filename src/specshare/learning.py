@@ -14,11 +14,20 @@ once for all agents: the stacked forward pass and sweep over all N K
 episode rows, one scatter of the sweep's masses into the factors through
 the point estimate's own index maps, one domain check of the parameters,
 one digamma call on all of them, the rates b and h, one `exp` for the
-point estimates and one pass per term of the bound. Steps that follow
-each agent's own nodes go through the layout's padded index maps; a pad
-adds exact zeros, so the arithmetic differs from one agent at a time
-only in summation order, and the number of numpy calls per iteration
-does not depend on the number of agents.
+point estimates and one gammaln call and one dot product for the bound.
+Steps that follow each agent's own nodes go through the layout's padded
+index maps; a pad adds exact zeros, so the arithmetic differs from one
+agent at a time only in summation order, and the number of numpy calls
+per iteration does not depend on the number of agents.
+
+One workspace per layout. Whatever depends only on the layout or the run
+is built when the kernel is and again only when a node leaves it: the
+buffers that the sweep, digamma, gammaln and the rates' logs write into
+and their views, the scatter's index, the bound's weights of every term
+and its constant part, the discounted rewards the importance ratios
+weight and the trace's constant columns. An iteration only fills these
+buffers, and once every agent is down to one node the pruning
+bookkeeping stops, since pruning never brings a node back.
 
 Kernel-live compaction. The stick-breaking prior empties most nodes
 within a few iterations, and the kernel shrinks with them: after the
@@ -54,8 +63,9 @@ import numpy as np
 from .batch import EpisodeBatch
 from .distributions import _special_function, check_discount
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, KernelLayout, PointEstimate,
-                  forward_pass, init_from_episodes, omega_columns,
-                  point_estimate, prune, stack_policies, stick_digammas)
+                  agent_index, forward_pass, init_from_episodes,
+                  omega_columns, point_estimate, prune, stack_policies,
+                  stick_digammas)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
 # not called, and digamma and gammaln skip the domain check, because the
 # kernel checks every argument once per iteration
@@ -147,18 +157,32 @@ def _assert_positive(owner, names):
 
 
 class _Kernel:
-    """Every agent's factors for a run: what the updates, point estimates
-    and bound read, in the flat buffers of `layout` (`fsc.KernelLayout`).
+    """Every agent's factors for a run, in the flat buffers of `layout`
+    (`fsc.KernelLayout`), and the workspace that each learn iteration
+    fills.
 
-    `x` holds the sticks and phi (`sticks` are its views) and `psi` their
-    `fsc.FactorDigammas`; `rates` holds b on the kept columns (`b`, one
-    row per node) and h per agent (`h`). Each rate comes with the terms of
-    its Gamma factor, which are fixed for a run: the shape (a = c + Z or
-    g = e + Z), its digamma and log-gamma, and the prior's c, d or e, f.
-    Built from states, every node is live; the states' own parameters are
-    written by `store`. Given a batch, the kernel also holds it and
-    `scatter`: one more than the entry of `x` that each mass of a sweep
-    over it adds to, and 0 for a pad.
+    `x` holds the sticks and phi (`sticks` are its views); `rates` holds b
+    on the kept columns (`b`, one row per node) and h per agent (`h`).
+    Each rate's Gamma factor has a shape fixed for the run, a = c + Z or
+    g = e + Z (`shape_q`); `conc` is the mean concentration shape / rate
+    of each stick's rate, set with the rates and read by the bound and by
+    the next update. Built from states, every node is live; the states' own
+    parameters are written by `store`. Given a batch, the kernel also holds
+    it and `scatter`: one more than the entry of `x` that each mass of a
+    sweep over it adds to, and 0 for a pad and for the sweep's empty first
+    pair slot.
+
+    The workspace is built by `_allocate` whenever the layout changes, and
+    an iteration only fills it, so nothing that depends on the layout
+    alone is computed per iteration:
+    - `masses`, the buffer the sweep writes its pair masses and
+      occupancies into (`_mass_views`), which is the scatter's weights;
+    - `terms`: the digammas of x (`psi`, `fsc.FactorDigammas` views that
+      `refresh` fills), their log-gammas (`lg`), ln(rate) and 1 / rate;
+    - `coef`, the weight of each term in the bound, which is
+      `bound_const + coef @ terms` (see `elbo`). Only the digammas' weights
+      are set per iteration; the rest, like `bound_const`, are fixed for
+      the layout or the run.
     """
 
     def __init__(self, states, hyper, batch=None):
@@ -171,15 +195,14 @@ class _Kernel:
             None if any(v is None for v in visited)
             else np.logical_or.reduce(visited), n_actions, n_obs)
         z = [st.node_count for st in states]
-        self.layout = KernelLayout(z, [np.arange(n) for n in z],
-                                   self.columns, n_actions, n_obs)
-        self._allocate(self.layout.fill(states))
-        lay, n_cols = self.layout, self.columns[2].size
-        self.b = np.concatenate([np.reshape(st.b, (st.node_count, -1))[
+        lay = self.layout = KernelLayout(z, [np.arange(n) for n in z],
+                                         self.columns, n_actions, n_obs)
+        n_cols = self.columns[2].size
+        b = np.concatenate([np.reshape(st.b, (st.node_count, -1))[
             :, self.columns[0]] for st in states])
-        self.rates = np.concatenate([self.b.ravel(), [st.h for st in states]])
-        self.b, self.h = (self.rates[:self.b.size].reshape(self.b.shape),
-                          self.rates[self.b.size:])
+        self.rates = np.concatenate([b.ravel(), [st.h for st in states]])
+        self.b, self.h = (self.rates[:b.size].reshape(b.shape),
+                          self.rates[b.size:])
         self.g, self.a = (np.array([float(getattr(st, name)) for st in states])
                           for name in ("g", "a"))
 
@@ -191,29 +214,69 @@ class _Kernel:
         self.psi_q = digamma(self.shape_q)
         shape_p = per_rate(hyper.c, hyper.e)
         rate_p = per_rate(hyper.d, hyper.f)
-        self.lgamma_q, lgamma_p = np.split(
+        lgamma_q, lgamma_p = np.split(
             gammaln(np.concatenate([self.shape_q, shape_p])), 2)
-        self.prior_q = shape_p * np.log(rate_p) - lgamma_p
-        self.shape_p1 = shape_p - 1.0
-        self.rate_shape = rate_p * self.shape_q
-        self.weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
-                                        np.ones(len(z))])
+        # each rate stands for the flat columns of its kept column
+        weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
+                                   np.ones(len(z))])
+        # the run's part of the bound's Gamma and Dirichlet terms (`elbo`)
+        self.log_coef = -weight_q * shape_p
+        self.inv_coef = -weight_q * rate_p * self.shape_q
+        self.run_const = float(weight_q @ (
+            shape_p * np.log(rate_p) - lgamma_p + lgamma_q + self.shape_q
+            + (shape_p - self.shape_q) * self.psi_q)) + lay.n_nodes * (
+                math.lgamma(n_actions * hyper.theta)
+                - n_actions * math.lgamma(hyper.theta))
+        self._allocate(lay.fill(states))
         self.refresh()
 
     def _allocate(self, x):
-        self.x, self.sticks = x, self.layout.split(x)
-        lay = self.layout
-        self.base = np.concatenate([np.ones(lay.n_sticks), np.full(
-            lay.n_nodes * lay.n_actions, self.hyper.theta)])
+        """Build the workspace of the current layout around `x`, a flat
+        buffer of it."""
+        lay, n_rates = self.layout, self.rates.size
+        self.x, self.sticks, self.params = x, lay.split(x), x[:lay.n_params]
+        f, p, size = lay.n_sticks, lay.n_nodes * lay.n_actions, lay.size
+        self.head = x[:f + p]
+        self.base = np.concatenate([np.ones(f), np.full(p, self.hyper.theta)])
+        self.conc = np.empty(f)
+        self.gather_conc()
+        self.terms = terms = np.empty(2 * (size + n_rates))
+        self.psi = lay.digammas(terms[:size])
+        self.lg = terms[size:2 * size]
+        self.log_rates = terms[2 * size:2 * size + n_rates]
+        self.inv_rates = terms[2 * size + n_rates:]
+        # each rate's weight in the sticks' E[ln rate] terms
+        bw = lay.bound_weight
+        weight = np.bincount(lay.rate_of, bw, minlength=n_rates)
+        self.coef = np.concatenate([
+            np.zeros(size), bw, np.ones(p), bw, -bw, -np.ones(lay.n_nodes),
+            self.log_coef - weight, self.inv_coef])
+        self.psi_coef = lay.split(self.coef[:size])
+        self.bound_const = self.run_const + float(weight @ self.psi_q)
+        # the update's views of the log_rest that `refresh` fills
+        rest = self.psi.log_rest
+        self.node_rest = rest[:lay.n_nodes]
+        self.entry_rest = rest[lay.n_nodes:f].reshape(lay.n_entries, -1)
         if self.batch is not None:
             # the point estimate's maps at every transition (pair masses)
-            # and every step (occupancy), shifted by one: a pad adds to 0
-            agent = np.arange(lay.n_agents)[:, None, None]
-            actions = self.batch.actions
-            self.scatter = 1 + np.concatenate((
-                lay.omega_map[agent, :, actions[..., :-1],
-                              self.batch.obs_bins],
-                lay.pi_map[agent, :, actions]), axis=None)
+            # and every step (occupancy), shifted by one: a pad and the
+            # first pair slot add to 0
+            actions, lanes = self.batch.actions, lay.n_lanes
+            agent = agent_index(lay.n_agents)
+            pair = np.zeros(actions.shape + (lanes, lanes), dtype=int)
+            pair[:, :, 1:] = 1 + lay.omega_map[agent, :, actions[..., :-1],
+                                               self.batch.obs_bins]
+            self.scatter = np.concatenate(
+                (pair, 1 + lay.pi_map[agent, :, actions]), axis=None)
+            self.masses = np.zeros(self.scatter.size)
+            self.n_bins = f + p + 2
+            self.eta_bins = lay.eta_map + 1
+            self.node_bins = self.eta_bins.ravel()
+
+    def gather_conc(self):
+        """Set `conc`, each stick's mean concentration shape / rate, from
+        the rates; after they change and after a relayout."""
+        np.take(self.shape_q / self.rates, self.layout.rate_of, out=self.conc)
 
     def relayout(self, live):
         """Hold only the nodes `live` (per agent) from now on; the sticks and
@@ -225,11 +288,11 @@ class _Kernel:
 
     def refresh(self):
         """Check the sticks and phi once, then take their digammas."""
-        params = self.x[:self.layout.n_params]
+        params = self.params
         if not (params.min() > 0.0 and params.max() < math.inf):
             _assert_positive(self.sticks, ("delta", "mu", "phi", "sigma",
                                            "lam"))
-        self.psi = stick_digammas(self.x, self.layout, digamma)
+        stick_digammas(self.sticks, self.psi, digamma)
 
     def store(self, states):
         """Write the kernel to the states: a dropped destination takes its
@@ -313,9 +376,18 @@ def _log_prefix(batch, policies):
     return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
 
 
-def _return_terms(batch, target, behavior, r_min, gamma):
+def discounted_rewards(batch, r_min, gamma):
+    """gamma^t (R_t - r_min) per (episode, t) of an `EpisodeBatch`: the
+    shifted discounted rewards that the importance ratios weight, fixed for
+    a run."""
+    t = np.arange(batch.rewards.shape[1])
+    return (gamma ** t) * (batch.rewards - r_min)
+
+
+def _return_terms(batch, target, behavior, rewards):
     """The empirical value, each (episode, t) return term (importance ratio
-    times shifted discounted reward) and the target's stacked forward pass.
+    times shifted discounted reward, `discounted_rewards`) and the target's
+    stacked forward pass.
 
     Behaviour policies, when given, run through the same forward call as
     the target, so equal policies cancel exactly; otherwise the per-step
@@ -324,11 +396,10 @@ def _return_terms(batch, target, behavior, r_min, gamma):
     logp, fwd = _log_prefix(batch, target)
     logb = batch.log_behavior if behavior is None \
         else _log_prefix(batch, behavior)[0]
-    t = np.arange(batch.rewards.shape[1])
     # an overflowing ratio makes the value inf or NaN, checked once here
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(logp - logb) * ((gamma ** t) * (batch.rewards - r_min))
-        value = float(np.sum(terms)) / batch.size
+        terms = np.exp(logp - logb) * rewards
+        value = float(terms.sum()) / batch.size
     if not math.isfinite(value):
         raise FloatingPointError("empirical value is not finite: %r" % value)
     return value, terms, fwd
@@ -345,26 +416,39 @@ def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     batch = EpisodeBatch.for_policies(episodes, target, behavior)
     if r_min is None:
         r_min, _ = reward_bounds(batch)
-    return _return_terms(batch, target, behavior, r_min, gamma)[0]
+    return _return_terms(batch, target, behavior,
+                         discounted_rewards(batch, r_min, gamma))[0]
 
 
-def reweighted(batch, estimates, r_min, gamma):
+def reweighted(batch, estimates, rewards):
     """Posterior path weights of an `EpisodeBatch`, one (K, t) block, plus
     the value they normalize by; the behaviour probabilities are the stored
-    ones. `estimates` are per-agent point estimates or controllers, or one
-    stacked estimate (`fsc.stack_policies`)."""
-    value, terms, fwd = _return_terms(batch, estimates, None, r_min, gamma)
+    ones and `rewards` the batch's `discounted_rewards`. `estimates` are
+    per-agent point estimates or controllers, or one stacked estimate
+    (`fsc.stack_policies`)."""
+    value, terms, fwd = _return_terms(batch, estimates, None, rewards)
     if not value > 0.0:
         raise FloatingPointError("empirical value is not positive: %r" % value)
     return ReweightedRewards(value=value, nu=terms / value, fwd=fwd)
 
 
-def _sweep(fwd, nu):
+def _mass_views(masses, shape):
+    """(occ, pair) views of a flat buffer of a sweep's masses over (N, K,
+    t1, Z) alpha_hat: pair (N, K, t1, Z, Z) first, then occ (N, K, t1, Z)."""
+    n_pair = math.prod(shape) * shape[-1]
+    return (masses[n_pair:].reshape(shape),
+            masses[:n_pair].reshape(shape + shape[-1:]))
+
+
+def _sweep(fwd, nu, masses=None):
     """nu-weighted posterior node statistics over a block of equal-length
     episodes, stacked over agents, read backward from their forward pass.
 
     `fwd` is the `fsc.ForwardPass` of (N, K, t1) episodes and `nu` (K, t1)
-    their path weights, the same for every agent. Returns (occ, pair):
+    their path weights, the same for every agent. The statistics are
+    written into `masses`, a flat buffer (`_mass_views`) whose first pair
+    slot, pair[:, :, 0], is zero and stays so, or a new one. Returns the
+    views (occ, pair):
     occ[n, k, tau, i] sums the singleton marginals of z_tau over every
     prefix endpoint t >= tau, each weighted by nu[k, t]; pair[n, k, tau]
     (tau >= 1) likewise sums the weighted pairwise marginals coupling
@@ -381,11 +465,12 @@ def _sweep(fwd, nu):
     """
     ahat, scale, m = fwd.alpha_hat, fwd.scale[..., 1:], fwd.steps
     n, k, t1, z = ahat.shape
+    occ, pair = _mass_views(np.zeros(n * k * t1 * z * (z + 1))
+                            if masses is None else masses, ahat.shape)
     if z == 1:
         to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1]
         _check_finite(to_go, "node sweep")
-        occ = np.repeat(to_go[None, :, :, None], n, axis=0)
-        pair = np.zeros((n, k, t1, 1, 1))
+        occ[..., 0] = to_go
         pair[:, :, 1:, 0, 0] = to_go[:, 1:]
         return occ, pair
     to_go = np.empty((n, k, t1, z))
@@ -395,15 +480,35 @@ def _sweep(fwd, nu):
         to_go[:, :, tau] = nu[:, tau, None] \
             + (m[:, :, tau] @ after[..., None])[..., 0]
     _check_finite(to_go, "node sweep")
-    pair = np.zeros((n, k, t1, z, z))
-    pair[:, :, 1:] = ahat[:, :, :-1, :, None] * m \
-        * (to_go[:, :, 1:] / scale[..., None])[..., None, :]
-    return ahat * to_go, pair
+    np.multiply(ahat[:, :, :-1, :, None] * m,
+                (to_go[:, :, 1:] / scale[..., None])[..., None, :],
+                out=pair[:, :, 1:])
+    np.multiply(ahat, to_go, out=occ)
+    return occ, pair
 
 
 def _check_finite(table, name):
     if not np.isfinite(table).all():
         raise FloatingPointError("%s is not finite" % name)
+
+
+def _drop(kernel, drop, occ, pair, first, total):
+    """Take the nodes of the (agent, lane) mask `drop` out of the kernel and
+    move the sweep's output (occ, pair) onto the kept lanes of the new
+    workspace, a pad lane reading lane 0; returns `first` and `total`,
+    per agent and lane, on the kept lanes."""
+    lay = kernel.layout
+    kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
+    kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
+    lane = np.zeros(kernel.layout.lane_real.shape, dtype=int)
+    lane[kernel.layout.lane_real] = np.concatenate(kept)
+    kept_occ, kept_pair = _mass_views(kernel.masses,
+                                      occ.shape[:3] + lane.shape[1:])
+    kept_occ[...] = np.take_along_axis(occ, lane[:, None, None], 3)
+    src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
+    kept_pair[...] = np.take_along_axis(np.take_along_axis(pair, src, 3),
+                                        dst, 4)
+    return (np.take_along_axis(x, lane, 1) for x in (first, total))
 
 
 def _update_agent(kernel, rw):
@@ -413,66 +518,59 @@ def _update_agent(kernel, rw):
     `rw` holds the path weights and the stacked forward pass that
     `reweighted` computed at the kernel's stacked point estimate; the
     sweep reads the pass's posteriors, scales and step matrices, so the
-    estimate itself is not read again. The sweep's masses go into the
-    factors in one scatter (`np.bincount`) through the maps the point
-    estimate reads: each pair mass of a transition to its omega entry and
-    each occupancy of a step to its phi entry, so every parameter gets its
-    terms in episode and step order; the first step's occupancy, summed
-    over episodes, goes to the eta sticks through `eta_map`. A node whose
-    occupancy share this sweep is below `_DROP_SHARE` leaves the kernel
-    before the factors are set; only then is the layout built again, and
-    the sweep's output first moved onto the kept lanes.
+    estimate itself is not read again. The sweep writes its masses into
+    the kernel's `masses`, and they go into the factors in one scatter
+    (`np.bincount`) through the maps the point estimate reads: each pair
+    mass of a transition to its omega entry and each occupancy of a step
+    to its phi entry, so every parameter gets its terms in episode and
+    step order; the first step's occupancy, summed over episodes, goes to
+    the eta sticks through `eta_map`. A node whose occupancy share this
+    sweep is below `_DROP_SHARE` leaves the kernel before the factors are
+    set; only then is the layout built again, and the sweep's output first
+    moved onto the kept lanes of the new workspace.
 
     Order: action rows, omega sticks (using the previous omega
-    concentrations) and eta sticks (using the previous eta concentrations),
-    then the rates b and h of both concentrations; their shapes a and g
-    keep the values the states were built with. Returns the occupancy mass
-    of every node accumulated this sweep, 0.0 at every dropped node.
+    concentrations, `conc`) and eta sticks (using the previous eta
+    concentrations), then the rates b and h of both concentrations and
+    from them `conc`; their shapes a and g keep the values the states were
+    built with. Returns the occupancy mass of every node accumulated this
+    sweep, 0.0 at every dropped node.
     """
     lay, hyper, batch = kernel.layout, kernel.hyper, kernel.batch
-    occ, pair = _sweep(rw.fwd, rw.nu)
+    occ, pair = _sweep(rw.fwd, rw.nu, kernel.masses)
     # delta's mass and each node's occupancy, per agent and lane, summed
     # on the sweep's own lanes: numpy's summation order follows the shape
     first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
-    drop = (total < _DROP_SHARE * total.sum(axis=1, keepdims=True)) \
-        & lay.lane_real
-    if drop.any():  # a dropped node never returns
-        kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
-        kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
-        lay = kernel.layout
-        # the sweep's output on the kept lanes; a pad lane reads lane 0
-        lane = np.zeros(lay.lane_real.shape, dtype=int)
-        lane[lay.lane_real] = np.concatenate(kept)
-        first, total = (np.take_along_axis(x, lane, 1) for x in (first, total))
-        occ = np.take_along_axis(occ, lane[:, None, None], 3)
-        src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
-        pair = np.take_along_axis(np.take_along_axis(pair, src, 3), dst, 4)
+    if lay.n_lanes > 1:  # an agent's one lane holds all of its mass
+        drop = (total < _DROP_SHARE * total.sum(axis=1, keepdims=True)) \
+            & lay.lane_real
+        if drop.any():  # a dropped node never returns
+            first, total = _drop(kernel, drop, occ, pair, first, total)
+            lay = kernel.layout
     # each stick's and phi entry's mass, after bin 0 where the pads add and
     # followed by a 0 that the grid's pads read; then the mass of the
     # heavier sticks of its row: lam and mu add it to the concentration's
     # mean
     f, k, v = lay.n_sticks, batch.size, kernel.sticks
-    mass = np.bincount(kernel.scatter, np.concatenate((pair[:, :, 1:], occ),
-                                                      axis=None),
-                       minlength=f + v.phi.size + 2)
-    mass[lay.eta_map + 1] = first
+    mass = np.bincount(kernel.scatter, kernel.masses, minlength=kernel.n_bins)
+    mass[kernel.eta_bins] = first
     mass = mass[1:]
     tail = mass[lay.grid][:, ::-1].cumsum(axis=1).ravel()[lay.tail_cell]
-    np.add(kernel.base, mass[:-1] / k, out=kernel.x[:f + v.phi.size])
+    np.add(kernel.base, mass[:-1] / k, out=kernel.head)
     tail -= mass[:f]
     tail /= k
-    np.add((kernel.shape_q / kernel.rates)[lay.rate_of], tail, out=v.second)
+    np.add(kernel.conc, tail, out=v.second)
     kernel.refresh()
-    rest = kernel.psi.log_rest
-    np.subtract(hyper.d, np.add.reduceat(
-        rest[lay.n_nodes:f].reshape(lay.n_entries, -1), lay.starts),
-        out=kernel.b)
-    np.subtract(hyper.f, np.add.reduceat(rest[:lay.n_nodes],
-                                         lay.offsets[:-1]), out=kernel.h)
-    np.maximum(kernel.rates, 1e-6, out=kernel.rates)
-    if not (kernel.rates.min() > 0.0 and kernel.rates.max() < math.inf):
+    np.subtract(hyper.d, np.add.reduceat(kernel.entry_rest, lay.starts),
+                out=kernel.b)
+    np.subtract(hyper.f, np.add.reduceat(kernel.node_rest, lay.offsets[:-1]),
+                out=kernel.h)
+    rates = kernel.rates
+    np.maximum(rates, 1e-6, out=rates)
+    if not (rates.min() > 0.0 and rates.max() < math.inf):
         _assert_positive(kernel, ("b", "h"))
-    return np.bincount(lay.eta_map.ravel() + 1, total.ravel(),
+    kernel.gather_conc()
+    return np.bincount(kernel.node_bins, total.ravel(),
                        minlength=lay.n_nodes + 1)[1:]
 
 
@@ -481,46 +579,44 @@ def elbo(states, value, hyper, kernel=None):
 
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
-    every other factor contributes an analytic prior-minus-entropy term,
-    each taken in one pass over every agent: the Beta terms of all eta
-    and omega sticks, the Gamma terms of all concentrations and the
-    Dirichlet terms of all action rows. The omega sticks are the entries
-    of the kernel, each weighted by the (column, source, destination)
-    triples it stands for. `kernel` is the states' `_Kernel`, built (and
-    the states checked) here if absent.
+    every other factor contributes an analytic prior-minus-entropy term:
+    the Beta terms of all eta and omega sticks, the Gamma terms of all
+    concentrations and the Dirichlet terms of all action rows. The omega
+    sticks are the entries of the kernel, each weighted by the (column,
+    source, destination) triples it stands for. `kernel` is the states'
+    `_Kernel`, built (and the states checked) here if absent.
+
+    Every term is linear in the digammas and log-gammas of the sticks and
+    phi, and in ln(rate) and 1 / rate of the concentrations, with E[ln
+    rate] = digamma(shape) - ln(rate) and E[rate'] = shape / rate. So the
+    bound is one dot product, `kernel.coef @ kernel.terms`, plus a
+    constant. A stick (first, second) with weight w and concentration mean
+    m weighs digamma(first) by w (1 - first), digamma(second) by w (m -
+    second) and digamma(first + second) by minus their sum, its log-gammas
+    by w, w and -w; an action row weighs digamma(phi) by theta - phi,
+    digamma of its sum by minus their sum, and its log-gammas by 1 and -1.
+    A Gamma factor of shape s, prior (s0, r0) and weight w, whose rate
+    also carries the sticks' E[ln rate] terms of total weight W, weighs
+    ln(rate) by -(w s0 + W) and 1 / rate by -w r0 s. Only the digammas'
+    weights of the sticks and phi change within a layout; they are set
+    here, and the rest come with the kernel's workspace.
     """
     if kernel is None:
         kernel = _Kernel(states, hyper)
-    lay, psi, x = kernel.layout, kernel.psi, kernel.sticks
-    lg = lay.split(gammaln(kernel.x))
-    log_rate = np.log(kernel.rates)
-    e_ln_rate = kernel.psi_q - log_rate
-    # Beta sticks: E[ln Beta(u; 1, conc)] - E[ln q(u)], q = Beta(first,
-    # second), with the concentration's expected log and mean
-    e_ln_u = psi.first - psi.total
-    e_ln_1mu = psi.second - psi.total
-    prior = e_ln_rate[lay.rate_of] \
-        + ((kernel.shape_q / kernel.rates)[lay.rate_of] - 1.0) * e_ln_1mu
-    entropy = (lg.total - lg.first - lg.second + (x.first - 1.0) * e_ln_u
-               + (x.second - 1.0) * e_ln_1mu)
-    total = math.log(value) + float(np.sum((prior - entropy)
-                                           * lay.bound_weight))
-    # Gamma concentrations: E[ln Gamma(x; c or e, d or f)] - E[ln q(x)],
-    # q = Gamma(a or g, b or h)
-    prior = kernel.prior_q + kernel.shape_p1 * e_ln_rate \
-        - kernel.rate_shape / kernel.rates
-    entropy = (kernel.shape_q * log_rate - kernel.lgamma_q
-               + (kernel.shape_q - 1.0) * e_ln_rate - kernel.shape_q)
-    total += float(np.sum((prior - entropy) * kernel.weight_q))
-    # Dirichlet action rows
-    n_actions = lay.n_actions
-    e_ln_pi = psi.phi - psi.phisum
-    prior = (lay.n_nodes * (math.lgamma(n_actions * hyper.theta)
-                            - n_actions * math.lgamma(hyper.theta))
-             + float(np.sum((hyper.theta - 1.0) * e_ln_pi)))
-    entropy = float(np.sum(lg.phisum) - np.sum(lg.phi)
-                    + np.sum((x.phi - 1.0) * e_ln_pi))
-    return total + prior - entropy
+    c, x, w = kernel.psi_coef, kernel.sticks, kernel.layout.bound_weight
+    np.subtract(1.0, x.first, out=c.first)
+    np.multiply(c.first, w, out=c.first)
+    np.subtract(kernel.conc, x.second, out=c.second)
+    np.multiply(c.second, w, out=c.second)
+    np.add(c.first, c.second, out=c.total)
+    np.negative(c.total, out=c.total)
+    np.subtract(hyper.theta, x.phi, out=c.phi)
+    np.subtract(x.phisum, c.phi.shape[1] * hyper.theta, out=c.phisum)
+    gammaln(kernel.x, out=kernel.lg)
+    np.log(kernel.rates, out=kernel.log_rates)
+    np.divide(1.0, kernel.rates, out=kernel.inv_rates)
+    return math.log(value) + kernel.bound_const \
+        + float(kernel.coef @ kernel.terms)
 
 
 def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
@@ -533,7 +629,9 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     work; the episodes are indexed once into an `EpisodeBatch` and are not
     modified. During the run every agent's factors live in one kernel
     (`_Kernel`), and each step of an iteration runs once for all agents;
-    the kernel is written back to the returned states at the end.
+    the kernel is written back to the returned states at the end. A
+    history of zero likelihood under the learner's own point estimate is
+    an underflow of the run, FloatingPointError naming the iteration.
     """
     if not (max_iters >= 1 and max_nodes >= 1 and 0.0 < prune_epsilon < 1.0
             and 0.0 <= tol < math.inf):
@@ -553,39 +651,53 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             visited=batch.visited(n, n_actions)))
     trace = ElboTrace()
     kernel = _Kernel(states, hyper, batch)
+    rewards = discounted_rewards(batch, r_min, hyper.gamma)
     offsets, node_agent = kernel.layout.offsets, kernel.layout.agent_of_node
     active = np.ones(offsets[-1], dtype=bool)
+    node_counts = np.diff(offsets).tolist()
+    g, a = kernel.g.tolist(), kernel.a.tolist()
     prev_elbo, converged = None, False
-    estimate = point_estimate(kernel, kernel.psi)
-    rw = reweighted(batch, estimate, r_min, hyper.gamma)
-    for _ in range(max_iters):
+
+    def reweigh(iteration):  # the kernel's point estimate and its weights
+        est = point_estimate(kernel, kernel.psi)
+        try:
+            return est, reweighted(batch, est, rewards)
+        except ValueError as exc:  # a likelihood underflowed to 0
+            raise FloatingPointError("iteration %d: point estimate underflow: "
+                                     "%s" % (iteration, exc)) from None
+
+    estimate, rw = reweigh(0)
+    per_episode = rw.nu.sum(axis=1)
+    for iteration in range(1, max_iters + 1):
         # the path-weight constraint: weights average to 1 over the batch
-        norm = sum(float(s) for s in rw.nu.sum(axis=1)) / k
+        norm = sum(per_episode.tolist()) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
         occ_total = _update_agent(kernel, rw)
-        estimate = point_estimate(kernel, kernel.psi)
-        rw = reweighted(batch, estimate, r_min, hyper.gamma)
+        estimate, rw = reweigh(iteration)
         cur = elbo(states, rw.value, hyper, kernel)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")
         trace.elbo.append(cur)
         trace.value.append(rw.value)
-        # pruning never resurrects a node, and leaves each agent one
-        totals = np.add.reduceat(occ_total, offsets[:-1])
-        live = active & (occ_total >= prune_epsilon * totals[node_agent])
-        kept = np.logical_or.reduceat(live, offsets[:-1])
-        active = np.where(kept[node_agent], live, active)
-        trace.node_counts.append(
-            np.add.reduceat(active.astype(int), offsets[:-1]).tolist())
-        trace.g.append(kernel.g.tolist())
+        # pruning never resurrects a node and leaves each agent one, so once
+        # every agent is down to one node nothing changes
+        if max(node_counts) > 1:
+            totals = np.add.reduceat(occ_total, offsets[:-1])
+            live = active & (occ_total >= prune_epsilon * totals[node_agent])
+            kept = np.logical_or.reduceat(live, offsets[:-1])
+            active = np.where(kept[node_agent], live, active)
+            node_counts = np.add.reduceat(active.astype(int),
+                                          offsets[:-1]).tolist()
+        trace.node_counts.append(node_counts[:])
+        trace.g.append(g[:])
         trace.h.append(kernel.h.tolist())
-        trace.a.append(kernel.a.tolist())
+        trace.a.append(a[:])
         trace.b_min.append(np.minimum.reduceat(
             kernel.b.min(axis=1), offsets[:-1]).tolist())
         trace.live.append(kernel.layout.n_live.tolist())
-        trace.ess.append(float(rw.nu.sum() ** 2 / np.sum(rw.nu ** 2)))
+        trace.ess.append(float(rw.nu.sum() ** 2 / (rw.nu ** 2).sum()))
         per_episode = rw.nu.sum(axis=1)
         trace.max_share.append(float(per_episode.max() / per_episode.sum()))
         if prev_elbo is not None and abs((cur - prev_elbo) / prev_elbo) < tol:

@@ -539,6 +539,21 @@ def test_overflowing_importance_ratios_exit_3(tmp_path, capsys):
                 and err.count("\n") == 1
 
 
+def test_learners_own_underflow_exits_3_naming_the_iteration(tmp_path,
+                                                             capsys):
+    # with theta = 0.01 the one-node estimate's omega and pi entries of
+    # some visited step multiply to below the smallest double at iteration
+    # 20; the stored batch is good data, so this is a numeric failure
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text('{"theta": 0.01}')
+    assert main(["learn", "--episodes", STORED_BATCH, "--hyper", str(hyper),
+                 "--out", str(tmp_path / "run")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numeric failure: iteration 20: point estimate underflow: "
+                   "history has zero likelihood under the policy\n")
+
+
 def test_collect_runs_the_config_horizon_by_default(tmp_path):
     config = write_config(tmp_path, horizon=7)
     paths = [str(tmp_path / name) for name in ("default.jsonl", "t7.jsonl")]

@@ -24,9 +24,10 @@ from specshare.fsc import (KernelLayout, PointEstimate, forward,
                            omega_columns, point_estimate, stack_policies)
 from specshare.learning import (Hyperparams, ReweightedRewards,
                                 VariationalState, _Kernel, _sweep,
-                                _update_agent, elbo, learn, reward_bounds,
-                                reweighted)
+                                _update_agent, discounted_rewards, elbo,
+                                learn, reward_bounds, reweighted)
 from specshare.simulator import Episode
+from tests.learner_reference import reference_elbo
 from tests.sweep_reference import multi_endpoint_sweep
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
 from tests.test_learning import relative_gap, seeded_batch
@@ -151,9 +152,9 @@ class TestSharedDigammas:
             calls = collections.Counter()
 
             def counting(name, original):
-                def wrapper(x):
+                def wrapper(x, **kwargs):
                     calls[name] += 1
-                    return original(x)
+                    return original(x, **kwargs)
                 return wrapper
 
             with monkeypatch.context() as patch:
@@ -178,7 +179,8 @@ class TestTableChecks:
         ests[1].pi[0, batch.actions[1, 0, 3]] = np.inf
         with pytest.raises(FloatingPointError,
                            match="forward pass is not finite"):
-            reweighted(batch, ests, reward_bounds(batch)[0], 0.9)
+            reweighted(batch, ests, discounted_rewards(
+                batch, reward_bounds(batch)[0], 0.9))
 
     @pytest.mark.parametrize("z", [1, 3])
     def test_infinite_weight_fails_at_the_sweep(self, z):
@@ -241,7 +243,8 @@ class TestOneKernel:
         singles = copy.deepcopy(states)
         kernel = _Kernel(states, hyper, batch)
         est = point_estimate(kernel, kernel.psi)
-        rw = reweighted(batch, est, reward_bounds(batch)[0], hyper.gamma)
+        rw = reweighted(batch, est, discounted_rewards(
+            batch, reward_bounds(batch)[0], hyper.gamma))
         occ = _update_agent(kernel, rw)
         kernel.store(states)
         for n, st in enumerate(singles):
@@ -428,6 +431,49 @@ class TestCompaction:
         assert np.array_equal(stored.sigma, st.sigma)
         assert np.array_equal(stored.lam, st.lam)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_matches_the_term_by_term_reference(self, seed):
+        # random factors of three agents with 3, 4 and 5 nodes, each
+        # visiting some of its (action, obs-bin) columns; the columns no
+        # agent visits hold one value, which the kernel keeps once
+        rng = np.random.default_rng(seed)
+        hyper = Hyperparams(c=0.3, d=20.0, e=0.2, f=30.0, theta=0.7)
+        n_actions, n_obs, z = 3, 4, (3, 4, 5)
+        visited = rng.random((len(z), n_actions, n_obs)) < 0.5
+        visited[:, 0, 0] = True
+        rest = ~np.logical_or.reduce(visited)
+        states = []
+        for n, zn in enumerate(z):
+            st = VariationalState(zn, n_actions, n_obs, hyper,
+                                  visited=visited[n])
+            for name in ("delta", "mu", "phi", "sigma", "lam"):
+                setattr(st, name, rng.uniform(
+                    0.2, 6.0, size=np.shape(getattr(st, name))))
+            st.b = rng.uniform(2.0, 60.0, size=st.b.shape)
+            st.h = float(rng.uniform(2.0, 60.0))
+            if rest.any():
+                stand_in = tuple(np.argwhere(rest)[0])
+                for name in ("sigma", "lam", "b"):
+                    x = getattr(st, name)
+                    x[:, rest] = x[:, stand_in[0], stand_in[1]][:, None]
+            states.append(st)
+        value = float(rng.uniform(0.5, 50.0))
+        kernel = _Kernel(states, hyper)
+        bound = reference_elbo(states, value, hyper)
+        assert abs(elbo(states, value, hyper, kernel) - bound) \
+            <= 1e-12 * abs(bound)
+        # drop nodes: the first of agent 0, the middle ones of agent 1 and
+        # all but the last of agent 2; the kernel's view of the states is
+        # what it writes back
+        kernel.relayout([np.array([1, 2]), np.array([0, 3]), np.array([4])])
+        kernel.x[:] = kernel.layout.fill(states)
+        kernel.refresh()
+        stored = copy.deepcopy(states)
+        kernel.store(stored)
+        bound = reference_elbo(stored, value, hyper)
+        assert abs(elbo(stored, value, hyper, kernel) - bound) \
+            <= 1e-12 * abs(bound)
+
     def test_dropping_a_middle_node_matches_never_dropping(self,
                                                            monkeypatch):
         # agent 0's node 1 of 4 is all but unreachable, so it leaves the
@@ -456,8 +502,8 @@ class TestCompaction:
                 patch.setattr(specshare.learning, "_DROP_SHARE", share)
                 kernel = _Kernel(sts, hyper, batch)
                 est = point_estimate(kernel, kernel.psi)
-                rw = reweighted(batch, est, reward_bounds(batch)[0],
-                                hyper.gamma)
+                rw = reweighted(batch, est, discounted_rewards(
+                    batch, reward_bounds(batch)[0], hyper.gamma))
                 occ = _update_agent(kernel, rw)
             kernel.store(sts)
             return kernel.layout, np.split(occ, 2), sts
@@ -511,8 +557,8 @@ class TestCompaction:
     def test_ess_and_max_share_of_the_last_weights(self, learn_small):
         batch = EpisodeBatch(stored_batch("batch_1.jsonl"))
         res = learn_small("batch_1.jsonl")
-        rw = reweighted(batch, res.point_estimates, reward_bounds(batch)[0],
-                        Hyperparams().gamma)
+        rw = reweighted(batch, res.point_estimates, discounted_rewards(
+            batch, reward_bounds(batch)[0], Hyperparams().gamma))
         terms = rw.nu.ravel()
         per_episode = rw.nu.sum(axis=1)
         assert math.isclose(res.trace.ess[-1],

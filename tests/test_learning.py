@@ -12,8 +12,8 @@ from specshare.fsc import (PointEstimate, forward, forward_pass,
                            log_history_likelihoods, observation_bin,
                            point_estimate)
 from specshare.learning import (Hyperparams, VariationalState, _Kernel,
-                                _sweep, _update_agent, elbo,
-                                empirical_value, learn, mean_policy,
+                                _sweep, _update_agent, discounted_rewards,
+                                elbo, empirical_value, learn, mean_policy,
                                 node_marginals, reward_bounds, reweighted)
 from specshare.simulator import AgentTrack, Episode
 from tests.learner_reference import backward_messages, forward_messages
@@ -204,7 +204,8 @@ class TestReweighted:
                                     rng.integers(0, 10, size=t).tolist()))
         est = random_point_estimate(rng, z=2, n_obs=8)
         batch = EpisodeBatch(eps, [ACTIONS], 8)
-        rw = reweighted(batch, [est], reward_bounds(batch)[0], 0.9)
+        rw = reweighted(batch, [est], discounted_rewards(
+            batch, reward_bounds(batch)[0], 0.9))
         norm = sum(float(np.sum(nu)) for nu in rw.nu) / len(eps)
         assert abs(norm - 1.0) < 1e-9
 
@@ -212,7 +213,8 @@ class TestReweighted:
         rng = np.random.default_rng(11)
         est = random_point_estimate(rng, z=2, n_obs=8)
         ep = make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 6])
-        rw = reweighted(EpisodeBatch([ep], [ACTIONS], 8), [est], 0.0, 0.9)
+        batch = EpisodeBatch([ep], [ACTIONS], 8)
+        rw = reweighted(batch, [est], discounted_rewards(batch, 0.0, 0.9))
         assert rw.nu[0, 0] == 0.0
 
     def test_point_estimate_needs_a_batch_with_action_sets(self):
@@ -408,7 +410,8 @@ class TestBatchedKernel:
         rng = np.random.default_rng(3)
         ests = [random_point_estimate(rng, z=3, n_obs=13) for _ in range(2)]
         batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
-        rw = reweighted(batch, ests, reward_bounds(batch)[0], 0.9)
+        rw = reweighted(batch, ests, discounted_rewards(
+            batch, reward_bounds(batch)[0], 0.9))
         assert rw.nu.shape == (6, 10)
         for n, est in enumerate(ests):
             aidx, obins = batch.actions[n], batch.obs_bins[n]
@@ -455,7 +458,8 @@ class TestBatchedKernel:
                 assert relative_gap(getattr(est, name),
                                     getattr(est_full, name)) < 1e-12
         ests = [point_estimate(st) for st in states]
-        rw = reweighted(batch, ests, reward_bounds(batch)[0], hyper.gamma)
+        rw = reweighted(batch, ests, discounted_rewards(
+            batch, reward_bounds(batch)[0], hyper.gamma))
         bound, bound_full = elbo(states, rw.value, hyper), \
             elbo(full, rw.value, hyper)
         assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)

@@ -21,10 +21,10 @@ Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
 to a `<command>.txt` file beside its outputs. `--compare OLD` then lists
 the files that differ from, or are missing in, an earlier run's DIR, and
-the largest relative difference per column of a differing trace.csv (and
-both row counts if they differ), per policy field of a differing
-policies.json and per track field and episode rewards of a differing
-episode .jsonl.
+the largest relative difference per column of a differing CSV file,
+trace.csv or one that `report` writes from it (and both row counts if
+they differ), per policy field of a differing policies.json and per track
+field and episode rewards of a differing episode .jsonl.
 
 Hashes depend on the Python, numpy and BLAS builds, so compare only runs
 made in one environment. Exits 1 if a command exits nonzero, else 0.
@@ -172,9 +172,10 @@ def gap_lines(gaps):
 
 
 def column_gaps(new_path, old_path):
-    """Both row counts of two trace.csv files if they differ, then the
-    largest relative difference per column, over the rows and columns
-    both hold."""
+    """Both row counts of two CSV files of numbers under a header row
+    (trace.csv and the report files) if they differ, then the largest
+    relative difference per column, over the rows and columns both
+    hold."""
     tables, counts = [], []
     for path in (new_path, old_path):
         with open(path, newline="") as fh:
@@ -246,13 +247,13 @@ def episode_gaps(new_path, old_path):
     return gap_lines(gaps)
 
 
-GAPS = {"trace.csv": column_gaps, "policies.json": policy_gaps,
+GAPS = {".csv": column_gaps, "policies.json": policy_gaps,
         ".jsonl": episode_gaps}
 
 
 def compare(new_dir, old_dir, new, old):
     """Print the files that differ between two runs, with what `GAPS` finds
-    in each differing trace.csv, policies.json or episode file."""
+    in each differing CSV, policies.json or episode file."""
     paths = new.keys() | old.keys()
     differ = sorted(p for p in paths if new.get(p) != old.get(p))
     for path in differ:

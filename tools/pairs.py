@@ -1,0 +1,153 @@
+"""Paired timing of `learn` commands: this checkout against another one.
+
+    python3 tools/pairs.py --repo PARENT --workload learn-small --commands 200
+
+One worker process per checkout imports that checkout's `specshare` once
+and runs `learn` commands in process through `specshare.cli.main`, as
+perfbench/run.py does. Both run the stored batches of this checkout, in
+the order and with the arguments of perfbench/workloads.py: the
+workload's batches by seed (`LEARNER_SETS`; with --held-out, only its
+held-out batch) and `LEARN_ARGS`. Commands alternate between the two
+workers, the side that goes first swapping at every pair, so both see the
+same host load. Each worker runs one warm-up command first.
+
+Prints each side's median and quartiles of command seconds, and in how
+many pairs this checkout (the change) was faster; the last line is the
+same as one JSON object. Exits 1 if a command exits nonzero.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(CHECKOUT, "perfbench")
+
+
+def batches(workload, held_out):
+    """Paths of the workload's stored batches, in seed order."""
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+    spec = workloads.LEARNER_SETS[workload]
+    seeds = [spec["held_out"]] if held_out else spec["seeds"]
+    with open(os.path.join(PERFBENCH, "data", "inputs.json")) as fh:
+        files = {b["seed"]: b["file"] for b in json.load(fh)[workload]}
+    return [os.path.join(PERFBENCH, files[s]) for s in seeds], \
+        workloads.LEARN_ARGS
+
+
+def worker(repo):
+    """Run the argv of each stdin line with repo's specshare; answer each
+    with one line, [exit code, seconds]."""
+    src = os.path.join(os.path.abspath(repo), "src")
+    sys.path.insert(0, src)
+    from specshare import cli
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit("specshare was imported from %s, not %s"
+                         % (cli.__file__, src))
+    reply = sys.stdout
+    for line in sys.stdin:
+        argv = json.loads(line)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+        shutil.rmtree(argv[argv.index("--out") + 1], ignore_errors=True)
+        reply.write(json.dumps([code, elapsed]) + "\n")
+        reply.flush()
+
+
+class Side:
+    """One worker process and the seconds of its commands."""
+
+    def __init__(self, repo):
+        self.repo = repo
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", repo],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.seconds = []
+
+    def run(self, argv):
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit("the worker of %s stopped" % self.repo)
+        code, elapsed = json.loads(line)
+        if code:
+            raise SystemExit("%s: %s exited %d" % (self.repo, argv, code))
+        return elapsed
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.proc.wait()
+
+
+def summary(seconds):
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return {"median": statistics.median(seconds), "q1": q1, "q3": q3,
+            "min": min(seconds), "max": max(seconds)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
+    parser.add_argument("--repo", help="the other checkout (the parent)")
+    parser.add_argument("--workload", choices=("learn-small", "learn-paper"))
+    parser.add_argument("--commands", type=int, default=100,
+                        help="commands per side")
+    parser.add_argument("--held-out", action="store_true",
+                        help="run only the workload's held-out batch")
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if not (args.repo and args.workload and args.commands >= 2):
+        parser.error("need --repo, --workload and --commands >= 2")
+    paths, learn_args = batches(args.workload, args.held_out)
+    out = tempfile.mkdtemp(prefix="pairs-")
+    parent, change = Side(os.path.abspath(args.repo)), Side(CHECKOUT)
+    try:
+        for side in (parent, change):
+            side.run(["learn", "--episodes", paths[0], "--out",
+                      os.path.join(out, "warm-up"), "--max-iters", "2"])
+        for i in range(args.commands):
+            argv = ["learn", "--episodes", paths[i % len(paths)],
+                    "--out", os.path.join(out, "learn")] + learn_args
+            order = (parent, change) if i % 2 == 0 else (change, parent)
+            for side in order:
+                side.seconds.append(side.run(argv))
+    finally:
+        for side in (parent, change):
+            side.close()
+        shutil.rmtree(out, ignore_errors=True)
+    result = {"workload": args.workload, "held_out": args.held_out,
+              "commands": args.commands,
+              "batches": [os.path.relpath(p, CHECKOUT) for p in paths],
+              "parent": summary(parent.seconds),
+              "change": summary(change.seconds),
+              "change_wins": sum(c < p for c, p in zip(change.seconds,
+                                                        parent.seconds))}
+    result["ratio"] = result["change"]["median"] / result["parent"]["median"]
+    for name in ("parent", "change"):
+        s = result[name]
+        print("%-6s median %.4f s, quartiles %.4f-%.4f s"
+              % (name, s["median"], s["q1"], s["q3"]))
+    print("change faster in %d of %d pairs, median ratio %.3f"
+          % (result["change_wins"], args.commands, result["ratio"]))
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
