@@ -91,9 +91,8 @@ def cmd_learn(args):
             header.append(name)
             columns.append(values)
     with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(repr, row) for row in zip(*columns))
+        fh.write("".join(",".join(row) + "\r\n" for row in [header] + [
+            list(map(repr, r)) for r in zip(*columns)]))  # as csv.writer
     print("converged=%s iterations=%d final_elbo=%r"
           % (result.converged, trace.iterations, trace.elbo[-1]))
     return 0

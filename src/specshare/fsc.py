@@ -216,12 +216,9 @@ def forward_pass(policy, action_idx, obs_bins):
     adds only exact zeros, so only summation order differs from N passes.
     A single policy gives N = 1. Each step matrix, steps[n, k, tau] = M_tau
     with M_tau[i, j] = omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}], is
-    gathered once, and alpha advances by one matmul per step. With one
-    node there is nothing to step through: alpha_hat is all ones and each
-    scale is that step's factor, eta pi[a_0] first and then
-    omega[a_{t-1}, o_{t-1}] pi[a_t], gathered at once, the values the
-    recursion reaches exactly (x / x = 1 and 1 x = x); the step matrices
-    are then the scales' 1 x 1 views. A history of zero likelihood raises
+    gathered once, and alpha advances by one matmul per step (with one node
+    each scale is a step's factor; the learner adds their logs instead,
+    `learning._log_factors`). A history of zero likelihood raises
     ValueError; any other non-finite scale FloatingPointError.
     """
     aidx = np.asarray(action_idx, dtype=int)
@@ -244,24 +241,17 @@ def forward_pass(policy, action_idx, obs_bins):
     # a zero total turns the rest of its row into NaN; one check at the end
     # finds the zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if z == 1:
-            alpha_hat = np.ones((n, k, t1, 1))
-            scale[..., 0] = eta
-            scale[..., 1:] = omega[agent, 0, aidx[..., :-1], obins, 0]
-            scale *= pi[agent, 0, aidx]
-            steps = scale[..., 1:, None, None]
-        else:
-            pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
-            steps = omega.transpose(0, 2, 3, 1, 4)[
-                agent, aidx[..., :-1], obins] * pi_rows[:, :, 1:, None, :]
-            alpha_hat = np.empty((n, k, t1, z))
-            alpha = eta[:, None] * pi_rows[:, :, 0]
-            for t in range(t1):
-                if t:
-                    alpha = (alpha_hat[:, :, t - 1, None, :]
-                             @ steps[:, :, t - 1])[:, :, 0]
-                scale[..., t] = total = alpha.sum(axis=-1)
-                alpha_hat[:, :, t] = alpha / total[..., None]
+        pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
+        steps = omega.transpose(0, 2, 3, 1, 4)[
+            agent, aidx[..., :-1], obins] * pi_rows[:, :, 1:, None, :]
+        alpha_hat = np.empty((n, k, t1, z))
+        alpha = eta[:, None] * pi_rows[:, :, 0]
+        for t in range(t1):
+            if t:
+                alpha = (alpha_hat[:, :, t - 1, None, :]
+                         @ steps[:, :, t - 1])[:, :, 0]
+            scale[..., t] = total = alpha.sum(axis=-1)
+            alpha_hat[:, :, t] = alpha / total[..., None]
     # min > 0 is False for a NaN, so one reduction per bound covers both
     if not (scale.min() > 0.0 and scale.max() < math.inf):
         if np.any(scale == 0.0):
@@ -364,25 +354,27 @@ Sticks = namedtuple("Sticks", "first phi second total phisum delta sigma mu "
                               "lam flat")
 # digamma of each part of the buffer (`KernelLayout.digammas`), plus
 # `log_rest`, E[ln(1 - u)] of each stick times the sticks it stands for,
-# followed by a 0, and the layout
+# followed by a 0, `logs`, the point estimate's log of each stick and phi
+# entry followed by the -inf a pad reads, and the layout
 FactorDigammas = namedtuple("FactorDigammas",
-                            Sticks._fields + ("log_rest", "layout"))
+                            Sticks._fields + ("log_rest", "logs", "layout"))
 
 
 class KernelLayout:
     """Where a learner kernel over N agents holds each parameter, and the
     index maps of the steps that follow each agent's own nodes.
 
-    Nodes are numbered agent after agent (`offsets`). The omega sticks are
-    the entries of each agent's `NodeSlots`, node after node: a live node
-    holds one per destination slot and a dropped node one (`rows`,
-    `weights`, `starts`), each a row over the kept columns, the union of
-    every agent's (`omega_columns`); a column an agent never transitions
-    at evolves exactly like its stand-in. The flat buffer (`split`) holds
-    delta and the entries' sigma (the `n_sticks` first parameters), phi,
-    mu and lam, then the sticks' sums and phi's row sums; its first
-    `n_params` values are the parameters. The rates live in their own
-    buffer, b on the kept columns node after node and then h per agent;
+    Nodes are numbered agent after agent (`offsets`); `live_nodes` are the
+    kernel-live ones and `dropped` the rest. The omega sticks are the
+    entries of each live node's `NodeSlots`, one per destination slot
+    (`rows`, `weights`, `starts`), each a row over the kept columns, the
+    union of every agent's (`omega_columns`); a column an agent never
+    transitions at evolves exactly like its stand-in. A dropped source row
+    (sigma = 1, lam = a / b) has none. The flat buffer (`split`) holds
+    delta and the entries' sigma (the `n_sticks` first parameters), the
+    live nodes' phi, mu and lam, then the sticks' sums and phi's row sums;
+    its first `n_params` values are the parameters. The rates live in their
+    own buffer, b on the kept columns node after node and then h per agent;
     `rate_of` is the concentration rate of each stick.
 
     Steps along an agent's nodes or slots read the sticks through one
@@ -411,6 +403,7 @@ class KernelLayout:
         self.slots = [node_slots(nodes, zn)
                       for nodes, zn in zip(self.live, z)]
         self.n_live = np.array([nodes.size for nodes in self.live])
+        self.live_offsets = np.concatenate([[0], np.cumsum(self.n_live)])
         self.n_lanes = lanes = int(self.n_live.max())
         n_slots = np.array([sl.counts.size for sl in self.slots])
         smax = int(n_slots.max())
@@ -422,21 +415,23 @@ class KernelLayout:
         alive = np.zeros(n_nodes, dtype=bool)
         alive[np.concatenate([self.offsets[n] + nodes
                               for n, nodes in enumerate(self.live)])] = True
-        # stick entries node after node
-        per_node = np.where(alive, n_slots[agent_of_node], 1)
-        self.rows = rows = np.repeat(np.arange(n_nodes), per_node)
+        self.live_nodes = live_nodes = np.flatnonzero(alive)
+        self.dropped = np.flatnonzero(~alive)
+        # stick entries live node after live node
+        per_node = n_slots[agent_of_node[live_nodes]]
+        held = np.repeat(np.arange(live_nodes.size), per_node)
+        self.rows = rows = live_nodes[held]
         self.starts = starts = np.cumsum(per_node) - per_node
-        self.entry_offsets = np.append(starts[self.offsets[:-1]], rows.size)
-        slot = np.arange(rows.size) - starts[rows]
-        held, agent = alive[rows], agent_of_node[rows]
-        self.weights = np.where(held, size[agent, slot],
-                                z[agent]).astype(float)
-        # each entry's first destination node
-        self.dest = np.where(held, first[agent, slot], 0)
+        self.entry_offsets = np.append(starts[self.live_offsets[:-1]],
+                                       rows.size)
+        slot = np.arange(rows.size) - starts[held]
+        agent = agent_of_node[rows]
+        self.weights = size[agent, slot].astype(float)
+        self.dest = first[agent, slot]  # each entry's first destination node
         self.n_entries = n_ent = rows.size
         f = self.n_sticks = n_nodes + n_ent * n_cols
-        p = n_nodes * n_actions
-        self.n_params, self.size = 2 * f + p, 3 * f + p + n_nodes
+        p = live_nodes.size * n_actions
+        self.n_params, self.size = 2 * f + p, 3 * f + p + live_nodes.size
         col = np.arange(n_cols)
         self.rate_of = np.concatenate([n_nodes * n_cols + agent_of_node,
                                        (rows[:, None] * n_cols + col).ravel()])
@@ -444,18 +439,20 @@ class KernelLayout:
                                             np.repeat(self.weights, n_cols)])
         self.bound_weight = np.concatenate([
             np.ones(n_nodes), (self.weights[:, None] * self.counts).ravel()])
+        # a dropped source row's Z sticks per column, and per flat column
+        self.drop_z = z[agent_of_node[self.dropped], None].astype(float)
+        self.drop_weight = self.drop_z * self.counts
         # stick rows: each agent's nodes, then each live node's slots per
-        # column, then one row of pads; `grid` holds each row's sticks after
-        # a leading pad, and a pad is -1: every array it indexes ends in a 0
+        # column; `grid` holds each row's sticks after a leading pad, and a
+        # pad is -1: every array it indexes ends in a 0
         width = max(int(z.max()), smax)
         step = np.arange(width)
-        live_nodes = np.flatnonzero(alive)
-        length = np.concatenate([z, np.repeat(
-            n_slots[agent_of_node[live_nodes]], n_cols), [0]])
+        length = np.concatenate([z, np.repeat(n_slots[agent_of_node[
+            live_nodes]], n_cols)])
         seq = np.concatenate([
             self.offsets[:-1, None] + step,
-            (n_nodes + (starts[live_nodes, None, None] + step) * n_cols
-             + col[:, None]).reshape(-1, width), [step]])
+            (n_nodes + (starts[:, None, None] + step) * n_cols
+             + col[:, None]).reshape(-1, width)])
         seq[step >= length[:, None]] = -1
         self.grid = np.hstack([np.full((len(seq), 1), -1), seq])
         row, at = np.nonzero(seq >= 0)
@@ -464,24 +461,22 @@ class KernelLayout:
         self.not_last[stick[at == length[row] - 1]] = 0.0
         # cumulative sums along a grid row give at column j the sum of the
         # row's first j sticks, and along the row reversed, at column
-        # width - 1 - j, the sum of its sticks from j on; a dropped node's
-        # entry reads the row of pads
-        self.prefix_cell, self.tail_cell = np.full((2, f), self.grid.size - 1)
+        # width - 1 - j, the sum of its sticks from j on
+        self.prefix_cell, self.tail_cell = np.empty((2, f), dtype=int)
         self.prefix_cell[stick] = row * (width + 1) + at
         self.tail_cell[stick] = row * (width + 1) + width - 1 - at
         # the point estimate's gathers from [stick logs, pi logs, -inf],
         # and the update's scatter into the buffer
-        lane = np.full(n_nodes, -1)
-        for n, nodes in enumerate(self.live):
-            lane[self.offsets[n] + nodes] = np.arange(nodes.size)
+        lane = np.concatenate([np.arange(nodes.size) for nodes in self.live])
+        live_agent = agent_of_node[live_nodes]
         self.eta_map = np.full((z.size, lanes), -1)
-        self.eta_map[agent_of_node[alive], lane[alive]] = live_nodes
+        self.eta_map[live_agent, lane] = live_nodes
         self.pi_map = np.full((z.size, lanes, n_actions), -1)
-        self.pi_map[agent_of_node[alive], lane[alive]] = \
-            f + live_nodes[:, None] * n_actions + np.arange(n_actions)
+        self.pi_map[live_agent, lane] = \
+            f + np.arange(p).reshape(-1, n_actions)
         omega_map = np.full((z.size, lanes, n_actions * n_obs, lanes), -1)
         for n, nodes in enumerate(self.live):
-            entry = self.entries(n)[np.ix_(nodes, nodes)]
+            entry = self.entries(n)[:, nodes]
             omega_map[n, :nodes.size, :, :nodes.size] = n_nodes + (
                 entry[:, None, :] * n_cols + self.expand[:, None])
         self.omega_map = omega_map.reshape(z.size, lanes, n_actions, n_obs,
@@ -491,11 +486,11 @@ class KernelLayout:
     def split(self, x):
         """`Sticks` views of a flat buffer of this layout."""
         nn, f = self.n_nodes, self.n_sticks
-        p = nn * self.n_actions
+        p = self.live_nodes.size * self.n_actions
         first, second = x[:f], x[f + p:2 * f + p]
-        return Sticks(first=first, phi=x[f:f + p].reshape(nn, -1),
+        return Sticks(first=first, phi=x[f:f + p].reshape(-1, self.n_actions),
                       second=second, total=x[2 * f + p:3 * f + p],
-                      phisum=x[3 * f + p:].reshape(nn, 1),
+                      phisum=x[3 * f + p:, None],
                       delta=first[:nn], sigma=first[nn:].reshape(
                           self.n_entries, -1),
                       mu=second[:nn], lam=second[nn:].reshape(
@@ -503,50 +498,56 @@ class KernelLayout:
 
     def digammas(self, flat):
         """`FactorDigammas` views of `flat`, a buffer of this layout's size,
-        and a new `log_rest`, for `stick_digammas` to fill."""
+        and a new `log_rest` and `logs`, for `stick_digammas` to fill."""
         return FactorDigammas(*self.split(flat), np.zeros(self.n_sticks + 1),
-                              self)
+                              np.full(self.n_params - self.n_sticks + 1,
+                                      -np.inf), self)
 
     def fill(self, states):
-        """A flat buffer of this layout holding the states' parameters (a
-        dropped destination's sigma and lam taken from the first node of
-        its slot, a dropped source's from destination 0); the sums are
-        taken by `stick_digammas`."""
+        """A flat buffer of this layout holding the states' parameters: every
+        node's eta sticks and the live nodes' phi and omega entries, a
+        dropped destination's sigma and lam taken from the first node of its
+        slot; the sums are taken by `stick_digammas`."""
         x = np.empty(self.size)
         v = self.split(x)
         for n, st in enumerate(states):
             nodes = slice(self.offsets[n], self.offsets[n + 1])
-            v.delta[nodes], v.mu[nodes], v.phi[nodes] = \
-                st.delta, st.mu, st.phi
+            v.delta[nodes], v.mu[nodes] = st.delta, st.mu
+            v.phi[self.live_offsets[n]:self.live_offsets[n + 1]] = \
+                st.phi[self.live[n]]
             ent = slice(self.entry_offsets[n], self.entry_offsets[n + 1])
             z = self.node_counts[n]
-            src = self.rows[ent, None] - self.offsets[n]
             for part, full in ((v.sigma, st.sigma), (v.lam, st.lam)):
                 part[ent] = np.reshape(full, (z, -1, z))[
-                    src, self.columns, self.dest[ent, None]]
+                    self.rows[ent, None] - self.offsets[n], self.columns,
+                    self.dest[ent, None]]
         return x
 
     def entries(self, agent):
-        """(Z, Z) entry holding each (source, destination) stick of one
-        agent's omega."""
-        sl, start = self.slots[agent], self.offsets[agent]
-        entry = self.starts[start:start + sl.slot_of.size, None] \
-            + np.zeros_like(sl.slot_of)
-        entry[sl.live] += sl.slot_of
-        return entry
+        """(live, Z) entry holding each (source, destination) stick of one
+        agent's omega, at its kernel-live sources."""
+        live = slice(self.live_offsets[agent], self.live_offsets[agent + 1])
+        return self.starts[live, None] + self.slots[agent].slot_of
 
 
 def stick_digammas(sticks, psi, digamma_fn=None):
     """Fill `psi`, `FactorDigammas` views (`KernelLayout.digammas`), with
     the digammas of the buffer that `sticks` views, whose parameters are
-    set; the sticks' sums and phi's row sums are taken here first. Returns
-    `psi`."""
+    set (the sums are taken here first), and the point estimate's logs:
+    E[ln u] of a stick but a row's last, plus the E[ln(1 - u)] of those
+    before it, and E[ln pi]. Returns `psi`."""
+    lay, f, logs = psi.layout, psi.layout.n_sticks, psi.logs
     np.add(sticks.first, sticks.second, out=sticks.total)
     sticks.phi.sum(axis=1, keepdims=True, out=sticks.phisum)
     (digamma_fn or digamma)(sticks.flat, out=psi.flat)
     rest = psi.log_rest[:-1]
     np.subtract(psi.second, psi.total, out=rest)
-    rest *= psi.layout.stick_weight
+    rest *= lay.stick_weight
+    np.subtract(psi.first, psi.total, out=logs[:f])
+    logs[:f] *= lay.not_last
+    logs[:f] += psi.log_rest[lay.grid].cumsum(axis=1).ravel()[
+        lay.prefix_cell]
+    np.subtract(psi.phi, psi.phisum, out=logs[f:-1].reshape(psi.phi.shape))
     return psi
 
 
@@ -558,10 +559,10 @@ def point_estimate(state, psi=None):
     pi), and optionally `visited` (see `omega_columns`); its estimate
     covers every node. Given `psi`, the `FactorDigammas` of a learner
     kernel, the estimate is instead that kernel's, over each agent's
-    kernel-live nodes, stacked and zero-padded as `forward_pass` takes it,
-    from one `exp` and three gathers. Entries are exp of expected
-    log-probabilities, hence sub-probabilities; no renormalization is
-    applied.
+    kernel-live nodes, stacked and zero-padded as `forward_pass` takes it:
+    one `exp` of the logs `stick_digammas` left in `psi` and three
+    gathers. Entries are exp of expected log-probabilities, hence
+    sub-probabilities; no renormalization is applied.
     """
     if psi is None:
         z = np.size(state.delta)
@@ -574,16 +575,7 @@ def point_estimate(state, psi=None):
             layout.digammas(np.empty(layout.size))))
         return PointEstimate(eta=est.eta[0], pi=est.pi[0],
                              omega=est.omega[0])
-    lay = psi.layout
-    f = lay.n_sticks
-    logp = np.empty(f + psi.phi.size + 1)
-    logp[-1] = -np.inf  # what a pad, -1, reads
-    np.subtract(psi.first, psi.total, out=logp[:f])
-    logp[:f] *= lay.not_last
-    logp[:f] += psi.log_rest[lay.grid].cumsum(axis=1).ravel()[
-        lay.prefix_cell]
-    np.subtract(psi.phi, psi.phisum, out=logp[f:-1].reshape(psi.phi.shape))
-    p = np.exp(logp)
+    lay, p = psi.layout, np.exp(psi.logs)
     return PointEstimate(eta=p[lay.eta_map], pi=p[lay.pi_map],
                          omega=p[lay.omega_map])
 

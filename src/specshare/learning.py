@@ -10,47 +10,30 @@ backward pass reads the forward pass's scales and step matrices
 
 One kernel (`_Kernel`) holds every agent's factors for a run, in flat
 buffers laid out by `fsc.KernelLayout`, so each step of an iteration runs
-once for all agents: the stacked forward pass and sweep over all N K
-episode rows, one scatter of the sweep's masses into the factors through
-the point estimate's own index maps, one domain check of the parameters,
-one digamma call on all of them, the rates b and h, one `exp` for the
-point estimates and one gammaln call and one dot product for the bound.
-Steps that follow each agent's own nodes go through the layout's padded
-index maps; a pad adds exact zeros, so the arithmetic differs from one
-agent at a time only in summation order, and the number of numpy calls
-per iteration does not depend on the number of agents.
-
-One workspace per layout. Whatever depends only on the layout or the run
-is built when the kernel is and again only when a node leaves it: the
-buffers that the sweep, digamma, gammaln and the rates' logs write into
-and their views, the scatter's index, the bound's weights of every term
-and its constant part, the discounted rewards the importance ratios
-weight and the trace's constant columns. An iteration only fills these
-buffers, and once every agent is down to one node the pruning
-bookkeeping stops, since pruning never brings a node back.
+once for all agents, through the layout's padded index maps: a pad adds
+exact zeros, so the arithmetic differs from one agent at a time only in
+summation order, and the number of numpy calls per iteration does not
+depend on the number of agents. Whatever depends only on the layout or
+the run (the buffers the steps write into, the index maps, the bound's
+weights and constant part, the discounted rewards) is built when the
+kernel is and again only when a node leaves it; an iteration fills it.
 
 Kernel-live compaction. The stick-breaking prior empties most nodes
-within a few iterations, and the kernel shrinks with them: after the
-sweep, a node whose share of its agent's occupancy mass is below
-`_DROP_SHARE` = 2^-100 leaves the kernel for the rest of the run. The
-path weights sum to K, so the occupancy mass is at most K T and every
-mass x the node feeds, divided by K, is at most 2^-100 T. Each sum
-it enters holds a term many orders larger: delta = 1 + x, phi = theta + x,
-sigma = 1 + x, mu = g/h + x and lam = a/b + x. So x is below half an ulp
-of the sum: the node's delta, sigma and phi are exactly 1, 1 and theta,
-and the lam of its run of dropped neighbours is one value. Its share of
-any prefix likelihood is bounded by the same occupancy, so the forward
-scales do not move either. From then on `fsc.forward_pass`, the sweep,
-the scatter and the point estimate run on the live sub-controllers;
-once every agent is at one node, `fsc.forward_pass` and the sweep take
-closed forms in place of their steps through time. The omega sticks are
-held as entries over the kept columns (`fsc.NodeSlots`): one per live
-source and destination slot, where a run of dropped destinations between
-live ones is one slot weighted by its length, and one per dropped source,
-standing for all its destinations (sigma = 1, lam = a/b); dropped
-sources keep their own b and their terms in the bound. `VariationalState`
-keeps the full truncation; `learn` writes the kernel back to it at the
-end of the run. With every node live the same code is the uncompacted kernel.
+within a few iterations: after the sweep, a node whose share of its
+agent's occupancy mass is below `_DROP_SHARE` = 2^-100 leaves the kernel
+for the rest of the run. The path weights sum to K, so every mass x the
+node feeds, divided by K, is at most 2^-100 T, below half an ulp of each
+sum it enters (delta = 1 + x, phi = theta + x, sigma = 1 + x, mu = g/h + x,
+lam = a/b + x): its delta, sigma and phi are exactly 1, 1 and theta, the
+lam of its run of dropped neighbours is one value, and its share of any
+prefix likelihood does not move the forward scales. The kernel then holds
+every node's eta stick and the live nodes' phi and omega sticks, one per
+live source and destination slot (`fsc.NodeSlots`). A dropped node's phi
+adds nothing to the bound, and its source row, sigma = 1 and lam = a/b,
+needs no special function (`_update_agent`, `elbo`). At one live node per
+agent the history likelihoods are sums of the estimate's logs
+(`_log_factors`), which cannot underflow. `VariationalState` keeps the
+full truncation; `learn` writes the kernel back to it at the end.
 """
 
 import math
@@ -124,16 +107,13 @@ class VariationalState:
     def __init__(self, node_count, n_actions, n_obs, hyper, pi_seed=None,
                  visited=None):
         z = node_count
-        self.delta = np.ones(z)
-        self.mu = np.ones(z)
+        self.delta, self.mu = np.ones(z), np.ones(z)
         self.phi = np.full((z, n_actions), hyper.theta)
         if pi_seed is not None:
             self.phi = self.phi + np.asarray(pi_seed, dtype=float)
         self.sigma = np.ones((z, n_actions, n_obs, z))
         self.lam = np.ones((z, n_actions, n_obs, z))
-        self.g = hyper.e + z
-        self.h = hyper.f
-        self.a = hyper.c + z
+        self.g, self.h, self.a = hyper.e + z, hyper.f, hyper.c + z
         self.b = np.full((z, n_actions, n_obs), hyper.d)
         self.visited = visited
 
@@ -162,27 +142,21 @@ class _Kernel:
     fills.
 
     `x` holds the sticks and phi (`sticks` are its views); `rates` holds b
-    on the kept columns (`b`, one row per node) and h per agent (`h`).
-    Each rate's Gamma factor has a shape fixed for the run, a = c + Z or
-    g = e + Z (`shape_q`); `conc` is the mean concentration shape / rate
-    of each stick's rate, set with the rates and read by the bound and by
-    the next update. Built from states, every node is live; the states' own
-    parameters are written by `store`. Given a batch, the kernel also holds
-    it and `scatter`: one more than the entry of `x` that each mass of a
-    sweep over it adds to, and 0 for a pad and for the sweep's empty first
-    pair slot.
+    on the kept columns (`b`, one row per node) and h per agent (`h`), with
+    shapes a = c + Z and g = e + Z fixed for the run (`shape_q`), and mean
+    concentrations shape / rate (`rate_conc`, `conc_b` for b; `conc` per
+    stick). A dropped source row's sticks are sigma = 1 and lam =
+    `lam_drop`, the `conc_b` rows they were set from. Built from states,
+    every node is live; `store` writes the states. Given a batch, the
+    kernel holds it, `scatter` (one more than the entry of `x` each mass of
+    a sweep adds to; 0 for a pad and the empty first pair slot) and, at one
+    live node per agent, `log_index` (`_log_factors`), else None.
 
-    The workspace is built by `_allocate` whenever the layout changes, and
-    an iteration only fills it, so nothing that depends on the layout
-    alone is computed per iteration:
-    - `masses`, the buffer the sweep writes its pair masses and
-      occupancies into (`_mass_views`), which is the scatter's weights;
-    - `terms`: the digammas of x (`psi`, `fsc.FactorDigammas` views that
-      `refresh` fills), their log-gammas (`lg`), ln(rate) and 1 / rate;
-    - `coef`, the weight of each term in the bound, which is
-      `bound_const + coef @ terms` (see `elbo`). Only the digammas' weights
-      are set per iteration; the rest, like `bound_const`, are fixed for
-      the layout or the run.
+    `_allocate` builds the workspace whenever the layout changes: `masses`,
+    the sweep's output and the scatter's weights (`mass_views`); `terms`,
+    the digammas of x (`psi`), their log-gammas (`lg`), ln(rate), 1 / rate
+    and per dropped rate ln(lam) and conc / lam; and `coef`, their weights
+    in the bound `bound_const + coef @ terms` (`elbo`).
     """
 
     def __init__(self, states, hyper, batch=None):
@@ -198,11 +172,11 @@ class _Kernel:
         lay = self.layout = KernelLayout(z, [np.arange(n) for n in z],
                                          self.columns, n_actions, n_obs)
         n_cols = self.columns[2].size
-        b = np.concatenate([np.reshape(st.b, (st.node_count, -1))[
-            :, self.columns[0]] for st in states])
-        self.rates = np.concatenate([b.ravel(), [st.h for st in states]])
-        self.b, self.h = (self.rates[:b.size].reshape(b.shape),
-                          self.rates[b.size:])
+        self.rates = np.concatenate([np.reshape(st.b, (n, -1))[
+            :, self.columns[0]].ravel() for st, n in zip(states, z)]
+            + [[st.h for st in states]])
+        self.b, self.h = (self.rates[:-len(z)].reshape(lay.n_nodes, -1),
+                          self.rates[-len(z):])
         self.g, self.a = (np.array([float(getattr(st, name)) for st in states])
                           for name in ("g", "a"))
 
@@ -210,23 +184,21 @@ class _Kernel:
             return np.concatenate([
                 np.repeat(np.broadcast_to(omega_value, lay.n_nodes), n_cols),
                 np.broadcast_to(eta_value, len(z))])
-        self.shape_q = per_rate(self.a[lay.agent_of_node], self.g)
-        self.psi_q = digamma(self.shape_q)
+        self.shape_q = shape_q = per_rate(self.a[lay.agent_of_node], self.g)
+        self.psi_q = psi_q = digamma(shape_q)
         shape_p = per_rate(hyper.c, hyper.e)
         rate_p = per_rate(hyper.d, hyper.f)
         lgamma_q, lgamma_p = np.split(
-            gammaln(np.concatenate([self.shape_q, shape_p])), 2)
+            gammaln(np.concatenate([shape_q, shape_p])), 2)
         # each rate stands for the flat columns of its kept column
         weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
                                    np.ones(len(z))])
-        # the run's part of the bound's Gamma and Dirichlet terms (`elbo`)
+        # the run's part of the bound's Gamma terms (`elbo`)
         self.log_coef = -weight_q * shape_p
-        self.inv_coef = -weight_q * rate_p * self.shape_q
+        self.inv_coef = -weight_q * rate_p * shape_q
         self.run_const = float(weight_q @ (
-            shape_p * np.log(rate_p) - lgamma_p + lgamma_q + self.shape_q
-            + (shape_p - self.shape_q) * self.psi_q)) + lay.n_nodes * (
-                math.lgamma(n_actions * hyper.theta)
-                - n_actions * math.lgamma(hyper.theta))
+            shape_p * np.log(rate_p) - lgamma_p + lgamma_q + shape_q
+            + (shape_p - shape_q) * psi_q))
         self._allocate(lay.fill(states))
         self.refresh()
 
@@ -234,29 +206,39 @@ class _Kernel:
         """Build the workspace of the current layout around `x`, a flat
         buffer of it."""
         lay, n_rates = self.layout, self.rates.size
+        n_held = lay.live_nodes.size
         self.x, self.sticks, self.params = x, lay.split(x), x[:lay.n_params]
-        f, p, size = lay.n_sticks, lay.n_nodes * lay.n_actions, lay.size
+        f, p, size = lay.n_sticks, n_held * lay.n_actions, lay.size
         self.head = x[:f + p]
         self.base = np.concatenate([np.ones(f), np.full(p, self.hyper.theta)])
-        self.conc = np.empty(f)
+        self.rate_conc, self.conc = np.empty(n_rates), np.empty(f)
+        self.conc_b = self.rate_conc[:-lay.n_agents].reshape(self.b.shape)
         self.gather_conc()
-        self.terms = terms = np.empty(2 * (size + n_rates))
-        self.psi = lay.digammas(terms[:size])
-        self.lg = terms[size:2 * size]
-        self.log_rates = terms[2 * size:2 * size + n_rates]
-        self.inv_rates = terms[2 * size + n_rates:]
+        self.lam_drop = self.conc_b[lay.dropped]
+        wd = lay.drop_weight
+        self.terms = terms = np.empty(2 * (size + n_rates + wd.size))
+        self.psi, self.lg = lay.digammas(terms[:size]), terms[size:2 * size]
+        self.rate_terms = terms[2 * size:2 * (size + n_rates)].reshape(2, -1)
+        self.lam_terms = terms[2 * (size + n_rates):].reshape((2,) + wd.shape)
         # each rate's weight in the sticks' E[ln rate] terms
         bw = lay.bound_weight
         weight = np.bincount(lay.rate_of, bw, minlength=n_rates)
+        weight[:-lay.n_agents].reshape(self.b.shape)[lay.dropped] = wd
         self.coef = np.concatenate([
-            np.zeros(size), bw, np.ones(p), bw, -bw, -np.ones(lay.n_nodes),
-            self.log_coef - weight, self.inv_coef])
+            np.zeros(size), bw, np.ones(p), bw, -bw, -np.ones(n_held),
+            self.log_coef - weight, self.inv_coef, -wd.ravel(), -wd.ravel()])
         self.psi_coef = lay.split(self.coef[:size])
-        self.bound_const = self.run_const + float(weight @ self.psi_q)
+        # a dropped stick's Beta terms are w (1 - ln lam - conc / lam), and
+        # only the live action rows have Dirichlet normalizers (phi = theta)
+        theta, n_actions = self.hyper.theta, lay.n_actions
+        self.bound_const = self.run_const + float(weight @ self.psi_q) \
+            + float(wd.sum()) + n_held * (math.lgamma(n_actions * theta)
+                                          - n_actions * math.lgamma(theta))
         # the update's views of the log_rest that `refresh` fills
         rest = self.psi.log_rest
         self.node_rest = rest[:lay.n_nodes]
         self.entry_rest = rest[lay.n_nodes:f].reshape(lay.n_entries, -1)
+        self.log_index = None
         if self.batch is not None:
             # the point estimate's maps at every transition (pair masses)
             # and every step (occupancy), shifted by one: a pad and the
@@ -269,14 +251,19 @@ class _Kernel:
             self.scatter = np.concatenate(
                 (pair, 1 + lay.pi_map[agent, :, actions]), axis=None)
             self.masses = np.zeros(self.scatter.size)
+            self.mass_views = _mass_views(self.masses,
+                                          actions.shape + (lanes,))
             self.n_bins = f + p + 2
             self.eta_bins = lay.eta_map + 1
             self.node_bins = self.eta_bins.ravel()
+            if lanes == 1:  # the same maps name each step's log factors
+                self.log_index = self.scatter.reshape((2,) + actions.shape) - 1
+                self.log_index[0, ..., 0] = lay.eta_map
 
     def gather_conc(self):
-        """Set `conc`, each stick's mean concentration shape / rate, from
-        the rates; after they change and after a relayout."""
-        np.take(self.shape_q / self.rates, self.layout.rate_of, out=self.conc)
+        """Set `rate_conc` and `conc` from the rates."""
+        np.divide(self.shape_q, self.rates, out=self.rate_conc)
+        np.take(self.rate_conc, self.layout.rate_of, out=self.conc)
 
     def relayout(self, live):
         """Hold only the nodes `live` (per agent) from now on; the sticks and
@@ -296,20 +283,25 @@ class _Kernel:
 
     def store(self, states):
         """Write the kernel to the states: a dropped destination takes its
-        slot's entry, a dropped source node its one entry and every column
-        its kept column's."""
-        lay, v, expand = self.layout, self.sticks, self.columns[1]
+        slot's entry and every column its kept column's; a dropped node's
+        phi is theta and its source row sigma = 1 and lam = `lam_drop`."""
+        lay, v, expand, b = self.layout, self.sticks, self.columns[1], self.b
+        lam = np.empty(b.shape)
+        lam[lay.dropped] = self.lam_drop
         for n, st in enumerate(states):
             nodes = slice(lay.offsets[n], lay.offsets[n + 1])
-            st.delta, st.mu, st.phi = (x[nodes].copy()
-                                       for x in (v.delta, v.mu, v.phi))
+            z, live = lay.node_counts[n], lay.live[n]
+            st.delta, st.mu = (x[nodes].copy() for x in (v.delta, v.mu))
+            st.phi = np.full(np.shape(st.phi), self.hyper.theta)
+            st.phi[live] = v.phi[lay.live_offsets[n]:lay.live_offsets[n + 1]]
             st.h = float(self.h[n])
-            entry = lay.entries(n)
-            shape = np.shape(st.sigma)
-            st.sigma, st.lam = (
-                x[entry][..., expand].transpose(0, 2, 1).reshape(shape)
-                for x in (v.sigma, v.lam))
-            st.b = self.b[nodes][:, expand].reshape(np.shape(st.b))
+            rows = np.ones((2, z, lam.shape[1], z))
+            rows[1] = lam[nodes, :, None]
+            rows[:, live] = [x[lay.entries(n)].transpose(0, 2, 1)
+                             for x in (v.sigma, v.lam)]
+            st.sigma, st.lam = rows[:, :, expand].reshape(
+                (2,) + np.shape(st.sigma))
+            st.b = b[nodes][:, expand].reshape(np.shape(st.b))
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
@@ -371,9 +363,22 @@ def node_marginals(policy, action_idx, obs_bins, t):
 def _log_prefix(batch, policies):
     """Cumulative log joint likelihood per (episode, t) of the batch,
     summed over agents, and the stacked `fsc.ForwardPass` it comes from,
-    one pass over every agent's episodes; the scales' log is taken once."""
+    one pass over every agent's episodes; the scales' log is taken once.
+    A learner `_Kernel` stands for its point estimate, and at one live node
+    per agent gives `_log_factors` and no pass (None)."""
+    if isinstance(policies, _Kernel):
+        if policies.log_index is not None:
+            return _log_factors(policies.psi.logs, policies.log_index), None
+        policies = point_estimate(policies, policies.psi)
     fwd = forward_pass(stack_policies(policies), batch.actions, batch.obs_bins)
     return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
+
+
+def _log_factors(logs, index):
+    """`_log_prefix` of a stacked one-node estimate from its `logs`: `index`
+    (2, N, K, t+1) names each step's log eta (first) or log omega[a_{t-1},
+    o_{t-1}], and log pi[a_t]. A sum of logs does not underflow."""
+    return logs[index].sum(axis=(0, 1)).cumsum(axis=1)
 
 
 def discounted_rewards(batch, r_min, gamma):
@@ -387,12 +392,10 @@ def discounted_rewards(batch, r_min, gamma):
 def _return_terms(batch, target, behavior, rewards):
     """The empirical value, each (episode, t) return term (importance ratio
     times shifted discounted reward, `discounted_rewards`) and the target's
-    stacked forward pass.
-
-    Behaviour policies, when given, run through the same forward call as
-    the target, so equal policies cancel exactly; otherwise the per-step
-    probabilities stored at collection time are used.
-    """
+    stacked forward pass. Behaviour policies, when given, run through the
+    same forward call as the target, so equal policies cancel exactly;
+    otherwise the per-step probabilities stored at collection time are
+    used."""
     logp, fwd = _log_prefix(batch, target)
     logb = batch.log_behavior if behavior is None \
         else _log_prefix(batch, behavior)[0]
@@ -424,8 +427,8 @@ def reweighted(batch, estimates, rewards):
     """Posterior path weights of an `EpisodeBatch`, one (K, t) block, plus
     the value they normalize by; the behaviour probabilities are the stored
     ones and `rewards` the batch's `discounted_rewards`. `estimates` are
-    per-agent point estimates or controllers, or one stacked estimate
-    (`fsc.stack_policies`)."""
+    per-agent point estimates or controllers, one stacked estimate
+    (`fsc.stack_policies`) or the learner's `_Kernel` (`_log_prefix`)."""
     value, terms, fwd = _return_terms(batch, estimates, None, rewards)
     if not value > 0.0:
         raise FloatingPointError("empirical value is not positive: %r" % value)
@@ -440,15 +443,15 @@ def _mass_views(masses, shape):
             masses[:n_pair].reshape(shape + shape[-1:]))
 
 
-def _sweep(fwd, nu, masses=None):
+def _sweep(fwd, nu, out=None):
     """nu-weighted posterior node statistics over a block of equal-length
     episodes, stacked over agents, read backward from their forward pass.
 
     `fwd` is the `fsc.ForwardPass` of (N, K, t1) episodes and `nu` (K, t1)
     their path weights, the same for every agent. The statistics are
-    written into `masses`, a flat buffer (`_mass_views`) whose first pair
-    slot, pair[:, :, 0], is zero and stays so, or a new one. Returns the
-    views (occ, pair):
+    written into `out`, (occ, pair) views of a flat buffer (`_mass_views`)
+    whose first pair slot, pair[:, :, 0], is zero and stays so, or new
+    ones. Returns the views (occ, pair):
     occ[n, k, tau, i] sums the singleton marginals of z_tau over every
     prefix endpoint t >= tau, each weighted by nu[k, t]; pair[n, k, tau]
     (tau >= 1) likewise sums the weighted pairwise marginals coupling
@@ -459,20 +462,22 @@ def _sweep(fwd, nu, masses=None):
     here; occ_tau = ahat_tau G_tau and pair_{tau+1}[i, j] = ahat_tau[i]
     M_tau[i, j] G_{tau+1}[j] / c_{tau+1}. With one node ahat is all ones
     and M_tau = c_{tau+1}, so G is the reverse cumulative sum of nu, the
-    same for every agent, occ = G and pair_{tau+1} = G_{tau+1}; the
-    recursion's M (G / c) differs from these by about an ulp. A non-finite
-    G raises FloatingPointError.
+    same for every agent, occ = G and pair_{tau+1} = G_{tau+1} (`fwd` may
+    be None, given `out`); the recursion's M (G / c) differs from these by
+    about an ulp. A non-finite G raises FloatingPointError.
     """
-    ahat, scale, m = fwd.alpha_hat, fwd.scale[..., 1:], fwd.steps
-    n, k, t1, z = ahat.shape
-    occ, pair = _mass_views(np.zeros(n * k * t1 * z * (z + 1))
-                            if masses is None else masses, ahat.shape)
+    if out is None:
+        shape = fwd.alpha_hat.shape
+        out = _mass_views(np.zeros(math.prod(shape) * (shape[-1] + 1)), shape)
+    occ, pair = out
+    n, k, t1, z = occ.shape
     if z == 1:
         to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1]
         _check_finite(to_go, "node sweep")
         occ[..., 0] = to_go
         pair[:, :, 1:, 0, 0] = to_go[:, 1:]
         return occ, pair
+    ahat, scale, m = fwd.alpha_hat, fwd.scale[..., 1:], fwd.steps
     to_go = np.empty((n, k, t1, z))
     to_go[:, :, -1] = nu[:, -1:]
     for tau in range(t1 - 2, -1, -1):
@@ -502,8 +507,7 @@ def _drop(kernel, drop, occ, pair, first, total):
     kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
     lane = np.zeros(kernel.layout.lane_real.shape, dtype=int)
     lane[kernel.layout.lane_real] = np.concatenate(kept)
-    kept_occ, kept_pair = _mass_views(kernel.masses,
-                                      occ.shape[:3] + lane.shape[1:])
+    kept_occ, kept_pair = kernel.mass_views
     kept_occ[...] = np.take_along_axis(occ, lane[:, None, None], 3)
     src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
     kept_pair[...] = np.take_along_axis(np.take_along_axis(pair, src, 3),
@@ -516,28 +520,28 @@ def _update_agent(kernel, rw):
     kernel (the name is the traced span's).
 
     `rw` holds the path weights and the stacked forward pass that
-    `reweighted` computed at the kernel's stacked point estimate; the
-    sweep reads the pass's posteriors, scales and step matrices, so the
-    estimate itself is not read again. The sweep writes its masses into
-    the kernel's `masses`, and they go into the factors in one scatter
-    (`np.bincount`) through the maps the point estimate reads: each pair
-    mass of a transition to its omega entry and each occupancy of a step
-    to its phi entry, so every parameter gets its terms in episode and
-    step order; the first step's occupancy, summed over episodes, goes to
-    the eta sticks through `eta_map`. A node whose occupancy share this
-    sweep is below `_DROP_SHARE` leaves the kernel before the factors are
-    set; only then is the layout built again, and the sweep's output first
-    moved onto the kept lanes of the new workspace.
+    `reweighted` computed at the kernel's point estimate (None at one node
+    per agent), whose posteriors, scales and step matrices the sweep reads.
+    It writes its masses into the kernel's `masses`, and they go into the
+    factors in one scatter (`np.bincount`) through the maps the point
+    estimate reads: each pair mass of a transition to its omega entry and
+    each occupancy of a step to its phi entry, so every parameter gets its
+    terms in episode and step order; the first step's occupancy, summed
+    over episodes, goes to the eta sticks through `eta_map`. A node whose
+    occupancy share this sweep is below `_DROP_SHARE` leaves the kernel
+    before the factors are set; only then is the layout built again, and
+    the sweep's output first moved onto the kept lanes of the new
+    workspace.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations, `conc`) and eta sticks (using the previous eta
     concentrations), then the rates b and h of both concentrations and
     from them `conc`; their shapes a and g keep the values the states were
-    built with. Returns the occupancy mass of every node accumulated this
-    sweep, 0.0 at every dropped node.
+    built with; a dropped source row's b is d + Z / lam. Returns the
+    occupancy mass of every node this sweep, 0.0 at every dropped node.
     """
     lay, hyper, batch = kernel.layout, kernel.hyper, kernel.batch
-    occ, pair = _sweep(rw.fwd, rw.nu, kernel.masses)
+    occ, pair = _sweep(rw.fwd, rw.nu, kernel.mass_views)
     # delta's mass and each node's occupancy, per agent and lane, summed
     # on the sweep's own lanes: numpy's summation order follows the shape
     first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
@@ -561,8 +565,10 @@ def _update_agent(kernel, rw):
     tail /= k
     np.add(kernel.conc, tail, out=v.second)
     kernel.refresh()
-    np.subtract(hyper.d, np.add.reduceat(kernel.entry_rest, lay.starts),
-                out=kernel.b)
+    kernel.b[lay.live_nodes] = hyper.d - np.add.reduceat(kernel.entry_rest,
+                                                         lay.starts)
+    np.take(kernel.conc_b, lay.dropped, axis=0, out=kernel.lam_drop)
+    kernel.b[lay.dropped] = hyper.d + lay.drop_z / kernel.lam_drop
     np.subtract(hyper.f, np.add.reduceat(kernel.node_rest, lay.offsets[:-1]),
                 out=kernel.h)
     rates = kernel.rates
@@ -580,26 +586,26 @@ def elbo(states, value, hyper, kernel=None):
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term:
-    the Beta terms of all eta and omega sticks, the Gamma terms of all
-    concentrations and the Dirichlet terms of all action rows. The omega
-    sticks are the entries of the kernel, each weighted by the (column,
-    source, destination) triples it stands for. `kernel` is the states'
-    `_Kernel`, built (and the states checked) here if absent.
-
-    Every term is linear in the digammas and log-gammas of the sticks and
-    phi, and in ln(rate) and 1 / rate of the concentrations, with E[ln
-    rate] = digamma(shape) - ln(rate) and E[rate'] = shape / rate. So the
-    bound is one dot product, `kernel.coef @ kernel.terms`, plus a
-    constant. A stick (first, second) with weight w and concentration mean
-    m weighs digamma(first) by w (1 - first), digamma(second) by w (m -
-    second) and digamma(first + second) by minus their sum, its log-gammas
-    by w, w and -w; an action row weighs digamma(phi) by theta - phi,
-    digamma of its sum by minus their sum, and its log-gammas by 1 and -1.
-    A Gamma factor of shape s, prior (s0, r0) and weight w, whose rate
-    also carries the sticks' E[ln rate] terms of total weight W, weighs
-    ln(rate) by -(w s0 + W) and 1 / rate by -w r0 s. Only the digammas'
-    weights of the sticks and phi change within a layout; they are set
-    here, and the rest come with the kernel's workspace.
+    the Beta terms of all eta and omega sticks (the kernel's entries, each
+    weighted by the (column, source, destination) triples it stands for),
+    the Gamma terms of all concentrations and the Dirichlet terms of all
+    action rows. `kernel` is the states' `_Kernel`, built (and the states
+    checked) here if absent. Every term is linear in the digammas and
+    log-gammas of the sticks and phi, and in ln(rate) and 1 / rate, with
+    E[ln rate] = digamma(shape) - ln(rate) and E[rate'] = shape / rate:
+    the bound is `kernel.coef @ kernel.terms` plus a constant. A stick
+    (first, second) with weight w and concentration mean m weighs
+    digamma(first) by w (1 - first), digamma(second) by w (m - second) and
+    digamma(first + second) by minus their sum, its log-gammas by w, w and
+    -w; an action row weighs digamma(phi) by theta - phi, digamma of its
+    sum by minus their sum, and its log-gammas by 1 and -1. A Gamma factor
+    of shape s, prior (s0, r0) and weight w, whose rate also carries the
+    sticks' E[ln rate] terms of total weight W, weighs ln(rate) by -(w s0
+    + W) and 1 / rate by -w r0 s. By psi(x + 1) = psi(x) + 1 / x, a dropped
+    source row's sticks (1, lam) have Beta terms w (1 - ln lam - m / lam):
+    ln(lam) and m / lam weigh -w. Only the digammas' weights of the sticks
+    and phi change within a layout; they are set here, the rest come with
+    the kernel's workspace.
     """
     if kernel is None:
         kernel = _Kernel(states, hyper)
@@ -613,8 +619,11 @@ def elbo(states, value, hyper, kernel=None):
     np.subtract(hyper.theta, x.phi, out=c.phi)
     np.subtract(x.phisum, c.phi.shape[1] * hyper.theta, out=c.phisum)
     gammaln(kernel.x, out=kernel.lg)
-    np.log(kernel.rates, out=kernel.log_rates)
-    np.divide(1.0, kernel.rates, out=kernel.inv_rates)
+    np.log(kernel.rates, out=kernel.rate_terms[0])
+    np.divide(1.0, kernel.rates, out=kernel.rate_terms[1])
+    np.log(kernel.lam_drop, out=kernel.lam_terms[0])
+    np.divide(kernel.conc_b[kernel.layout.dropped], kernel.lam_drop,
+              out=kernel.lam_terms[1])
     return math.log(value) + kernel.bound_const \
         + float(kernel.coef @ kernel.terms)
 
@@ -658,15 +667,14 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     g, a = kernel.g.tolist(), kernel.a.tolist()
     prev_elbo, converged = None, False
 
-    def reweigh(iteration):  # the kernel's point estimate and its weights
-        est = point_estimate(kernel, kernel.psi)
+    def reweigh(iteration):  # the weights at the kernel's point estimate
         try:
-            return est, reweighted(batch, est, rewards)
+            return reweighted(batch, kernel, rewards)
         except ValueError as exc:  # a likelihood underflowed to 0
             raise FloatingPointError("iteration %d: point estimate underflow: "
                                      "%s" % (iteration, exc)) from None
 
-    estimate, rw = reweigh(0)
+    rw = reweigh(0)
     per_episode = rw.nu.sum(axis=1)
     for iteration in range(1, max_iters + 1):
         # the path-weight constraint: weights average to 1 over the batch
@@ -675,7 +683,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
         occ_total = _update_agent(kernel, rw)
-        estimate, rw = reweigh(iteration)
+        rw = reweigh(iteration)
         cur = elbo(states, rw.value, hyper, kernel)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")
@@ -705,6 +713,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             break
         prev_elbo = cur
     kernel.store(states)
+    estimate = point_estimate(kernel, kernel.psi)
     occupancy = np.split(occ_total, offsets[1:-1])
     estimates, policies = [], []
     for n, st in enumerate(states):

@@ -172,9 +172,9 @@ def _numbers(value, name):
     """`value` if it is a list of numbers, of integers for the fields that
     count (actions, obs_us, obs_bin)."""
     counts = name in ("actions", "obs_us", "obs_bin")
-    if not isinstance(value, list) or not all(
-            is_integer(x) or (not counts and isinstance(x, float))
-            for x in value):
+    # a parsed JSON number is an int or a float (a bool is neither)
+    if not (isinstance(value, list) and set(map(type, value))
+            <= ({int} if counts else {int, float})):
         raise ValueError("%s must be a list of %s" % (
             name, "integers" if counts else "numbers"))
     return value

@@ -541,17 +541,29 @@ def test_overflowing_importance_ratios_exit_3(tmp_path, capsys):
 
 def test_learners_own_underflow_exits_3_naming_the_iteration(tmp_path,
                                                              capsys):
-    # with theta = 0.01 the one-node estimate's omega and pi entries of
-    # some visited step multiply to below the smallest double at iteration
-    # 20; the stored batch is good data, so this is a numeric failure
+    # with theta = 0.001 the first multi-node estimate's omega and pi
+    # entries of some visited history multiply to below the smallest double
+    # in the scaled forward pass at iteration 1; the stored batch is good
+    # data, so this is a numeric failure
     hyper = tmp_path / "hyper.json"
-    hyper.write_text('{"theta": 0.01}')
+    hyper.write_text('{"theta": 0.001}')
     assert main(["learn", "--episodes", STORED_BATCH, "--hyper", str(hyper),
                  "--out", str(tmp_path / "run")]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("numeric failure: iteration 20: point estimate underflow: "
+    assert err == ("numeric failure: iteration 1: point estimate underflow: "
                    "history has zero likelihood under the policy\n")
+
+
+def test_a_small_dirichlet_prior_learns_to_the_end(tmp_path, capsys):
+    # theta = 0.01 makes one-node estimate entries whose product for some
+    # visited step is below the smallest double; the learner adds their logs
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text('{"theta": 0.01}')
+    assert main(["learn", "--episodes", STORED_BATCH, "--hyper", str(hyper),
+                 "--out", str(tmp_path / "run")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("converged=True iterations=166 ")
 
 
 def test_collect_runs_the_config_horizon_by_default(tmp_path):

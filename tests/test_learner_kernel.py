@@ -3,7 +3,8 @@ multi-endpoint sweep it replaced, how many special-function calls an
 iteration takes, the once-per-iteration domain check and the checks of the
 forward and sweep tables, one kernel over every agent against one kernel
 per agent, kernel-live node compaction against the same run with no node
-ever dropped, and the stored benchmark references."""
+ever dropped, the closed forms of dropped source rows and of one-node
+likelihoods, and the stored benchmark references."""
 
 import collections
 import copy
@@ -378,16 +379,16 @@ def assert_compacted(res, ref):
 
 class TestCompaction:
     def test_node_slots(self):
-        # the stick entries node after node: a live node has one per
-        # destination slot, a dropped node one standing for all 7
+        # the stick entries live node after live node, one per destination
+        # slot; a dropped source row has none (sigma = 1, lam = a / b)
         slots = node_slots([1, 4], 7)
         assert slots.slot_of.tolist() == [0, 1, 2, 2, 3, 4, 4]
         assert slots.counts.tolist() == [1, 1, 2, 1, 2]
         lay = KernelLayout([7], [[1, 4]], omega_columns(None, 1, 1), 1, 1)
-        assert lay.rows.tolist() == [0] + [1] * 5 + [2, 3] + [4] * 5 + [5, 6]
-        assert lay.weights.tolist() == [7] + [1, 1, 2, 1, 2] + [7] * 2 \
-            + [1, 1, 2, 1, 2] + [7] * 2
-        assert lay.starts.tolist() == [0, 1, 6, 7, 8, 13, 14]
+        assert lay.rows.tolist() == [1] * 5 + [4] * 5
+        assert lay.weights.tolist() == [1, 1, 2, 1, 2] * 2
+        assert lay.starts.tolist() == [0, 5]
+        assert lay.dropped.tolist() == [0, 2, 3, 5, 6]
         every = node_slots(np.arange(3), 3)
         assert every.slot_of.tolist() == [0, 1, 2]
         lay = KernelLayout([3], [np.arange(3)], omega_columns(None, 1, 1),
@@ -398,8 +399,8 @@ class TestCompaction:
     def test_compact_kernel_matches_full_state(self):
         # a state as compaction leaves it, with dropped nodes before,
         # between and after the live ones: sigma is 1 at every dropped
-        # node, lam is one value per run of dropped destinations and along
-        # each dropped source row
+        # node, lam is one value per run of dropped destinations and a / b
+        # along each dropped source row, and a dropped node's phi is theta
         rng = np.random.default_rng(5)
         hyper = Hyperparams()
         z, live = 7, np.array([1, 4])
@@ -413,7 +414,8 @@ class TestCompaction:
         st.sigma[..., dead] = 1.0
         st.sigma[dead] = 1.0
         st.lam = st.lam[..., first[slots.slot_of]]
-        st.lam[dead] = st.lam[dead][..., :1]
+        st.lam[dead] = st.a / st.b[dead][..., None]
+        st.phi[dead] = hyper.theta
         kernel = _Kernel([st], hyper)
         kernel.relayout([live])
         kernel.x[:] = kernel.layout.fill([st])
@@ -567,6 +569,90 @@ class TestCompaction:
         assert math.isclose(res.trace.max_share[-1],
                             per_episode.max() / per_episode.sum(),
                             rel_tol=1e-12)
+
+
+def random_states(rng, batch, node_counts, hyper):
+    """States with random factors, one per agent of `batch`."""
+    states = []
+    for n, z in enumerate(node_counts):
+        st = VariationalState(z, 3, 13, hyper, visited=batch.visited(n, 3))
+        for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
+            setattr(st, name, rng.uniform(0.5, 3.0,
+                                          size=np.shape(getattr(st, name))))
+        states.append(st)
+    return states
+
+
+class TestClosedForms:
+    """A dropped source row's rates in closed form, and the one-node
+    log-likelihoods added from the point estimate's logs."""
+
+    def test_dropped_source_row_matches_never_dropping(self, monkeypatch):
+        # agent 0's node 1 of 4 leaves the kernel in the update, so its
+        # source row's b takes d + Z / lam, where the kernel that never
+        # drops it takes the digammas of Z sticks
+        eps = seeded_batch(seed=8)
+        hyper = Hyperparams()
+        batch = EpisodeBatch(eps, [ACTIONS] * 2, 13)
+        states = random_states(np.random.default_rng(8), batch, (4, 4),
+                               hyper)
+        states[0].delta[1] = 0.011
+        states[0].sigma[..., 1] = 0.011
+        rewards = discounted_rewards(batch, reward_bounds(batch)[0],
+                                     hyper.gamma)
+
+        def update(share):
+            sts = copy.deepcopy(states)
+            with monkeypatch.context() as patch:
+                patch.setattr(specshare.learning, "_DROP_SHARE", share)
+                kernel = _Kernel(sts, hyper, batch)
+                before = copy.deepcopy(sts)
+                kernel.store(before)
+                _update_agent(kernel, reweighted(batch, kernel, rewards))
+            kernel.store(sts)
+            return kernel.layout, before[0], sts[0]
+
+        lay, before, got = update(specshare.learning._DROP_SHARE)
+        want = update(0.0)[2]
+        assert lay.live[0].tolist() == [0, 2, 3]
+        assert np.all(np.abs(got.b[1] - want.b[1]) <= 1e-14 * want.b[1])
+        assert np.all(got.sigma[1] == 1.0)
+        # lam = a / b of the b the sticks were set from, before the update
+        assert np.array_equal(got.lam[1], np.broadcast_to(
+            got.a / before.b[1][..., None], got.lam[1].shape))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_node_log_likelihoods_match_the_forward_pass(self, seed):
+        # one live node per agent, after dropped nodes or none, at random
+        # factors: the logs added match the log scales of the forward pass
+        # on the exponentiated estimate
+        rng = np.random.default_rng(seed)
+        hyper = Hyperparams()
+        batch = EpisodeBatch(seeded_batch(seed=seed, n_agents=3),
+                             [ACTIONS] * 3, 13)
+        states = random_states(rng, batch, (3, 1, 4), hyper)
+        kernel = _Kernel(states, hyper, batch)
+        kernel.relayout([np.array([1]), np.array([0]), np.array([3])])
+
+        def log_prefix():
+            kernel.x[:] = kernel.layout.fill(states)
+            kernel.refresh()
+            logp, fwd = specshare.learning._log_prefix(batch, kernel)
+            assert fwd is None
+            return logp, point_estimate(kernel, kernel.psi)
+
+        got, est = log_prefix()
+        _, log_scale = forward(est, batch.actions, batch.obs_bins)
+        want = np.cumsum(log_scale, axis=2).sum(axis=0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        # eta and pi[a_0] of agent 0's first step near 1e-200 each: their
+        # product underflows, their logs add
+        states[0].delta[1] = states[0].phi[1, batch.actions[0, 0, 0]] \
+            = 1.0 / 460.0
+        got, est = log_prefix()
+        assert np.all(np.isfinite(got)) and got[0, 0] < -900.0
+        with pytest.raises(ValueError, match="zero likelihood"):
+            forward_pass(est, batch.actions, batch.obs_bins)
 
 
 class TestStoredReferences:

@@ -370,6 +370,15 @@ class TestSharedForwardPass:
 
         monkeypatch.setattr(specshare.fsc, "forward_pass", counting)
         monkeypatch.setattr(specshare.learning, "forward_pass", counting)
+        # at one live node per agent the log factors take the pass's place:
+        # (2, N, K, t+1) indices
+        log_factors = specshare.learning._log_factors
+
+        def counting_logs(logs, index):
+            calls.append(np.size(index[0]) // np.shape(index)[-1])
+            return log_factors(logs, index)
+
+        monkeypatch.setattr(specshare.learning, "_log_factors", counting_logs)
         eps = seeded_batch()
         res = learn(eps, Hyperparams(), max_iters=6, n_obs_bins=13)
         k, n = len(eps), len(eps[0].agents)

@@ -1,15 +1,18 @@
-"""Paired timing of `learn` commands: this checkout against another one.
+"""Paired timing of CLI commands: this checkout against another one.
 
     python3 tools/pairs.py --repo PARENT --workload learn-small --commands 200
 
 One worker process per checkout imports that checkout's `specshare` once
-and runs `learn` commands in process through `specshare.cli.main`, as
-perfbench/run.py does. Both run the stored batches of this checkout, in
-the order and with the arguments of perfbench/workloads.py: the
+and runs commands in process through `specshare.cli.main`, as
+perfbench/run.py does, with the arguments of perfbench/workloads.py. A
+learn workload runs `learn` on the stored batches of this checkout: the
 workload's batches by seed (`LEARNER_SETS`; with --held-out, only its
-held-out batch) and `LEARN_ARGS`. Commands alternate between the two
-workers, the side that goes first swapping at every pair, so both see the
-same host load. Each worker runs one warm-up command first.
+held-out batch) and `LEARN_ARGS`. collect-paper runs single `collect`
+commands on perfbench/data/paper.json (`collect_args`), the i-th with the
+episode seed `collect_seed(1, i)`, as a run.py run of seed 1 does.
+Commands alternate between the two workers, the side that goes first
+swapping at every pair, so both see the same host load. Each worker runs
+one warm-up command first.
 
 Prints each side's median and quartiles of command seconds, and in how
 many pairs this checkout (the change) was faster; the last line is the
@@ -32,16 +35,27 @@ CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(CHECKOUT, "perfbench")
 
 
-def batches(workload, held_out):
-    """Paths of the workload's stored batches, in seed order."""
+def commands(workload, held_out, out):
+    """The warm-up argv and a function of i giving the i-th command's argv,
+    writing under `out`, and the inputs they read."""
     sys.path.insert(0, PERFBENCH)
     import workloads
+    if workload == "collect-paper":
+        config = os.path.join(PERFBENCH, "data", "paper.json")
+        path = os.path.join(out, "collect.jsonl")
+        return (workloads.collect_args(config, path, 1, t=2),
+                lambda i: workloads.collect_args(
+                    config, path, workloads.collect_seed(1, i)), [config])
     spec = workloads.LEARNER_SETS[workload]
     seeds = [spec["held_out"]] if held_out else spec["seeds"]
     with open(os.path.join(PERFBENCH, "data", "inputs.json")) as fh:
         files = {b["seed"]: b["file"] for b in json.load(fh)[workload]}
-    return [os.path.join(PERFBENCH, files[s]) for s in seeds], \
-        workloads.LEARN_ARGS
+    paths = [os.path.join(PERFBENCH, files[s]) for s in seeds]
+    run = os.path.join(out, "learn")
+    return (["learn", "--episodes", paths[0], "--out", run, "--max-iters",
+             "2"],
+            lambda i: ["learn", "--episodes", paths[i % len(paths)], "--out",
+                       run] + workloads.LEARN_ARGS, paths)
 
 
 def worker(repo):
@@ -61,7 +75,11 @@ def worker(repo):
             start = time.perf_counter()
             code = cli.main(argv)
             elapsed = time.perf_counter() - start
-        shutil.rmtree(argv[argv.index("--out") + 1], ignore_errors=True)
+        out = argv[argv.index("--out") + 1]
+        if os.path.isdir(out):
+            shutil.rmtree(out)
+        elif os.path.exists(out):
+            os.remove(out)
         reply.write(json.dumps([code, elapsed]) + "\n")
         reply.flush()
 
@@ -103,27 +121,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
     parser.add_argument("--repo", help="the other checkout (the parent)")
-    parser.add_argument("--workload", choices=("learn-small", "learn-paper"))
+    parser.add_argument("--workload", choices=("learn-small", "learn-paper",
+                                               "collect-paper"))
     parser.add_argument("--commands", type=int, default=100,
                         help="commands per side")
     parser.add_argument("--held-out", action="store_true",
-                        help="run only the workload's held-out batch")
+                        help="learn-*: run only the workload's held-out "
+                             "batch")
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.worker)
         return 0
     if not (args.repo and args.workload and args.commands >= 2):
         parser.error("need --repo, --workload and --commands >= 2")
-    paths, learn_args = batches(args.workload, args.held_out)
     out = tempfile.mkdtemp(prefix="pairs-")
+    warm_up, command, paths = commands(args.workload, args.held_out, out)
     parent, change = Side(os.path.abspath(args.repo)), Side(CHECKOUT)
     try:
         for side in (parent, change):
-            side.run(["learn", "--episodes", paths[0], "--out",
-                      os.path.join(out, "warm-up"), "--max-iters", "2"])
+            side.run(warm_up)
         for i in range(args.commands):
-            argv = ["learn", "--episodes", paths[i % len(paths)],
-                    "--out", os.path.join(out, "learn")] + learn_args
+            argv = command(i)
             order = (parent, change) if i % 2 == 0 else (change, parent)
             for side in order:
                 side.seconds.append(side.run(argv))
@@ -133,7 +151,7 @@ def main(argv=None):
         shutil.rmtree(out, ignore_errors=True)
     result = {"workload": args.workload, "held_out": args.held_out,
               "commands": args.commands,
-              "batches": [os.path.relpath(p, CHECKOUT) for p in paths],
+              "inputs": [os.path.relpath(p, CHECKOUT) for p in paths],
               "parent": summary(parent.seconds),
               "change": summary(change.seconds),
               "change_wins": sum(c < p for c, p in zip(change.seconds,
