@@ -16,9 +16,9 @@ class EpisodeBatch:
     the transition obs bins `obs_bins` (N, K, t), each in [0, n_obs_bins),
     one (K, t+1) and (K, t) slice per agent. `log_behavior`
     sums the agents' cumulative log behaviour probabilities, each in
-    (0, 1]; `rewards` must be finite. A tuple of actions is one action set
-    for every agent, and None is the sorted union of the batch's actions.
-    The learner reads episodes only here, and never modifies them.
+    (0, 1]; `rewards` must be finite. `action_sets` None gives every agent
+    the sorted union of the batch's actions. The learner reads episodes
+    only here, and never modifies them.
     """
 
     def __init__(self, episodes, action_sets=None,
@@ -27,11 +27,9 @@ class EpisodeBatch:
             raise ValueError("need at least one episode")
         n_agents = len(episodes[0].agents)
         if action_sets is None:
-            action_sets = tuple(sorted({a for ep in episodes
-                                        for tr in ep.agents
-                                        for a in tr.actions}))
-        if isinstance(action_sets, tuple):  # one set for every agent
-            action_sets = [action_sets] * n_agents
+            action_sets = [tuple(sorted({a for ep in episodes
+                                         for tr in ep.agents
+                                         for a in tr.actions}))] * n_agents
         if len(action_sets) != n_agents:
             raise ValueError("%d policies for %d agents"
                              % (len(action_sets), n_agents))
@@ -83,21 +81,6 @@ class EpisodeBatch:
         self.rewards = np.array([ep.rewards for ep in episodes], dtype=float)
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-
-    @classmethod
-    def for_policies(cls, episodes, target, behavior=None):
-        """Index a list of episodes for evaluating the target controllers
-        and, if given, the behaviour policies; a point estimate has no
-        action set and needs an `EpisodeBatch` built for it."""
-        sets = [getattr(p, "action_set", None) for p in target]
-        if None in sets:
-            raise ValueError("target policies need action sets")
-        if behavior is not None \
-                and [getattr(p, "action_set", None) for p in behavior] != sets:
-            raise ValueError("behavior policies must match the target "
-                             "policies' agents and action sets")
-        policies = list(target) + list(behavior or [])
-        return cls(episodes, sets, min(np.shape(p.omega)[2] for p in policies))
 
     def visited(self, agent, n_actions):
         """(action, obs-bin) mask of the pairs the agent takes a transition

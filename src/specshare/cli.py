@@ -143,6 +143,8 @@ def cmd_report(args):
         if len(row) != len(header):
             raise ValueError("trace file line %d has %d values for %d columns"
                              % (line, len(row), len(header)))
+    if "iteration" not in header:
+        raise ValueError("trace file has no iteration column")
     first = header.index("iteration")
     for name, prefixes in _REPORT_FILES:
         index = [i for i, c in enumerate(header) if c.startswith(prefixes)]

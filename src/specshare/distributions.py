@@ -1,5 +1,5 @@
 """Special functions, the Beta sampler, stick-breaking weights, and the
-simplex, discount and integer checks.
+simplex, discount, integer and JSON number checks.
 
 digamma and gammaln come from scipy and the Beta sampler from
 ``numpy.random.Generator``; this module adds the parameter checks. It is
@@ -16,6 +16,8 @@ import numbers
 import numpy as np
 
 _special = None  # scipy.special once the first special function has run
+# the types `json` parses a number to, and (count True) an integer to
+_JSON_TYPES = {False: frozenset({int, float}), True: frozenset({int})}
 
 
 def digamma(x, out=None):
@@ -113,3 +115,20 @@ def check_discount(gamma):
 def is_integer(value):
     """True for an integer, a numpy one included, and False for a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value, count=False):
+    """True for a number as `json` parses one, an int or, unless `count`,
+    a float; never for a bool (`json`'s true and false)."""
+    return type(value) in _JSON_TYPES[count]
+
+
+def is_number_list(value, count=False, rows=False):
+    """True for a list of `is_number` entries, or with `rows` for a list of
+    such lists of one length, the rows of a matrix."""
+    if rows:
+        return (isinstance(value, list)
+                and all(is_number_list(row, count) for row in value)
+                and len(set(map(len, value))) <= 1)
+    return isinstance(value, list) \
+        and _JSON_TYPES[count].issuperset(map(type, value))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (digamma, is_integer, validate_simplex,
-                            validate_simplex_rows)
+from .distributions import (digamma, is_number, is_number_list,
+                            validate_simplex, validate_simplex_rows)
 
 DEFAULT_OBS_BINS = 24
 _MERGE_TOL = 0.1  # L1 gap below which `init_from_episodes` merges nodes
@@ -98,16 +98,17 @@ class FscPolicy:
         for a record of any other structure."""
         if not isinstance(data, dict):
             raise ValueError("a policy must be a JSON object")
-        action_set, z, o = (data.get(name) for name in
-                            ("action_set", "node_count", "n_obs_bins"))
-        if not (isinstance(action_set, list) and action_set
-                and all(is_integer(a) for a in action_set)):
+        action_set, z, o, eta, pi = (data.get(name) for name in (
+            "action_set", "node_count", "n_obs_bins", "eta", "pi"))
+        if not (is_number_list(action_set, count=True) and action_set):
             raise ValueError("action_set must be a non-empty list of integers")
         for name, value in (("node_count", z), ("n_obs_bins", o)):
-            if not (is_integer(value) and value >= 1):
+            if not (is_number(value, count=True) and value >= 1):
                 raise ValueError("%s must be a positive integer" % name)
-        eta, pi = (_numbers(data.get(name), name) for name in ("eta", "pi"))
-        if eta.size != z:
+        for name, value, rows in (("eta", eta, False), ("pi", pi, True)):
+            if not is_number_list(value, rows=rows):
+                raise ValueError("%s must be an array of numbers" % name)
+        if len(eta) != z:
             raise ValueError("node_count must equal the length of eta")
         rows, shape = data.get("omega"), (z, len(action_set), o)
         # one row per (node, action, bin), so the file's size bounds omega's
@@ -123,24 +124,15 @@ class FscPolicy:
             except ValueError:
                 raise ValueError("omega key %r is not node/action/bin of "
                                  "this policy" % key) from None
-            row = _numbers(row, "omega row %s" % key)
-            if not (0 <= i < z and 0 <= oi < o and row.shape == (z,)):
+            if not is_number_list(row):
+                raise ValueError("omega row %s must be an array of numbers"
+                                 % key)
+            if not (0 <= i < z and 0 <= oi < o and len(row) == z):
                 raise ValueError("omega row %s is out of range or not %d "
                                  "numbers" % (key, z))
             omega[i, ai, oi] = row
         return cls(eta=eta, pi=pi, omega=omega, action_set=action_set,
                    n_obs_bins=o)
-
-
-def _numbers(value, name):
-    """`value`, a number or (nested) list of numbers, as a float array."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError("%s must be an array of numbers" % name)
-    return arr.astype(float)
 
 
 @dataclass

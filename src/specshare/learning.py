@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .batch import EpisodeBatch
-from .distributions import _special_function, check_discount
+from .distributions import _special_function, check_discount, is_number
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, KernelLayout, PointEstimate,
                   agent_index, forward_pass, init_from_episodes,
                   omega_columns, point_estimate, prune, stack_policies,
@@ -86,7 +86,7 @@ class Hyperparams:
         for key, value in data.items():
             if key not in cls.__dataclass_fields__:
                 raise ValueError("unknown hyperparameter %r" % key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise ValueError("hyperparameter %r must be a number" % key)
         return cls(**data)
 
@@ -411,12 +411,20 @@ def _return_terms(batch, target, behavior, rewards):
 def empirical_value(episodes, target, behavior=None, r_min=None, gamma=0.9):
     """Importance-weighted discounted return of the target policy.
 
-    target: per-agent controllers or point estimates. behavior: per-agent
-    proper controllers, or None to use the probabilities stored in the
-    episodes. r_min defaults to the batch minimum.
+    target: per-agent controllers, with action sets. behavior: controllers
+    with the target's action sets, or None to use the probabilities stored
+    in the episodes. r_min defaults to the batch minimum.
     """
     check_discount(gamma)
-    batch = EpisodeBatch.for_policies(episodes, target, behavior)
+    sets = [getattr(p, "action_set", None) for p in target]
+    if None in sets:
+        raise ValueError("target policies need action sets")
+    if behavior is not None \
+            and [getattr(p, "action_set", None) for p in behavior] != sets:
+        raise ValueError("behavior policies must match the target "
+                         "policies' agents and action sets")
+    batch = EpisodeBatch(episodes, sets, min(
+        np.shape(p.omega)[2] for p in list(target) + list(behavior or [])))
     if r_min is None:
         r_min, _ = reward_bounds(batch)
     return _return_terms(batch, target, behavior,
@@ -629,7 +637,7 @@ def elbo(states, value, hyper, kernel=None):
 
 
 def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
-          max_nodes=10, action_set=None, n_obs_bins=DEFAULT_OBS_BINS):
+          max_nodes=10, n_obs_bins=DEFAULT_OBS_BINS):
     """Coordinate-ascent loop: refresh point estimates, reweight paths,
     update every factor, evaluate the bound; stop when the relative bound
     change drops below tol.
@@ -646,8 +654,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
             and 0.0 <= tol < math.inf):
         raise ValueError("need max_iters >= 1, max_nodes >= 1, 0 < "
                          "prune_epsilon < 1 and a finite tol >= 0")
-    batch = EpisodeBatch(episodes, None if action_set is None
-                         else tuple(action_set), n_obs_bins)
+    batch = EpisodeBatch(episodes, None, n_obs_bins)
     action_set = batch.action_sets[0]
     n_agents, n_actions, k = len(batch.actions), len(action_set), batch.size
     r_min, _ = reward_bounds(batch)

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -73,6 +74,9 @@ class SimConfig:
         for cw in self.cw_set:
             _require_int("cw_set entry", cw, 0)
         for cw, ms in self.lte_burst_ms.items():
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", str(cw)):
+                raise ValueError("lte_burst_ms key %r is not an integer in "
+                                 "plain decimal" % (cw,))
             _require_int("lte_burst_ms[%s]" % cw, ms, 1)
         self.cw_set = tuple(int(c) for c in self.cw_set)
         self.lte_burst_ms = {int(k): int(v) for k, v in self.lte_burst_ms.items()}

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import is_integer
+from .distributions import is_number, is_number_list
 from .fsc import draw, initial_node, observation_bin, transition_node
 from .simulator import AgentTrack, CoexistenceSimulator, Episode
 
@@ -156,25 +156,17 @@ def _episode(record):
         raise ValueError("unrecognized episode schema: %r"
                          % record.get("schema"))
     k = record.get("k")
-    if not is_integer(k):
+    if not is_number(k, count=True):
         raise ValueError("k must be an integer")
     agents = record.get("agents")
     if not (isinstance(agents, list) and agents
             and all(isinstance(a, dict) for a in agents)):
         raise ValueError("agents must be a non-empty list of objects")
-    tracks = [AgentTrack(**{name: _numbers(a.get(name), name)
-                            for name in TRACK_FIELDS}) for a in agents]
-    return Episode(k=k, agents=tracks,
-                   rewards=_numbers(record.get("rewards"), "rewards"))
-
-
-def _numbers(value, name):
-    """`value` if it is a list of numbers, of integers for the fields that
-    count (actions, obs_us, obs_bin)."""
-    counts = name in ("actions", "obs_us", "obs_bin")
-    # a parsed JSON number is an int or a float (a bool is neither)
-    if not (isinstance(value, list) and set(map(type, value))
-            <= ({int} if counts else {int, float})):
-        raise ValueError("%s must be a list of %s" % (
-            name, "integers" if counts else "numbers"))
-    return value
+    fields = [(name, a.get(name)) for a in agents for name in TRACK_FIELDS]
+    for name, value in fields + [("rewards", record.get("rewards"))]:
+        count = name in ("actions", "obs_us", "obs_bin")
+        if not is_number_list(value, count):
+            raise ValueError("%s must be a list of %s"
+                             % (name, "integers" if count else "numbers"))
+    return Episode(k=k, rewards=record["rewards"], agents=[
+        AgentTrack(**{name: a[name] for name in TRACK_FIELDS}) for a in agents])

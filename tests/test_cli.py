@@ -93,9 +93,14 @@ def test_data_error_exit_code(tmp_path):
     lambda d: {**d, "wifi_packet_bytes": 37501},  # 10,000.3 us at 30 Mbps
     lambda d: {**d, "wifi_packet_bytes": 1},  # 0.27 us at 30 Mbps
     lambda d: {**d, "rate_mbps": 1e9},  # 15,000 bytes in 0.00012 us
+    lambda d: {**d, "lte_burst_ms": {**d["lte_burst_ms"], " 15": 9}},
+    lambda d: {**d, "lte_burst_ms": {**d["lte_burst_ms"], "015": 9}},
+    lambda d: {**d, "lte_burst_ms": {**d["lte_burst_ms"], "x": 3}},
 ], ids=["unknown-key", "string-count", "json-array", "zero-rate",
         "zero-slot", "zero-lte-burst", "zero-packet", "11-ms-lte-burst",
-        "over-10-ms-packet", "sub-us-packet", "packet-rounds-to-zero"])
+        "over-10-ms-packet", "sub-us-packet", "packet-rounds-to-zero",
+        "spaced-lte-burst-key", "zero-padded-lte-burst-key",
+        "letter-lte-burst-key"])
 def test_bad_config_exit_code(tmp_path, capsys, mutate):
     good = SimConfig(lte_count=1, wifi_count=1, seed=0).to_json()
     bad = tmp_path / "bad.json"
@@ -275,6 +280,35 @@ def test_policies_with_one_mutated_field_exit_cleanly(path, value):
                               "--out", os.path.join(tmp, "eps.jsonl")])
 
 
+@pytest.mark.parametrize("field", ["eta", "pi", "omega", "action_set"])
+def test_a_true_in_a_policy_exits_2_naming_the_field(tmp_path, capsys, field):
+    # json reads true as a bool, which numpy would take for 1.0
+    data = json.loads(stored_policies_text())
+    pol = data["policies"][0]
+    z, name = pol["node_count"], field
+    if field == "eta":
+        pol["eta"] = [True] + [0] * (z - 1)
+    elif field == "pi":
+        pol["pi"][0] = [True] + [0] * (len(pol["action_set"]) - 1)
+    elif field == "omega":
+        name = "omega row %s" % min(pol["omega"])
+        pol["omega"][min(pol["omega"])] = [True] + [0] * (z - 1)
+    else:
+        pol["action_set"][0] = True
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(data))
+    out = tmp_path / "eps.jsonl"
+    for argv in (["evaluate", "--episodes", STORED_BATCH],
+                 ["collect", "--config", STORED_CONFIG, "--k", "1", "--t",
+                  "3", "--out", str(out)]):
+        assert main(argv + ["--policies", str(policies)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s policy 0: %s must be "
+                              % (policies, name))
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_collect_needs_one_policy_per_agent(tmp_path, capsys, count):
     data = json.loads(stored_policies_text())
@@ -447,6 +481,16 @@ def test_report_rejects_a_row_shorter_than_the_header(tmp_path, capsys):
     assert main(["report", "--trace-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err == "error: trace file line 2 has 2 values for 3 columns\n"
+
+
+def test_report_rejects_a_trace_without_an_iteration_column(tmp_path,
+                                                             capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "trace.csv").write_text("elbo,discounted_value\n-10.0,2.0\n")
+    assert main(["report", "--trace-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: trace file has no iteration column\n"
 
 
 @pytest.mark.parametrize("hyper", [

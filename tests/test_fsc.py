@@ -316,7 +316,7 @@ class TestInitFromEpisodes:
                                rewards=list(range(t)))
             episodes.append(Episode(k=k, agents=[track],
                                     rewards=list(range(t))))
-        return EpisodeBatch(episodes, ACTIONS, 12)
+        return EpisodeBatch(episodes, [ACTIONS], 12)
 
     def start(self, batch, max_nodes=10):
         return init_from_episodes(batch.actions[0], batch.obs_bins[0],

@@ -143,16 +143,16 @@ class TestForwardBackward:
 class TestRewardBounds:
     def test_min_max(self):
         eps = [make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 10])]
-        assert reward_bounds(EpisodeBatch(eps, ACTIONS, 8)) == (0.0, 10.0)
+        assert reward_bounds(EpisodeBatch(eps, [ACTIONS], 8)) == (0.0, 10.0)
 
     def test_degenerate_rejected(self):
         eps = [make_episode(0, [15], [50], [0.5], [3])]
         with pytest.raises(ValueError, match="degenerate reward batch"):
-            reward_bounds(EpisodeBatch(eps, ACTIONS, 8))
+            reward_bounds(EpisodeBatch(eps, [ACTIONS], 8))
 
     def test_mixed_sign(self):
         eps = [make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [-4, 2])]
-        assert reward_bounds(EpisodeBatch(eps, ACTIONS, 8)) == (-4.0, 2.0)
+        assert reward_bounds(EpisodeBatch(eps, [ACTIONS], 8)) == (-4.0, 2.0)
 
 
 class TestEmpiricalValue:
@@ -263,9 +263,12 @@ class TestUpdatesAndElbo:
             t = 20
             obs = rng.integers(40, 200, size=t).tolist()
             rewards = list(range(k, t + k))
-            eps.append(make_episode(k, [15] * t, obs, [1 / 3] * t, rewards))
-        res = learn(eps, Hyperparams(theta=0.1), max_iters=30,
-                    action_set=ACTIONS, n_obs_bins=8)
+            actions = [15] * t
+            if k == 0:  # the batch's action set is ACTIONS, 15 in 158 of 160
+                actions[-2:] = [31, 63]
+            eps.append(make_episode(k, actions, obs, [1 / 3] * t, rewards))
+        res = learn(eps, Hyperparams(theta=0.1), max_iters=30, n_obs_bins=8)
+        assert res.policies[0].action_set == ACTIONS
         st = res.states[0]
         share = st.phi[:, 0].sum() / st.phi.sum()
         assert share > 0.95

@@ -50,6 +50,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(lte_count=1, wifi_count=0, cw_set=(31, 15))
 
+    @pytest.mark.parametrize("key", [" 15", "015", "+15", "1_5", "-0", "x"])
+    def test_burst_keys_are_plain_decimal_integers(self, key):
+        # int() reads all but "x", so " 15" or "015" would replace 15's burst
+        data = SimConfig(lte_count=1, wifi_count=1).to_json()
+        data["lte_burst_ms"][key] = 9
+        with pytest.raises(ValueError) as info:
+            SimConfig.from_json(data)
+        assert str(info.value) == ("lte_burst_ms key %r is not an integer "
+                                   "in plain decimal" % key)
+
     def test_reset_state(self):
         sim = CoexistenceSimulator(SimConfig(lte_count=2, wifi_count=2))
         assert sim.clock == 0 and sim.occupancy == 0
