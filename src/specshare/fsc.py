@@ -121,6 +121,10 @@ class FscPolicy:
             try:
                 i, a, oi = (int(p) for p in key.split("/"))
                 ai = action_set.index(a)
+                # a key written any other way than `to_json` writes it
+                # ("0/015/0", " 1/15/0") would name a row of another key
+                if key != "%d/%d/%d" % (i, a, oi):
+                    raise ValueError
             except ValueError:
                 raise ValueError("omega key %r is not node/action/bin of "
                                  "this policy" % key) from None
@@ -319,37 +323,19 @@ def omega_columns(visited, n_actions, n_obs):
     return columns, expand, np.bincount(expand)
 
 
-# The destination slots of one agent's omega sticks once some nodes have
-# left its kernel. `live`: the kernel-live nodes, ascending. Each live node
-# is a slot of its own and each run of dropped nodes between live ones is
-# one slot; `slot_of` maps every node to its slot and `counts` is the
-# number of nodes per slot.
-NodeSlots = namedtuple("NodeSlots", "live slot_of counts")
-
-
-def node_slots(live, z):
-    """`NodeSlots` of the ascending kernel-live nodes `live` out of z."""
-    live = np.asarray(live, dtype=int)
-    alive = np.zeros(z, dtype=bool)
-    alive[live] = True
-    new_slot = alive.copy()
-    new_slot[0] = True
-    new_slot[1:] |= alive[:-1]
-    slot_of = np.cumsum(new_slot) - 1
-    return NodeSlots(live, slot_of, np.bincount(slot_of))
-
-
 # Views of a kernel's flat buffer (`KernelLayout.split`): the sticks' first
 # parameters (delta, then sigma), phi, the second parameters (mu, then lam),
 # the sticks' sums and phi's row sums, and the whole buffer
 Sticks = namedtuple("Sticks", "first phi second total phisum delta sigma mu "
                               "lam flat")
 # digamma of each part of the buffer (`KernelLayout.digammas`), plus
-# `log_rest`, E[ln(1 - u)] of each stick times the sticks it stands for,
-# followed by a 0, `logs`, the point estimate's log of each stick and phi
-# entry followed by the -inf a pad reads, and the layout
-FactorDigammas = namedtuple("FactorDigammas",
-                            Sticks._fields + ("log_rest", "logs", "layout"))
+# `log_rest`, the E[ln(1 - u)] of the dropped sticks just before each stick
+# (its gap, set by the caller, 0 where there are none) and of the stick
+# itself, followed by a 0; `row_rest`, their sum along each stick row;
+# `logs`, the point estimate's log of each stick and phi entry followed by
+# the -inf a pad reads; and the layout
+FactorDigammas = namedtuple("FactorDigammas", Sticks._fields + (
+    "log_rest", "row_rest", "logs", "layout"))
 
 
 class KernelLayout:
@@ -357,29 +343,44 @@ class KernelLayout:
     index maps of the steps that follow each agent's own nodes.
 
     Nodes are numbered agent after agent (`offsets`); `live_nodes` are the
-    kernel-live ones and `dropped` the rest. The omega sticks are the
-    entries of each live node's `NodeSlots`, one per destination slot
-    (`rows`, `weights`, `starts`), each a row over the kept columns, the
-    union of every agent's (`omega_columns`); a column an agent never
-    transitions at evolves exactly like its stand-in. A dropped source row
-    (sigma = 1, lam = a / b) has none. The flat buffer (`split`) holds
-    delta and the entries' sigma (the `n_sticks` first parameters), the
-    live nodes' phi, mu and lam, then the sticks' sums and phi's row sums;
-    its first `n_params` values are the parameters. The rates live in their
-    own buffer, b on the kept columns node after node and then h per agent;
-    `rate_of` is the concentration rate of each stick.
+    kernel-live ones, each agent's ascending, and `dropped` the rest. The
+    flat buffer (`split`) holds the live parameters only: delta and the
+    omega sticks' sigma (the `n_sticks` first parameters), phi, mu and
+    lam, then the sticks' sums and phi's row sums; its first `n_params`
+    values are the parameters. There is one eta stick per live node, and
+    per live source one omega entry per live destination of its agent
+    (`n_entries`, source after source), each a row over the kept columns,
+    the union of every agent's (`omega_columns`); a column an agent never
+    transitions at evolves exactly like its stand-in.
 
-    Steps along an agent's nodes or slots read the sticks through one
-    padded block, `grid`, of rows, one per agent (eta) and one per live
-    node and column (omega): its cumulative sums give the point
-    estimate's prefix sums (each agent's last stick takes the rest,
-    `not_last`), and backward the update's masses of heavier sticks. The
-    point estimate pads every agent to `n_lanes` live nodes with zeros
-    (`eta_map`, `pi_map`, `omega_map`: the buffer entry of each lane),
-    and the update reads the same maps the other way, scattering the
-    sweep's masses over those lanes into the entries they name. Every
-    pad index is -1, and every array it indexes ends in the value a pad
-    reads. A layout is built again only when a node leaves the kernel.
+    Every other stick is (1, lam) and has a closed form. Along a stick
+    row (an agent's eta sticks, or a live source's omega sticks at one
+    column) the dropped nodes just before a live stick share one lam
+    (`gap` of them per `gapped` stick, the sticks that have any), and so
+    do the dropped nodes after the last live one, whose lam is the row's
+    concentration (`trail` of them per rate); a dropped source row is Z
+    such sticks per column. The rates
+    live in their own buffer: h per agent, then b on the kept columns,
+    the live nodes' rows first and the dropped nodes' after them
+    (`row_node`), so that the stick rows (`n_rows`: eta per agent, then
+    omega per live source and column) and their rates share the order;
+    `rate_order` places each rate in the order h, then b node after node,
+    and `rate_of` is the concentration rate of each stick.
+
+    With several live nodes in an agent, steps along a stick row read the
+    row through a padded block: `tail_grid`, of its live sticks, whose
+    reversed cumulative sums give the update's masses of heavier sticks,
+    and `grid`, of each live stick's gap and own E[ln(1 - u)] in turn,
+    whose cumulative sums give the point estimate's prefix sums (a stick
+    that is its agent's last node takes the rest, `not_last`) and the
+    rows' sums. With one live node per agent both are None: every row is
+    one gap and one stick. The point estimate pads every agent to
+    `n_lanes` live nodes with zeros (`eta_map`, `pi_map`, `omega_map`: the
+    buffer entry of each lane; `lane_node`, the node of each lane), and
+    the update reads the same maps the other way, scattering the sweep's
+    masses over those lanes into the entries they name. Every pad index
+    is -1, and every array it indexes ends in the value a pad reads. A
+    layout is built again only when a node leaves the kernel.
     """
 
     def __init__(self, node_counts, live, columns, n_actions, n_obs):
@@ -388,138 +389,157 @@ class KernelLayout:
         self.live = [np.asarray(nodes, dtype=int) for nodes in live]
         self.columns, self.expand, self.counts = columns
         self.n_actions, self.n_obs = n_actions, n_obs
-        n_cols = self.counts.size
+        n_agents, n_cols, col = z.size, self.counts.size, np.arange(
+            self.counts.size)
         self.offsets = np.concatenate([[0], np.cumsum(z)])
         self.n_nodes = n_nodes = int(self.offsets[-1])
-        self.agent_of_node = agent_of_node = np.repeat(np.arange(z.size), z)
-        self.slots = [node_slots(nodes, zn)
-                      for nodes, zn in zip(self.live, z)]
-        self.n_live = np.array([nodes.size for nodes in self.live])
-        self.live_offsets = np.concatenate([[0], np.cumsum(self.n_live)])
-        self.n_lanes = lanes = int(self.n_live.max())
-        n_slots = np.array([sl.counts.size for sl in self.slots])
-        smax = int(n_slots.max())
-        # per agent and slot: its node count and first node
-        size, first = np.zeros((2, z.size, smax), dtype=int)
-        for n, sl in enumerate(self.slots):
-            size[n, :sl.counts.size] = sl.counts
-            first[n, :sl.counts.size] = np.cumsum(sl.counts) - sl.counts
+        self.agent_of_node = np.repeat(np.arange(n_agents), z)
+        self.n_live = n_live = np.array([nodes.size for nodes in self.live])
+        self.live_offsets = np.concatenate([[0], np.cumsum(n_live)])
+        self.n_lanes = lanes = int(n_live.max())
+        step = np.arange(lanes)
+        self.lane_real = real = step < n_live[:, None]
+        # the live nodes, agent after agent: agent, own number and lane
+        agent = np.repeat(np.arange(n_agents), n_live)
+        local = np.concatenate(self.live)
+        n_held = local.size
+        lane = np.arange(n_held) - self.live_offsets[agent]
+        self.live_nodes = live_nodes = self.offsets[agent] + local
         alive = np.zeros(n_nodes, dtype=bool)
-        alive[np.concatenate([self.offsets[n] + nodes
-                              for n, nodes in enumerate(self.live)])] = True
-        self.live_nodes = live_nodes = np.flatnonzero(alive)
+        alive[live_nodes] = True
         self.dropped = np.flatnonzero(~alive)
-        # stick entries live node after live node
-        per_node = n_slots[agent_of_node[live_nodes]]
-        held = np.repeat(np.arange(live_nodes.size), per_node)
-        self.rows = rows = live_nodes[held]
-        self.starts = starts = np.cumsum(per_node) - per_node
-        self.entry_offsets = np.append(starts[self.live_offsets[:-1]],
-                                       rows.size)
-        slot = np.arange(rows.size) - starts[held]
-        agent = agent_of_node[rows]
-        self.weights = size[agent, slot].astype(float)
-        self.dest = first[agent, slot]  # each entry's first destination node
-        self.n_entries = n_ent = rows.size
-        f = self.n_sticks = n_nodes + n_ent * n_cols
-        p = live_nodes.size * n_actions
-        self.n_params, self.size = 2 * f + p, 3 * f + p + live_nodes.size
-        col = np.arange(n_cols)
-        self.rate_of = np.concatenate([n_nodes * n_cols + agent_of_node,
-                                       (rows[:, None] * n_cols + col).ravel()])
-        self.stick_weight = np.concatenate([np.ones(n_nodes),
-                                            np.repeat(self.weights, n_cols)])
-        self.bound_weight = np.concatenate([
-            np.ones(n_nodes), (self.weights[:, None] * self.counts).ravel()])
-        # a dropped source row's Z sticks per column, and per flat column
-        self.drop_z = z[agent_of_node[self.dropped], None].astype(float)
-        self.drop_weight = self.drop_z * self.counts
-        # stick rows: each agent's nodes, then each live node's slots per
-        # column; `grid` holds each row's sticks after a leading pad, and a
-        # pad is -1: every array it indexes ends in a 0
-        width = max(int(z.max()), smax)
-        step = np.arange(width)
-        length = np.concatenate([z, np.repeat(n_slots[agent_of_node[
-            live_nodes]], n_cols)])
-        seq = np.concatenate([
-            self.offsets[:-1, None] + step,
-            (n_nodes + (starts[:, None, None] + step) * n_cols
-             + col[:, None]).reshape(-1, width)])
-        seq[step >= length[:, None]] = -1
-        self.grid = np.hstack([np.full((len(seq), 1), -1), seq])
-        row, at = np.nonzero(seq >= 0)
-        stick = seq[row, at]
-        self.not_last = np.ones(f)
-        self.not_last[stick[at == length[row] - 1]] = 0.0
-        # cumulative sums along a grid row give at column j the sum of the
-        # row's first j sticks, and along the row reversed, at column
-        # width - 1 - j, the sum of its sticks from j on
-        self.prefix_cell, self.tail_cell = np.empty((2, f), dtype=int)
-        self.prefix_cell[stick] = row * (width + 1) + at
-        self.tail_cell[stick] = row * (width + 1) + width - 1 - at
+        self.row_node = np.concatenate([live_nodes, self.dropped])
+        self.node_row = np.argsort(self.row_node)
+        # dropped nodes just before each live one, and after each agent's
+        # last live one
+        before = np.concatenate([[-1], local[:-1]])
+        before[lane == 0] = -1
+        gap, not_last = local - before - 1, local != z[agent] - 1
+        trail = z - local[self.live_offsets[1:] - 1] - 1
+        # omega entries: per live source, one per live node of its agent
+        per = n_live[agent]
+        start = np.cumsum(per) - per
+        self.n_entries = n_ent = int(per.sum())
+        self.entry_offsets = np.append(start[self.live_offsets[:-1]], n_ent)
+        source = np.repeat(np.arange(n_held), per)
+        dest = self.live_offsets[agent[source]] + np.arange(n_ent) \
+            - start[source]
+        f = self.n_sticks = n_held + n_ent * n_cols
+        p = n_held * n_actions
+        self.n_params, self.size = 2 * f + p, 3 * f + p + n_held
+
+        def per_stick(eta, omega, dtype=float):  # omega: (entries, columns)
+            out = np.empty(f, dtype=dtype)
+            out[:n_held] = eta
+            out[n_held:].reshape(n_ent, n_cols)[...] = omega
+            return out
+        # per stick: a value of the live node it stands for (eta) or leads
+        # to (omega); its row, eta per agent and omega per live source and
+        # column, in the order of the rates the rows share
+        self.not_last = per_stick(not_last, not_last[dest, None])
+        self.bound_weight = per_stick(1.0, self.counts)
+        gap = per_stick(gap, gap[dest, None])
+        self.gapped = np.flatnonzero(gap)
+        self.gap = gap[self.gapped]
+        self.gap_weight = self.gap * self.bound_weight[self.gapped]
+        self.rate_of = per_stick(agent, n_agents + source[:, None] * n_cols
+                                 + col, int)
+        self.n_rows = n_agents + n_held * n_cols
+        self.n_rates = n_rates = n_agents + n_nodes * n_cols
+
+        def per_rate(eta, omega, dtype=float):  # omega: (b rows, columns)
+            out = np.empty(n_rates, dtype=dtype)
+            out[:n_agents] = eta
+            out[n_agents:].reshape(n_nodes, n_cols)[...] = omega
+            return out
+        self.rate_order = per_rate(np.arange(n_agents), n_agents
+                                   + self.row_node[:, None] * n_cols + col,
+                                   int)
+        row_trail = np.concatenate([trail[agent],
+                                    z[self.agent_of_node[self.dropped]]])
+        self.trail = per_rate(trail, row_trail[:, None])
+        self.trail_weight = per_rate(trail, row_trail[:, None] * self.counts)
+        self.grid = self.tail_grid = None
+        if lanes > 1:
+            # each stick's place along its row: its live node's lane
+            row, at = self.rate_of, per_stick(lane, lane[dest, None], int)
+            # a row's live sticks, -1 past its length; reversed, a row's
+            # cumulative masses at column lanes - 1 - j are those of its
+            # sticks from j on
+            self.tail_grid = np.full((self.n_rows, lanes), -1)
+            self.tail_grid.reshape(-1)[row * lanes + at] = np.arange(f)
+            self.tail_cell = row * lanes + lanes - 1 - at
+            # [gap_0, stick_0, gap_1, stick_1, ...] in `log_rest`: the
+            # cumulative sum at a gap is the prefix of the stick after it
+            self.grid = np.full((self.n_rows, 2 * lanes), -1)
+            self.prefix_cell = row * 2 * lanes + 2 * at
+            self.grid.reshape(-1)[self.prefix_cell] = np.arange(f)
+            self.grid.reshape(-1)[self.prefix_cell + 1] = np.arange(f, 2 * f)
         # the point estimate's gathers from [stick logs, pi logs, -inf],
         # and the update's scatter into the buffer
-        lane = np.concatenate([np.arange(nodes.size) for nodes in self.live])
-        live_agent = agent_of_node[live_nodes]
-        self.eta_map = np.full((z.size, lanes), -1)
-        self.eta_map[live_agent, lane] = live_nodes
-        self.pi_map = np.full((z.size, lanes, n_actions), -1)
-        self.pi_map[live_agent, lane] = \
-            f + np.arange(p).reshape(-1, n_actions)
-        omega_map = np.full((z.size, lanes, n_actions * n_obs, lanes), -1)
-        for n, nodes in enumerate(self.live):
-            entry = self.entries(n)[:, nodes]
-            omega_map[n, :nodes.size, :, :nodes.size] = n_nodes + (
-                entry[:, None, :] * n_cols + self.expand[:, None])
-        self.omega_map = omega_map.reshape(z.size, lanes, n_actions, n_obs,
+        held = np.where(real, self.live_offsets[:-1, None] + step, 0)
+        self.eta_map = np.where(real, held, -1)
+        self.lane_node = np.where(real, live_nodes[held], -1)
+        self.pi_map = np.where(real[..., None], f + held[..., None]
+                               * n_actions + np.arange(n_actions), -1)
+        entry = n_held + (start[held][..., None] + step) * n_cols
+        omega_map = np.where((real[:, :, None] & real[:, None])[:, :, None],
+                             entry[:, :, None] + self.expand[:, None], -1)
+        self.omega_map = omega_map.reshape(n_agents, lanes, n_actions, n_obs,
                                            lanes)
-        self.lane_real = np.arange(lanes) < self.n_live[:, None]
 
     def split(self, x):
         """`Sticks` views of a flat buffer of this layout."""
-        nn, f = self.n_nodes, self.n_sticks
-        p = self.live_nodes.size * self.n_actions
+        n_held, f = self.live_nodes.size, self.n_sticks
+        p = n_held * self.n_actions
         first, second = x[:f], x[f + p:2 * f + p]
         return Sticks(first=first, phi=x[f:f + p].reshape(-1, self.n_actions),
                       second=second, total=x[2 * f + p:3 * f + p],
                       phisum=x[3 * f + p:, None],
-                      delta=first[:nn], sigma=first[nn:].reshape(
+                      delta=first[:n_held], sigma=first[n_held:].reshape(
                           self.n_entries, -1),
-                      mu=second[:nn], lam=second[nn:].reshape(
+                      mu=second[:n_held], lam=second[n_held:].reshape(
                           self.n_entries, -1), flat=x)
 
     def digammas(self, flat):
         """`FactorDigammas` views of `flat`, a buffer of this layout's size,
-        and a new `log_rest` and `logs`, for `stick_digammas` to fill."""
-        return FactorDigammas(*self.split(flat), np.zeros(self.n_sticks + 1),
-                              np.full(self.n_params - self.n_sticks + 1,
-                                      -np.inf), self)
+        and a new `log_rest` (no gaps), `row_rest` and `logs`, for
+        `stick_digammas` to fill."""
+        f = self.n_sticks
+        return FactorDigammas(*self.split(flat), np.zeros(2 * f + 1),
+                              np.zeros(self.n_rows),
+                              np.full(self.n_params - f + 1, -np.inf), self)
 
     def fill(self, states):
-        """A flat buffer of this layout holding the states' parameters: every
-        node's eta sticks and the live nodes' phi and omega entries, a
-        dropped destination's sigma and lam taken from the first node of its
-        slot; the sums are taken by `stick_digammas`."""
-        x = np.empty(self.size)
-        v = self.split(x)
+        """A flat buffer of this layout holding the states' parameters, and
+        the lam of every (1, lam) stick as a `learning._Kernel` holds them:
+        per rate that of its trailing sticks (read at the agent's last
+        node), then per `gapped` stick that of its gap (read at the node
+        before it). The sums are taken by `stick_digammas`."""
+        x, lam = np.empty(self.size), np.empty(self.n_rates + self.n_sticks)
+        v, n_cols, n_agents = self.split(x), self.counts.size, self.n_agents
+        gap_eta = lam[self.n_rates:self.n_rates + self.live_nodes.size]
+        gap_omega = lam[self.n_rates + self.live_nodes.size:].reshape(
+            self.n_entries, n_cols)
+        row_lam = np.empty((self.n_nodes, n_cols))
         for n, st in enumerate(states):
-            nodes = slice(self.offsets[n], self.offsets[n + 1])
-            v.delta[nodes], v.mu[nodes] = st.delta, st.mu
-            v.phi[self.live_offsets[n]:self.live_offsets[n + 1]] = \
-                st.phi[self.live[n]]
+            live, z = self.live[n], self.node_counts[n]
+            held = slice(self.live_offsets[n], self.live_offsets[n + 1])
             ent = slice(self.entry_offsets[n], self.entry_offsets[n + 1])
-            z = self.node_counts[n]
-            for part, full in ((v.sigma, st.sigma), (v.lam, st.lam)):
-                part[ent] = np.reshape(full, (z, -1, z))[
-                    self.rows[ent, None] - self.offsets[n], self.columns,
-                    self.dest[ent, None]]
-        return x
-
-    def entries(self, agent):
-        """(live, Z) entry holding each (source, destination) stick of one
-        agent's omega, at its kernel-live sources."""
-        live = slice(self.live_offsets[agent], self.live_offsets[agent + 1])
-        return self.starts[live, None] + self.slots[agent].slot_of
+            before = np.maximum(live - 1, 0)
+            v.delta[held], v.mu[held] = st.delta[live], st.mu[live]
+            v.phi[held] = st.phi[live]
+            gap_eta[held], lam[n] = st.mu[before], st.mu[z - 1]
+            sigma, full = (np.reshape(a, (z, -1, z))[:, self.columns]
+                           for a in (st.sigma, st.lam))
+            for part, rows, at in ((v.sigma, sigma, live), (v.lam, full, live),
+                                   (gap_omega, full, before)):
+                part[ent] = rows[live][..., at].transpose(0, 2, 1).reshape(
+                    -1, n_cols)
+            row_lam[self.offsets[n]:self.offsets[n + 1]] = full[..., z - 1]
+        lam[n_agents:self.n_rates] = row_lam[self.row_node].ravel()
+        return x, np.append(lam[:self.n_rates],
+                            lam[self.n_rates + self.gapped])
 
 
 def stick_digammas(sticks, psi, digamma_fn=None):
@@ -527,18 +547,23 @@ def stick_digammas(sticks, psi, digamma_fn=None):
     the digammas of the buffer that `sticks` views, whose parameters are
     set (the sums are taken here first), and the point estimate's logs:
     E[ln u] of a stick but a row's last, plus the E[ln(1 - u)] of those
-    before it, and E[ln pi]. Returns `psi`."""
+    before it (the gaps' from `log_rest`), and E[ln pi]; and each row's
+    E[ln(1 - u)] in `row_rest`. Returns `psi`."""
     lay, f, logs = psi.layout, psi.layout.n_sticks, psi.logs
     np.add(sticks.first, sticks.second, out=sticks.total)
     sticks.phi.sum(axis=1, keepdims=True, out=sticks.phisum)
     (digamma_fn or digamma)(sticks.flat, out=psi.flat)
-    rest = psi.log_rest[:-1]
+    gap, rest = psi.log_rest[:f], psi.log_rest[f:-1]
     np.subtract(psi.second, psi.total, out=rest)
-    rest *= lay.stick_weight
     np.subtract(psi.first, psi.total, out=logs[:f])
     logs[:f] *= lay.not_last
-    logs[:f] += psi.log_rest[lay.grid].cumsum(axis=1).ravel()[
-        lay.prefix_cell]
+    if lay.grid is None:  # each row is one gap and one stick
+        logs[:f] += gap
+        np.add(gap, rest, out=psi.row_rest)
+    else:
+        along = psi.log_rest[lay.grid].cumsum(axis=1)
+        logs[:f] += along.ravel()[lay.prefix_cell]
+        psi.row_rest[:] = along[:, -1]
     np.subtract(psi.phi, psi.phisum, out=logs[f:-1].reshape(psi.phi.shape))
     return psi
 
@@ -563,7 +588,7 @@ def point_estimate(state, psi=None):
             getattr(state, "visited", None), n_actions, n_obs),
             n_actions, n_obs)
         est = point_estimate(None, stick_digammas(
-            layout.split(layout.fill([state])),
+            layout.split(layout.fill([state])[0]),
             layout.digammas(np.empty(layout.size))))
         return PointEstimate(eta=est.eta[0], pi=est.pi[0],
                              omega=est.omega[0])

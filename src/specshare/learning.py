@@ -27,16 +27,25 @@ sum it enters (delta = 1 + x, phi = theta + x, sigma = 1 + x, mu = g/h + x,
 lam = a/b + x): its delta, sigma and phi are exactly 1, 1 and theta, the
 lam of its run of dropped neighbours is one value, and its share of any
 prefix likelihood does not move the forward scales. The kernel then holds
-every node's eta stick and the live nodes' phi and omega sticks, one per
-live source and destination slot (`fsc.NodeSlots`). A dropped node's phi
-adds nothing to the bound, and its source row, sigma = 1 and lam = a/b,
-needs no special function (`_update_agent`, `elbo`). At one live node per
-agent the history likelihoods are sums of the estimate's logs
-(`_log_factors`), which cannot underflow. `VariationalState` keeps the
-full truncation; `learn` writes the kernel back to it at the end.
+the live nodes' parameters only: their eta sticks, phi and omega sticks to
+live destinations (`fsc.KernelLayout`). Every other stick is (1, lam), and
+needs no special function: E[ln(1 - u)] = -1 / lam and its Beta terms are
+w (1 - m / lam - ln lam) (`_update_agent`, `elbo`). Its lam is the
+concentration plus the mass of the live sticks after it in its row, one
+value for each run of dropped nodes before a live one, and the
+concentration it was set from for the run after the last one and for a
+dropped source row, whose rates then follow b <- d + Z b / a. A dropped
+node's phi adds nothing to the bound. At one live node per agent the
+history likelihoods are sums of the estimate's logs (`_log_factors`),
+which cannot underflow, and the update needs no sweep: the same index map
+takes the path weights' reverse cumulative sums (`_one_node_masses`).
+`VariationalState` keeps the full truncation; `learn` writes the kernel
+back to it at the end.
 """
 
+import itertools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
@@ -141,22 +150,31 @@ class _Kernel:
     (`fsc.KernelLayout`), and the workspace that each learn iteration
     fills.
 
-    `x` holds the sticks and phi (`sticks` are its views); `rates` holds b
-    on the kept columns (`b`, one row per node) and h per agent (`h`), with
-    shapes a = c + Z and g = e + Z fixed for the run (`shape_q`), and mean
-    concentrations shape / rate (`rate_conc`, `conc_b` for b; `conc` per
-    stick). A dropped source row's sticks are sigma = 1 and lam =
-    `lam_drop`, the `conc_b` rows they were set from. Built from states,
-    every node is live; `store` writes the states. Given a batch, the
-    kernel holds it, `scatter` (one more than the entry of `x` each mass of
-    a sweep adds to; 0 for a pad and the empty first pair slot) and, at one
-    live node per agent, `log_index` (`_log_factors`), else None.
+    `x` holds the live sticks and phi (`sticks` are its views); `rates`
+    holds h per agent (`h`) and b on the kept columns (`b`, one row per
+    node, live rows first, `KernelLayout.row_node`), with shapes g = e + Z
+    and a = c + Z fixed for the run (`shape_q`), and mean concentrations
+    shape / rate (`rate_conc`; `conc` per stick). Every other stick is (1,
+    lam), and `lam` holds its lam: per rate that of its trailing sticks
+    (`lam_rate`, the `rate_conc` they were set from; on a dropped source
+    row every stick), then per `gapped` stick that of its gap (`lam_gap`,
+    conc + the mass of the live sticks from it on).
+    Built from states, every node is live; `load` reads and `store` writes
+    the states. Given a batch, the kernel holds it and, with several live
+    nodes in an agent, `scatter` (one more than the entry of `x` each mass
+    of a sweep adds to; 0 for a pad and the empty first pair slot), else
+    `log_index` (`_log_factors`, `_one_node_masses`), which is otherwise
+    None. Rates, `lam` and both concentrations keep their buffers'
+    order, so an iteration reaches each block, the dropped rows' too,
+    through views.
 
     `_allocate` builds the workspace whenever the layout changes: `masses`,
-    the sweep's output and the scatter's weights (`mass_views`); `terms`,
-    the digammas of x (`psi`), their log-gammas (`lg`), ln(rate), 1 / rate
-    and per dropped rate ln(lam) and conc / lam; and `coef`, their weights
-    in the bound `bound_const + coef @ terms` (`elbo`).
+    the sweep's output and the scatter's weights (`mass_views`), or the
+    one-node `weights`; `terms`, the digammas of x (`psi`), their
+    log-gammas (`lg`), and the log (`log_terms`) and the ratio
+    `numer` / `denom` (`div_terms`) of `denom`, the rates and then `lam`:
+    1 / rate and conc / lam; and `coef`, their weights in the bound
+    `bound_const + coef @ terms` (`elbo`).
     """
 
     def __init__(self, states, hyper, batch=None):
@@ -168,140 +186,190 @@ class _Kernel:
         self.columns = omega_columns(
             None if any(v is None for v in visited)
             else np.logical_or.reduce(visited), n_actions, n_obs)
-        z = [st.node_count for st in states]
+        z = np.array([st.node_count for st in states])
         lay = self.layout = KernelLayout(z, [np.arange(n) for n in z],
                                          self.columns, n_actions, n_obs)
-        n_cols = self.columns[2].size
-        self.rates = np.concatenate([np.reshape(st.b, (n, -1))[
-            :, self.columns[0]].ravel() for st, n in zip(states, z)]
-            + [[st.h for st in states]])
-        self.b, self.h = (self.rates[:-len(z)].reshape(lay.n_nodes, -1),
-                          self.rates[-len(z):])
+        counts = self.columns[2]
         self.g, self.a = (np.array([float(getattr(st, name)) for st in states])
                           for name in ("g", "a"))
 
-        def per_rate(omega_value, eta_value):  # per node's b, then per h
+        def per_rate(eta_value, omega_value):  # per h, then per node's b
             return np.concatenate([
-                np.repeat(np.broadcast_to(omega_value, lay.n_nodes), n_cols),
-                np.broadcast_to(eta_value, len(z))])
-        self.shape_q = shape_q = per_rate(self.a[lay.agent_of_node], self.g)
-        self.psi_q = psi_q = digamma(shape_q)
-        shape_p = per_rate(hyper.c, hyper.e)
-        rate_p = per_rate(hyper.d, hyper.f)
+                np.broadcast_to(eta_value, z.size),
+                np.repeat(np.broadcast_to(omega_value, lay.n_nodes),
+                          counts.size)])
+        shape_q = per_rate(self.g, self.a[lay.agent_of_node])
+        psi_q = digamma(shape_q)
+        shape_p, rate_p = per_rate(hyper.e, hyper.c), per_rate(hyper.f,
+                                                               hyper.d)
         lgamma_q, lgamma_p = np.split(
             gammaln(np.concatenate([shape_q, shape_p])), 2)
-        # each rate stands for the flat columns of its kept column
-        weight_q = np.concatenate([np.tile(self.columns[2], lay.n_nodes),
-                                   np.ones(len(z))])
+        # each rate stands for the flat columns of its kept column, and
+        # carries the E[ln rate] terms of Z sticks per flat column
+        weight_q = np.concatenate([np.ones(z.size),
+                                   np.tile(counts, lay.n_nodes)])
+        weight = weight_q * per_rate(z, z[lay.agent_of_node])
         # the run's part of the bound's Gamma terms (`elbo`)
-        self.log_coef = -weight_q * shape_p
-        self.inv_coef = -weight_q * rate_p * shape_q
         self.run_const = float(weight_q @ (
             shape_p * np.log(rate_p) - lgamma_p + lgamma_q + shape_q
-            + (shape_p - shape_q) * psi_q))
-        self._allocate(lay.fill(states))
-        self.refresh()
+            + (shape_p - shape_q) * psi_q) + weight @ psi_q)
+        # per rate, in `KernelLayout.rate_order`: shape, prior rate and the
+        # weights of ln(rate) and 1 / rate
+        self.per_rate = np.array([shape_q, rate_p, -weight_q * shape_p
+                                  - weight, -weight_q * rate_p * shape_q])
+        self._allocate(np.concatenate(
+            [[st.h for st in states]] + [np.reshape(st.b, (n, -1))[
+                :, self.columns[0]].ravel() for st, n in zip(states, z)]))
+        self.load(states)
 
-    def _allocate(self, x):
-        """Build the workspace of the current layout around `x`, a flat
-        buffer of it."""
-        lay, n_rates = self.layout, self.rates.size
-        n_held = lay.live_nodes.size
-        self.x, self.sticks, self.params = x, lay.split(x), x[:lay.n_params]
-        f, p, size = lay.n_sticks, n_held * lay.n_actions, lay.size
-        self.head = x[:f + p]
-        self.base = np.concatenate([np.ones(f), np.full(p, self.hyper.theta)])
-        self.rate_conc, self.conc = np.empty(n_rates), np.empty(f)
-        self.conc_b = self.rate_conc[:-lay.n_agents].reshape(self.b.shape)
+    def _allocate(self, rates):
+        """Build the workspace of the current layout around the rates
+        `rates`, in its order."""
+        lay, hyper = self.layout, self.hyper
+        f, n_rates, n_held = lay.n_sticks, lay.n_rates, lay.live_nodes.size
+        p, size = n_held * lay.n_actions, lay.size
+        n_lam = n_rates + lay.gapped.size
+        self.x = np.empty(size)
+        self.sticks, self.params = lay.split(self.x), self.x[:lay.n_params]
+        self.head = self.x[:f + p]
+        self.base = np.concatenate([np.ones(f), np.full(p, hyper.theta)])
+        self.shape_q, self.prior, log_coef, inv_coef = \
+            self.per_rate[:, lay.rate_order]
+        self.denom, self.numer = np.ones((2, n_rates + n_lam))
+        self.rates, self.lam = self.denom[:n_rates], self.denom[n_rates:]
+        self.rates[:] = rates
+        self.h, self.b = self.rates[:lay.n_agents], self.rates[
+            lay.n_agents:].reshape(lay.n_nodes, -1)
+        self.lam_rate, self.lam_gap = self.lam[:n_rates], self.lam[n_rates:]
+        self.rate_conc, self.gap_conc = self.numer[n_rates:2 * n_rates], \
+            self.numer[2 * n_rates:]
+        self.conc, self.gap_rate = np.empty(f), lay.rate_of[lay.gapped]
         self.gather_conc()
-        self.lam_drop = self.conc_b[lay.dropped]
-        wd = lay.drop_weight
-        self.terms = terms = np.empty(2 * (size + n_rates + wd.size))
+        self.neg_gap = -lay.gap
+        self.terms = terms = np.empty(2 * (size + n_rates + n_lam))
         self.psi, self.lg = lay.digammas(terms[:size]), terms[size:2 * size]
-        self.rate_terms = terms[2 * size:2 * (size + n_rates)].reshape(2, -1)
-        self.lam_terms = terms[2 * (size + n_rates):].reshape((2,) + wd.shape)
-        # each rate's weight in the sticks' E[ln rate] terms
-        bw = lay.bound_weight
-        weight = np.bincount(lay.rate_of, bw, minlength=n_rates)
-        weight[:-lay.n_agents].reshape(self.b.shape)[lay.dropped] = wd
+        self.log_terms, self.div_terms = terms[2 * size:].reshape(2, -1)
+        # a (1, lam) stick's Beta terms are w (1 - ln lam - conc / lam), and
+        # only the live action rows have Dirichlet normalizers (phi = theta)
+        bw, lam_w = lay.bound_weight, np.concatenate([lay.trail_weight,
+                                                      lay.gap_weight])
         self.coef = np.concatenate([
             np.zeros(size), bw, np.ones(p), bw, -bw, -np.ones(n_held),
-            self.log_coef - weight, self.inv_coef, -wd.ravel(), -wd.ravel()])
+            log_coef, -lam_w, inv_coef, -lam_w])
         self.psi_coef = lay.split(self.coef[:size])
-        # a dropped stick's Beta terms are w (1 - ln lam - conc / lam), and
-        # only the live action rows have Dirichlet normalizers (phi = theta)
-        theta, n_actions = self.hyper.theta, lay.n_actions
-        self.bound_const = self.run_const + float(weight @ self.psi_q) \
-            + float(wd.sum()) + n_held * (math.lgamma(n_actions * theta)
-                                          - n_actions * math.lgamma(theta))
-        # the update's views of the log_rest that `refresh` fills
-        rest = self.psi.log_rest
-        self.node_rest = rest[:lay.n_nodes]
-        self.entry_rest = rest[lay.n_nodes:f].reshape(lay.n_entries, -1)
+        theta, n_actions = hyper.theta, lay.n_actions
+        self.bound_const = self.run_const + float(lam_w.sum()) \
+            + n_held * (math.lgamma(n_actions * theta)
+                        - n_actions * math.lgamma(theta))
         self.log_index = None
         if self.batch is not None:
-            # the point estimate's maps at every transition (pair masses)
-            # and every step (occupancy), shifted by one: a pad and the
-            # first pair slot add to 0
+            # the point estimate's maps at every transition and every step
             actions, lanes = self.batch.actions, lay.n_lanes
             agent = agent_index(lay.n_agents)
-            pair = np.zeros(actions.shape + (lanes, lanes), dtype=int)
-            pair[:, :, 1:] = 1 + lay.omega_map[agent, :, actions[..., :-1],
-                                               self.batch.obs_bins]
-            self.scatter = np.concatenate(
-                (pair, 1 + lay.pi_map[agent, :, actions]), axis=None)
-            self.masses = np.zeros(self.scatter.size)
-            self.mass_views = _mass_views(self.masses,
-                                          actions.shape + (lanes,))
-            self.n_bins = f + p + 2
-            self.eta_bins = lay.eta_map + 1
-            self.node_bins = self.eta_bins.ravel()
+            omega = lay.omega_map[agent, :, actions[..., :-1],
+                                  self.batch.obs_bins]
+            pi = lay.pi_map[agent, :, actions]
+            self.node_bins = lay.lane_node.ravel() + 1
             if lanes == 1:  # the same maps name each step's log factors
-                self.log_index = self.scatter.reshape((2,) + actions.shape) - 1
+                self.log_index = np.empty((2,) + actions.shape, dtype=int)
                 self.log_index[0, ..., 0] = lay.eta_map
+                self.log_index[0, ..., 1:] = omega[..., 0, 0]
+                self.log_index[1] = pi[..., 0]
+                self.weights = np.empty(self.log_index.shape)
+            else:  # shifted by one: a pad and the first pair slot add to 0
+                pair = np.zeros(actions.shape + (lanes, lanes), dtype=int)
+                pair[:, :, 1:] = 1 + omega
+                self.scatter = np.concatenate((pair, 1 + pi), axis=None)
+                self.masses = np.zeros(self.scatter.size)
+                self.mass_views = _mass_views(self.masses,
+                                              actions.shape + (lanes,))
+                self.eta_bins = lay.eta_map + 1
 
     def gather_conc(self):
         """Set `rate_conc` and `conc` from the rates."""
         np.divide(self.shape_q, self.rates, out=self.rate_conc)
         np.take(self.rate_conc, self.layout.rate_of, out=self.conc)
+        if self.gap_rate.size:
+            np.take(self.rate_conc, self.gap_rate, out=self.gap_conc)
 
     def relayout(self, live):
-        """Hold only the nodes `live` (per agent) from now on; the sticks and
-        phi are to be set before the next `refresh`."""
-        lay = self.layout
-        self.layout = KernelLayout(lay.node_counts, live, self.columns,
-                                   lay.n_actions, lay.n_obs)
-        self._allocate(np.empty(self.layout.size))
+        """Hold only the nodes `live` (per agent) from now on; the sticks,
+        phi and `lam_gap` are to be set before the next `refresh`."""
+        old = self.layout
+        self.layout = KernelLayout(old.node_counts, live, self.columns,
+                                   old.n_actions, old.n_obs)
+        rates = np.empty(old.n_rates)
+        rates[old.rate_order] = self.rates
+        self._allocate(rates[self.layout.rate_order])
+
+    def load(self, states):
+        """Set the sticks, phi and `lam` from the states, then refresh."""
+        self.x[:], self.lam[:] = self.layout.fill(states)
+        self.refresh()
 
     def refresh(self):
-        """Check the sticks and phi once, then take their digammas."""
+        """Check the sticks and phi once, then take their digammas, with
+        each gap's E[ln(1 - u)], -gap / lam."""
         params = self.params
         if not (params.min() > 0.0 and params.max() < math.inf):
             _assert_positive(self.sticks, ("delta", "mu", "phi", "sigma",
                                            "lam"))
+        if self.lam_gap.size:
+            self.psi.log_rest[self.layout.gapped] = self.neg_gap \
+                / self.lam_gap
         stick_digammas(self.sticks, self.psi, digamma)
 
     def store(self, states):
-        """Write the kernel to the states: a dropped destination takes its
-        slot's entry and every column its kept column's; a dropped node's
-        phi is theta and its source row sigma = 1 and lam = `lam_drop`."""
-        lay, v, expand, b = self.layout, self.sticks, self.columns[1], self.b
-        lam = np.empty(b.shape)
-        lam[lay.dropped] = self.lam_drop
+        """Write the kernel to the states: a dropped node's phi is theta,
+        along each stick row a dropped node takes first parameter 1 and the
+        lam of its gap or the trailing one (`_full_row`), a dropped source
+        row is sigma = 1 and its rate's lam, and every column takes its
+        kept column's values."""
+        lay, v, expand = self.layout, self.sticks, self.columns[1]
+        n_cols, n_held = lay.counts.size, lay.live_nodes.size
+        b, row_lam = np.empty((2, lay.n_nodes, n_cols))
+        b[lay.row_node] = self.b
+        row_lam[lay.row_node] = self.lam_rate[lay.n_agents:].reshape(
+            -1, n_cols)
+        gap = np.ones(lay.n_sticks)
+        gap[lay.gapped] = self.lam_gap
         for n, st in enumerate(states):
+            live, z, m = lay.live[n], lay.node_counts[n], lay.n_live[n]
             nodes = slice(lay.offsets[n], lay.offsets[n + 1])
-            z, live = lay.node_counts[n], lay.live[n]
-            st.delta, st.mu = (x[nodes].copy() for x in (v.delta, v.mu))
+            held = slice(lay.live_offsets[n], lay.live_offsets[n + 1])
+            ent = slice(n_held + lay.entry_offsets[n] * n_cols,
+                        n_held + lay.entry_offsets[n + 1] * n_cols)
+
+            def rows(x):  # (source, column, destination) of agent n
+                return x[ent].reshape(m, m, n_cols).transpose(0, 2, 1)
+            st.delta, st.mu = _full_row(
+                live, z, v.first[held], v.second[held], gap[held],
+                self.lam_rate[n])
+            sigma, lam = np.ones((2, z, n_cols, z))
+            lam[:] = row_lam[nodes, :, None]
+            sigma[live], lam[live] = _full_row(
+                live, z, rows(v.first), rows(v.second), rows(gap),
+                row_lam[nodes][live, :, None])
+            st.sigma, st.lam = (x[:, expand].reshape(np.shape(st.sigma))
+                                for x in (sigma, lam))
             st.phi = np.full(np.shape(st.phi), self.hyper.theta)
-            st.phi[live] = v.phi[lay.live_offsets[n]:lay.live_offsets[n + 1]]
+            st.phi[live] = v.phi[held]
             st.h = float(self.h[n])
-            rows = np.ones((2, z, lam.shape[1], z))
-            rows[1] = lam[nodes, :, None]
-            rows[:, live] = [x[lay.entries(n)].transpose(0, 2, 1)
-                             for x in (v.sigma, v.lam)]
-            st.sigma, st.lam = rows[:, :, expand].reshape(
-                (2,) + np.shape(st.sigma))
             st.b = b[nodes][:, expand].reshape(np.shape(st.b))
+
+
+def _full_row(live, z, first, second, gap, trail):
+    """(first, second) parameters of stick rows over all z nodes of an
+    agent, from those of their sticks at the live nodes `live` (last axis),
+    the lam of each live stick's gap and the trailing lam: a dropped node
+    takes 1 and the lam of the next live stick's gap, or the trailing lam
+    after the last."""
+    after = np.searchsorted(live, np.arange(z))
+    lam = np.concatenate([gap, np.broadcast_to(trail, gap.shape[:-1] + (1,))],
+                         axis=-1)[..., after]
+    ones = np.ones(lam.shape)
+    ones[..., live], lam[..., live] = first, second
+    return ones, lam
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
@@ -468,23 +536,16 @@ def _sweep(fwd, nu, out=None):
     c_{tau+1}, over the forward pass's step matrices M_tau and its scales
     c_{tau+1} = sum(ahat_tau M_tau), neither gathered nor computed again
     here; occ_tau = ahat_tau G_tau and pair_{tau+1}[i, j] = ahat_tau[i]
-    M_tau[i, j] G_{tau+1}[j] / c_{tau+1}. With one node ahat is all ones
-    and M_tau = c_{tau+1}, so G is the reverse cumulative sum of nu, the
-    same for every agent, occ = G and pair_{tau+1} = G_{tau+1} (`fwd` may
-    be None, given `out`); the recursion's M (G / c) differs from these by
-    about an ulp. A non-finite G raises FloatingPointError.
+    M_tau[i, j] G_{tau+1}[j] / c_{tau+1}. With one node G is the reverse
+    cumulative sum of nu, up to about an ulp, which the learner takes
+    directly (`_one_node_masses`). A non-finite G raises
+    FloatingPointError.
     """
     if out is None:
         shape = fwd.alpha_hat.shape
         out = _mass_views(np.zeros(math.prod(shape) * (shape[-1] + 1)), shape)
     occ, pair = out
     n, k, t1, z = occ.shape
-    if z == 1:
-        to_go = nu[:, ::-1].cumsum(axis=1)[:, ::-1]
-        _check_finite(to_go, "node sweep")
-        occ[..., 0] = to_go
-        pair[:, :, 1:, 0, 0] = to_go[:, 1:]
-        return occ, pair
     ahat, scale, m = fwd.alpha_hat, fwd.scale[..., 1:], fwd.steps
     to_go = np.empty((n, k, t1, z))
     to_go[:, :, -1] = nu[:, -1:]
@@ -505,22 +566,43 @@ def _check_finite(table, name):
         raise FloatingPointError("%s is not finite" % name)
 
 
+def _one_node_masses(kernel, to_go):
+    """At one live node per agent, the mass of every stick and phi entry
+    (the update's, before it divides by K): `to_go`, broadcast to the
+    kernel's (2, N, K, t+1) `log_index`, adds each step's reverse
+    cumulative path weight to the entry that names its log factor, eta or
+    omega[a_{t-1}, o_{t-1}] (pair mass; eta sums the first step over
+    episodes) and pi[a_t] (occupancy), in one bincount, in episode and
+    step order. With one node the sweep's occupancy and pair masses are
+    both the reverse cumulative sums of nu (`_sweep`), so these are the
+    masses that its scatter adds."""
+    kernel.weights[...] = to_go
+    return np.bincount(kernel.log_index.ravel(), kernel.weights.ravel(),
+                       minlength=kernel.head.size)
+
+
 def _drop(kernel, drop, occ, pair, first, total):
     """Take the nodes of the (agent, lane) mask `drop` out of the kernel and
     move the sweep's output (occ, pair) onto the kept lanes of the new
     workspace, a pad lane reading lane 0; returns `first` and `total`,
-    per agent and lane, on the kept lanes."""
+    per agent and lane, on the kept lanes, and at one live node per agent
+    the masses' weights for `_one_node_masses` (else None)."""
     lay = kernel.layout
     kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
     kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
     lane = np.zeros(kernel.layout.lane_real.shape, dtype=int)
     lane[kernel.layout.lane_real] = np.concatenate(kept)
-    kept_occ, kept_pair = kernel.mass_views
-    kept_occ[...] = np.take_along_axis(occ, lane[:, None, None], 3)
+    kept_occ = np.take_along_axis(occ, lane[:, None, None], 3)
     src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
-    kept_pair[...] = np.take_along_axis(np.take_along_axis(pair, src, 3),
-                                        dst, 4)
-    return (np.take_along_axis(x, lane, 1) for x in (first, total))
+    kept_pair = np.take_along_axis(np.take_along_axis(pair, src, 3), dst, 4)
+    first, total = (np.take_along_axis(x, lane, 1) for x in (first, total))
+    if kernel.log_index is None:
+        kernel.mass_views[0][...] = kept_occ
+        kernel.mass_views[1][...] = kept_pair
+        return first, total, None
+    weights = np.stack([kept_pair[..., 0, 0], kept_occ[..., 0]])
+    weights[0, ..., 0] = kept_occ[:, :, 0, 0]  # the first step feeds eta
+    return first, total, weights
 
 
 def _update_agent(kernel, rw):
@@ -539,49 +621,74 @@ def _update_agent(kernel, rw):
     occupancy share this sweep is below `_DROP_SHARE` leaves the kernel
     before the factors are set; only then is the layout built again, and
     the sweep's output first moved onto the kept lanes of the new
-    workspace.
+    workspace. At one live node per agent no sweep runs: the reverse
+    cumulative sums of the path weights go through `log_index`, the map
+    the log factors are gathered by, in one bincount (`_one_node_masses`),
+    no stick has a heavier live one after it, and each node's occupancy is
+    its phi masses' sum.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations, `conc`) and eta sticks (using the previous eta
-    concentrations), then the rates b and h of both concentrations and
-    from them `conc`; their shapes a and g keep the values the states were
-    built with; a dropped source row's b is d + Z / lam. Returns the
-    occupancy mass of every node this sweep, 0.0 at every dropped node.
+    concentrations), then the rates h and b of both concentrations and
+    from them `conc`; their shapes g and a keep the values the states were
+    built with. A (1, lam) stick takes lam = conc + the mass of the live
+    sticks after it in its row, which is 0 for the trailing ones
+    (`lam_rate`): a rate's b (or h) is d (or f) minus its row's E[ln(1 -
+    u)], the closed forms -1 / lam included, so a dropped source row's b
+    is d + Z / lam. Returns the occupancy mass of every node this sweep,
+    0.0 at every dropped node.
     """
-    lay, hyper, batch = kernel.layout, kernel.hyper, kernel.batch
-    occ, pair = _sweep(rw.fwd, rw.nu, kernel.mass_views)
-    # delta's mass and each node's occupancy, per agent and lane, summed
-    # on the sweep's own lanes: numpy's summation order follows the shape
-    first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
+    lay, batch, weights = kernel.layout, kernel.batch, None
     if lay.n_lanes > 1:  # an agent's one lane holds all of its mass
+        occ, pair = _sweep(rw.fwd, rw.nu, kernel.mass_views)
+        # delta's mass and each node's occupancy, per agent and lane,
+        # summed on the sweep's own lanes: numpy's summation order follows
+        # the shape
+        first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
         drop = (total < _DROP_SHARE * total.sum(axis=1, keepdims=True)) \
             & lay.lane_real
         if drop.any():  # a dropped node never returns
-            first, total = _drop(kernel, drop, occ, pair, first, total)
+            first, total, weights = _drop(kernel, drop, occ, pair, first,
+                                          total)
             lay = kernel.layout
-    # each stick's and phi entry's mass, after bin 0 where the pads add and
-    # followed by a 0 that the grid's pads read; then the mass of the
-    # heavier sticks of its row: lam and mu add it to the concentration's
-    # mean
-    f, k, v = lay.n_sticks, batch.size, kernel.sticks
-    mass = np.bincount(kernel.scatter, kernel.masses, minlength=kernel.n_bins)
-    mass[kernel.eta_bins] = first
-    mass = mass[1:]
-    tail = mass[lay.grid][:, ::-1].cumsum(axis=1).ravel()[lay.tail_cell]
-    np.add(kernel.base, mass[:-1] / k, out=kernel.head)
-    tail -= mass[:f]
-    tail /= k
-    np.add(kernel.conc, tail, out=v.second)
+    else:
+        weights = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
+        # nu >= 0, so a row's first sum is finite only if all of it is
+        _check_finite(weights[:, 0], "node sweep")
+    f, k, v, conc = lay.n_sticks, batch.size, kernel.sticks, kernel.conc
+    if weights is None:
+        # each stick's and phi entry's mass, after bin 0 where the pads add
+        # and followed by a 0 that the grid's pads read; then the mass of
+        # the heavier sticks of its row: lam and mu add it to the
+        # concentration's mean
+        mass = np.bincount(kernel.scatter, kernel.masses,
+                           minlength=kernel.head.size + 2)
+        mass[kernel.eta_bins] = first
+        mass = mass[1:]
+        heavier = mass[lay.tail_grid][:, ::-1].cumsum(axis=1).ravel()[
+            lay.tail_cell]
+        tail = heavier - mass[:f]
+        tail /= k
+        np.add(conc, tail, out=v.second)
+        heavier /= k
+        np.add(kernel.base, mass[:-1] / k, out=kernel.head)
+    else:
+        mass = _one_node_masses(kernel, weights)
+        total = mass[f:].reshape(-1, lay.n_actions).sum(axis=1)
+        mass /= k
+        heavier = mass[:f]
+        np.add(kernel.base, mass, out=kernel.head)
+        np.copyto(v.second, conc)
+    if lay.gapped.size:
+        np.add(conc[lay.gapped], heavier[lay.gapped], out=kernel.lam_gap)
     kernel.refresh()
-    kernel.b[lay.live_nodes] = hyper.d - np.add.reduceat(kernel.entry_rest,
-                                                         lay.starts)
-    np.take(kernel.conc_b, lay.dropped, axis=0, out=kernel.lam_drop)
-    kernel.b[lay.dropped] = hyper.d + lay.drop_z / kernel.lam_drop
-    np.subtract(hyper.f, np.add.reduceat(kernel.node_rest, lay.offsets[:-1]),
-                out=kernel.h)
     rates = kernel.rates
+    np.copyto(kernel.lam_rate, kernel.rate_conc)
+    np.divide(lay.trail, kernel.lam_rate, out=rates)
+    rates += kernel.prior
+    rates[:lay.n_rows] -= kernel.psi.row_rest
     np.maximum(rates, 1e-6, out=rates)
-    if not (rates.min() > 0.0 and rates.max() < math.inf):
+    if not rates.max() < math.inf:  # False for a NaN too
         _assert_positive(kernel, ("b", "h"))
     kernel.gather_conc()
     return np.bincount(kernel.node_bins, total.ravel(),
@@ -595,25 +702,24 @@ def elbo(states, value, hyper, kernel=None):
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term:
     the Beta terms of all eta and omega sticks (the kernel's entries, each
-    weighted by the (column, source, destination) triples it stands for),
-    the Gamma terms of all concentrations and the Dirichlet terms of all
-    action rows. `kernel` is the states' `_Kernel`, built (and the states
-    checked) here if absent. Every term is linear in the digammas and
-    log-gammas of the sticks and phi, and in ln(rate) and 1 / rate, with
-    E[ln rate] = digamma(shape) - ln(rate) and E[rate'] = shape / rate:
-    the bound is `kernel.coef @ kernel.terms` plus a constant. A stick
-    (first, second) with weight w and concentration mean m weighs
-    digamma(first) by w (1 - first), digamma(second) by w (m - second) and
-    digamma(first + second) by minus their sum, its log-gammas by w, w and
-    -w; an action row weighs digamma(phi) by theta - phi, digamma of its
-    sum by minus their sum, and its log-gammas by 1 and -1. A Gamma factor
-    of shape s, prior (s0, r0) and weight w, whose rate also carries the
-    sticks' E[ln rate] terms of total weight W, weighs ln(rate) by -(w s0
-    + W) and 1 / rate by -w r0 s. By psi(x + 1) = psi(x) + 1 / x, a dropped
-    source row's sticks (1, lam) have Beta terms w (1 - ln lam - m / lam):
-    ln(lam) and m / lam weigh -w. Only the digammas' weights of the sticks
-    and phi change within a layout; they are set here, the rest come with
-    the kernel's workspace.
+    weighted by the flat columns it stands for), the Gamma terms of all
+    concentrations and the Dirichlet terms of all action rows. `kernel` is
+    the states' `_Kernel`, built (and the states checked) here if absent.
+    Every term is linear in the digammas and log-gammas of the sticks and
+    phi, and in ln(rate) and 1 / rate, with E[ln rate] = digamma(shape) -
+    ln(rate) and E[rate'] = shape / rate: the bound is `kernel.coef @
+    kernel.terms` plus a constant. A stick (first, second) with weight w
+    and concentration mean m weighs digamma(first) by w (1 - first),
+    digamma(second) by w (m - second) and digamma(first + second) by minus
+    their sum, its log-gammas by w, w and -w; an action row weighs
+    digamma(phi) by theta - phi, digamma of its sum by minus their sum,
+    and its log-gammas by 1 and -1. A Gamma factor of shape s, prior (s0,
+    r0) and weight w, whose rate also carries the sticks' E[ln rate] terms
+    of total weight W, weighs ln(rate) by -(w s0 + W) and 1 / rate by -w r0
+    s. By psi(x + 1) = psi(x) + 1 / x, a (1, lam) stick has Beta terms w
+    (1 - ln lam - m / lam): ln(lam) and m / lam weigh -w. Only the
+    digammas' weights of the sticks and phi change within a layout; they
+    are set here, the rest come with the kernel's workspace.
     """
     if kernel is None:
         kernel = _Kernel(states, hyper)
@@ -627,11 +733,8 @@ def elbo(states, value, hyper, kernel=None):
     np.subtract(hyper.theta, x.phi, out=c.phi)
     np.subtract(x.phisum, c.phi.shape[1] * hyper.theta, out=c.phisum)
     gammaln(kernel.x, out=kernel.lg)
-    np.log(kernel.rates, out=kernel.rate_terms[0])
-    np.divide(1.0, kernel.rates, out=kernel.rate_terms[1])
-    np.log(kernel.lam_drop, out=kernel.lam_terms[0])
-    np.divide(kernel.conc_b[kernel.layout.dropped], kernel.lam_drop,
-              out=kernel.lam_terms[1])
+    np.log(kernel.denom, out=kernel.log_terms)
+    np.divide(kernel.numer, kernel.denom, out=kernel.div_terms)
     return math.log(value) + kernel.bound_const \
         + float(kernel.coef @ kernel.terms)
 
@@ -682,10 +785,12 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
                                      "%s" % (iteration, exc)) from None
 
     rw = reweigh(0)
-    per_episode = rw.nu.sum(axis=1)
+    # per iteration, for the trace statistics after the loop: the path
+    # weights, and the layout with each of its b rows' smallest value
+    weights, b_rows = [], []
     for iteration in range(1, max_iters + 1):
         # the path-weight constraint: weights average to 1 over the batch
-        norm = sum(per_episode.tolist()) / k
+        norm = sum(rw.nu.sum(axis=1).tolist()) / k
         if abs(norm - 1.0) > 1e-9:
             raise FloatingPointError("path-weight normalization drifted: %r" % norm)
         trace.norm.append(norm)
@@ -709,16 +814,14 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.g.append(g[:])
         trace.h.append(kernel.h.tolist())
         trace.a.append(a[:])
-        trace.b_min.append(np.minimum.reduceat(
-            kernel.b.min(axis=1), offsets[:-1]).tolist())
         trace.live.append(kernel.layout.n_live.tolist())
-        trace.ess.append(float(rw.nu.sum() ** 2 / (rw.nu ** 2).sum()))
-        per_episode = rw.nu.sum(axis=1)
-        trace.max_share.append(float(per_episode.max() / per_episode.sum()))
+        weights.append(rw.nu)
+        b_rows.append((kernel.layout, kernel.b.min(axis=1)))
         if prev_elbo is not None and abs((cur - prev_elbo) / prev_elbo) < tol:
             converged = True
             break
         prev_elbo = cur
+    _add_statistics(trace, weights, b_rows)
     kernel.store(states)
     estimate = point_estimate(kernel, kernel.psi)
     occupancy = np.split(occ_total, offsets[1:-1])
@@ -734,6 +837,23 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     return LearnResult(states=states, point_estimates=estimates, trace=trace,
                        policies=policies, occupancy=occupancy,
                        converged=converged)
+
+
+def _add_statistics(trace, weights, b_rows):
+    """Every iteration's path-weight statistics and smallest b, at once:
+    the Kish ESS of its path weights `weights` and its largest episode
+    share, and per agent the smallest of its b rows' minima `b_rows`, each
+    with the layout whose rows they are."""
+    nu = np.array(weights)
+    per_episode = nu.sum(axis=2)
+    trace.ess = (nu.sum(axis=(1, 2)) ** 2
+                 / (nu ** 2).sum(axis=(1, 2))).tolist()
+    trace.max_share = (per_episode.max(axis=1)
+                       / per_episode.sum(axis=1)).tolist()
+    for lay, rows in itertools.groupby(b_rows, key=operator.itemgetter(0)):
+        mins = np.array([m for _, m in rows])[:, lay.node_row]
+        trace.b_min += np.minimum.reduceat(mins, lay.offsets[:-1],
+                                           axis=1).tolist()
 
 
 def _stick_mean(first, second):

@@ -113,3 +113,16 @@ def reference_elbo(states, value, hyper):
             + np.sum(_gamma_terms(st.a, st.b, hyper.c, hyper.d))
             + np.sum(_dirichlet_terms(st.phi, hyper.theta)))
     return total
+
+
+def reference_rates(states, hyper):
+    """Per agent, the rates (b, h) that an update sets from the sticks it
+    sets: d minus the E[ln(1 - u)] of every stick of an omega row, and f
+    minus that of every eta stick, straight from scipy."""
+    rates = []
+    for st in states:
+        rest = [sp_digamma(second) - sp_digamma(first + second)
+                for first, second in ((st.sigma, st.lam), (st.delta, st.mu))]
+        rates.append((hyper.d - rest[0].sum(axis=-1),
+                      hyper.f - float(rest[1].sum())))
+    return rates

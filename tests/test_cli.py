@@ -309,6 +309,27 @@ def test_a_true_in_a_policy_exits_2_naming_the_field(tmp_path, capsys, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keep", [False, True],
+                         ids=["renamed", "beside-the-plain-key"])
+def test_an_omega_key_not_written_as_plain_decimals_exits_2(tmp_path, capsys,
+                                                            keep):
+    # int() reads "015" as 15, so "0/015/0" would name row 0/15/0; with the
+    # plain key kept too, one other row goes to keep the row count
+    data = json.loads(stored_policies_text())
+    omega = data["policies"][0]["omega"]
+    row = omega["0/15/0"] if keep else omega.pop("0/15/0")
+    if keep:
+        del omega[max(omega)]
+    omega["0/015/0"] = row
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(data))
+    assert main(["evaluate", "--episodes", STORED_BATCH, "--policies",
+                 str(policies)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: %s policy 0: omega key '0/015/0' is not "
+                   "node/action/bin of this policy\n" % policies)
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_collect_needs_one_policy_per_agent(tmp_path, capsys, count):
     data = json.loads(stored_policies_text())

@@ -21,14 +21,14 @@ import specshare.learning
 from specshare import trajectories
 from specshare.batch import EpisodeBatch
 from specshare.fsc import (KernelLayout, PointEstimate, forward,
-                           forward_pass, init_from_episodes, node_slots,
-                           omega_columns, point_estimate, stack_policies)
+                           forward_pass, init_from_episodes, omega_columns,
+                           point_estimate, stack_policies)
 from specshare.learning import (Hyperparams, ReweightedRewards,
                                 VariationalState, _Kernel, _sweep,
                                 _update_agent, discounted_rewards, elbo,
                                 learn, reward_bounds, reweighted)
 from specshare.simulator import Episode
-from tests.learner_reference import reference_elbo
+from tests.learner_reference import reference_elbo, reference_rates
 from tests.sweep_reference import multi_endpoint_sweep
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
 from tests.test_learning import relative_gap, seeded_batch
@@ -379,27 +379,31 @@ def assert_compacted(res, ref):
 
 class TestCompaction:
     def test_node_slots(self):
-        # the stick entries live node after live node, one per destination
-        # slot; a dropped source row has none (sigma = 1, lam = a / b)
-        slots = node_slots([1, 4], 7)
-        assert slots.slot_of.tolist() == [0, 1, 2, 2, 3, 4, 4]
-        assert slots.counts.tolist() == [1, 1, 2, 1, 2]
+        # the sticks of live nodes only: an eta stick per live node and an
+        # omega entry per live (source, destination) pair; the dropped
+        # nodes just before a live stick are its gap, those after the last
+        # live one each rate's trail, and a dropped source row has Z
         lay = KernelLayout([7], [[1, 4]], omega_columns(None, 1, 1), 1, 1)
-        assert lay.rows.tolist() == [1] * 5 + [4] * 5
-        assert lay.weights.tolist() == [1, 1, 2, 1, 2] * 2
-        assert lay.starts.tolist() == [0, 5]
+        assert lay.live_nodes.tolist() == [1, 4]
         assert lay.dropped.tolist() == [0, 2, 3, 5, 6]
-        every = node_slots(np.arange(3), 3)
-        assert every.slot_of.tolist() == [0, 1, 2]
+        assert lay.row_node.tolist() == [1, 4, 0, 2, 3, 5, 6]
+        assert lay.n_entries == 4 and lay.n_sticks == 6
+        assert lay.gap.tolist() == [1, 2, 1, 2, 1, 2]
+        assert lay.not_last.tolist() == [1] * 6
+        assert lay.rate_of.tolist() == [0, 0, 1, 1, 2, 2]
+        assert lay.trail.tolist() == [2, 2, 2, 7, 7, 7, 7, 7]
         lay = KernelLayout([3], [np.arange(3)], omega_columns(None, 1, 1),
                            1, 1)
-        assert lay.rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        assert lay.weights.tolist() == [1.0] * 9
+        assert lay.n_entries == 9 and not lay.dropped.size
+        assert not lay.gap.any() and not lay.trail.any()
+        assert lay.not_last.tolist() == [1, 1, 0] * 4
+        assert lay.rate_of.tolist() == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
 
     def test_compact_kernel_matches_full_state(self):
         # a state as compaction leaves it, with dropped nodes before,
-        # between and after the live ones: sigma is 1 at every dropped
-        # node, lam is one value per run of dropped destinations and a / b
+        # between and after the live ones: delta and sigma are 1 at every
+        # dropped node, mu and lam one value per run of dropped nodes
+        # (a live node and the node after one begin a run) and lam a / b
         # along each dropped source row, and a dropped node's phi is theta
         rng = np.random.default_rng(5)
         hyper = Hyperparams()
@@ -408,18 +412,20 @@ class TestCompaction:
         for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
             shape = np.shape(getattr(st, name))
             setattr(st, name, rng.uniform(0.5, 3.0, size=shape))
-        slots = node_slots(live, z)
-        first = np.flatnonzero(np.diff(slots.slot_of, prepend=-1))
-        dead = np.flatnonzero(~np.isin(np.arange(z), live))
+        alive = np.isin(np.arange(z), live)
+        begins = alive | np.concatenate([[True], alive[:-1]])
+        first = np.maximum.accumulate(np.where(begins, np.arange(z), 0))
+        dead = np.flatnonzero(~alive)
+        st.delta[dead] = 1.0
+        st.mu = st.mu[first]
         st.sigma[..., dead] = 1.0
         st.sigma[dead] = 1.0
-        st.lam = st.lam[..., first[slots.slot_of]]
+        st.lam = st.lam[..., first]
         st.lam[dead] = st.a / st.b[dead][..., None]
         st.phi[dead] = hyper.theta
         kernel = _Kernel([st], hyper)
         kernel.relayout([live])
-        kernel.x[:] = kernel.layout.fill([st])
-        kernel.refresh()
+        kernel.load([st])
         est, full = point_estimate(kernel, kernel.psi), point_estimate(st)
         assert np.allclose(est.eta[0], full.eta[live], rtol=1e-12, atol=0.0)
         assert np.allclose(est.pi[0], full.pi[live], rtol=1e-12, atol=0.0)
@@ -430,8 +436,8 @@ class TestCompaction:
             <= 1e-12 * abs(bound)
         stored = VariationalState(z, 3, 4, hyper)
         kernel.store([stored])
-        assert np.array_equal(stored.sigma, st.sigma)
-        assert np.array_equal(stored.lam, st.lam)
+        for name in ("delta", "mu", "sigma", "lam"):
+            assert np.array_equal(getattr(stored, name), getattr(st, name))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bound_matches_the_term_by_term_reference(self, seed):
@@ -468,8 +474,7 @@ class TestCompaction:
         # all but the last of agent 2; the kernel's view of the states is
         # what it writes back
         kernel.relayout([np.array([1, 2]), np.array([0, 3]), np.array([4])])
-        kernel.x[:] = kernel.layout.fill(states)
-        kernel.refresh()
+        kernel.load(states)
         stored = copy.deepcopy(states)
         kernel.store(stored)
         bound = reference_elbo(stored, value, hyper)
@@ -635,8 +640,7 @@ class TestClosedForms:
         kernel.relayout([np.array([1]), np.array([0]), np.array([3])])
 
         def log_prefix():
-            kernel.x[:] = kernel.layout.fill(states)
-            kernel.refresh()
+            kernel.load(states)
             logp, fwd = specshare.learning._log_prefix(batch, kernel)
             assert fwd is None
             return logp, point_estimate(kernel, kernel.psi)
@@ -653,6 +657,250 @@ class TestClosedForms:
         assert np.all(np.isfinite(got)) and got[0, 0] < -900.0
         with pytest.raises(ValueError, match="zero likelihood"):
             forward_pass(est, batch.actions, batch.obs_bins)
+
+
+def one_node_kernel(eps, hyper, iterations=12):
+    """A kernel of `eps` as `learn` holds it after `iterations`, down to one
+    live node per agent: built from the states learn returns, at the nodes
+    it kept."""
+    res = learn(eps, hyper, max_iters=iterations, tol=0.0)
+    assert res.trace.live[-1] == [1] * len(res.states)
+    batch = EpisodeBatch(eps)
+    kernel = _Kernel(res.states, hyper, batch)
+    kernel.relayout([np.flatnonzero(occ) for occ in res.occupancy])
+    kernel.load(res.states)
+    return kernel, batch
+
+
+def sweep_scatter_masses(kernel, to_go):
+    """The one-node masses as the sweep and its scatter added them: the
+    occupancy of every step and the pair mass of every transition are both
+    the reverse cumulative path weights `to_go`, scattered through the
+    point estimate's maps shifted by one (the empty first pair slot adds to
+    bin 0), and eta takes the first occupancy summed over episodes."""
+    lay, batch = kernel.layout, kernel.batch
+    agent = np.arange(lay.n_agents)[:, None, None]
+    occ = np.broadcast_to(to_go, batch.actions.shape)
+    pair = np.zeros(occ.shape)
+    pair[:, :, 1:] = to_go[:, 1:]
+    pair_bins = np.zeros(occ.shape, dtype=int)
+    pair_bins[:, :, 1:] = 1 + lay.omega_map[agent, 0, batch.actions[..., :-1],
+                                            batch.obs_bins, 0]
+    occ_bins = 1 + lay.pi_map[agent, 0, batch.actions]
+    mass = np.bincount(np.concatenate([pair_bins, occ_bins], axis=None),
+                       np.concatenate([pair, occ], axis=None),
+                       minlength=kernel.head.size + 1)
+    mass[lay.eta_map[:, 0] + 1] = occ[:, :, 0].sum(axis=1)
+    return mass[1:]
+
+
+def reference_layout(z, live, columns, n_actions, n_obs):
+    """A `KernelLayout`'s index arrays and maps built the plain way, agent
+    by agent and stick by stick."""
+    _, expand, counts = columns
+    n_agents, n_cols = len(z), counts.size
+    offsets = np.concatenate([[0], np.cumsum(z)]).tolist()
+    held = [(n, i) for n in range(n_agents) for i in live[n]]
+    lanes = max(len(nodes) for nodes in live)
+    live_nodes = [offsets[n] + i for n, i in held]
+    dropped = [v for v in range(offsets[-1]) if v not in live_nodes]
+    entries = [(n, s, d) for n in range(n_agents) for s in live[n]
+               for d in live[n]]
+    f = len(held) + len(entries) * n_cols
+    ref = collections.defaultdict(list)
+    ref["live_nodes"], ref["dropped"] = live_nodes, dropped
+    ref["row_node"] = live_nodes + dropped
+    ref["n_sticks"], ref["n_rows"] = f, n_agents + len(held) * n_cols
+    places = []  # per stick: row, place along it, agent, live node
+    for n, i in held:
+        places.append((n, list(live[n]).index(i), n, i))
+    for n, s, d in entries:
+        for c in range(n_cols):
+            places.append((n_agents + held.index((n, s)) * n_cols + c,
+                           list(live[n]).index(d), n, d))
+    for j, (row, at, n, i) in enumerate(places):
+        earlier = [v for v in live[n] if v < i]
+        gap = i - (max(earlier) + 1 if earlier else 0)
+        weight = 1.0 if j < len(held) else float(counts[(j - len(held))
+                                                          % n_cols])
+        ref["rate_of"].append(row)
+        ref["not_last"].append(float(i != z[n] - 1))
+        ref["bound_weight"].append(weight)
+        if gap:
+            ref["gapped"].append(j)
+            ref["gap"].append(float(gap))
+            ref["gap_weight"].append(gap * weight)
+    trail = [z[n] - 1 - max(live[n]) for n in range(n_agents)]
+    ref["rate_order"] = list(range(n_agents))
+    ref["trail"], ref["trail_weight"] = list(map(float, trail)), \
+        list(map(float, trail))
+    for v in live_nodes + dropped:
+        n = int(np.searchsorted(offsets, v, side="right")) - 1
+        for c in range(n_cols):
+            rows = trail[n] if v in live_nodes else z[n]
+            ref["rate_order"].append(n_agents + v * n_cols + c)
+            ref["trail"].append(float(rows))
+            ref["trail_weight"].append(float(rows * counts[c]))
+    ref["eta_map"] = np.full((n_agents, lanes), -1)
+    ref["lane_node"] = np.full((n_agents, lanes), -1)
+    ref["pi_map"] = np.full((n_agents, lanes, n_actions), -1)
+    ref["omega_map"] = np.full((n_agents, lanes, n_actions * n_obs, lanes),
+                               -1)
+    for n in range(n_agents):
+        for ls, s in enumerate(live[n]):
+            h = held.index((n, s))
+            ref["eta_map"][n, ls] = h
+            ref["lane_node"][n, ls] = offsets[n] + s
+            ref["pi_map"][n, ls] = f + h * n_actions + np.arange(n_actions)
+            for ld, d in enumerate(live[n]):
+                ref["omega_map"][n, ls, :, ld] = len(held) + entries.index(
+                    (n, s, d)) * n_cols + expand
+    ref["omega_map"] = ref["omega_map"].reshape(n_agents, lanes, n_actions,
+                                                n_obs, lanes)
+    if lanes > 1:
+        ref["tail_grid"] = np.full((ref["n_rows"], lanes), -1)
+        ref["grid"] = np.full((ref["n_rows"], 2 * lanes), -1)
+        for j, (row, at, _, _) in enumerate(places):
+            ref["tail_grid"][row, at] = j
+            ref["grid"][row, 2 * at:2 * at + 2] = j, f + j
+            ref["tail_cell"].append(row * lanes + lanes - 1 - at)
+            ref["prefix_cell"].append(row * 2 * lanes + 2 * at)
+    return ref
+
+
+class TestLiveOnlyKernel:
+    """The kernel holds live parameters only: every (1, lam) stick in
+    closed form, the dropped rows' rates in one block, one-node masses
+    through `log_index`, the layout built with array operations and the
+    trace statistics taken after the loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_layout_matches_a_stick_by_stick_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.integers(1, 7, size=rng.integers(1, 4)).tolist()
+        live = [np.sort(rng.choice(n, size=rng.integers(1, n + 1),
+                                   replace=False)) for n in z]
+        n_actions, n_obs = 3, 4
+        visited = rng.random((n_actions, n_obs)) < 0.5
+        visited[0, 0] = True
+        columns = omega_columns(visited, n_actions, n_obs)
+        lay = KernelLayout(z, live, columns, n_actions, n_obs)
+        ref = reference_layout(z, live, columns, n_actions, n_obs)
+        if lay.n_lanes == 1:
+            assert lay.grid is None and lay.tail_grid is None
+        for name, want in ref.items():
+            assert np.array_equal(getattr(lay, name), want), name
+
+    @pytest.mark.parametrize("source", ["learn-small", "seeded"])
+    def test_one_node_masses_match_the_sweep_scatter(self, source):
+        hyper = Hyperparams()
+        if source == "learn-small":
+            kernel, batch = one_node_kernel(stored_batch("batch_1.jsonl"),
+                                            hyper)
+        else:  # after dropped nodes (agent 1) or none (agent 0)
+            batch = EpisodeBatch(seeded_batch(seed=5), [ACTIONS] * 2, 13)
+            states = random_states(np.random.default_rng(5), batch, (3, 4),
+                                   hyper)
+            kernel = _Kernel(states, hyper, batch)
+            kernel.relayout([np.array([0]), np.array([2])])
+            kernel.load(states)
+        rw = reweighted(batch, kernel, discounted_rewards(
+            batch, reward_bounds(batch)[0], hyper.gamma))
+        to_go = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
+        got = specshare.learning._one_node_masses(kernel, to_go)
+        assert np.array_equal(got, sweep_scatter_masses(kernel, to_go))
+
+    def test_closed_forms_match_the_term_by_term_bound(self):
+        # one live node per agent, not node 0: dropped eta sticks and a
+        # dropped destination slot come before it, and one after it
+        rng = np.random.default_rng(11)
+        hyper = Hyperparams(c=0.3, d=20.0, e=0.2, f=30.0, theta=0.7)
+        batch = EpisodeBatch(seeded_batch(seed=11), [ACTIONS] * 2, 13)
+        rewards = discounted_rewards(batch, reward_bounds(batch)[0],
+                                     hyper.gamma)
+        states = random_states(rng, batch, (4, 5), hyper)
+        kernel = _Kernel(states, hyper, batch)
+        kernel.relayout([np.array([2]), np.array([3])])
+        kernel.load(states)
+        lay = kernel.layout
+        assert lay.gapped.size == lay.n_sticks and lay.trail.all()
+        for _ in range(3):
+            _update_agent(kernel, reweighted(batch, kernel, rewards))
+        value = reweighted(batch, kernel, rewards).value
+        stored = copy.deepcopy(states)
+        kernel.store(stored)
+        for st, nodes in zip(stored, ([0, 1, 3], [0, 1, 2, 4])):
+            assert np.all(st.delta[nodes] == 1.0)
+            assert np.all(st.sigma[..., nodes] == 1.0)
+        bound = reference_elbo(stored, value, hyper)
+        assert abs(elbo(stored, value, hyper, kernel) - bound) \
+            <= 1e-12 * abs(bound)
+        # the update's E[ln(1 - u)] -1 / lam: in the rates it set, and in
+        # the prefix of the live node's point estimate
+        for st, (b, h) in zip(stored, reference_rates(stored, hyper)):
+            assert np.all(np.abs(st.b - b) <= 1e-12 * b)
+            assert abs(st.h - h) <= 1e-12 * h
+        est = point_estimate(kernel, kernel.psi)
+        for n, (st, node) in enumerate(zip(stored, (2, 3))):
+            st.visited = None  # the columns the kernel keeps for any agent
+            full = point_estimate(st)
+            for got, want in ((est.eta[n, 0], full.eta[node]),
+                              (est.pi[n, 0], full.pi[node]),
+                              (est.omega[n, 0, ..., 0],
+                               full.omega[node, ..., node])):
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_dropped_rates_are_one_block_at_one_node(self):
+        # learn-small batch_1 at one live node: 2 eta sticks, 2 x 28 omega
+        # sticks, their sums, 2 x 7 phi and 2 phi sums; b of the 14 dropped
+        # rows is the rates' last block, and follows b <- d + Z b / a
+        hyper = Hyperparams()
+        kernel, batch = one_node_kernel(stored_batch("batch_1.jsonl"), hyper)
+        lay = kernel.layout
+        assert kernel.x.size == 190 and lay.n_sticks == 58
+        n_held = lay.live_nodes.size
+        assert lay.row_node.tolist() == lay.live_nodes.tolist() \
+            + lay.dropped.tolist()
+        block = kernel.b[n_held:]
+        assert block.flags.c_contiguous and block.shape == (14, 28)
+        assert np.shares_memory(block, kernel.rates[lay.n_rows:])
+        before = block.copy()
+        node = lay.agent_of_node[lay.dropped, None]
+        z, a = lay.node_counts[node], kernel.a[node]
+        _update_agent(kernel, reweighted(batch, kernel, discounted_rewards(
+            batch, reward_bounds(batch)[0], hyper.gamma)))
+        assert np.array_equal(kernel.b[n_held:], z / (a / before) + hyper.d)
+
+    def test_trace_statistics_of_every_iteration(self, monkeypatch):
+        weights, b_min = [], []
+        original_reweighted = specshare.learning.reweighted
+        original_elbo = specshare.learning.elbo
+
+        def spy_reweighted(*args):
+            rw = original_reweighted(*args)
+            weights.append(rw.nu)
+            return rw
+
+        def spy_elbo(states, value, hyper, kernel):
+            lay = kernel.layout
+            b = kernel.b[lay.node_row].min(axis=1)
+            b_min.append([float(b[lay.offsets[n]:lay.offsets[n + 1]].min())
+                          for n in range(lay.n_agents)])
+            return original_elbo(states, value, hyper, kernel)
+
+        monkeypatch.setattr(specshare.learning, "reweighted", spy_reweighted)
+        monkeypatch.setattr(specshare.learning, "elbo", spy_elbo)
+        res = learn(stored_batch("batch_1.jsonl"), Hyperparams(),
+                    max_iters=200, tol=1e-5)
+        assert len(weights) == res.trace.iterations + 1
+        for nu, ess, share in zip(weights[1:], res.trace.ess,
+                                  res.trace.max_share):
+            per_episode = nu.sum(axis=1)
+            assert math.isclose(ess, nu.sum() ** 2 / np.sum(nu ** 2),
+                                rel_tol=1e-12)
+            assert math.isclose(share, per_episode.max() / per_episode.sum(),
+                                rel_tol=1e-12)
+        assert res.trace.b_min == b_min
 
 
 class TestStoredReferences:

@@ -14,9 +14,12 @@ Commands alternate between the two workers, the side that goes first
 swapping at every pair, so both see the same host load. Each worker runs
 one warm-up command first.
 
-Prints each side's median and quartiles of command seconds, and in how
-many pairs this checkout (the change) was faster; the last line is the
-same as one JSON object. Exits 1 if a command exits nonzero.
+Prints each side's median and quartiles of command seconds, in how many
+pairs this checkout (the change) was faster, and the median and quartiles
+of the per-pair ratio change / parent (`pair_ratio`): both commands of a
+pair run seconds apart, so a drift of the host's speed moves both, where
+it can skew the ratio of the two sides' medians (`ratio`). The last line
+is the same as one JSON object. Exits 1 if a command exits nonzero.
 """
 
 import argparse
@@ -157,12 +160,17 @@ def main(argv=None):
               "change_wins": sum(c < p for c, p in zip(change.seconds,
                                                         parent.seconds))}
     result["ratio"] = result["change"]["median"] / result["parent"]["median"]
+    result["pair_ratio"] = summary([c / p for c, p in zip(
+        change.seconds, parent.seconds)])
     for name in ("parent", "change"):
         s = result[name]
         print("%-6s median %.4f s, quartiles %.4f-%.4f s"
               % (name, s["median"], s["q1"], s["q3"]))
     print("change faster in %d of %d pairs, median ratio %.3f"
           % (result["change_wins"], args.commands, result["ratio"]))
+    r = result["pair_ratio"]
+    print("per-pair ratio change / parent: median %.3f, quartiles %.3f-%.3f"
+          % (r["median"], r["q1"], r["q3"]))
     print(json.dumps(result))
     return 0
 
