@@ -377,10 +377,10 @@ class KernelLayout:
     one gap and one stick. The point estimate pads every agent to
     `n_lanes` live nodes with zeros (`eta_map`, `pi_map`, `omega_map`: the
     buffer entry of each lane; `lane_node`, the node of each lane), and
-    the update reads the same maps the other way, scattering the sweep's
-    masses over those lanes into the entries they name. Every pad index
-    is -1, and every array it indexes ends in the value a pad reads. A
-    layout is built again only when a node leaves the kernel.
+    at every layout the update scatters its masses through the same maps
+    read the other way (`learning._Kernel.index`). Every pad index is -1,
+    and every array it indexes ends in the value a pad reads. A layout is
+    built again only when a node leaves the kernel.
     """
 
     def __init__(self, node_counts, live, columns, n_actions, n_obs):

@@ -37,8 +37,9 @@ concentration it was set from for the run after the last one and for a
 dropped source row, whose rates then follow b <- d + Z b / a. A dropped
 node's phi adds nothing to the bound. At one live node per agent the
 history likelihoods are sums of the estimate's logs (`_log_factors`),
-which cannot underflow, and the update needs no sweep: the same index map
-takes the path weights' reverse cumulative sums (`_one_node_masses`).
+which cannot underflow, and the update needs no sweep: its masses are the
+path weights' reverse cumulative sums. At every layout the masses reach
+the factors through the map the one-node log factors are read by.
 `VariationalState` keeps the full truncation; `learn` writes the kernel
 back to it at the end.
 """
@@ -160,21 +161,21 @@ class _Kernel:
     row every stick), then per `gapped` stick that of its gap (`lam_gap`,
     conc + the mass of the live sticks from it on).
     Built from states, every node is live; `load` reads and `store` writes
-    the states. Given a batch, the kernel holds it and, with several live
-    nodes in an agent, `scatter` (one more than the entry of `x` each mass
-    of a sweep adds to; 0 for a pad and the empty first pair slot), else
-    `log_index` (`_log_factors`, `_one_node_masses`), which is otherwise
-    None. Rates, `lam` and both concentrations keep their buffers'
-    order, so an iteration reaches each block, the dropped rows' too,
-    through views.
+    the states. Given a batch, the kernel holds it and `index`, the entry
+    of `x` each of the update's `masses` adds to (a pad's, one past the
+    sticks and phi, is read by nothing); at one live node per agent
+    `step_index` is its (2, N, K, t+1) view (`_log_factors`), which is
+    otherwise None. Rates, `lam` and both concentrations keep their
+    buffers' order, so an iteration reaches each block, the dropped rows'
+    too, through views.
 
-    `_allocate` builds the workspace whenever the layout changes: `masses`,
-    the sweep's output and the scatter's weights (`mass_views`), or the
-    one-node `weights`; `terms`, the digammas of x (`psi`), their
-    log-gammas (`lg`), and the log (`log_terms`) and the ratio
-    `numer` / `denom` (`div_terms`) of `denom`, the rates and then `lam`:
-    1 / rate and conc / lam; and `coef`, their weights in the bound
-    `bound_const + coef @ terms` (`elbo`).
+    `_allocate` builds the workspace whenever the layout changes: `index`,
+    `masses` and its (occ, pair) views (`mass_views`); `terms`, the
+    digammas of x (`psi`), their log-gammas (`lg`), and the log
+    (`log_terms`) and the ratio `numer` / `denom` (`div_terms`) of
+    `denom`, the rates and then `lam`: 1 / rate and conc / lam; and
+    `coef`, their weights in the bound `bound_const + coef @ terms`
+    (`elbo`).
     """
 
     def __init__(self, states, hyper, batch=None):
@@ -261,29 +262,26 @@ class _Kernel:
         self.bound_const = self.run_const + float(lam_w.sum()) \
             + n_held * (math.lgamma(n_actions * theta)
                         - n_actions * math.lgamma(theta))
-        self.log_index = None
+        self.step_index = None
         if self.batch is not None:
-            # the point estimate's maps at every transition and every step
+            # the point estimate's maps at every step, laid out as the
+            # masses (`_mass_views`): eta at the first step's destination
+            # lane 0, omega[a_{t-1}, o_{t-1}] at the later ones, pi[a_t]
             actions, lanes = self.batch.actions, lay.n_lanes
             agent = agent_index(lay.n_agents)
-            omega = lay.omega_map[agent, :, actions[..., :-1],
-                                  self.batch.obs_bins]
-            pi = lay.pi_map[agent, :, actions]
+            pair = np.full(actions.shape + (lanes, lanes), -1)
+            pair[:, :, 0, :, 0] = lay.eta_map[:, None]
+            pair[:, :, 1:] = lay.omega_map[agent, :, actions[..., :-1],
+                                           self.batch.obs_bins]
+            self.index = np.concatenate(
+                (pair, lay.pi_map[agent, :, actions]), axis=None)
+            self.index[self.index < 0] = self.head.size  # a bin none reads
+            self.masses = np.zeros(self.index.size)
+            self.mass_views = _mass_views(self.masses,
+                                          actions.shape + (lanes,))
             self.node_bins = lay.lane_node.ravel() + 1
-            if lanes == 1:  # the same maps name each step's log factors
-                self.log_index = np.empty((2,) + actions.shape, dtype=int)
-                self.log_index[0, ..., 0] = lay.eta_map
-                self.log_index[0, ..., 1:] = omega[..., 0, 0]
-                self.log_index[1] = pi[..., 0]
-                self.weights = np.empty(self.log_index.shape)
-            else:  # shifted by one: a pad and the first pair slot add to 0
-                pair = np.zeros(actions.shape + (lanes, lanes), dtype=int)
-                pair[:, :, 1:] = 1 + omega
-                self.scatter = np.concatenate((pair, 1 + pi), axis=None)
-                self.masses = np.zeros(self.scatter.size)
-                self.mass_views = _mass_views(self.masses,
-                                              actions.shape + (lanes,))
-                self.eta_bins = lay.eta_map + 1
+            if lanes == 1:  # (2, N, K, t+1): each step's log factors
+                self.step_index = self.index.reshape((2,) + actions.shape)
 
     def gather_conc(self):
         """Set `rate_conc` and `conc` from the rates."""
@@ -435,8 +433,8 @@ def _log_prefix(batch, policies):
     A learner `_Kernel` stands for its point estimate, and at one live node
     per agent gives `_log_factors` and no pass (None)."""
     if isinstance(policies, _Kernel):
-        if policies.log_index is not None:
-            return _log_factors(policies.psi.logs, policies.log_index), None
+        if policies.step_index is not None:
+            return _log_factors(policies.psi.logs, policies.step_index), None
         policies = point_estimate(policies, policies.psi)
     fwd = forward_pass(stack_policies(policies), batch.actions, batch.obs_bins)
     return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
@@ -513,7 +511,8 @@ def reweighted(batch, estimates, rewards):
 
 def _mass_views(masses, shape):
     """(occ, pair) views of a flat buffer of a sweep's masses over (N, K,
-    t1, Z) alpha_hat: pair (N, K, t1, Z, Z) first, then occ (N, K, t1, Z)."""
+    t1, Z) alpha_hat: pair (N, K, t1, Z, Z) first, then occ (N, K, t1, Z);
+    at Z = 1 the buffer is also (2, N, K, t1)."""
     n_pair = math.prod(shape) * shape[-1]
     return (masses[n_pair:].reshape(shape),
             masses[:n_pair].reshape(shape + shape[-1:]))
@@ -525,9 +524,9 @@ def _sweep(fwd, nu, out=None):
 
     `fwd` is the `fsc.ForwardPass` of (N, K, t1) episodes and `nu` (K, t1)
     their path weights, the same for every agent. The statistics are
-    written into `out`, (occ, pair) views of a flat buffer (`_mass_views`)
-    whose first pair slot, pair[:, :, 0], is zero and stays so, or new
-    ones. Returns the views (occ, pair):
+    written into `out`, (occ, pair) views of a flat buffer (`_mass_views`),
+    but for the first pair slot, pair[:, :, 0], which keeps its values (the
+    learner's eta masses), or into new ones. Returns the views (occ, pair):
     occ[n, k, tau, i] sums the singleton marginals of z_tau over every
     prefix endpoint t >= tau, each weighted by nu[k, t]; pair[n, k, tau]
     (tau >= 1) likewise sums the weighted pairwise marginals coupling
@@ -538,8 +537,7 @@ def _sweep(fwd, nu, out=None):
     here; occ_tau = ahat_tau G_tau and pair_{tau+1}[i, j] = ahat_tau[i]
     M_tau[i, j] G_{tau+1}[j] / c_{tau+1}. With one node G is the reverse
     cumulative sum of nu, up to about an ulp, which the learner takes
-    directly (`_one_node_masses`). A non-finite G raises
-    FloatingPointError.
+    directly (`_update_agent`). A non-finite G raises FloatingPointError.
     """
     if out is None:
         shape = fwd.alpha_hat.shape
@@ -566,43 +564,21 @@ def _check_finite(table, name):
         raise FloatingPointError("%s is not finite" % name)
 
 
-def _one_node_masses(kernel, to_go):
-    """At one live node per agent, the mass of every stick and phi entry
-    (the update's, before it divides by K): `to_go`, broadcast to the
-    kernel's (2, N, K, t+1) `log_index`, adds each step's reverse
-    cumulative path weight to the entry that names its log factor, eta or
-    omega[a_{t-1}, o_{t-1}] (pair mass; eta sums the first step over
-    episodes) and pi[a_t] (occupancy), in one bincount, in episode and
-    step order. With one node the sweep's occupancy and pair masses are
-    both the reverse cumulative sums of nu (`_sweep`), so these are the
-    masses that its scatter adds."""
-    kernel.weights[...] = to_go
-    return np.bincount(kernel.log_index.ravel(), kernel.weights.ravel(),
-                       minlength=kernel.head.size)
-
-
-def _drop(kernel, drop, occ, pair, first, total):
+def _drop(kernel, drop, occ, pair, total):
     """Take the nodes of the (agent, lane) mask `drop` out of the kernel and
     move the sweep's output (occ, pair) onto the kept lanes of the new
-    workspace, a pad lane reading lane 0; returns `first` and `total`,
-    per agent and lane, on the kept lanes, and at one live node per agent
-    the masses' weights for `_one_node_masses` (else None)."""
+    workspace, a pad lane reading lane 0; returns `total`, per agent and
+    lane, on the kept lanes."""
     lay = kernel.layout
     kept = [np.flatnonzero(~d[:n]) for d, n in zip(drop, lay.n_live)]
     kernel.relayout([nodes[keep] for nodes, keep in zip(lay.live, kept)])
     lane = np.zeros(kernel.layout.lane_real.shape, dtype=int)
     lane[kernel.layout.lane_real] = np.concatenate(kept)
-    kept_occ = np.take_along_axis(occ, lane[:, None, None], 3)
     src, dst = lane[:, None, None, :, None], lane[:, None, None, None]
-    kept_pair = np.take_along_axis(np.take_along_axis(pair, src, 3), dst, 4)
-    first, total = (np.take_along_axis(x, lane, 1) for x in (first, total))
-    if kernel.log_index is None:
-        kernel.mass_views[0][...] = kept_occ
-        kernel.mass_views[1][...] = kept_pair
-        return first, total, None
-    weights = np.stack([kept_pair[..., 0, 0], kept_occ[..., 0]])
-    weights[0, ..., 0] = kept_occ[:, :, 0, 0]  # the first step feeds eta
-    return first, total, weights
+    to_occ, to_pair = kernel.mass_views
+    to_occ[...] = np.take_along_axis(occ, lane[:, None, None], 3)
+    to_pair[...] = np.take_along_axis(np.take_along_axis(pair, src, 3), dst, 4)
+    return np.take_along_axis(total, lane, 1)
 
 
 def _update_agent(kernel, rw):
@@ -612,20 +588,19 @@ def _update_agent(kernel, rw):
     `rw` holds the path weights and the stacked forward pass that
     `reweighted` computed at the kernel's point estimate (None at one node
     per agent), whose posteriors, scales and step matrices the sweep reads.
-    It writes its masses into the kernel's `masses`, and they go into the
-    factors in one scatter (`np.bincount`) through the maps the point
-    estimate reads: each pair mass of a transition to its omega entry and
-    each occupancy of a step to its phi entry, so every parameter gets its
-    terms in episode and step order; the first step's occupancy, summed
-    over episodes, goes to the eta sticks through `eta_map`. A node whose
-    occupancy share this sweep is below `_DROP_SHARE` leaves the kernel
-    before the factors are set; only then is the layout built again, and
-    the sweep's output first moved onto the kept lanes of the new
-    workspace. At one live node per agent no sweep runs: the reverse
-    cumulative sums of the path weights go through `log_index`, the map
-    the log factors are gathered by, in one bincount (`_one_node_masses`),
-    no stick has a heavier live one after it, and each node's occupancy is
-    its phi masses' sum.
+    It writes its masses into the kernel's `masses`, and at every layout
+    they go into the factors in one scatter (`np.bincount`) through
+    `index`, the maps the point estimate reads: each pair mass of a
+    transition to its omega entry, each occupancy of a step to its phi
+    entry and the first step's occupancy, which the first pair slot holds,
+    to its eta stick, so every parameter gets its terms in episode and step
+    order. A node whose occupancy share this sweep is below `_DROP_SHARE`
+    leaves the kernel before the factors are set; only then is the layout
+    built again, and the sweep's output moved onto the kept lanes of the
+    new workspace before the first pair slot is written. At one live node
+    per agent no sweep runs: the reverse cumulative sums of the path
+    weights are every mass, no stick has a heavier live one after it, and
+    each node's occupancy is its phi masses' sum.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations, `conc`) and eta sticks (using the previous eta
@@ -638,47 +613,44 @@ def _update_agent(kernel, rw):
     is d + Z / lam. Returns the occupancy mass of every node this sweep,
     0.0 at every dropped node.
     """
-    lay, batch, weights = kernel.layout, kernel.batch, None
+    lay, k = kernel.layout, kernel.batch.size
     if lay.n_lanes > 1:  # an agent's one lane holds all of its mass
         occ, pair = _sweep(rw.fwd, rw.nu, kernel.mass_views)
-        # delta's mass and each node's occupancy, per agent and lane,
-        # summed on the sweep's own lanes: numpy's summation order follows
-        # the shape
-        first, total = occ[:, :, 0].sum(axis=1), occ.sum(axis=(1, 2))
+        # each node's occupancy, per agent and lane, summed on the sweep's
+        # own lanes: numpy's summation order follows the shape
+        total = occ.sum(axis=(1, 2))
         drop = (total < _DROP_SHARE * total.sum(axis=1, keepdims=True)) \
             & lay.lane_real
         if drop.any():  # a dropped node never returns
-            first, total, weights = _drop(kernel, drop, occ, pair, first,
-                                          total)
+            total = _drop(kernel, drop, occ, pair, total)
             lay = kernel.layout
+        occ, pair = kernel.mass_views
+        pair[:, :, 0, :, 0] = occ[:, :, 0]  # the first step feeds eta
     else:
-        weights = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
+        to_go = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
         # nu >= 0, so a row's first sum is finite only if all of it is
-        _check_finite(weights[:, 0], "node sweep")
-    f, k, v, conc = lay.n_sticks, batch.size, kernel.sticks, kernel.conc
-    if weights is None:
-        # each stick's and phi entry's mass, after bin 0 where the pads add
-        # and followed by a 0 that the grid's pads read; then the mass of
-        # the heavier sticks of its row: lam and mu add it to the
-        # concentration's mean
-        mass = np.bincount(kernel.scatter, kernel.masses,
-                           minlength=kernel.head.size + 2)
-        mass[kernel.eta_bins] = first
-        mass = mass[1:]
+        _check_finite(to_go[:, 0], "node sweep")
+        kernel.masses.reshape(kernel.step_index.shape)[...] = to_go
+    f, v, conc = lay.n_sticks, kernel.sticks, kernel.conc
+    # each stick's and phi entry's mass, then the bin the pads add to and
+    # a 0 that the grid's pads read
+    mass = np.bincount(kernel.index, kernel.masses,
+                       minlength=kernel.head.size + 2)
+    if lay.n_lanes > 1:
+        # the mass of the heavier sticks of its row: lam and mu add it to
+        # the concentration's mean
         heavier = mass[lay.tail_grid][:, ::-1].cumsum(axis=1).ravel()[
             lay.tail_cell]
         tail = heavier - mass[:f]
         tail /= k
         np.add(conc, tail, out=v.second)
         heavier /= k
-        np.add(kernel.base, mass[:-1] / k, out=kernel.head)
     else:
-        mass = _one_node_masses(kernel, weights)
-        total = mass[f:].reshape(-1, lay.n_actions).sum(axis=1)
-        mass /= k
-        heavier = mass[:f]
-        np.add(kernel.base, mass, out=kernel.head)
+        total = mass[f:-2].reshape(-1, lay.n_actions).sum(axis=1)
+        heavier = mass[:f]  # divided by K below
         np.copyto(v.second, conc)
+    mass /= k
+    np.add(kernel.base, mass[:-2], out=kernel.head)
     if lay.gapped.size:
         np.add(conc[lay.gapped], heavier[lay.gapped], out=kernel.lam_gap)
     kernel.refresh()

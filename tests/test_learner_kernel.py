@@ -481,11 +481,13 @@ class TestCompaction:
         assert abs(elbo(stored, value, hyper, kernel) - bound) \
             <= 1e-12 * abs(bound)
 
-    def test_dropping_a_middle_node_matches_never_dropping(self,
-                                                           monkeypatch):
-        # agent 0's node 1 of 4 is all but unreachable, so it leaves the
-        # kernel in the first update: its neighbours change lanes, agent 0
-        # gets a pad lane and agent 1 none. Every kept node's factors and
+    @pytest.mark.parametrize("node", [1, 0])
+    def test_dropping_a_middle_node_matches_never_dropping(self, monkeypatch,
+                                                           node):
+        # agent 0's node 1 (or 0) of 4 is all but unreachable, so it leaves
+        # the kernel in the first update: its neighbours change lanes, agent
+        # 0 gets a pad lane and agent 1 none; without node 0, lane 0 and
+        # the eta slot move to node 1. Every kept node's factors and
         # occupancy equal those of the same update with no node dropped,
         # bit for bit: the dropped node's masses are below half an ulp of
         # every sum they would enter
@@ -500,8 +502,8 @@ class TestCompaction:
                 setattr(st, name, rng.uniform(0.5, 3.0,
                                               size=np.shape(getattr(st, name))))
             states.append(st)
-        states[0].delta[1] = 0.011
-        states[0].sigma[..., 1] = 0.011
+        states[0].delta[node] = 0.011
+        states[0].sigma[..., node] = 0.011
 
         def update(share):
             sts = copy.deepcopy(states)
@@ -517,9 +519,9 @@ class TestCompaction:
 
         lay, occ, got = update(specshare.learning._DROP_SHARE)
         _, occ_ref, want = update(0.0)
-        assert [nodes.tolist() for nodes in lay.live] == [[0, 2, 3],
-                                                          [0, 1, 2, 3]]
-        assert occ[0][1] == 0.0 < occ_ref[0][1]
+        assert [nodes.tolist() for nodes in lay.live] == [
+            [i for i in range(4) if i != node], [0, 1, 2, 3]]
+        assert occ[0][node] == 0.0 < occ_ref[0][node]
         for n, kept in enumerate(lay.live):
             assert np.array_equal(occ[n][kept], occ_ref[n][kept])
             assert got[n].h == want[n].h
@@ -694,6 +696,38 @@ def sweep_scatter_masses(kernel, to_go):
     return mass[1:]
 
 
+def lane_scatter_masses(kernel, old, occ, pair):
+    """The masses of a sweep's output (occ, pair) over the lanes of the
+    layout `old`, before the kernel dropped nodes, as a scatter shifted by
+    one adds them through the maps of the kernel's layout: each old lane
+    takes the kernel's lane of its node, a dropped node and the empty first
+    pair slot add to bin 0, and eta takes the first occupancy summed over
+    episodes."""
+    lay, batch = kernel.layout, kernel.batch
+    same = (old.lane_node[:, :, None] == lay.lane_node[:, None]) \
+        & (old.lane_node >= 0)[:, :, None]
+    lane = np.where(same.any(axis=2), same.argmax(axis=2), lay.n_lanes)
+    # the kernel's maps with a pad lane after the last, read at each old lane
+    eta = np.take_along_axis(np.pad(lay.eta_map, ((0, 0), (0, 1)),
+                                    constant_values=-1), lane, 1)
+    pi = np.take_along_axis(np.pad(lay.pi_map, ((0, 0), (0, 1), (0, 0)),
+                                   constant_values=-1), lane[..., None], 1)
+    omega = np.pad(lay.omega_map, ((0, 0), (0, 1), (0, 0), (0, 0), (0, 1)),
+                   constant_values=-1)
+    omega = np.take_along_axis(np.take_along_axis(
+        omega, lane[:, :, None, None, None], 1), lane[:, None, None, None], 4)
+    agent = np.arange(lay.n_agents)[:, None, None]
+    pair_bins = np.zeros(pair.shape, dtype=int)
+    pair_bins[:, :, 1:] = 1 + omega[agent, :, batch.actions[..., :-1],
+                                    batch.obs_bins]
+    occ_bins = 1 + pi[agent, :, batch.actions]
+    mass = np.bincount(np.concatenate([pair_bins, occ_bins], axis=None),
+                       np.concatenate([pair, occ], axis=None),
+                       minlength=kernel.head.size + 1)
+    mass[eta + 1] = occ[:, :, 0].sum(axis=1)
+    return mass[1:]
+
+
 def reference_layout(z, live, columns, n_actions, n_obs):
     """A `KernelLayout`'s index arrays and maps built the plain way, agent
     by agent and stick by stick."""
@@ -770,9 +804,9 @@ def reference_layout(z, live, columns, n_actions, n_obs):
 
 class TestLiveOnlyKernel:
     """The kernel holds live parameters only: every (1, lam) stick in
-    closed form, the dropped rows' rates in one block, one-node masses
-    through `log_index`, the layout built with array operations and the
-    trace statistics taken after the loop."""
+    closed form, the dropped rows' rates in one block, the masses of every
+    layout through one index map, the layout built with array operations
+    and the trace statistics taken after the loop."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_layout_matches_a_stick_by_stick_construction(self, seed):
@@ -791,24 +825,45 @@ class TestLiveOnlyKernel:
         for name, want in ref.items():
             assert np.array_equal(getattr(lay, name), want), name
 
-    @pytest.mark.parametrize("source", ["learn-small", "seeded"])
+    @pytest.mark.parametrize("source", ["learn-small", "seeded",
+                                        "after-a-drop"])
     def test_one_node_masses_match_the_sweep_scatter(self, source):
+        # the update's one scatter, read from the factors it sets (base +
+        # mass / K), against the sweep's masses scattered on their own
         hyper = Hyperparams()
         if source == "learn-small":
             kernel, batch = one_node_kernel(stored_batch("batch_1.jsonl"),
                                             hyper)
-        else:  # after dropped nodes (agent 1) or none (agent 0)
+        elif source == "seeded":  # after dropped nodes (agent 1) or none
             batch = EpisodeBatch(seeded_batch(seed=5), [ACTIONS] * 2, 13)
             states = random_states(np.random.default_rng(5), batch, (3, 4),
                                    hyper)
             kernel = _Kernel(states, hyper, batch)
             kernel.relayout([np.array([0]), np.array([2])])
             kernel.load(states)
+        else:
+            # at several lanes, two nodes leave in the update: agent 0's
+            # node 1 of 4, so that its pad lane carries lane 0's masses,
+            # and agent 1's node 0 of 5, so that node 1 takes lane 0 and
+            # the eta slot
+            batch = EpisodeBatch(seeded_batch(seed=8), [ACTIONS] * 2, 13)
+            states = random_states(np.random.default_rng(8), batch, (4, 5),
+                                   hyper)
+            for n, node in enumerate((1, 0)):
+                states[n].delta[node] = states[n].sigma[..., node] = 0.011
+            kernel = _Kernel(states, hyper, batch)
+        old = kernel.layout
         rw = reweighted(batch, kernel, discounted_rewards(
             batch, reward_bounds(batch)[0], hyper.gamma))
         to_go = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
-        got = specshare.learning._one_node_masses(kernel, to_go)
-        assert np.array_equal(got, sweep_scatter_masses(kernel, to_go))
+        _update_agent(kernel, rw)
+        if old.n_lanes == 1:
+            want = sweep_scatter_masses(kernel, to_go)
+        else:
+            assert kernel.layout.lane_real.tolist() == [[1, 1, 1, 0],
+                                                        [1, 1, 1, 1]]
+            want = lane_scatter_masses(kernel, old, *_sweep(rw.fwd, rw.nu))
+        assert np.array_equal(kernel.head, kernel.base + want / batch.size)
 
     def test_closed_forms_match_the_term_by_term_bound(self):
         # one live node per agent, not node 0: dropped eta sticks and a

@@ -15,7 +15,11 @@ the stored batches under CHECKOUT/perfbench/data:
   than the longest transmission;
 - `learn --max-iters 1` on learn-paper batch_1, whose controllers have
   several nodes per agent, and `collect --k 10 --t 50` at seeds 0 and 7 on
-  paper.json acting on them (`--policies`, schedule b, round 39).
+  paper.json acting on them (`--policies`, schedule b, round 39);
+- `learn --max-nodes 1` on learn-small batch_1, one live node per agent
+  from the first iteration on, and `learn --hyper` on learn-paper batch_1
+  with the hyperparameter file `learn/theta_0.01.json`, {"theta": 0.01},
+  that the tool writes into DIR.
 
 Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
@@ -51,6 +55,7 @@ VARIANTS = {  # paper.json overrides
                         "icca_us": 20000},
 }
 LEARNED = os.path.join("collect", "learned")  # controllers collect acts on
+HYPER = os.path.join("learn", "theta_0.01.json"), {"theta": 0.01}
 
 
 def commands(data):
@@ -93,6 +98,14 @@ def commands(data):
                             "--out", stem + ".jsonl", "--k", "10", "--t",
                             "50", "--seed", str(seed), "--epsilon-schedule",
                             "b", "--round", "39"]))
+    learns = {"max_nodes_1": ("learn-small", "--max-nodes", "1"),
+              "theta_0.01": ("learn-paper", "--hyper", HYPER[0])}
+    for name, (workload, *option) in learns.items():
+        out = os.path.join("learn", name)
+        runs.append((os.path.join(out, "learn"),
+                     ["learn", "--episodes",
+                      os.path.join(data, workload, "batch_1.jsonl"),
+                      "--out", out] + option))
     return runs
 
 
@@ -101,14 +114,16 @@ def variant_path(name):
 
 
 def write_variants(data):
-    """Write each paper.json variant to its path under the current
-    directory."""
+    """Write each paper.json variant and the hyperparameter file to their
+    paths under the current directory."""
     with open(os.path.join(data, "paper.json")) as fh:
         paper = json.load(fh)
-    os.makedirs("collect", exist_ok=True)
-    for name, overrides in VARIANTS.items():
-        with open(variant_path(name), "w") as fh:
-            json.dump({**paper, **overrides}, fh, indent=1)
+    files = [(variant_path(name), {**paper, **overrides})
+             for name, overrides in VARIANTS.items()] + [HYPER]
+    for path, content in files:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=1)
             fh.write("\n")
 
 
