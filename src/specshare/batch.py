@@ -4,7 +4,7 @@ arrays for the batched forward-backward kernel in `learning`.
 
 import numpy as np
 
-from .fsc import DEFAULT_OBS_BINS
+from .fsc import DEFAULT_OBS_BINS, observation_bins
 
 
 class EpisodeBatch:
@@ -14,7 +14,10 @@ class EpisodeBatch:
     is one block that the kernel sweeps in one call for all N agents:
     `actions` (N, K, t+1), indexed in each agent's `action_sets[n]`, and
     the transition obs bins `obs_bins` (N, K, t), each in [0, n_obs_bins),
-    one (K, t+1) and (K, t) slice per agent. `log_behavior`
+    one (K, t+1) and (K, t) slice per agent. Every stored obs bin must be
+    `fsc.observation_bin` of its obs_us, a positive integer, at the number
+    of bins the agent's collector used: one past its largest stored bin, as
+    a collector may quantize to fewer bins than n_obs_bins. `log_behavior`
     sums the agents' cumulative log behaviour probabilities, each in
     (0, 1]; `rewards` must be finite. `action_sets` None gives every agent
     the sorted union of the batch's actions. The learner reads episodes
@@ -40,13 +43,13 @@ class EpisodeBatch:
                                  % (k, len(ep.agents), n_agents))
             t1 = len(ep.rewards)
             for n, tr in enumerate(ep.agents):
-                lengths = (len(tr.actions), len(tr.obs_bin),
+                lengths = (len(tr.actions), len(tr.obs_us), len(tr.obs_bin),
                            len(tr.pi_behavior))
-                if t1 == 0 or lengths != (t1,) * 3:
+                if t1 == 0 or lengths != (t1,) * 4:
                     raise ValueError(
-                        "episode %d agent %d: %d actions, %d obs_bin and %d "
-                        "pi_behavior for %d rewards" % ((k, n) + lengths
-                                                        + (t1,)))
+                        "episode %d agent %d: %d actions, %d obs_us, %d "
+                        "obs_bin and %d pi_behavior for %d rewards"
+                        % ((k, n) + lengths + (t1,)))
             if t1 != first:
                 raise ValueError("episode %d has %d steps, the first has %d"
                                  % (k, t1, first))
@@ -70,6 +73,17 @@ class EpisodeBatch:
                     or np.any(bins >= n_obs_bins):
                 raise ValueError("obs_bin values must be integers in [0, %d)"
                                  % n_obs_bins)
+            us = np.array([tr.obs_us for tr in tracks])
+            if us.dtype.kind not in "iu":
+                raise ValueError("obs_us values must be integers")
+            # the fewest bins the agent's collector can have used
+            used = bins.max() + 1
+            wrong = np.argwhere((us < 1) | (bins != observation_bins(us, used)))
+            if wrong.size:
+                k, t = wrong[0]
+                raise ValueError("episode %d agent %d step %d: obs_bin %d is "
+                                 "not the bin of obs_us %d"
+                                 % (k, n, t, bins[k, t], us[k, t]))
             self.obs_bins.append(bins[:, :-1])
             probs = np.array([tr.pi_behavior for tr in tracks], dtype=float)
             if not np.all((probs > 0.0) & (probs <= 1.0)):

@@ -3,19 +3,28 @@ simplex, discount, integer and JSON number checks.
 
 digamma and gammaln come from scipy and the Beta sampler from
 ``numpy.random.Generator``; this module adds the parameter checks. It is
-the only module that uses scipy, and it imports ``scipy.special`` on the
-first special-function call, so that the commands which never call one
-(collect, evaluate, report) do not pay for the import. The sampler takes
-an explicit generator so that draws are reproducible and callers own their
+the only module that uses scipy, and it loads scipy on the first
+special-function call, so that the commands which never call one
+(collect, evaluate, report) do not pay for the import. Unless
+``scipy.special`` is loaded already, that call loads only its compiled
+ufuncs, ``scipy.special._ufuncs``, and not the package, whose array-API
+layer pulls in much of numpy that nothing here uses. The sampler takes an
+explicit generator so that draws are reproducible and callers own their
 generator state.
 """
 
+import importlib
 import math
 import numbers
+import os
+import sys
+import types
 
 import numpy as np
 
-_special = None  # scipy.special once the first special function has run
+# scipy's digamma and gammaln by name, once the first special function has
+# run: from scipy.special._ufuncs alone, or from scipy.special if loaded
+_special = None
 # the types `json` parses a number to, and (count True) an integer to
 _JSON_TYPES = {False: frozenset({int, float}), True: frozenset({int})}
 
@@ -23,7 +32,9 @@ _JSON_TYPES = {False: frozenset({int, float}), True: frozenset({int})}
 def digamma(x, out=None):
     """Digamma function, valid for positive arguments.
 
-    Delegates to ``scipy.special.digamma`` after checking the domain.
+    Delegates to ``scipy.special.digamma``, the very ufunc, after checking
+    the domain; a first call loads only scipy's compiled ufuncs (see the
+    module docstring).
     Accepts scalars or arrays; scalars come back as float. Given `out`, an
     array of x's shape, the values are written into it and it is returned.
     """
@@ -33,7 +44,9 @@ def digamma(x, out=None):
 def gammaln(x, out=None):
     """Log of the gamma function, valid for positive arguments.
 
-    Delegates to ``scipy.special.gammaln`` after checking the domain.
+    Delegates to ``scipy.special.gammaln``, the very ufunc, after checking
+    the domain; a first call loads only scipy's compiled ufuncs (see the
+    module docstring).
     Accepts scalars or arrays; scalars come back as float. Given `out`, an
     array of x's shape, the values are written into it and it is returned.
     """
@@ -49,10 +62,33 @@ def _special_function(name, x, check=True, out=None):
         raise ValueError("%s requires strictly positive finite arguments"
                          % name)
     if _special is None:
-        import scipy.special
-        _special = scipy.special
-    result = getattr(_special, name)(arr, out=out)
+        _special = _load_special()
+    result = _special[name](arr, out=out)
     return float(result) if arr.ndim == 0 else result
+
+
+def _load_special():
+    """digamma and gammaln from scipy.special if it is loaded, else from
+    scipy.special._ufuncs imported under a bare stand-in package that is
+    gone again afterwards; the package itself on an ImportError."""
+    special = sys.modules.get("scipy.special")
+    if special is None:
+        import scipy
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__),
+                                      "special")]
+        sys.modules["scipy.special"] = stub
+        try:
+            special = importlib.import_module("scipy.special._ufuncs")
+        except ImportError:
+            pass
+        finally:
+            sys.modules.pop("scipy.special", None)
+            # not getattr, which would run scipy's lazy submodule import
+            scipy.__dict__.pop("special", None)
+        if special is None:
+            import scipy.special as special
+    return {"digamma": special.psi, "gammaln": special.gammaln}
 
 
 def sample_beta(first, second, rng):

@@ -33,6 +33,13 @@ def observation_bin(obs_us, n_bins=DEFAULT_OBS_BINS):
     return min(obs_us.bit_length() - 1, n_bins - 1)
 
 
+def observation_bins(obs_us, n_bins=DEFAULT_OBS_BINS):
+    """`observation_bin` of each entry of an integer array of positive
+    waits at once; exact while n_bins <= 53, as float64 holds every wait
+    below 2**53 and the top bin takes all from 2**52 on."""
+    return np.minimum(np.frexp(obs_us)[1] - 1, n_bins - 1)
+
+
 @dataclass
 class FscPolicy:
     """A proper (row-stochastic) finite state controller."""

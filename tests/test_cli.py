@@ -149,6 +149,27 @@ def test_bad_batch_exit_code(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, k, n, t, change", [
+    ("obs_bin", 0, 0, 0, lambda b: 7),      # stored 12, from obs_us 4714
+    ("obs_us", 3, 1, 9, lambda us: 2 * us),  # the last step, one bin up
+    ("obs_us", 1, 1, 3, lambda us: 0),
+    ("obs_us", 2, 0, 0, lambda us: -us),     # frexp's bin of -us is us's
+], ids=["bin-7-for-12", "last-step-wait-doubled", "wait-zero",
+        "wait-negated"])
+def test_stored_obs_bin_must_be_the_bin_of_obs_us(tmp_path, capsys, field,
+                                                  k, n, t, change):
+    records = stored_records()
+    track = records[k]["agents"][n]
+    track[field][t] = change(track[field][t])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["learn", "--episodes", str(bad), "--out",
+                 str(tmp_path / "run"), "--max-iters", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode %d agent %d step %d: " % (k, n, t))
+    assert err.count("\n") == 1
+
+
 STORED_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                            "data")
 STORED_BATCH = os.path.join(STORED_DATA, "learn-small", "batch_1.jsonl")

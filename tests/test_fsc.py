@@ -10,7 +10,8 @@ from specshare.distributions import digamma
 from specshare.fsc import (FscPolicy, PointEstimate, cumulative_rows, draw,
                            history_likelihood, init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
-                           point_estimate, prune, transition_node)
+                           observation_bins, point_estimate, prune,
+                           transition_node)
 from specshare.simulator import AgentTrack, Episode
 from specshare.trajectories import BehaviorPolicy, behavior_action
 from tests.learner_reference import stick_log_expectations
@@ -58,6 +59,16 @@ class TestObservationBin:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             observation_bin(0)
+
+    @pytest.mark.parametrize("n_bins", [8, 24, 53])
+    def test_vectorized_matches_scalar_at_bin_edges(self, n_bins):
+        # 2**k - 1, 2**k and 2**k + 1 up to int64's top, as stored ints load
+        waits = np.array([w for k in range(63) for w in
+                          (2 ** k - 1, 2 ** k, 2 ** k + 1) if 0 < w < 2 ** 63])
+        assert waits.dtype == np.int64
+        assert observation_bins(waits, n_bins).tolist() \
+            == [observation_bin(w, n_bins) for w in waits.tolist()]
+        assert observation_bins(waits, n_bins)[-1] == n_bins - 1
 
 
 class TestPolicyStructure:

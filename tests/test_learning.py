@@ -155,6 +155,28 @@ class TestRewardBounds:
         assert reward_bounds(EpisodeBatch(eps, [ACTIONS], 8)) == (-4.0, 2.0)
 
 
+class TestStoredObsBins:
+    """A stored bin is its wait's bin at one past the agent's largest
+    stored bin: a collector may quantize to fewer bins than the batch."""
+
+    WAITS = [50, 3000, 90000, 7]
+
+    def test_fewer_collector_bins_load(self):
+        # binned at 8, the top bin 7 takes 3000 and 90000
+        eps = [make_episode(0, [15] * 4, self.WAITS, [0.5] * 4, [0, 1, 2, 3])]
+        assert EpisodeBatch(eps, [ACTIONS], 13).obs_bins[0].tolist() \
+            == [[5, 7, 7]]
+
+    @pytest.mark.parametrize("step, stored", [(0, 4), (1, 6), (2, 6),
+                                              (3, 3), (3, 7)])
+    def test_a_bin_off_its_wait_is_refused(self, step, stored):
+        ep = make_episode(0, [15] * 4, self.WAITS, [0.5] * 4, [0, 1, 2, 3])
+        ep.agents[0].obs_bin[step] = stored
+        with pytest.raises(ValueError, match="episode 0 agent 0 step %d: "
+                                             "obs_bin %d" % (step, stored)):
+            EpisodeBatch([ep], [ACTIONS], 13)
+
+
 class TestEmpiricalValue:
     def test_hand_sum_with_unit_ratios(self):
         rng = np.random.default_rng(6)

@@ -1,8 +1,12 @@
-"""Start-up cost: only the learner's special functions need scipy.
+"""Start-up cost: only the learner's special functions need scipy, and
+they need only its compiled ufuncs.
 
-`specshare.distributions` imports scipy.special on the first digamma or
-gammaln call. Each case below runs in a fresh interpreter, because the test
-process itself has long since loaded scipy.
+`specshare.distributions` loads scipy on the first digamma or gammaln call:
+`scipy.special._ufuncs` alone, under a stand-in for the `scipy.special`
+package that is gone again afterwards, unless the package is loaded
+already. Each case below runs in a fresh interpreter, because the test
+process itself has long since loaded the package (it imports it here),
+and only there does the first call take the lean path.
 """
 
 import json
@@ -81,7 +85,52 @@ def test_learn_loads_scipy(run_dir):
     loaded = scipy_modules_after(RUN_CLI, [
         "learn", "--episodes", str(run_dir / "episodes.jsonl"),
         "--out", str(run_dir / "again"), "--max-iters", "2"])
+    assert "scipy.special._ufuncs" in loaded
+    assert "scipy.special" not in loaded
+    assert "scipy._lib.array_api_compat" not in loaded
+
+
+XS = [1e-3, 0.25, 1.5, 40.0, 1e6]
+VALUES = [scipy.special.digamma(XS).tolist(),
+          scipy.special.gammaln(XS).tolist()]
+
+
+def test_first_call_leaves_no_stand_in_package():
+    loaded = scipy_modules_after(
+        "from specshare import distributions\n"
+        "distributions.digamma(2.0)\n"
+        "assert 'special' not in sys.modules['scipy'].__dict__")
+    assert "scipy.special._ufuncs" in loaded
+    assert "scipy.special" not in loaded
+
+
+def test_later_package_import_reuses_the_loaded_ufuncs():
+    scipy_modules_after(
+        "from specshare import distributions\n"
+        "values = distributions.digamma(%r), distributions.gammaln(%r)\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "import scipy.special\n"
+        "assert scipy.special._ufuncs is ufuncs\n"
+        "assert distributions._special['digamma'] is scipy.special.digamma\n"
+        "assert distributions._special['gammaln'] is scipy.special.gammaln\n"
+        "assert [v.tolist() for v in values] == %r" % (XS, XS, VALUES))
+
+
+def test_failed_lean_load_falls_back_to_the_package():
+    loaded = scipy_modules_after(
+        "import importlib\n"
+        "from specshare import distributions\n"
+        "real = importlib.import_module\n"
+        "def refuse(name, package=None):\n"  # the package uses it too
+        "    if name == 'scipy.special._ufuncs':\n"
+        "        raise ImportError(name)\n"
+        "    return real(name, package)\n"
+        "importlib.import_module = refuse\n"
+        "values = distributions.digamma(%r), distributions.gammaln(%r)\n"
+        "assert sys.modules['scipy.special'].__file__.endswith('__init__.py')\n"
+        "assert [v.tolist() for v in values] == %r" % (XS, XS, VALUES))
     assert "scipy.special" in loaded
+    assert "scipy._lib.array_api_compat" in loaded
 
 
 class TestGammaln:

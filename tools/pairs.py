@@ -1,10 +1,15 @@
 """Paired timing of CLI commands: this checkout against another one.
 
     python3 tools/pairs.py --repo PARENT --workload learn-small --commands 200
+    python3 tools/pairs.py --fresh --repo PARENT --workload learn-small
 
 One worker process per checkout imports that checkout's `specshare` once
 and runs commands in process through `specshare.cli.main`, as
-perfbench/run.py does, with the arguments of perfbench/workloads.py. A
+perfbench/run.py does, with the arguments of perfbench/workloads.py. With
+--fresh, every command is a new `python -m specshare.cli` process instead,
+with PYTHONPATH set to its checkout's `src`, as a user runs it: its time
+then counts the interpreter's start and every import, and its peak RSS
+(from `os.wait4`) is reported too. A
 learn workload runs `learn` on the stored batches of this checkout: the
 workload's batches by seed (`LEARNER_SETS`; with --held-out, only its
 held-out batch) and `LEARN_ARGS`. collect-paper runs single `collect`
@@ -18,8 +23,10 @@ Prints each side's median and quartiles of command seconds, in how many
 pairs this checkout (the change) was faster, and the median and quartiles
 of the per-pair ratio change / parent (`pair_ratio`): both commands of a
 pair run seconds apart, so a drift of the host's speed moves both, where
-it can skew the ratio of the two sides' medians (`ratio`). The last line
-is the same as one JSON object. Exits 1 if a command exits nonzero.
+it can skew the ratio of the two sides' medians (`ratio`). With --fresh
+the same follows for the children's peak RSS in MB (`peak_rss_mb`). The
+last line is the same as one JSON object. Exits 1 if a command exits
+nonzero.
 """
 
 import argparse
@@ -61,6 +68,15 @@ def commands(workload, held_out, out):
                        run] + workloads.LEARN_ARGS, paths)
 
 
+def remove_output(argv):
+    """Delete what the command of argv wrote to its --out path."""
+    out = argv[argv.index("--out") + 1]
+    if os.path.isdir(out):
+        shutil.rmtree(out)
+    elif os.path.exists(out):
+        os.remove(out)
+
+
 def worker(repo):
     """Run the argv of each stdin line with repo's specshare; answer each
     with one line, [exit code, seconds]."""
@@ -78,40 +94,57 @@ def worker(repo):
             start = time.perf_counter()
             code = cli.main(argv)
             elapsed = time.perf_counter() - start
-        out = argv[argv.index("--out") + 1]
-        if os.path.isdir(out):
-            shutil.rmtree(out)
-        elif os.path.exists(out):
-            os.remove(out)
+        remove_output(argv)
         reply.write(json.dumps([code, elapsed]) + "\n")
         reply.flush()
 
 
-class Side:
-    """One worker process and the seconds of its commands."""
+def fresh(repo, argv, cwd):
+    """Run argv as a new `python -m specshare.cli` process on repo's src:
+    its exit code, wall seconds and peak RSS in MB."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "specshare.cli"] + argv, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.path.join(repo, "src")),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    remove_output(argv)
+    return proc.returncode, elapsed, usage.ru_maxrss / 1024.0  # KiB on Linux
 
-    def __init__(self, repo):
-        self.repo = repo
-        self.proc = subprocess.Popen(
+
+class Side:
+    """One checkout, its worker process unless each command runs fresh
+    (in `cwd`), and the seconds (and fresh peak RSS) of its commands."""
+
+    def __init__(self, repo, cwd=None):
+        self.repo, self.cwd = repo, cwd
+        self.proc = None if cwd else subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--worker", repo],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self.seconds = []
+        self.seconds, self.rss_mb = [], []
 
     def run(self, argv):
-        self.proc.stdin.write(json.dumps(argv) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise SystemExit("the worker of %s stopped" % self.repo)
-        code, elapsed = json.loads(line)
+        if self.cwd:
+            code, elapsed, rss = fresh(self.repo, argv, self.cwd)
+            self.rss_mb.append(rss)
+        else:
+            self.proc.stdin.write(json.dumps(argv) + "\n")
+            self.proc.stdin.flush()
+            line = self.proc.stdout.readline()
+            if not line:
+                raise SystemExit("the worker of %s stopped" % self.repo)
+            code, elapsed = json.loads(line)
         if code:
             raise SystemExit("%s: %s exited %d" % (self.repo, argv, code))
         return elapsed
 
     def close(self):
-        self.proc.stdin.close()
-        self.proc.stdout.close()
-        self.proc.wait()
+        if self.proc:
+            self.proc.stdin.close()
+            self.proc.stdout.close()
+            self.proc.wait()
 
 
 def summary(seconds):
@@ -131,6 +164,8 @@ def main(argv=None):
     parser.add_argument("--held-out", action="store_true",
                         help="learn-*: run only the workload's held-out "
                              "batch")
+    parser.add_argument("--fresh", action="store_true",
+                        help="run every command as a new process")
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.worker)
@@ -139,10 +174,12 @@ def main(argv=None):
         parser.error("need --repo, --workload and --commands >= 2")
     out = tempfile.mkdtemp(prefix="pairs-")
     warm_up, command, paths = commands(args.workload, args.held_out, out)
-    parent, change = Side(os.path.abspath(args.repo)), Side(CHECKOUT)
+    cwd = out if args.fresh else None
+    parent, change = Side(os.path.abspath(args.repo), cwd), Side(CHECKOUT, cwd)
     try:
         for side in (parent, change):
             side.run(warm_up)
+            side.rss_mb.clear()
         for i in range(args.commands):
             argv = command(i)
             order = (parent, change) if i % 2 == 0 else (change, parent)
@@ -153,7 +190,7 @@ def main(argv=None):
             side.close()
         shutil.rmtree(out, ignore_errors=True)
     result = {"workload": args.workload, "held_out": args.held_out,
-              "commands": args.commands,
+              "fresh": args.fresh, "commands": args.commands,
               "inputs": [os.path.relpath(p, CHECKOUT) for p in paths],
               "parent": summary(parent.seconds),
               "change": summary(change.seconds),
@@ -171,6 +208,16 @@ def main(argv=None):
     r = result["pair_ratio"]
     print("per-pair ratio change / parent: median %.3f, quartiles %.3f-%.3f"
           % (r["median"], r["q1"], r["q3"]))
+    if args.fresh:
+        rss = result["peak_rss_mb"] = {
+            "parent": summary(parent.rss_mb), "change": summary(change.rss_mb),
+            "pair_ratio": summary([c / p for c, p in zip(change.rss_mb,
+                                                         parent.rss_mb)])}
+        for name in ("parent", "change", "pair_ratio"):
+            s = rss[name]
+            print("peak RSS %-10s median %.3f, quartiles %.3f-%.3f%s"
+                  % (name, s["median"], s["q1"], s["q3"],
+                     "" if name == "pair_ratio" else " MB"))
     print(json.dumps(result))
     return 0
 
