@@ -388,6 +388,13 @@ class KernelLayout:
     read the other way (`learning._Kernel.index`). Every pad index is -1,
     and every array it indexes ends in the value a pad reads. A layout is
     built again only when a node leaves the kernel.
+
+    One map links the layout to the states' stick rows laid out flat,
+    agent after agent: the eta row, then one omega row per node and kept
+    column, each of `row_len` (Z) entries. `row_at` (where each rate's row
+    starts), `stick_at` (each stick's entry) and `gap_at` (each gap's
+    entries) are built on first use: no layout the learn loop builds reads
+    them. `fill` gathers through the map, `learning._Kernel.store` scatters.
     """
 
     def __init__(self, node_counts, live, columns, n_actions, n_obs):
@@ -408,7 +415,7 @@ class KernelLayout:
         self.lane_real = real = step < n_live[:, None]
         # the live nodes, agent after agent: agent, own number and lane
         agent = np.repeat(np.arange(n_agents), n_live)
-        local = np.concatenate(self.live)
+        self.local = local = np.concatenate(self.live)
         n_held = local.size
         lane = np.arange(n_held) - self.live_offsets[agent]
         self.live_nodes = live_nodes = self.offsets[agent] + local
@@ -427,10 +434,9 @@ class KernelLayout:
         per = n_live[agent]
         start = np.cumsum(per) - per
         self.n_entries = n_ent = int(per.sum())
-        self.entry_offsets = np.append(start[self.live_offsets[:-1]], n_ent)
         source = np.repeat(np.arange(n_held), per)
-        dest = self.live_offsets[agent[source]] + np.arange(n_ent) \
-            - start[source]
+        self.dest = dest = self.live_offsets[agent[source]] \
+            + np.arange(n_ent) - start[source]
         f = self.n_sticks = n_held + n_ent * n_cols
         p = n_held * n_actions
         self.n_params, self.size = 2 * f + p, 3 * f + p + n_held
@@ -445,7 +451,7 @@ class KernelLayout:
         # column, in the order of the rates the rows share
         self.not_last = per_stick(not_last, not_last[dest, None])
         self.bound_weight = per_stick(1.0, self.counts)
-        gap = per_stick(gap, gap[dest, None])
+        gap = per_stick(gap, gap[dest, None], int)
         self.gapped = np.flatnonzero(gap)
         self.gap = gap[self.gapped]
         self.gap_weight = self.gap * self.bound_weight[self.gapped]
@@ -465,6 +471,8 @@ class KernelLayout:
         row_trail = np.concatenate([trail[agent],
                                     z[self.agent_of_node[self.dropped]]])
         self.trail = per_rate(trail, row_trail[:, None])
+        self.row_len = per_rate(z, z[self.agent_of_node[self.row_node], None],
+                                int)
         self.trail_weight = per_rate(trail, row_trail[:, None] * self.counts)
         self.grid = self.tail_grid = None
         if lanes > 1:
@@ -517,36 +525,40 @@ class KernelLayout:
                               np.zeros(self.n_rows),
                               np.full(self.n_params - f + 1, -np.inf), self)
 
+    @functools.cached_property
+    def row_at(self):
+        z, n, n_cols = self.node_counts, self.n_agents, self.counts.size
+        start = np.cumsum(z + z * z * n_cols) - z - z * z * n_cols
+        agent = np.repeat(self.agent_of_node[self.row_node], n_cols)
+        # each b row's place among its agent's: node * columns + column
+        row = self.rate_order[n:] - n - self.offsets[agent] * n_cols
+        return np.append(start, start[agent] + z[agent] * (1 + row))
+
+    @functools.cached_property
+    def stick_at(self):
+        return self.row_at[self.rate_of] + np.append(
+            self.local, np.repeat(self.local[self.dest], self.counts.size))
+
+    @functools.cached_property
+    def gap_at(self):
+        return np.repeat(self.stick_at[self.gapped] - np.cumsum(self.gap),
+                         self.gap) + np.arange(self.gap.sum())
+
     def fill(self, states):
         """A flat buffer of this layout holding the states' parameters, and
         the lam of every (1, lam) stick as a `learning._Kernel` holds them:
-        per rate that of its trailing sticks (read at the agent's last
-        node), then per `gapped` stick that of its gap (read at the node
-        before it). The sums are taken by `stick_digammas`."""
-        x, lam = np.empty(self.size), np.empty(self.n_rates + self.n_sticks)
-        v, n_cols, n_agents = self.split(x), self.counts.size, self.n_agents
-        gap_eta = lam[self.n_rates:self.n_rates + self.live_nodes.size]
-        gap_omega = lam[self.n_rates + self.live_nodes.size:].reshape(
-            self.n_entries, n_cols)
-        row_lam = np.empty((self.n_nodes, n_cols))
-        for n, st in enumerate(states):
-            live, z = self.live[n], self.node_counts[n]
-            held = slice(self.live_offsets[n], self.live_offsets[n + 1])
-            ent = slice(self.entry_offsets[n], self.entry_offsets[n + 1])
-            before = np.maximum(live - 1, 0)
-            v.delta[held], v.mu[held] = st.delta[live], st.mu[live]
-            v.phi[held] = st.phi[live]
-            gap_eta[held], lam[n] = st.mu[before], st.mu[z - 1]
-            sigma, full = (np.reshape(a, (z, -1, z))[:, self.columns]
-                           for a in (st.sigma, st.lam))
-            for part, rows, at in ((v.sigma, sigma, live), (v.lam, full, live),
-                                   (gap_omega, full, before)):
-                part[ent] = rows[live][..., at].transpose(0, 2, 1).reshape(
-                    -1, n_cols)
-            row_lam[self.offsets[n]:self.offsets[n + 1]] = full[..., z - 1]
-        lam[n_agents:self.n_rates] = row_lam[self.row_node].ravel()
-        return x, np.append(lam[:self.n_rates],
-                            lam[self.n_rates + self.gapped])
+        per rate its row's last entry, then per `gapped` stick the entry
+        before it. The sums are taken by `stick_digammas`."""
+        def rows(eta, omega):  # the states' stick rows, laid out flat
+            return np.concatenate([np.append(getattr(st, eta), np.reshape(
+                getattr(st, omega), (z, -1, z))[:, self.columns])
+                for st, z in zip(states, self.node_counts)])
+        first, second = rows("delta", "sigma"), rows("mu", "lam")
+        v = self.split(np.empty(self.size))
+        v.first[:], v.second[:] = first[self.stick_at], second[self.stick_at]
+        v.phi[:] = np.concatenate([st.phi for st in states])[self.live_nodes]
+        return v.flat, np.append(second[self.row_at + self.row_len - 1],
+                                 second[self.stick_at[self.gapped] - 1])
 
 
 def stick_digammas(sticks, psi, digamma_fn=None):

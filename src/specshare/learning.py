@@ -40,8 +40,8 @@ history likelihoods are sums of the estimate's logs (`_log_factors`),
 which cannot underflow, and the update needs no sweep: its masses are the
 path weights' reverse cumulative sums. At every layout the masses reach
 the factors through the map the one-node log factors are read by.
-`VariationalState` keeps the full truncation; `learn` writes the kernel
-back to it at the end.
+`VariationalState` keeps the full truncation; the kernel reads it and
+`learn` writes it back through one map (`fsc.KernelLayout.stick_at`).
 """
 
 import itertools
@@ -161,13 +161,13 @@ class _Kernel:
     row every stick), then per `gapped` stick that of its gap (`lam_gap`,
     conc + the mass of the live sticks from it on).
     Built from states, every node is live; `load` reads and `store` writes
-    the states. Given a batch, the kernel holds it and `index`, the entry
-    of `x` each of the update's `masses` adds to (a pad's, one past the
-    sticks and phi, is read by nothing); at one live node per agent
-    `step_index` is its (2, N, K, t+1) view (`_log_factors`), which is
-    otherwise None. Rates, `lam` and both concentrations keep their
-    buffers' order, so an iteration reaches each block, the dropped rows'
-    too, through views.
+    the states through the layout's map (`stick_at`). Given a batch, the
+    kernel holds it and `index`, the entry of `x` each of the update's
+    `masses` adds to (a pad's, one past the sticks and phi, is read by
+    nothing); at one live node per agent `step_index` is its (2, N, K,
+    t+1) view (`_log_factors`), which is otherwise None. Rates, `lam` and
+    both concentrations keep their buffers' order, so an iteration reaches
+    each block, the dropped rows' too, through views.
 
     `_allocate` builds the workspace whenever the layout changes: `index`,
     `masses` and its (occ, pair) views (`mass_views`); `terms`, the
@@ -206,10 +206,10 @@ class _Kernel:
         lgamma_q, lgamma_p = np.split(
             gammaln(np.concatenate([shape_q, shape_p])), 2)
         # each rate stands for the flat columns of its kept column, and
-        # carries the E[ln rate] terms of Z sticks per flat column
+        # carries the E[ln rate] terms of its row's sticks per flat column
         weight_q = np.concatenate([np.ones(z.size),
                                    np.tile(counts, lay.n_nodes)])
-        weight = weight_q * per_rate(z, z[lay.agent_of_node])
+        weight = weight_q * lay.row_len
         # the run's part of the bound's Gamma terms (`elbo`)
         self.run_const = float(weight_q @ (
             shape_p * np.log(rate_p) - lgamma_p + lgamma_q + shape_q
@@ -218,9 +218,9 @@ class _Kernel:
         # weights of ln(rate) and 1 / rate
         self.per_rate = np.array([shape_q, rate_p, -weight_q * shape_p
                                   - weight, -weight_q * rate_p * shape_q])
-        self._allocate(np.concatenate(
-            [[st.h for st in states]] + [np.reshape(st.b, (n, -1))[
-                :, self.columns[0]].ravel() for st, n in zip(states, z)]))
+        b = np.concatenate([st.b for st in states]).reshape(lay.n_nodes, -1)
+        self._allocate(np.append([st.h for st in states],
+                                 b[:, self.columns[0]]))
         self.load(states)
 
     def _allocate(self, rates):
@@ -318,56 +318,29 @@ class _Kernel:
         stick_digammas(self.sticks, self.psi, digamma)
 
     def store(self, states):
-        """Write the kernel to the states: a dropped node's phi is theta,
-        along each stick row a dropped node takes first parameter 1 and the
-        lam of its gap or the trailing one (`_full_row`), a dropped source
-        row is sigma = 1 and its rate's lam, and every column takes its
-        kept column's values."""
+        """Write the kernel to the states through the layout's map: every
+        entry of a stick row starts as (1, the row's trailing lam), each
+        gap's entries take its lam and the live sticks their parameters; a
+        dropped node's phi is theta, and each column takes its kept one's."""
         lay, v, expand = self.layout, self.sticks, self.columns[1]
-        n_cols, n_held = lay.counts.size, lay.live_nodes.size
-        b, row_lam = np.empty((2, lay.n_nodes, n_cols))
-        b[lay.row_node] = self.b
-        row_lam[lay.row_node] = self.lam_rate[lay.n_agents:].reshape(
-            -1, n_cols)
-        gap = np.ones(lay.n_sticks)
-        gap[lay.gapped] = self.lam_gap
-        for n, st in enumerate(states):
-            live, z, m = lay.live[n], lay.node_counts[n], lay.n_live[n]
-            nodes = slice(lay.offsets[n], lay.offsets[n + 1])
-            held = slice(lay.live_offsets[n], lay.live_offsets[n + 1])
-            ent = slice(n_held + lay.entry_offsets[n] * n_cols,
-                        n_held + lay.entry_offsets[n + 1] * n_cols)
-
-            def rows(x):  # (source, column, destination) of agent n
-                return x[ent].reshape(m, m, n_cols).transpose(0, 2, 1)
-            st.delta, st.mu = _full_row(
-                live, z, v.first[held], v.second[held], gap[held],
-                self.lam_rate[n])
-            sigma, lam = np.ones((2, z, n_cols, z))
-            lam[:] = row_lam[nodes, :, None]
-            sigma[live], lam[live] = _full_row(
-                live, z, rows(v.first), rows(v.second), rows(gap),
-                row_lam[nodes][live, :, None])
-            st.sigma, st.lam = (x[:, expand].reshape(np.shape(st.sigma))
-                                for x in (sigma, lam))
-            st.phi = np.full(np.shape(st.phi), self.hyper.theta)
-            st.phi[live] = v.phi[held]
-            st.h = float(self.h[n])
-            st.b = b[nodes][:, expand].reshape(np.shape(st.b))
-
-
-def _full_row(live, z, first, second, gap, trail):
-    """(first, second) parameters of stick rows over all z nodes of an
-    agent, from those of their sticks at the live nodes `live` (last axis),
-    the lam of each live stick's gap and the trailing lam: a dropped node
-    takes 1 and the lam of the next live stick's gap, or the trailing lam
-    after the last."""
-    after = np.searchsorted(live, np.arange(z))
-    lam = np.concatenate([gap, np.broadcast_to(trail, gap.shape[:-1] + (1,))],
-                         axis=-1)[..., after]
-    ones = np.ones(lam.shape)
-    ones[..., live], lam[..., live] = first, second
-    return ones, lam
+        shape = (lay.n_actions, lay.n_obs)
+        order = np.argsort(lay.row_at)  # the rows in the states' order
+        second = np.repeat(self.lam_rate[order], lay.row_len[order])
+        second[lay.gap_at] = np.repeat(self.lam_gap, lay.gap)
+        first = np.ones(second.size)
+        first[lay.stick_at], second[lay.stick_at] = v.first, v.second
+        phi = np.full((lay.n_nodes, lay.n_actions), self.hyper.theta)
+        phi[lay.live_nodes] = v.phi
+        b = self.b[lay.node_row][:, expand].reshape((-1,) + shape)
+        agents, nodes = lay.row_at[1:lay.n_agents], lay.offsets[1:-1]
+        for st, z, one, two, phi_n, b_n, h in zip(
+                states, lay.node_counts, np.split(first, agents),
+                np.split(second, agents), np.split(phi, nodes),
+                np.split(b, nodes), self.h.tolist()):
+            st.delta, st.mu, st.phi = one[:z], two[:z], phi_n
+            st.b, st.h = b_n, h
+            st.sigma, st.lam = (x[z:].reshape(z, -1, z)[:, expand].reshape(
+                (z,) + shape + (z,)) for x in (one, two))
 
 
 # value: the empirical value the weights divide by; nu: the (K, t) posterior
@@ -747,7 +720,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     active = np.ones(offsets[-1], dtype=bool)
     node_counts = np.diff(offsets).tolist()
     g, a = kernel.g.tolist(), kernel.a.tolist()
-    prev_elbo, converged = None, False
+    prev, converged = None, False
 
     def reweigh(iteration):  # the weights at the kernel's point estimate
         try:
@@ -789,10 +762,10 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.live.append(kernel.layout.n_live.tolist())
         weights.append(rw.nu)
         b_rows.append((kernel.layout, kernel.b.min(axis=1)))
-        if prev_elbo is not None and abs((cur - prev_elbo) / prev_elbo) < tol:
+        if prev is not None and abs(cur - prev) < tol * abs(prev):
             converged = True
             break
-        prev_elbo = cur
+        prev = cur
     _add_statistics(trace, weights, b_rows)
     kernel.store(states)
     estimate = point_estimate(kernel, kernel.psi)

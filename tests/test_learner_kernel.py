@@ -399,45 +399,73 @@ class TestCompaction:
         assert lay.not_last.tolist() == [1, 1, 0] * 4
         assert lay.rate_of.tolist() == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
 
-    def test_compact_kernel_matches_full_state(self):
-        # a state as compaction leaves it, with dropped nodes before,
+    @pytest.mark.parametrize("z, live, visited", [
+        ((7,), ([1, 4],), None),
+        # agents of 5, 4 and 6 nodes: node 0 dropped (agents 0 and 2), a
+        # trail of one node (agents 0 and 2), a live last node (agent 1);
+        # the columns that no agent visits share one stand-in
+        ((5, 4, 6), ([2, 3], [0, 3], [1, 4]), [
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+            [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0]],
+            [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]])],
+        ids=["one_agent", "three_agents"])
+    def test_compact_kernel_matches_full_state(self, z, live, visited):
+        # states as compaction leaves them, with dropped nodes before,
         # between and after the live ones: delta and sigma are 1 at every
         # dropped node, mu and lam one value per run of dropped nodes
         # (a live node and the node after one begin a run) and lam a / b
-        # along each dropped source row, and a dropped node's phi is theta
+        # along each dropped source row, and a dropped node's phi is theta;
+        # the columns an agent does not visit hold one value
         rng = np.random.default_rng(5)
         hyper = Hyperparams()
-        z, live = 7, np.array([1, 4])
-        st = VariationalState(z, 3, 4, hyper)
-        for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
-            shape = np.shape(getattr(st, name))
-            setattr(st, name, rng.uniform(0.5, 3.0, size=shape))
-        alive = np.isin(np.arange(z), live)
-        begins = alive | np.concatenate([[True], alive[:-1]])
-        first = np.maximum.accumulate(np.where(begins, np.arange(z), 0))
-        dead = np.flatnonzero(~alive)
-        st.delta[dead] = 1.0
-        st.mu = st.mu[first]
-        st.sigma[..., dead] = 1.0
-        st.sigma[dead] = 1.0
-        st.lam = st.lam[..., first]
-        st.lam[dead] = st.a / st.b[dead][..., None]
-        st.phi[dead] = hyper.theta
-        kernel = _Kernel([st], hyper)
-        kernel.relayout([live])
-        kernel.load([st])
-        est, full = point_estimate(kernel, kernel.psi), point_estimate(st)
-        assert np.allclose(est.eta[0], full.eta[live], rtol=1e-12, atol=0.0)
-        assert np.allclose(est.pi[0], full.pi[live], rtol=1e-12, atol=0.0)
-        assert np.allclose(est.omega[0], full.omega[live][..., live],
-                           rtol=1e-12, atol=0.0)
-        bound = elbo([st], 2.0, hyper)
-        assert abs(elbo([st], 2.0, hyper, kernel) - bound) \
+        states = []
+        for n, (zn, nodes) in enumerate(zip(z, live)):
+            seen = None if visited is None else np.array(visited[n], bool)
+            st = VariationalState(zn, 3, 4, hyper, visited=seen)
+            for name in ("delta", "mu", "phi", "sigma", "lam", "b"):
+                shape = np.shape(getattr(st, name))
+                setattr(st, name, rng.uniform(0.5, 3.0, size=shape))
+            if seen is not None:
+                stand_in = tuple(np.argwhere(~seen)[0])
+                for x in (st.sigma, st.lam, st.b):
+                    x[:, ~seen] = x[(slice(None),) + stand_in][:, None]
+            alive = np.isin(np.arange(zn), nodes)
+            begins = alive | np.concatenate([[True], alive[:-1]])
+            first = np.maximum.accumulate(np.where(begins, np.arange(zn), 0))
+            dead = np.flatnonzero(~alive)
+            st.delta[dead] = 1.0
+            st.mu = st.mu[first]
+            st.sigma[..., dead] = 1.0
+            st.sigma[dead] = 1.0
+            st.lam = st.lam[..., first]
+            st.lam[dead] = st.a / st.b[dead][..., None]
+            st.phi[dead] = hyper.theta
+            st.h = hyper.f + n
+            states.append(st)
+        kernel = _Kernel(states, hyper)
+        kernel.relayout([np.array(nodes) for nodes in live])
+        kernel.load(states)
+        est = point_estimate(kernel, kernel.psi)
+        for n, (st, nodes) in enumerate(zip(states, live)):
+            full, m = point_estimate(st), len(nodes)
+            assert np.allclose(est.eta[n, :m], full.eta[nodes], rtol=1e-12,
+                               atol=0.0)
+            assert np.allclose(est.pi[n, :m], full.pi[nodes], rtol=1e-12,
+                               atol=0.0)
+            assert np.allclose(est.omega[n, :m, ..., :m],
+                               full.omega[nodes][..., nodes], rtol=1e-12,
+                               atol=0.0)
+        bound = elbo(states, 2.0, hyper)
+        assert abs(elbo(states, 2.0, hyper, kernel) - bound) \
             <= 1e-12 * abs(bound)
-        stored = VariationalState(z, 3, 4, hyper)
-        kernel.store([stored])
-        for name in ("delta", "mu", "sigma", "lam"):
-            assert np.array_equal(getattr(stored, name), getattr(st, name))
+        reference = reference_elbo(states, 2.0, hyper)
+        assert abs(elbo(states, 2.0, hyper, kernel) - reference) \
+            <= 1e-12 * abs(reference)
+        stored = [VariationalState(zn, 3, 4, hyper) for zn in z]
+        kernel.store(stored)
+        for st, back in zip(states, stored):
+            for name in ("delta", "mu", "phi", "sigma", "lam", "b", "h"):
+                assert np.array_equal(getattr(back, name), getattr(st, name))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bound_matches_the_term_by_term_reference(self, seed):

@@ -339,6 +339,18 @@ class TestUpdatesAndElbo:
         assert len(tr.value) == len(tr.node_counts) == len(tr.g) == n
         assert len(tr.h) == len(tr.norm) == n
 
+    def test_zero_bound_does_not_stop_the_run(self, monkeypatch):
+        # the stop rule compares the change with tol times the previous
+        # bound, so a bound of 0.0 is a change of 0 that is not below 0,
+        # not a division by zero
+        rng = np.random.default_rng(18)
+        eps = self.small_batch(rng)
+        monkeypatch.setattr(specshare.learning, "elbo",
+                            lambda *args, **kwargs: 0.0)
+        res = learn(eps, Hyperparams(), max_iters=4, n_obs_bins=13)
+        assert not res.converged
+        assert res.trace.elbo == [0.0] * 4
+
 
 def seeded_batch(seed=2024, n_episodes=5, t=8, n_agents=2, n_obs=13):
     """A two-agent batch drawn from a numpy generator, not the simulator."""

@@ -17,9 +17,12 @@ the stored batches under CHECKOUT/perfbench/data:
   several nodes per agent, and `collect --k 10 --t 50` at seeds 0 and 7 on
   paper.json acting on them (`--policies`, schedule b, round 39);
 - `learn --max-nodes 1` on learn-small batch_1, one live node per agent
-  from the first iteration on, and `learn --hyper` on learn-paper batch_1
-  with the hyperparameter file `learn/theta_0.01.json`, {"theta": 0.01},
-  that the tool writes into DIR.
+  from the first iteration on, and `learn --hyper` with the
+  hyperparameter file `learn/theta_0.01.json`, {"theta": 0.01}, that the
+  tool writes into DIR, on learn-paper batch_1 and on learn-small batch_7
+  and batch_9, whose runs end with dropped nodes before a live one (live
+  nodes [[5], [0]] and [[0, 3], [0]]), so that the kernel writes gaps
+  back to the states.
 
 Outputs are written under DIR with paths relative to it, so that printed
 paths do not depend on DIR. Each command's stdout, stderr and exit code go
@@ -98,13 +101,16 @@ def commands(data):
                             "--out", stem + ".jsonl", "--k", "10", "--t",
                             "50", "--seed", str(seed), "--epsilon-schedule",
                             "b", "--round", "39"]))
-    learns = {"max_nodes_1": ("learn-small", "--max-nodes", "1"),
-              "theta_0.01": ("learn-paper", "--hyper", HYPER[0])}
-    for name, (workload, *option) in learns.items():
+    learns = {"max_nodes_1": ("learn-small", "batch_1", "--max-nodes", "1"),
+              "theta_0.01": ("learn-paper", "batch_1", "--hyper", HYPER[0])}
+    for batch in ("batch_7", "batch_9"):
+        learns["theta_0.01_small_" + batch] = ("learn-small", batch,
+                                               "--hyper", HYPER[0])
+    for name, (workload, batch, *option) in learns.items():
         out = os.path.join("learn", name)
         runs.append((os.path.join(out, "learn"),
                      ["learn", "--episodes",
-                      os.path.join(data, workload, "batch_1.jsonl"),
+                      os.path.join(data, workload, batch + ".jsonl"),
                       "--out", out] + option))
     return runs
 
