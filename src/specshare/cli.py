@@ -30,13 +30,15 @@ _REPORT_FILES = [("elbo.csv", "elbo"), ("nodes.csv", "nodes_agent_"),
 
 
 def _uniform_behavior(config, epsilon):
-    """Single-node uniform controller per agent, for bootstrap collection."""
+    """Single-node uniform controller, one shared by every agent, for
+    bootstrap collection."""
     n_actions = len(config.cw_set)
-    policies = [fsc.FscPolicy(
+    policy = fsc.FscPolicy(
         eta=np.array([1.0]), pi=np.full((1, n_actions), 1.0 / n_actions),
         omega=np.ones((1, n_actions, fsc.DEFAULT_OBS_BINS, 1)),
-        action_set=config.cw_set) for _ in range(config.agent_count)]
-    return trajectories.BehaviorPolicy(policies=policies, epsilon=epsilon)
+        action_set=config.cw_set)
+    return trajectories.BehaviorPolicy(policies=[policy] * config.agent_count,
+                                       epsilon=epsilon)
 
 
 def _load_config(path):
@@ -209,10 +211,17 @@ def build_parser():
     return parser
 
 
+# one parser per process, built by the first `main`; parsing leaves it as
+# it was, so every later call reuses it
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

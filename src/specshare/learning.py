@@ -696,7 +696,8 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
     (`_Kernel`), and each step of an iteration runs once for all agents;
     the kernel is written back to the returned states at the end. A
     history of zero likelihood under the learner's own point estimate is
-    an underflow of the run, FloatingPointError naming the iteration.
+    an underflow of the run, and a stop at a bound within its own rounding
+    error a loss of precision: FloatingPointError naming the iteration.
     """
     if not (max_iters >= 1 and max_nodes >= 1 and 0.0 < prune_epsilon < 1.0
             and 0.0 <= tol < math.inf):
@@ -763,6 +764,18 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         weights.append(rw.nu)
         b_rows.append((kernel.layout, kernel.b.min(axis=1)))
         if prev is not None and abs(cur - prev) < tol * abs(prev):
+            # the bound sums n terms of absolute sum `parts`, so its
+            # rounding error may reach n u parts (u = 2^-53; Higham,
+            # "Accuracy and Stability of Numerical Algorithms", sec. 3.1);
+            # a bound no larger has no significant digit, and the stop rule
+            # compared rounding errors
+            n = kernel.terms.size + 2
+            parts = abs(math.log(rw.value)) + abs(kernel.bound_const) \
+                + float(np.abs(kernel.coef) @ np.abs(kernel.terms))
+            if not abs(cur) > n * 2.0 ** -53 * parts:
+                raise FloatingPointError(
+                    "iteration %d: the bound %r has no significant digit: "
+                    "its %d terms reach %r" % (iteration, cur, n, parts))
             converged = True
             break
         prev = cur

@@ -199,12 +199,12 @@ def jain_index(x):
     x = [float(v) for v in x]
     if not x:
         raise ValueError("need at least one allocation")
-    if any(v < 0.0 for v in x):
-        raise ValueError("allocations must be non-negative")
     # left-to-right sums, which equal numpy's below 8 terms; sum() is not
     # used because from Python 3.12 it compensates float rounding
     total = total_sq = 0.0
     for v in x:
+        if v < 0.0:
+            raise ValueError("allocations must be non-negative")
         total += v
         total_sq += v * v
     if total_sq == 0.0:
@@ -231,12 +231,14 @@ _NO_EVENT = (math.inf, 0, None, None)
 class _AgentState:
     __slots__ = ("kind", "phase", "action", "counter", "remaining",
                  "epoch_start", "cum_reward", "last_share",
-                 "tx_start", "init_dur", "slot_us", "run_start", "run_q")
+                 "tx_start", "init_dur", "slot_us", "clear", "run_start",
+                 "run_q")
 
-    def __init__(self, kind, init_dur, slot_us):
+    def __init__(self, kind, init_dur, slot_us, clear):
         self.kind = kind
         self.init_dur = init_dur
         self.slot_us = slot_us
+        self.clear = clear  # per occupancy, P(a back-off slot is clear)
         self.phase = _WAIT_ACTION
         self.action = None
         self.counter = 0
@@ -262,12 +264,19 @@ class CoexistenceSimulator:
         cfg = self.config
         self.clock = 0
         self.rng = np.random.default_rng(cfg.seed)
-        self.agents = []
-        for n in range(cfg.agent_count):
-            kind = cfg.agent_kind(n)
-            timing = ((cfg.icca_us, cfg.ecca_slot_us) if kind == "lte"
-                      else (cfg.difs_us, cfg.wifi_slot_us))
-            self.agents.append(_AgentState(kind, *timing))
+        occupancies = range(cfg.agent_count + 1)
+        timing = {"lte": (cfg.icca_us, cfg.ecca_slot_us),
+                  "wifi": (cfg.difs_us, cfg.wifi_slot_us)}
+        clear = {kind: [slot_clear_probability(slot_us, cfg.pe, m)
+                        for m in occupancies]
+                 for kind, (_, slot_us) in timing.items()}
+        self.agents = [_AgentState(kind, *timing[kind], clear[kind])
+                       for kind in map(cfg.agent_kind, range(cfg.agent_count))]
+        # per occupancy, P(one per-us reading is busy)
+        self._busy = [1.0 - cfg.pe ** m for m in occupancies]
+        # sensing windows judged and, of them, failed (`_window_all_idle`
+        # and the retries of `_retry_sensing`)
+        self.windows_judged = self.windows_failed = 0
         # each agent's one live event, (time, seq, agent, kind), or _NO_EVENT
         self._events = [_NO_EVENT] * cfg.agent_count
         self._seq = 0
@@ -297,6 +306,8 @@ class CoexistenceSimulator:
         transmission start and end inside it, also where the count does not
         change (one transmission ends as another starts)."""
         steps = self._steps
+        if t0 >= steps[-1][0]:  # after the last start or end
+            return [(t1 - t0, steps[-1][1])]
         i = bisect.bisect(steps, (t0, math.inf)) - 1  # the step in effect
         segs = []
         start, m = t0, steps[i][1]
@@ -312,25 +323,29 @@ class CoexistenceSimulator:
 
     def _busy_readings(self, t0, t1):
         """Sampled count of busy per-us readings over [t0, t1)."""
-        pe = self.config.pe
+        # at pe == 0 every reading is busy; binomial(n, 1.0) would still draw
+        certain, p_busy = self.config.pe == 0.0, self._busy
+        binomial = self.rng.binomial
         busy = 0
         for length, m in self._segments(t0, t1):
             if m == 0:
                 continue
-            if pe == 0.0:
+            if certain:
                 busy += length
             else:
-                busy += int(self.rng.binomial(length, 1.0 - pe ** m))
+                busy += int(binomial(length, p_busy[m]))
         return busy
 
     def _window_all_idle(self, t0, t1):
         """Whether every per-us reading over [t0, t1) came back idle."""
         pe = self.config.pe
+        self.windows_judged += 1
         for length, m in self._segments(t0, t1):
             if m == 0:
                 continue
             p_all = (pe ** m) ** length
             if p_all == 0.0 or self.rng.random() >= p_all:
+                self.windows_failed += 1
                 return False
         return True
 
@@ -428,40 +443,10 @@ class CoexistenceSimulator:
 
     def _handle(self, time, agent, kind):
         """Run the agent's event `kind` at `time`; a `DecisionOutcome` when
-        it ends an access attempt, else None.
-
-        A failed sensing window is retried here, without a return to
-        `step_epoch`, for as long as the retry's next `idle_found` and
-        `initial_end` each come strictly before every other agent's live
-        event: `step_epoch` would run them next (on a tie the other event
-        goes first, having the smaller sequence number), and until then no
-        transmission starts or ends, so occupancy holds. Each retry makes
-        the draws of those two events, in their order.
-        """
+        it ends an access attempt, else None. A failed sensing window is
+        retried inline (`_retry_sensing`)."""
         st = self.agents[agent]
-        cfg = self.config
-        if kind == "initial_end":
-            horizon = min(self._events)[0]  # this agent's slot is empty
-            while not self._window_all_idle(time - st.init_dur, time):
-                st.phase = _WAIT_IDLE
-                self._schedule_wait_idle(agent, time)
-                time = self._events[agent][0]
-                if not time < horizon:
-                    return None
-                self.clock = time  # the idle_found
-                self._start_initial(agent, time)
-                time += st.init_dur
-                if not time < horizon:
-                    return None
-                self._events[agent] = _NO_EVENT  # the initial_end
-                self.clock = time
-            st.phase = _BACKOFF
-            st.counter = backoff_counter(st.action, self.rng, cfg.cw_set)
-            st.remaining = st.counter + 1
-            self._schedule_slot(agent, time)
-        elif kind == "idle_found":
-            self._start_initial(agent, time)
-        elif kind == "slot_end":
+        if kind == "slot_end":
             if st.run_q == 1.0:
                 st.remaining = 0
             elif st.run_q is not None \
@@ -471,8 +456,65 @@ class CoexistenceSimulator:
                 self._start_transmission(agent, time)
                 return None
             self._schedule_slot(agent, time)
+        elif kind == "initial_end":
+            if not self._window_all_idle(time - st.init_dur, time):
+                time = self._retry_sensing(agent, time)
+                if time is None:
+                    return None
+            st.phase = _BACKOFF
+            st.counter = backoff_counter(st.action, self.rng,
+                                         self.config.cw_set)
+            st.remaining = st.counter + 1
+            self._schedule_slot(agent, time)
         elif kind == "tx_end":
             return self._complete_transmission(agent, time)
+        elif kind == "idle_found":
+            self._start_initial(agent, time)
+        return None
+
+    def _retry_sensing(self, agent, time):
+        """Retry the agent's sensing window that failed at `time` without a
+        return to `step_epoch`: the end of the first retried window that is
+        idle, or None once a retry's next event is not strictly before every
+        other agent's live event; that event is then pushed.
+
+        `step_epoch` would run the retry's events next (on a tie the other
+        event goes first, having the smaller sequence number), and until
+        then no transmission starts or ends, so the occupancy m holds. A
+        cycle is an `idle_found` after a Geometric(pe**m) wait (1 us at
+        m == 0, no draw) and an `initial_end` whose window is idle with
+        probability (pe**m)**init_dur, one `rng.random()` unless that is 0.0
+        (certain at m == 0): the draws of `_schedule_wait_idle` and
+        `_window_all_idle`, in their order. At pe**m == 0.0 no reading is
+        idle, and the agent waits for the next change.
+        """
+        st = self.agents[agent]
+        horizon = min(self._events)[0]  # this agent's slot is empty
+        m = self._steps[-1][1]
+        p_idle = self.config.pe ** m
+        st.phase = _WAIT_IDLE
+        if p_idle == 0.0:
+            return None  # the slot stays empty
+        init_dur, p_all = st.init_dur, p_idle ** st.init_dur
+        geometric, uniform = self.rng.geometric, self.rng.random
+        judged = 0
+        while True:
+            idle = time + 1 if m == 0 else time + int(geometric(p_idle))
+            if not idle < horizon:
+                self._push(idle, agent, "idle_found")
+                break
+            time = idle + init_dur
+            if not time < horizon:
+                st.phase = _INITIAL
+                self._push(time, agent, "initial_end")
+                break
+            judged += 1
+            if m == 0 or (p_all != 0.0 and uniform() < p_all):
+                self.windows_judged += judged
+                self.windows_failed += judged - 1
+                return time
+        self.windows_judged += judged
+        self.windows_failed += judged
         return None
 
     def _schedule_slot(self, agent, start, exact=False):
@@ -482,8 +524,7 @@ class CoexistenceSimulator:
         an exact slot, one that straddles a change, is judged as it ends."""
         st = self.agents[agent]
         st.run_start = start
-        st.run_q = q = None if exact else slot_clear_probability(
-            st.slot_us, self.config.pe, self.occupancy)
+        st.run_q = q = None if exact else st.clear[self._steps[-1][1]]
         if q is None:
             slots = 1
         elif q == 1.0:
@@ -518,17 +559,18 @@ class CoexistenceSimulator:
         for agent, cw in sorted(actions.items()):
             self.submit_action(agent, cw)
         waiting = set(actions)
+        until_all = wait == "all"
         # only a completion ends an attempt, and one ends a wait="any" run
-        in_flight = any(st.phase != _WAIT_ACTION for st in self.agents)
-        outcomes = []
-        while ((wait == "all" and waiting)
-               or (wait == "any" and not outcomes and in_flight)):
-            time, _, agent, kind = min(self._events)
+        until_any = wait == "any" and any(st.phase != _WAIT_ACTION
+                                          for st in self.agents)
+        events, handle, outcomes = self._events, self._handle, []
+        while (until_all and waiting) or (until_any and not outcomes):
+            time, _, agent, kind = min(events)
             if agent is None:
                 raise RuntimeError("event queue drained with pending attempts")
-            self._events[agent] = _NO_EVENT
+            events[agent] = _NO_EVENT
             self.clock = time
-            out = self._handle(time, agent, kind)
+            out = handle(time, agent, kind)
             if out is not None:
                 outcomes.append(out)
                 waiting.discard(out.agent)

@@ -69,7 +69,9 @@ def _collect_episode(config, behavior, horizon, k, seed):
     n = config.agent_count
     nodes = [initial_node(behavior.policies[i], rng) for i in range(n)]
     tracks = [AgentTrack() for _ in range(n)]
-    while any(len(tr.actions) < horizon for tr in tracks):
+    # no agent acts past the horizon, so each outcome is one of these
+    remaining = n * horizon
+    while remaining:
         actions = {}
         for agent in sim.pending_agents():
             if len(tracks[agent].actions) >= horizon:
@@ -78,6 +80,7 @@ def _collect_episode(config, behavior, horizon, k, seed):
             actions[agent] = action
             tracks[agent].pi_behavior.append(prob)
         outcomes = sim.step_epoch(actions, wait="any")
+        remaining -= len(outcomes)
         for out in outcomes:
             tr = tracks[out.agent]
             pol = behavior.policies[out.agent]

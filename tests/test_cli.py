@@ -641,6 +641,21 @@ def test_learners_own_underflow_exits_3_naming_the_iteration(tmp_path,
                    "history has zero likelihood under the policy\n")
 
 
+def test_a_bound_lost_to_rounding_exits_3_naming_the_iteration(tmp_path,
+                                                               capsys):
+    # at theta = 1e100 the action rows' Dirichlet terms reach 1e104 and the
+    # bound, about 4e87, is rounding; the stop rule fires at iteration 6 on
+    # it, which is a numeric failure and no convergence
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text('{"theta": 1e100}')
+    assert main(["learn", "--episodes", STORED_BATCH, "--hyper", str(hyper),
+                 "--out", str(tmp_path / "run")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: iteration 6: the bound ")
+    assert " has no significant digit: its 3234 terms reach " in err
+
+
 def test_a_small_dirichlet_prior_learns_to_the_end(tmp_path, capsys):
     # theta = 0.01 makes one-node estimate entries whose product for some
     # visited step is below the smallest double; the learner adds their logs

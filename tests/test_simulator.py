@@ -14,7 +14,7 @@ from specshare.simulator import (CW_SET, MAX_TX_MS, CoexistenceSimulator,
                                  local_reward, slot_clear_probability)
 from specshare.trajectories import collect
 
-from . import stepping_reference
+from . import retry_reference, stepping_reference
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "data",
                               "stepping_reference.json")
@@ -374,36 +374,34 @@ class TestSlotSkipping:
 
     def test_events_per_decision(self, monkeypatch):
         # `_handle` runs the events `step_epoch` hands it and the sensing
-        # retries it runs inline; every idle_found (and every submitted
-        # action) starts a sensing window, and every initial_end judges one
-        handled, calls = collections.Counter(), collections.Counter()
+        # retries it runs inline; every sensing window but the first of each
+        # decision follows an idle_found, and every initial_end judges one
+        handled, sims = collections.Counter(), set()
+        original = CoexistenceSimulator._handle
 
-        def counting(name, original):
-            def wrapper(self, *args):
-                calls[name] += 1
-                if name == "_handle":
-                    handled[args[-1]] += 1
-                return original(self, *args)
-            return wrapper
+        def counting(self, time, agent, kind):
+            handled[kind] += 1
+            sims.add(self)
+            return original(self, time, agent, kind)
 
-        for name in ("_handle", "_start_initial", "_window_all_idle"):
-            monkeypatch.setattr(CoexistenceSimulator, name, counting(
-                name, getattr(CoexistenceSimulator, name)))
+        monkeypatch.setattr(CoexistenceSimulator, "_handle", counting)
         config = SimConfig(lte_count=2, wifi_count=2)
         episodes = collect(config, _uniform_behavior(config, 0.9), 1, 50,
                            seed=3)
         decisions = sum(len(tr.actions) for tr in episodes[0].agents)
         assert decisions == 200
+        (sim,) = sims
+        # every attempt ends, so its last window is its one that succeeded
+        assert sim.windows_failed == sim.windows_judged - decisions
         events = (handled["slot_end"] + handled["tx_end"]
-                  + calls["_start_initial"] - decisions
-                  + calls["_window_all_idle"])
+                  + sim.windows_judged - decisions + sim.windows_judged)
         # per-slot stepping took about 1,800 events per decision
         assert events / decisions < 60
         # the live events handled or run inline; a dropped or duplicated
         # event changes the count
         assert events == 5151
         # most failed windows are retried inline
-        assert calls["_handle"] == 1950
+        assert sum(handled.values()) == 1950
 
     @pytest.mark.parametrize("case", sorted(stepping_reference.DIST_CASES))
     def test_matches_per_slot_stepping_in_distribution(self, case):
@@ -426,3 +424,15 @@ class TestSlotSkipping:
                 if p < alpha:
                     failures.append((kind, name, p, table.tolist()))
         assert not failures
+
+
+class TestInlineRetries:
+    @pytest.mark.parametrize("case", sorted(retry_reference.CASES))
+    def test_match_retrying_one_window_at_a_time(self, case):
+        # the same draws in the same order: every outcome and window count
+        # is equal, not only equal in distribution
+        for seed in range(10):
+            fast = retry_reference.run(CoexistenceSimulator, case, seed, 200)
+            one_by_one = retry_reference.run(retry_reference.RetryReference,
+                                             case, seed, 200)
+            assert fast == one_by_one, (case, seed)
