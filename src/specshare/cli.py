@@ -7,15 +7,10 @@ failure.
 
 import argparse
 import csv
-import dataclasses
+import importlib
 import json
 import os
 import sys
-
-import numpy as np
-
-from . import fsc, learning, trajectories
-from .simulator import SimConfig
 
 # trace.csv has a column per `learning.ElboTrace` field, in field order, or
 # one per agent, "<name>_<agent>"; a field is named by its entry here or itself
@@ -29,9 +24,21 @@ _REPORT_FILES = [("elbo.csv", "elbo"), ("nodes.csv", "nodes_agent_"),
                  ("live.csv", "live_"), ("weights.csv", ("ess", "max_share"))]
 
 
+def __getattr__(name):
+    """`learning` and `trajectories`, imported on first use: perfbench's
+    tracer patches `learning.learn` and `trajectories.collect`, `save` and
+    `load` as attributes of this module. This can go once its spans name
+    those modules themselves (ROADMAP, direction 6)."""
+    if name in ("learning", "trajectories"):
+        return importlib.import_module("." + name, __package__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 def _uniform_behavior(config, epsilon):
     """Single-node uniform controller, one shared by every agent, for
     bootstrap collection."""
+    import numpy as np
+    from . import fsc, trajectories
     n_actions = len(config.cw_set)
     policy = fsc.FscPolicy(
         eta=np.array([1.0]), pi=np.full((1, n_actions), 1.0 / n_actions),
@@ -44,6 +51,7 @@ def _uniform_behavior(config, epsilon):
 def _load_config(path):
     """The config at `path`. Every episode is seeded from `--seed`, so a
     non-zero `seed` in the file would change nothing: ValueError."""
+    from .simulator import SimConfig
     config = SimConfig.load(path)
     if config.seed != 0:
         raise ValueError("%s: seed must be 0; episodes are seeded from "
@@ -52,6 +60,7 @@ def _load_config(path):
 
 
 def cmd_collect(args):
+    from . import fsc, trajectories
     config = _load_config(args.config)
     schedule = trajectories.SCHEDULES[args.epsilon_schedule]
     epsilon = schedule.epsilon(args.round)
@@ -71,6 +80,8 @@ def cmd_collect(args):
 
 
 def cmd_learn(args):
+    import dataclasses
+    from . import fsc, learning, trajectories
     episodes = trajectories.load(args.episodes)
     if args.hyper:
         with open(args.hyper) as fh:
@@ -107,6 +118,8 @@ def cmd_evaluate(args):
         print("usage: evaluate: rollout options (--%s) need --config"
               % ", --".join(rollout), file=sys.stderr)
         return 1
+    import numpy as np
+    from . import fsc, learning, trajectories
     policies = fsc.load_policies(args.policies)
     episodes = trajectories.load(args.episodes)
     config = _load_config(args.config) if args.config else None

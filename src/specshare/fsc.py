@@ -375,19 +375,19 @@ class KernelLayout:
     and `rate_of` is the concentration rate of each stick.
 
     With several live nodes in an agent, steps along a stick row read the
-    row through a padded block: `tail_grid`, of its live sticks, whose
-    reversed cumulative sums give the update's masses of heavier sticks,
-    and `grid`, of each live stick's gap and own E[ln(1 - u)] in turn,
-    whose cumulative sums give the point estimate's prefix sums (a stick
-    that is its agent's last node takes the rest, `not_last`) and the
-    rows' sums. With one live node per agent both are None: every row is
-    one gap and one stick. The point estimate pads every agent to
-    `n_lanes` live nodes with zeros (`eta_map`, `pi_map`, `omega_map`: the
-    buffer entry of each lane; `lane_node`, the node of each lane), and
-    at every layout the update scatters its masses through the same maps
-    read the other way (`learning._Kernel.index`). Every pad index is -1,
-    and every array it indexes ends in the value a pad reads. A layout is
-    built again only when a node leaves the kernel.
+    row through a padded block, `grid`, of each live stick's gap and own
+    E[ln(1 - u)] in turn (at `prefix_cell`), whose cumulative sums give
+    the point estimate's prefix sums (a stick that is its agent's last
+    node takes the rest, `not_last`) and the rows' sums; its even columns
+    hold the live sticks alone, whose reversed cumulative sums give the
+    update's masses of heavier sticks. With one live node per agent it is
+    None: every row is one gap and one stick. The point estimate pads
+    every agent to `n_lanes` live nodes with zeros (`eta_map`, `pi_map`,
+    `omega_map`: the buffer entry of each lane; `lane_node`, the node of
+    each lane), and at every layout the update scatters its masses
+    through the same maps read the other way (`learning._Kernel.index`).
+    Every pad index is -1, and every array it indexes ends in the value a
+    pad reads. A layout is built again only when a node leaves the kernel.
 
     One map links the layout to the states' stick rows laid out flat,
     agent after agent: the eta row, then one omega row per node and kept
@@ -474,16 +474,10 @@ class KernelLayout:
         self.row_len = per_rate(z, z[self.agent_of_node[self.row_node], None],
                                 int)
         self.trail_weight = per_rate(trail, row_trail[:, None] * self.counts)
-        self.grid = self.tail_grid = None
+        self.grid = None
         if lanes > 1:
             # each stick's place along its row: its live node's lane
             row, at = self.rate_of, per_stick(lane, lane[dest, None], int)
-            # a row's live sticks, -1 past its length; reversed, a row's
-            # cumulative masses at column lanes - 1 - j are those of its
-            # sticks from j on
-            self.tail_grid = np.full((self.n_rows, lanes), -1)
-            self.tail_grid.reshape(-1)[row * lanes + at] = np.arange(f)
-            self.tail_cell = row * lanes + lanes - 1 - at
             # [gap_0, stick_0, gap_1, stick_1, ...] in `log_rest`: the
             # cumulative sum at a gap is the prefix of the stick after it
             self.grid = np.full((self.n_rows, 2 * lanes), -1)

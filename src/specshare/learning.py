@@ -164,10 +164,10 @@ class _Kernel:
     the states through the layout's map (`stick_at`). Given a batch, the
     kernel holds it and `index`, the entry of `x` each of the update's
     `masses` adds to (a pad's, one past the sticks and phi, is read by
-    nothing); at one live node per agent `step_index` is its (2, N, K,
-    t+1) view (`_log_factors`), which is otherwise None. Rates, `lam` and
-    both concentrations keep their buffers' order, so an iteration reaches
-    each block, the dropped rows' too, through views.
+    nothing); at one live node per agent it reshapes to (2, N, K, t+1)
+    (`_log_factors`). Rates, `lam` and both concentrations keep their
+    buffers' order, so an iteration reaches each block, the dropped rows'
+    too, through views.
 
     `_allocate` builds the workspace whenever the layout changes: `index`,
     `masses` and its (occ, pair) views (`mass_views`); `terms`, the
@@ -262,7 +262,6 @@ class _Kernel:
         self.bound_const = self.run_const + float(lam_w.sum()) \
             + n_held * (math.lgamma(n_actions * theta)
                         - n_actions * math.lgamma(theta))
-        self.step_index = None
         if self.batch is not None:
             # the point estimate's maps at every step, laid out as the
             # masses (`_mass_views`): eta at the first step's destination
@@ -280,8 +279,6 @@ class _Kernel:
             self.mass_views = _mass_views(self.masses,
                                           actions.shape + (lanes,))
             self.node_bins = lay.lane_node.ravel() + 1
-            if lanes == 1:  # (2, N, K, t+1): each step's log factors
-                self.step_index = self.index.reshape((2,) + actions.shape)
 
     def gather_conc(self):
         """Set `rate_conc` and `conc` from the rates."""
@@ -406,8 +403,9 @@ def _log_prefix(batch, policies):
     A learner `_Kernel` stands for its point estimate, and at one live node
     per agent gives `_log_factors` and no pass (None)."""
     if isinstance(policies, _Kernel):
-        if policies.step_index is not None:
-            return _log_factors(policies.psi.logs, policies.step_index), None
+        if policies.layout.n_lanes == 1:
+            index = policies.index.reshape((2,) + batch.actions.shape)
+            return _log_factors(policies.psi.logs, index), None
         policies = point_estimate(policies, policies.psi)
     fwd = forward_pass(stack_policies(policies), batch.actions, batch.obs_bins)
     return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
@@ -603,7 +601,7 @@ def _update_agent(kernel, rw):
         to_go = rw.nu[:, ::-1].cumsum(axis=1)[:, ::-1]
         # nu >= 0, so a row's first sum is finite only if all of it is
         _check_finite(to_go[:, 0], "node sweep")
-        kernel.masses.reshape(kernel.step_index.shape)[...] = to_go
+        kernel.masses.reshape((2,) + kernel.batch.actions.shape)[...] = to_go
     f, v, conc = lay.n_sticks, kernel.sticks, kernel.conc
     # each stick's and phi entry's mass, then the bin the pads add to and
     # a 0 that the grid's pads read
@@ -612,8 +610,8 @@ def _update_agent(kernel, rw):
     if lay.n_lanes > 1:
         # the mass of the heavier sticks of its row: lam and mu add it to
         # the concentration's mean
-        heavier = mass[lay.tail_grid][:, ::-1].cumsum(axis=1).ravel()[
-            lay.tail_cell]
+        heavier = mass[lay.grid[:, ::2]][:, ::-1].cumsum(axis=1)[
+            :, ::-1].ravel()[lay.prefix_cell // 2]
         tail = heavier - mass[:f]
         tail /= k
         np.add(conc, tail, out=v.second)

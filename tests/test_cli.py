@@ -525,6 +525,15 @@ def test_report_rejects_a_row_shorter_than_the_header(tmp_path, capsys):
     assert err == "error: trace file line 2 has 2 values for 3 columns\n"
 
 
+def test_report_rejects_a_trace_with_a_header_only(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "trace.csv").write_text("iteration,elbo,discounted_value\n")
+    assert main(["report", "--trace-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: trace file has no iterations\n"
+    assert os.listdir(out_dir) == ["trace.csv"]
+
+
 def test_report_rejects_a_trace_without_an_iteration_column(tmp_path,
                                                              capsys):
     out_dir = tmp_path / "run"

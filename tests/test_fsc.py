@@ -8,10 +8,11 @@ import scipy.stats
 from specshare.batch import EpisodeBatch
 from specshare.distributions import digamma
 from specshare.fsc import (FscPolicy, PointEstimate, cumulative_rows, draw,
-                           history_likelihood, init_from_episodes, initial_node,
+                           forward_pass, history_likelihood,
+                           init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
                            observation_bins, point_estimate, prune,
-                           transition_node)
+                           stack_policies, transition_node)
 from specshare.simulator import AgentTrack, Episode
 from specshare.trajectories import BehaviorPolicy, behavior_action
 from tests.learner_reference import stick_log_expectations
@@ -255,6 +256,15 @@ class TestHistoryLikelihood:
         with pytest.raises(ValueError):
             history_likelihood(pol, [0, 1], [0, 1])
 
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 3)])
+    def test_stacked_policy_needs_one_action_block_per_agent(self, shape):
+        rng = np.random.default_rng(15)
+        stacked = stack_policies([random_policy(rng), random_policy(rng)])
+        aidx = rng.integers(0, 3, size=shape)
+        obins = rng.integers(0, 4, size=shape[:-1] + (shape[-1] - 1,))
+        with pytest.raises(ValueError, match="stacked policy needs"):
+            forward_pass(stacked, aidx, obins)
+
 
 class TestPointEstimate:
     def test_single_node_stick_is_one(self):
@@ -307,6 +317,29 @@ class TestPrune:
     def test_threshold_arithmetic(self):
         reduced, kept = prune(self.make_policy(3), [0.9, 0.09, 0.01], 0.05)
         assert kept == [0, 1] and reduced.node_count == 2
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5])
+    def test_epsilon_outside_the_open_unit_interval(self, epsilon):
+        with pytest.raises(ValueError, match="mass_epsilon"):
+            prune(self.make_policy(3), [1.0, 1.0, 1.0], epsilon)
+
+    @pytest.mark.parametrize("occupancy", [[1.0, 1.0], [1.0] * 4])
+    def test_one_occupancy_per_node(self, occupancy):
+        with pytest.raises(ValueError, match="one entry per node"):
+            prune(self.make_policy(3), occupancy, 0.05)
+
+    def test_no_mass_keeps_the_likeliest_start(self):
+        pol = self.make_policy(3)
+        pol = FscPolicy(eta=np.array([0.2, 0.5, 0.3]), pi=pol.pi,
+                        omega=pol.omega, action_set=pol.action_set,
+                        n_obs_bins=pol.n_obs_bins)
+        reduced, kept = prune(pol, [0.0, 0.0, 0.0], 0.05)
+        assert kept == [1] and reduced.eta.tolist() == [1.0]
+
+    def test_none_above_the_threshold_keeps_the_heaviest(self):
+        # each node holds about a third of the mass, below half of it
+        reduced, kept = prune(self.make_policy(3), [1.0, 1.2, 1.1], 0.5)
+        assert kept == [1] and reduced.node_count == 1
 
     def test_rows_renormalized(self):
         reduced, _ = prune(self.make_policy(3), [0.9, 0.09, 0.01], 0.05)

@@ -820,12 +820,9 @@ def reference_layout(z, live, columns, n_actions, n_obs):
     ref["omega_map"] = ref["omega_map"].reshape(n_agents, lanes, n_actions,
                                                 n_obs, lanes)
     if lanes > 1:
-        ref["tail_grid"] = np.full((ref["n_rows"], lanes), -1)
         ref["grid"] = np.full((ref["n_rows"], 2 * lanes), -1)
         for j, (row, at, _, _) in enumerate(places):
-            ref["tail_grid"][row, at] = j
             ref["grid"][row, 2 * at:2 * at + 2] = j, f + j
-            ref["tail_cell"].append(row * lanes + lanes - 1 - at)
             ref["prefix_cell"].append(row * 2 * lanes + 2 * at)
     return ref
 
@@ -849,7 +846,7 @@ class TestLiveOnlyKernel:
         lay = KernelLayout(z, live, columns, n_actions, n_obs)
         ref = reference_layout(z, live, columns, n_actions, n_obs)
         if lay.n_lanes == 1:
-            assert lay.grid is None and lay.tail_grid is None
+            assert lay.grid is None
         for name, want in ref.items():
             assert np.array_equal(getattr(lay, name), want), name
 

@@ -167,6 +167,13 @@ class TestStoredObsBins:
         assert EpisodeBatch(eps, [ACTIONS], 13).obs_bins[0].tolist() \
             == [[5, 7, 7]]
 
+    def test_a_fractional_wait_is_refused(self):
+        # a float wait whose bin is right still fails the integer check
+        ep = make_episode(0, [15] * 4, self.WAITS, [0.5] * 4, [0, 1, 2, 3])
+        ep.agents[0].obs_us = [float(us) for us in self.WAITS]
+        with pytest.raises(ValueError, match="obs_us values must be integers"):
+            EpisodeBatch([ep], [ACTIONS], 13)
+
     @pytest.mark.parametrize("step, stored", [(0, 4), (1, 6), (2, 6),
                                               (3, 3), (3, 7)])
     def test_a_bin_off_its_wait_is_refused(self, step, stored):
@@ -202,6 +209,14 @@ class TestEmpiricalValue:
         v1 = empirical_value([ep], [pol], behavior=[beh], r_min=0.0)
         v2 = empirical_value([ep, ep], [pol], behavior=[beh], r_min=0.0)
         assert abs(v1 - v2) < 1e-12
+
+    def test_behavior_with_other_action_sets_rejected(self):
+        rng = np.random.default_rng(10)
+        pol = random_policy(rng, z=2, n_obs=8)
+        other = random_policy(rng, z=2, n_obs=8, action_set=(15, 31, 127))
+        ep = make_episode(0, [15, 31], [50, 60], [0.5, 0.5], [0, 1])
+        with pytest.raises(ValueError, match="behavior policies must match"):
+            empirical_value([ep], [pol], behavior=[other])
 
     def test_stored_probabilities_denominator(self):
         rng = np.random.default_rng(9)

@@ -151,6 +151,13 @@ class TestStepEpoch:
         with pytest.raises(ValueError):
             sim.step_epoch({0: 14})
 
+    def test_rejects_an_action_for_an_agent_not_waiting(self):
+        sim = CoexistenceSimulator(single_wifi())
+        sim.submit_action(0, 15)
+        assert sim.pending_agents() == []
+        with pytest.raises(ValueError, match="agent 0 is not awaiting"):
+            sim.submit_action(0, 15)
+
     def test_payload_bounded_by_channel_rate(self):
         sim = CoexistenceSimulator(
             SimConfig(lte_count=2, wifi_count=2, pe=0.05, seed=3))

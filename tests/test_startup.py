@@ -1,5 +1,7 @@
-"""Start-up cost: only the learner's special functions need scipy, and
-they need only its compiled ufuncs.
+"""Start-up cost: each command imports only what it runs, so `report` and
+a bare `import specshare.cli` load no numpy and `collect` no learner;
+only the learner's special functions need scipy, and they need only its
+compiled ufuncs.
 
 `specshare.distributions` loads scipy on the first digamma or gammaln call:
 `scipy.special._ufuncs` alone, under a stand-in for the `scipy.special`
@@ -27,18 +29,28 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 RUN_CLI = "from specshare.cli import main\nassert main(sys.argv[1:]) == 0"
 
 
-def scipy_modules_after(statement, argv=()):
-    """The scipy modules loaded after `statement` runs in a fresh
+def modules_after(statement, argv=()):
+    """The names of the modules loaded after `statement` runs in a fresh
     interpreter with `argv` as its arguments."""
     script = ("import json, sys\n" + statement + "\n"
-              "print(json.dumps(sorted(m for m in sys.modules\n"
-              "                        if m.split('.')[0] == 'scipy')))")
+              "print(json.dumps(sorted(sys.modules)))")
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def under(package, modules):
+    """The modules of `package` among `modules`."""
+    return [m for m in modules if m.split(".")[0] == package]
+
+
+def scipy_modules_after(statement, argv=()):
+    """The scipy modules loaded after `statement` runs in a fresh
+    interpreter with `argv` as its arguments."""
+    return under("scipy", modules_after(statement, argv))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +91,31 @@ def test_evaluate_leaves_scipy_out(run_dir):
 def test_report_leaves_scipy_out(run_dir):
     assert scipy_modules_after(
         RUN_CLI, ["report", "--trace-dir", str(run_dir / "run")]) == []
+
+
+@pytest.mark.parametrize("statement", ["import specshare",
+                                       "import specshare.cli"])
+def test_import_leaves_numpy_out(statement):
+    loaded = modules_after(statement)
+    assert statement.split()[1] in loaded and under("numpy", loaded) == []
+
+
+def test_report_leaves_numpy_out(run_dir):
+    loaded = modules_after(
+        RUN_CLI, ["report", "--trace-dir", str(run_dir / "run")])
+    assert under("numpy", loaded) == []
+
+
+@pytest.mark.parametrize("policies", [False, True])
+def test_collect_leaves_the_learner_out(run_dir, policies):
+    argv = ["collect", "--config", str(run_dir / "config.json"),
+            "--out", str(run_dir / "fresh.jsonl"), "--k", "2", "--t", "4"]
+    if policies:
+        argv += ["--policies", str(run_dir / "run" / "policies.json")]
+    loaded = modules_after(RUN_CLI, argv)
+    assert "specshare.trajectories" in loaded
+    assert {"specshare.learning", "specshare.batch"} & set(loaded) == set()
+    assert under("scipy", loaded) == []
 
 
 def test_learn_loads_scipy(run_dir):

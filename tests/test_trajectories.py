@@ -33,6 +33,17 @@ class TestEpsilonSchedule:
         assert sched.epsilon(100) == pytest.approx(0.5)
         assert sched.epsilon(-3) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_one_round_or_none_stays_at_the_start(self, rounds):
+        sched = EpsilonSchedule(0.9, 0.5, rounds)
+        assert [sched.epsilon(i) for i in (-1, 0, 1, 7)] == [0.9] * 4
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan")])
+def test_behavior_epsilon_outside_unit_interval_rejected(epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        make_behavior(epsilon=epsilon)
+
 
 class TestBehaviorAction:
     def test_full_exploration_uniform(self):
@@ -108,6 +119,14 @@ class TestSaveLoad:
         eps = collect(CFG, make_behavior(), 3, 6, seed=8)
         path = tmp_path / "eps.jsonl"
         save(eps, path)
+        assert load(path) == eps
+
+    def test_blank_lines_skipped(self, tmp_path):
+        eps = collect(CFG, make_behavior(), 2, 4, seed=9)
+        path = tmp_path / "eps.jsonl"
+        save(eps, path)
+        first, second = path.read_text().splitlines()
+        path.write_text("\n" + first + "\n  \n\n" + second + "\n\n")
         assert load(path) == eps
 
     def test_empty_file_rejected(self, tmp_path):

@@ -30,8 +30,9 @@ to a `<command>.txt` file beside its outputs. `--compare OLD` then lists
 the files that differ from, or are missing in, an earlier run's DIR, and
 the largest relative difference per column of a differing CSV file,
 trace.csv or one that `report` writes from it (and both row counts if
-they differ), per policy field of a differing policies.json and per track
-field and episode rewards of a differing episode .jsonl.
+they differ, and each row that is not one number per column), per policy
+field of a differing policies.json and per track field and episode
+rewards of a differing episode .jsonl.
 
 Hashes depend on the Python, numpy and BLAS builds, so compare only runs
 made in one environment. Exits 1 if a command exits nonzero, else 0.
@@ -194,20 +195,30 @@ def gap_lines(gaps):
 
 def column_gaps(new_path, old_path):
     """Both row counts of two CSV files of numbers under a header row
-    (trace.csv and the report files) if they differ, then the largest
-    relative difference per column, over the rows and columns both
-    hold."""
-    tables, counts = [], []
-    for path in (new_path, old_path):
+    (trace.csv and the report files) if they differ, each row that is not
+    one number per column, then the largest relative difference per
+    column, over the rows and columns both hold. A row that is not
+    numbers reads as NaN in every column, a difference wherever it is."""
+    tables, counts, bad = [], [], []
+    for side, path in (("new", new_path), ("old", old_path)):
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         counts.append(len(rows))
-        tables.append({name: [float(row[i]) for row in rows]
-                       for i, name in enumerate(header)})
+        numbers = []
+        for line, row in enumerate(rows, 2):
+            try:
+                numbers.append([float(value) for value in row])
+            except ValueError:
+                numbers.append([])
+            if len(numbers[-1]) != len(header):
+                bad.append("%s line %d is not %d numbers: %s"
+                           % (side, line, len(header), ",".join(row)))
+                numbers[-1] = [math.nan] * len(header)
+        tables.append(dict(zip(header, zip(*numbers))))
     new, old = tables
     rows = ["rows: %d new, %d old" % tuple(counts)] \
         if counts[0] != counts[1] else []
-    return rows + gap_lines({
+    return rows + bad + gap_lines({
         name: max(map(relative_gap, new[name], old[name]), default=0.0)
         for name in new.keys() & old.keys()})
 

@@ -15,6 +15,10 @@ workload's batches by seed (`LEARNER_SETS`; with --held-out, only its
 held-out batch) and `LEARN_ARGS`. collect-paper runs single `collect`
 commands on perfbench/data/paper.json (`collect_args`), the i-th with the
 episode seed `collect_seed(1, i)`, as a run.py run of seed 1 does.
+report runs `report --trace-dir` on a run directory that each side first
+writes, untimed and in a new process, with `learn` and `LEARN_ARGS` on
+learn-small batch_1 (with --held-out, its held-out batch); each side
+has its own directory, the worker's or the children's working directory.
 Commands alternate between the two workers, the side that goes first
 swapping at every pair, so both see the same host load. Each worker runs
 one warm-up command first.
@@ -46,31 +50,41 @@ PERFBENCH = os.path.join(CHECKOUT, "perfbench")
 
 
 def commands(workload, held_out, out):
-    """The warm-up argv and a function of i giving the i-th command's argv,
-    writing under `out`, and the inputs they read."""
+    """The argv that each side runs once before the others, untimed (None
+    if none), the warm-up argv and a function of i giving the i-th
+    command's argv, writing under `out` or, on a relative path, in the
+    side's own directory, and the inputs they read."""
     sys.path.insert(0, PERFBENCH)
     import workloads
     if workload == "collect-paper":
         config = os.path.join(PERFBENCH, "data", "paper.json")
         path = os.path.join(out, "collect.jsonl")
-        return (workloads.collect_args(config, path, 1, t=2),
+        return (None, workloads.collect_args(config, path, 1, t=2),
                 lambda i: workloads.collect_args(
                     config, path, workloads.collect_seed(1, i)), [config])
-    spec = workloads.LEARNER_SETS[workload]
+    learner = "learn-small" if workload == "report" else workload
+    spec = workloads.LEARNER_SETS[learner]
     seeds = [spec["held_out"]] if held_out else spec["seeds"]
     with open(os.path.join(PERFBENCH, "data", "inputs.json")) as fh:
-        files = {b["seed"]: b["file"] for b in json.load(fh)[workload]}
+        files = {b["seed"]: b["file"] for b in json.load(fh)[learner]}
     paths = [os.path.join(PERFBENCH, files[s]) for s in seeds]
+    if workload == "report":
+        report = ["report", "--trace-dir", "learn"]
+        return (["learn", "--episodes", paths[0], "--out", "learn"]
+                + workloads.LEARN_ARGS, report, lambda i: report, paths[:1])
     run = os.path.join(out, "learn")
-    return (["learn", "--episodes", paths[0], "--out", run, "--max-iters",
-             "2"],
+    return (None, ["learn", "--episodes", paths[0], "--out", run,
+                   "--max-iters", "2"],
             lambda i: ["learn", "--episodes", paths[i % len(paths)], "--out",
                        run] + workloads.LEARN_ARGS, paths)
 
 
-def remove_output(argv):
-    """Delete what the command of argv wrote to its --out path."""
-    out = argv[argv.index("--out") + 1]
+def remove_output(argv, cwd=""):
+    """Delete what the command of argv, run in `cwd`, wrote to its --out
+    path, if it has one."""
+    if "--out" not in argv:
+        return
+    out = os.path.join(cwd, argv[argv.index("--out") + 1])
     if os.path.isdir(out):
         shutil.rmtree(out)
     elif os.path.exists(out):
@@ -110,24 +124,32 @@ def fresh(repo, argv, cwd):
     _, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    remove_output(argv)
     return proc.returncode, elapsed, usage.ru_maxrss / 1024.0  # KiB on Linux
 
 
 class Side:
-    """One checkout, its worker process unless each command runs fresh
-    (in `cwd`), and the seconds (and fresh peak RSS) of its commands."""
+    """One checkout, its own working directory `cwd` (made here), its
+    worker process unless each command runs fresh, and the seconds (and
+    fresh peak RSS) of its commands."""
 
-    def __init__(self, repo, cwd=None):
-        self.repo, self.cwd = repo, cwd
-        self.proc = None if cwd else subprocess.Popen(
+    def __init__(self, repo, cwd, fresh):
+        self.repo, self.cwd, self.fresh = repo, cwd, fresh
+        os.makedirs(cwd)
+        self.proc = None if fresh else subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--worker", repo],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            cwd=cwd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True)
         self.seconds, self.rss_mb = [], []
 
+    def set_up(self, argv):
+        """Run argv once in a new process, keeping what it writes."""
+        if fresh(self.repo, argv, self.cwd)[0]:
+            raise SystemExit("%s: %s failed" % (self.repo, argv))
+
     def run(self, argv):
-        if self.cwd:
+        if self.fresh:
             code, elapsed, rss = fresh(self.repo, argv, self.cwd)
+            remove_output(argv, self.cwd)
             self.rss_mb.append(rss)
         else:
             self.proc.stdin.write(json.dumps(argv) + "\n")
@@ -158,12 +180,12 @@ def main(argv=None):
     parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
     parser.add_argument("--repo", help="the other checkout (the parent)")
     parser.add_argument("--workload", choices=("learn-small", "learn-paper",
-                                               "collect-paper"))
+                                               "collect-paper", "report"))
     parser.add_argument("--commands", type=int, default=100,
                         help="commands per side")
     parser.add_argument("--held-out", action="store_true",
                         help="learn-*: run only the workload's held-out "
-                             "batch")
+                             "batch; report: learn on learn-small's")
     parser.add_argument("--fresh", action="store_true",
                         help="run every command as a new process")
     args = parser.parse_args(argv)
@@ -173,11 +195,15 @@ def main(argv=None):
     if not (args.repo and args.workload and args.commands >= 2):
         parser.error("need --repo, --workload and --commands >= 2")
     out = tempfile.mkdtemp(prefix="pairs-")
-    warm_up, command, paths = commands(args.workload, args.held_out, out)
-    cwd = out if args.fresh else None
-    parent, change = Side(os.path.abspath(args.repo), cwd), Side(CHECKOUT, cwd)
+    set_up, warm_up, command, paths = commands(args.workload, args.held_out,
+                                               out)
+    parent, change = (Side(repo, os.path.join(out, name), args.fresh)
+                      for name, repo in (("parent", os.path.abspath(args.repo)),
+                                         ("change", CHECKOUT)))
     try:
         for side in (parent, change):
+            if set_up:
+                side.set_up(set_up)
             side.run(warm_up)
             side.rss_mb.clear()
         for i in range(args.commands):
