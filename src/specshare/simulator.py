@@ -1,5 +1,6 @@
 """Event-driven microsecond simulator of LTE-LAA and Wi-Fi agents
-contending for a single 20 MHz unlicensed channel.
+contending for a single 20 MHz unlicensed channel: the channel model and
+its per-decision outcomes only (the episode record is in `trajectories`).
 
 Agents follow listen-before-talk: an initial sensing window (DIFS for Wi-Fi,
 ICCA for LTE), then slotted back-off sensing with a counter drawn uniformly
@@ -147,23 +148,6 @@ class DecisionOutcome:
     jain: float
     local_cumulative_reward: float
     completed_at_us: int
-
-
-@dataclass
-class AgentTrack:
-    """Per-agent record of one episode."""
-    actions: list = field(default_factory=list)
-    obs_us: list = field(default_factory=list)
-    obs_bin: list = field(default_factory=list)
-    pi_behavior: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)  # cumulative, rounded
-
-
-@dataclass
-class Episode:
-    k: int
-    agents: list
-    rewards: list  # global cumulative reward per epoch index
 
 
 def backoff_counter(cw, rng, cw_set=CW_SET):

@@ -1,21 +1,38 @@
-"""Behavior-policy trajectory collection and episode persistence.
-
-Episodes are collected off-policy with an epsilon-greedy mixture over a
-proper controller; the exact mixture probability of every taken action is
-stored alongside it so importance ratios stay finite downstream.
+"""The episode record (`Episode`, one `AgentTrack` per agent), its JSON-lines
+file format (`save`, `load`) and epsilon-greedy collection over a proper
+controller (`collect`), the only part that runs, and so imports, the channel
+simulator. The exact mixture probability of every taken action is stored
+with it, so importance ratios stay finite downstream.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .distributions import is_number, is_number_list
 from .fsc import draw, initial_node, observation_bin, transition_node
-from .simulator import AgentTrack, CoexistenceSimulator, Episode
+
+
+@dataclass
+class AgentTrack:
+    """Per-agent record of one episode."""
+    actions: list = field(default_factory=list)
+    obs_us: list = field(default_factory=list)
+    obs_bin: list = field(default_factory=list)
+    pi_behavior: list = field(default_factory=list)
+    rewards: list = field(default_factory=list)  # cumulative, rounded
+
+
+@dataclass
+class Episode:
+    k: int
+    agents: list
+    rewards: list  # global cumulative reward per epoch index
+
 
 SCHEMA = "specshare-episodes-v1"
-TRACK_FIELDS = ("actions", "obs_us", "obs_bin", "pi_behavior", "rewards")
+TRACK_FIELDS = tuple(f.name for f in fields(AgentTrack))
 
 
 @dataclass
@@ -64,6 +81,7 @@ def behavior_action(behavior, agent, node, rng):
 
 
 def _collect_episode(config, behavior, horizon, k, seed):
+    from .simulator import CoexistenceSimulator
     rng = np.random.default_rng(seed)
     sim = CoexistenceSimulator(replace(config, seed=int(rng.integers(2 ** 31))))
     n = config.agent_count
@@ -120,14 +138,12 @@ def collect(config, behavior, k_episodes, horizon, seed=0):
 
 
 def save(episodes, path):
-    """Write a batch as JSON lines, one episode per line."""
+    """Write a batch as JSON lines, one episode per line; a track's fields
+    keep `AgentTrack`'s order, as its instance dict does."""
     with open(path, "w") as fh:
         for ep in episodes:
-            agents = [{name: getattr(tr, name) for name in TRACK_FIELDS}
-                      for tr in ep.agents]
-            fh.write(json.dumps({"schema": SCHEMA, "k": ep.k,
-                                 "agents": agents, "rewards": ep.rewards})
-                     + "\n")
+            fh.write(json.dumps({"schema": SCHEMA, "k": ep.k, "agents": [
+                vars(tr) for tr in ep.agents], "rewards": ep.rewards}) + "\n")
 
 
 def load(path):
@@ -165,8 +181,8 @@ def _episode(record):
     if not (isinstance(agents, list) and agents
             and all(isinstance(a, dict) for a in agents)):
         raise ValueError("agents must be a non-empty list of objects")
-    fields = [(name, a.get(name)) for a in agents for name in TRACK_FIELDS]
-    for name, value in fields + [("rewards", record.get("rewards"))]:
+    tracks = [(name, a.get(name)) for a in agents for name in TRACK_FIELDS]
+    for name, value in tracks + [("rewards", record.get("rewards"))]:
         count = name in ("actions", "obs_us", "obs_bin")
         if not is_number_list(value, count):
             raise ValueError("%s must be a list of %s"

@@ -13,8 +13,8 @@ from specshare.fsc import (FscPolicy, PointEstimate, cumulative_rows, draw,
                            log_history_likelihoods, observation_bin,
                            observation_bins, point_estimate, prune,
                            stack_policies, transition_node)
-from specshare.simulator import AgentTrack, Episode
-from specshare.trajectories import BehaviorPolicy, behavior_action
+from specshare.trajectories import (AgentTrack, BehaviorPolicy, Episode,
+                                    behavior_action)
 from tests.learner_reference import stick_log_expectations
 
 ACTIONS = (15, 31, 63)

@@ -27,7 +27,7 @@ from specshare.learning import (Hyperparams, ReweightedRewards,
                                 VariationalState, _Kernel, _sweep,
                                 _update_agent, discounted_rewards, elbo,
                                 learn, reward_bounds, reweighted)
-from specshare.simulator import Episode
+from specshare.trajectories import Episode
 from tests.learner_reference import reference_elbo, reference_rates
 from tests.sweep_reference import multi_endpoint_sweep
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy

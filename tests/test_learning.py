@@ -15,7 +15,7 @@ from specshare.learning import (Hyperparams, VariationalState, _Kernel,
                                 _sweep, _update_agent, discounted_rewards,
                                 elbo, empirical_value, learn, mean_policy,
                                 node_marginals, reward_bounds, reweighted)
-from specshare.simulator import AgentTrack, Episode
+from specshare.trajectories import AgentTrack, Episode
 from tests.learner_reference import backward_messages, forward_messages
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
 

@@ -1,7 +1,8 @@
 """Start-up cost: each command imports only what it runs, so `report` and
-a bare `import specshare.cli` load no numpy and `collect` no learner;
-only the learner's special functions need scipy, and they need only its
-compiled ufuncs.
+a bare `import specshare.cli` load no numpy, `collect` no learner, and
+`learn` and `evaluate` without `--config` no channel simulator; only the
+learner's special functions need scipy, and they need only its compiled
+ufuncs.
 
 `specshare.distributions` loads scipy on the first digamma or gammaln call:
 `scipy.special._ufuncs` alone, under a stand-in for the `scipy.special`
@@ -116,6 +117,35 @@ def test_collect_leaves_the_learner_out(run_dir, policies):
     assert "specshare.trajectories" in loaded
     assert {"specshare.learning", "specshare.batch"} & set(loaded) == set()
     assert under("scipy", loaded) == []
+
+
+def command_argv(run_dir, command):
+    """The argv of `command` on the fixture files: `learn` and `evaluate`
+    read the stored batch only, `collect` and `evaluate_config` (evaluate
+    with --config) simulate."""
+    evaluate = ["evaluate", "--policies", str(run_dir / "run" / "policies.json"),
+                "--episodes", str(run_dir / "episodes.jsonl")]
+    rollouts = ["--config", str(run_dir / "config.json"), "--k", "2",
+                "--t", "4"]
+    return {"learn": ["learn", "--episodes", str(run_dir / "episodes.jsonl"),
+                      "--out", str(run_dir / "relearn"), "--max-iters", "2"],
+            "evaluate": evaluate,
+            "collect": ["collect", "--out", str(run_dir / "fresh.jsonl")]
+            + rollouts,
+            "evaluate_config": evaluate + rollouts}[command]
+
+
+@pytest.mark.parametrize("command", ["learn", "evaluate"])
+def test_stored_batch_commands_leave_the_simulator_out(run_dir, command):
+    loaded = modules_after(RUN_CLI, command_argv(run_dir, command))
+    assert "specshare.trajectories" in loaded
+    assert "specshare.simulator" not in loaded
+
+
+@pytest.mark.parametrize("command", ["collect", "evaluate_config"])
+def test_simulating_commands_load_the_simulator(run_dir, command):
+    loaded = modules_after(RUN_CLI, command_argv(run_dir, command))
+    assert "specshare.simulator" in loaded
 
 
 def test_learn_loads_scipy(run_dir):

@@ -32,10 +32,12 @@ the largest relative difference per column of a differing CSV file,
 trace.csv or one that `report` writes from it (and both row counts if
 they differ, and each row that is not one number per column), per policy
 field of a differing policies.json and per track field and episode
-rewards of a differing episode .jsonl.
+rewards of a differing episode .jsonl (and each episode line, or
+policies.json, that does not parse or lacks a list the comparison reads).
 
 Hashes depend on the Python, numpy and BLAS builds, so compare only runs
-made in one environment. Exits 1 if a command exits nonzero, else 0.
+made in one environment. Exits 2, before any command runs, if OLD is
+not a directory, else 1 if a command exits nonzero, else 0.
 """
 
 import argparse
@@ -183,8 +185,11 @@ def hashes(root):
 def relative_gap(new, old):
     if new == old:
         return 0.0
-    return abs(new - old) / abs(old) if old and math.isfinite(new - old) \
-        else math.inf
+    try:
+        gap = new - old
+    except TypeError:  # a JSON leaf that is not a number
+        return math.inf
+    return abs(gap) / abs(old) if old and math.isfinite(gap) else math.inf
 
 
 def gap_lines(gaps):
@@ -202,7 +207,7 @@ def column_gaps(new_path, old_path):
     tables, counts, bad = [], [], []
     for side, path in (("new", new_path), ("old", old_path)):
         with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
+            header, *rows = list(csv.reader(fh)) or [[]]
         counts.append(len(rows))
         numbers = []
         for line, row in enumerate(rows, 2):
@@ -250,33 +255,75 @@ def record_gaps(pairs, gaps):
     return gaps
 
 
-def policy_gaps(new_path, old_path):
-    """The largest relative difference per field of two policies.json
-    files, over the policies and fields both hold."""
-    policies = []
-    for path in (new_path, old_path):
+def record_fault(record, objects, lists):
+    """Why a parsed JSON value is not an object with a list of objects
+    under each key of `objects` and a list under each key of `lists`, or
+    None if it is."""
+    if not isinstance(record, dict):
+        return "not an object"
+    for key in objects + lists:
+        value = record.get(key)
+        if not isinstance(value, list):
+            return "no %r list" % key
+        if key in objects and not all(isinstance(v, dict) for v in value):
+            return "%r holds a non-object" % key
+    return None
+
+
+def paired_records(new_path, old_path, per_line, objects, lists=()):
+    """The (new, old) pairs of JSON records two files hold at one position,
+    one per line (`per_line`) or the whole file as one, and the lines that
+    name both record counts if they differ and each record that does not
+    parse or has a `record_fault`, which pairs with nothing: "<side> line
+    <n> is not a record: <why>"."""
+    sides, bad = [], []
+    for side, path in (("new", new_path), ("old", old_path)):
         with open(path) as fh:
-            policies.append(json.load(fh)["policies"])
-    return gap_lines(record_gaps(
-        ((name, new[name], old[name]) for new, old in zip(*policies)
+            chunks = list(enumerate(fh, 1)) if per_line else [(1, fh.read())]
+        records = []
+        for line, text in chunks:
+            try:
+                record = json.loads(text)
+                why = record_fault(record, objects, lists)
+            except ValueError as exc:  # json.JSONDecodeError
+                line += exc.lineno - 1
+                why = "%s (column %d)" % (exc.msg, exc.colno)
+            if why:
+                bad.append("%s line %d is not a record: %s"
+                           % (side, line, why))
+            records.append(None if why else record)
+        sides.append(records)
+    counts = tuple(map(len, sides))
+    if counts[0] != counts[1]:
+        bad.insert(0, "records: %d new, %d old" % counts)
+    return [pair for pair in zip(*sides) if None not in pair], bad
+
+
+def policy_gaps(new_path, old_path):
+    """The lines naming a policies.json file that is not an object with a
+    "policies" list of objects, then the largest relative difference per
+    field of two such files, over the policies and fields both hold."""
+    pairs, bad = paired_records(new_path, old_path, False, ("policies",))
+    return bad + gap_lines(record_gaps(
+        ((name, new[name], old[name]) for files in pairs
+         for new, old in zip(*(f["policies"] for f in files))
          for name in new.keys() & old.keys()), {}))
 
 
 def episode_gaps(new_path, old_path):
-    """The largest relative difference per track field, over every agent,
-    and of the episode rewards, of two episode .jsonl files, over the
-    episodes and agents both hold."""
-    episodes = []
-    for path in (new_path, old_path):
-        with open(path) as fh:
-            episodes.append([json.loads(line) for line in fh])
+    """The lines naming each line of two episode .jsonl files that is not
+    an object with an "agents" list of objects and a "rewards" list, then
+    the largest relative difference per track field, over every agent, and
+    of the episode rewards, over the episodes and agents both hold."""
+    pairs, bad = paired_records(new_path, old_path, True, ("agents",),
+                                ("rewards",))
     gaps = {}
-    for new, old in zip(*episodes):
+    for new, old in pairs:
         record_gaps([("episode rewards", new["rewards"], old["rewards"])]
                     + [(name, a[name], b[name])
                        for a, b in zip(new["agents"], old["agents"])
                        for name in a.keys() & b.keys()], gaps)
-    return gap_lines(gaps)
+    return bad + gap_lines(gaps)
 
 
 GAPS = {".csv": column_gaps, "policies.json": policy_gaps,
@@ -315,6 +362,8 @@ def main(argv=None):
     old_dir = args.compare and os.path.abspath(args.compare)
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         parser.error("%s is not empty" % args.out)
+    if old_dir and not os.path.isdir(old_dir):
+        parser.error("--compare: %s is not a directory" % args.compare)
     failed = run(os.path.abspath(args.repo), out_dir)
     new = hashes(out_dir)
     for path in sorted(new):
