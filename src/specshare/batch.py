@@ -5,6 +5,7 @@ arrays for the batched forward-backward kernel in `learning`.
 import numpy as np
 
 from .fsc import DEFAULT_OBS_BINS, observation_bins
+from .trajectories import INTEGER_FIELDS, TRACK_FIELDS
 
 
 class EpisodeBatch:
@@ -43,13 +44,11 @@ class EpisodeBatch:
                                  % (k, len(ep.agents), n_agents))
             t1 = len(ep.rewards)
             for n, tr in enumerate(ep.agents):
-                lengths = (len(tr.actions), len(tr.obs_us), len(tr.obs_bin),
-                           len(tr.pi_behavior))
-                if t1 == 0 or lengths != (t1,) * 4:
-                    raise ValueError(
-                        "episode %d agent %d: %d actions, %d obs_us, %d "
-                        "obs_bin and %d pi_behavior for %d rewards"
-                        % ((k, n) + lengths + (t1,)))
+                lengths = [len(getattr(tr, name)) for name in TRACK_FIELDS]
+                if t1 == 0 or lengths != [t1] * len(lengths):
+                    raise ValueError("episode %d agent %d: %s for %d steps" % (
+                        k, n, ", ".join("%d %s" % pair for pair in zip(
+                            lengths, TRACK_FIELDS)), t1))
             if t1 != first:
                 raise ValueError("episode %d has %d steps, the first has %d"
                                  % (k, t1, first))
@@ -59,6 +58,11 @@ class EpisodeBatch:
         self.actions, self.obs_bins, log_behavior = [], [], []
         for n, aset in enumerate(action_sets):
             tracks = [ep.agents[n] for ep in episodes]
+            ints = {name: np.array([getattr(tr, name) for tr in tracks])
+                    for name in INTEGER_FIELDS}
+            for name, values in ints.items():
+                if values.dtype.kind not in "iu":
+                    raise ValueError("%s values must be integers" % name)
             index = {a: i for i, a in enumerate(aset)}
             for k, tr in enumerate(tracks):
                 outside = [a for a in tr.actions if a not in index]
@@ -68,14 +72,10 @@ class EpisodeBatch:
                                      % (k, n, outside[0], list(aset)))
             self.actions.append(np.array(
                 [[index[a] for a in tr.actions] for tr in tracks], dtype=int))
-            bins = np.array([tr.obs_bin for tr in tracks])
-            if bins.dtype.kind not in "iu" or np.any(bins < 0) \
-                    or np.any(bins >= n_obs_bins):
+            bins, us = ints["obs_bin"], ints["obs_us"]
+            if np.any(bins < 0) or np.any(bins >= n_obs_bins):
                 raise ValueError("obs_bin values must be integers in [0, %d)"
                                  % n_obs_bins)
-            us = np.array([tr.obs_us for tr in tracks])
-            if us.dtype.kind not in "iu":
-                raise ValueError("obs_us values must be integers")
             # the fewest bins the agent's collector can have used
             used = bins.max() + 1
             wrong = np.argwhere((us < 1) | (bins != observation_bins(us, used)))

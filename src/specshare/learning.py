@@ -9,7 +9,7 @@ backward pass reads the forward pass's scales and step matrices
 (`fsc.ForwardPass`) and gathers and recomputes none of them.
 
 One kernel (`_Kernel`) holds every agent's factors for a run, in flat
-buffers laid out by `fsc.KernelLayout`, so each step of an iteration runs
+buffers laid out by `KernelLayout`, so each step of an iteration runs
 once for all agents, through the layout's padded index maps: a pad adds
 exact zeros, so the arithmetic differs from one agent at a time only in
 summation order, and the number of numpy calls per iteration does not
@@ -28,7 +28,7 @@ lam = a/b + x): its delta, sigma and phi are exactly 1, 1 and theta, the
 lam of its run of dropped neighbours is one value, and its share of any
 prefix likelihood does not move the forward scales. The kernel then holds
 the live nodes' parameters only: their eta sticks, phi and omega sticks to
-live destinations (`fsc.KernelLayout`). Every other stick is (1, lam), and
+live destinations (`KernelLayout`). Every other stick is (1, lam), and
 needs no special function: E[ln(1 - u)] = -1 / lam and its Beta terms are
 w (1 - m / lam - ln lam) (`_update_agent`, `elbo`). Its lam is the
 concentration plus the mass of the live sticks after it in its row, one
@@ -41,30 +41,28 @@ which cannot underflow, and the update needs no sweep: its masses are the
 path weights' reverse cumulative sums. At every layout the masses reach
 the factors through the map the one-node log factors are read by.
 `VariationalState` keeps the full truncation; the kernel reads it and
-`learn` writes it back through one map (`fsc.KernelLayout.stick_at`).
+`learn` writes it back through one map (`KernelLayout.stick_at`).
 """
 
+import functools
 import itertools
 import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .batch import EpisodeBatch
 from .distributions import _special_function, check_discount, is_number
-from .fsc import (DEFAULT_OBS_BINS, FscPolicy, KernelLayout, PointEstimate,
-                  agent_index, forward_pass, init_from_episodes,
-                  omega_columns, point_estimate, prune, stack_policies,
-                  stick_digammas)
+from .fsc import (DEFAULT_OBS_BINS, FscPolicy, PointEstimate, agent_index,
+                  forward_pass, init_from_episodes, prune, stack_policies)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
 # not called, and digamma and gammaln skip the domain check, because the
-# kernel checks every argument once per iteration
+# kernel and `point_estimate` check every argument first
 from .fsc import log_history_likelihoods  # noqa: F401
-digamma = partial(_special_function, "digamma", check=False)
-gammaln = partial(_special_function, "gammaln", check=False)
+digamma = functools.partial(_special_function, "digamma", check=False)
+gammaln = functools.partial(_special_function, "gammaln", check=False)
 
 # A node whose share of its agent's occupancy falls below this leaves the
 # kernel for the rest of the run (see the module docstring)
@@ -111,7 +109,7 @@ class VariationalState:
     shared shape a = c + Z, which no update changes, and per-entry rates b.
     visited: (action, obs) mask of the pairs some episode takes a
     transition at, or None for all; the stick arithmetic runs only on
-    these columns plus one stand-in for the rest (`fsc.omega_columns`).
+    these columns plus one stand-in for the rest (`omega_columns`).
     """
 
     def __init__(self, node_count, n_actions, n_obs, hyper, pi_seed=None,
@@ -146,9 +144,313 @@ def _assert_positive(owner, names):
                                      "variational parameter %s" % name)
 
 
+def omega_columns(visited, n_actions, n_obs):
+    """The (action, obs-bin) columns of omega's stick arrays that can differ.
+
+    `visited`, an (A, O) boolean array or None for all, marks the pairs at
+    which some episode takes a transition. The learner's updates keep the
+    parameters of all other columns identical to one another, so one of
+    them stands for the rest. Returns (columns, expand, counts): the flat
+    a * O + o index of each kept column (the stand-in last), the kept
+    column that every flat column takes its values from, and how many flat
+    columns each kept one covers.
+    """
+    flat = np.ones(n_actions * n_obs, dtype=bool) if visited is None \
+        else np.asarray(visited, dtype=bool).reshape(n_actions * n_obs)
+    columns = np.flatnonzero(flat)
+    expand = np.empty(flat.size, dtype=int)
+    expand[columns] = np.arange(columns.size)
+    rest = np.flatnonzero(~flat)
+    if rest.size:
+        expand[rest] = columns.size
+        columns = np.append(columns, rest[0])
+    return columns, expand, np.bincount(expand)
+
+
+# Views of a kernel's flat buffer (`KernelLayout.split`): the sticks' first
+# parameters (delta, then sigma), phi, the second parameters (mu, then lam),
+# the sticks' sums and phi's row sums, and the whole buffer
+Sticks = namedtuple("Sticks", "first phi second total phisum delta sigma mu "
+                              "lam flat")
+# digamma of each part of the buffer (`KernelLayout.digammas`), plus
+# `log_rest`, the E[ln(1 - u)] of the dropped sticks just before each stick
+# (its gap, set by the caller, 0 where there are none) and of the stick
+# itself, followed by a 0; `row_rest`, their sum along each stick row;
+# `logs`, the point estimate's log of each stick and phi entry followed by
+# the -inf a pad reads; and the layout
+FactorDigammas = namedtuple("FactorDigammas", Sticks._fields + (
+    "log_rest", "row_rest", "logs", "layout"))
+
+
+class KernelLayout:
+    """Where a learner kernel over N agents holds each parameter, and the
+    index maps of the steps that follow each agent's own nodes.
+
+    Nodes are numbered agent after agent (`offsets`); `live_nodes` are the
+    kernel-live ones, each agent's ascending, and `dropped` the rest. The
+    flat buffer (`split`) holds the live parameters only: delta and the
+    omega sticks' sigma (the `n_sticks` first parameters), phi, mu and
+    lam, then the sticks' sums and phi's row sums; its first `n_params`
+    values are the parameters. There is one eta stick per live node, and
+    per live source one omega entry per live destination of its agent
+    (`n_entries`, source after source), each a row over the kept columns,
+    the union of every agent's (`omega_columns`); a column an agent never
+    transitions at evolves exactly like its stand-in.
+
+    Every other stick is (1, lam) and has a closed form. Along a stick
+    row (an agent's eta sticks, or a live source's omega sticks at one
+    column) the dropped nodes just before a live stick share one lam
+    (`gap` of them per `gapped` stick, the sticks that have any), and so
+    do the dropped nodes after the last live one, whose lam is the row's
+    concentration (`trail` of them per rate); a dropped source row is Z
+    such sticks per column. The rates
+    live in their own buffer: h per agent, then b on the kept columns,
+    the live nodes' rows first and the dropped nodes' after them
+    (`row_node`), so that the stick rows (`n_rows`: eta per agent, then
+    omega per live source and column) and their rates share the order;
+    `rate_order` places each rate in the order h, then b node after node,
+    and `rate_of` is the concentration rate of each stick.
+
+    With several live nodes in an agent, steps along a stick row read the
+    row through a padded block, `grid`, of each live stick's gap and own
+    E[ln(1 - u)] in turn (at `prefix_cell`), whose cumulative sums give
+    the point estimate's prefix sums (a stick that is its agent's last
+    node takes the rest, `not_last`) and the rows' sums; its even columns
+    hold the live sticks alone, whose reversed cumulative sums give the
+    update's masses of heavier sticks. With one live node per agent it is
+    None: every row is one gap and one stick. The point estimate pads
+    every agent to `n_lanes` live nodes with zeros (`eta_map`, `pi_map`,
+    `omega_map`: the buffer entry of each lane; `lane_node`, the node of
+    each lane), and at every layout the update scatters its masses
+    through the same maps read the other way (`_Kernel.index`).
+    Every pad index is -1, and every array it indexes ends in the value a
+    pad reads. A layout is built again only when a node leaves the kernel.
+
+    One map links the layout to the states' stick rows laid out flat,
+    agent after agent: the eta row, then one omega row per node and kept
+    column, each of `row_len` (Z) entries. `row_at` (where each rate's row
+    starts), `stick_at` (each stick's entry) and `gap_at` (each gap's
+    entries) are built on first use: no layout the learn loop builds reads
+    them. `fill` gathers through the map, `_Kernel.store` scatters.
+    """
+
+    def __init__(self, node_counts, live, columns, n_actions, n_obs):
+        z = np.asarray(node_counts, dtype=int)
+        self.node_counts, self.n_agents = z, z.size
+        self.live = [np.asarray(nodes, dtype=int) for nodes in live]
+        self.columns, self.expand, self.counts = columns
+        self.n_actions, self.n_obs = n_actions, n_obs
+        n_agents, n_cols, col = z.size, self.counts.size, np.arange(
+            self.counts.size)
+        self.offsets = np.concatenate([[0], np.cumsum(z)])
+        self.n_nodes = n_nodes = int(self.offsets[-1])
+        self.agent_of_node = np.repeat(np.arange(n_agents), z)
+        self.n_live = n_live = np.array([nodes.size for nodes in self.live])
+        self.live_offsets = np.concatenate([[0], np.cumsum(n_live)])
+        self.n_lanes = lanes = int(n_live.max())
+        step = np.arange(lanes)
+        self.lane_real = real = step < n_live[:, None]
+        # the live nodes, agent after agent: agent, own number and lane
+        agent = np.repeat(np.arange(n_agents), n_live)
+        self.local = local = np.concatenate(self.live)
+        n_held = local.size
+        lane = np.arange(n_held) - self.live_offsets[agent]
+        self.live_nodes = live_nodes = self.offsets[agent] + local
+        alive = np.zeros(n_nodes, dtype=bool)
+        alive[live_nodes] = True
+        self.dropped = np.flatnonzero(~alive)
+        self.row_node = np.concatenate([live_nodes, self.dropped])
+        self.node_row = np.argsort(self.row_node)
+        # dropped nodes just before each live one, and after each agent's
+        # last live one
+        before = np.concatenate([[-1], local[:-1]])
+        before[lane == 0] = -1
+        gap, not_last = local - before - 1, local != z[agent] - 1
+        trail = z - local[self.live_offsets[1:] - 1] - 1
+        # omega entries: per live source, one per live node of its agent
+        per = n_live[agent]
+        start = np.cumsum(per) - per
+        self.n_entries = n_ent = int(per.sum())
+        source = np.repeat(np.arange(n_held), per)
+        self.dest = dest = self.live_offsets[agent[source]] \
+            + np.arange(n_ent) - start[source]
+        f = self.n_sticks = n_held + n_ent * n_cols
+        p = n_held * n_actions
+        self.n_params, self.size = 2 * f + p, 3 * f + p + n_held
+
+        def per_stick(eta, omega, dtype=float):  # omega: (entries, columns)
+            out = np.empty(f, dtype=dtype)
+            out[:n_held] = eta
+            out[n_held:].reshape(n_ent, n_cols)[...] = omega
+            return out
+        # per stick: a value of the live node it stands for (eta) or leads
+        # to (omega); its row, eta per agent and omega per live source and
+        # column, in the order of the rates the rows share
+        self.not_last = per_stick(not_last, not_last[dest, None])
+        self.bound_weight = per_stick(1.0, self.counts)
+        gap = per_stick(gap, gap[dest, None], int)
+        self.gapped = np.flatnonzero(gap)
+        self.gap = gap[self.gapped]
+        self.gap_weight = self.gap * self.bound_weight[self.gapped]
+        self.rate_of = per_stick(agent, n_agents + source[:, None] * n_cols
+                                 + col, int)
+        self.n_rows = n_agents + n_held * n_cols
+        self.n_rates = n_rates = n_agents + n_nodes * n_cols
+
+        def per_rate(eta, omega, dtype=float):  # omega: (b rows, columns)
+            out = np.empty(n_rates, dtype=dtype)
+            out[:n_agents] = eta
+            out[n_agents:].reshape(n_nodes, n_cols)[...] = omega
+            return out
+        self.rate_order = per_rate(np.arange(n_agents), n_agents
+                                   + self.row_node[:, None] * n_cols + col,
+                                   int)
+        row_trail = np.concatenate([trail[agent],
+                                    z[self.agent_of_node[self.dropped]]])
+        self.trail = per_rate(trail, row_trail[:, None])
+        self.row_len = per_rate(z, z[self.agent_of_node[self.row_node], None],
+                                int)
+        self.trail_weight = per_rate(trail, row_trail[:, None] * self.counts)
+        self.grid = None
+        if lanes > 1:
+            # each stick's place along its row: its live node's lane
+            row, at = self.rate_of, per_stick(lane, lane[dest, None], int)
+            # [gap_0, stick_0, gap_1, stick_1, ...] in `log_rest`: the
+            # cumulative sum at a gap is the prefix of the stick after it
+            self.grid = np.full((self.n_rows, 2 * lanes), -1)
+            self.prefix_cell = row * 2 * lanes + 2 * at
+            self.grid.reshape(-1)[self.prefix_cell] = np.arange(f)
+            self.grid.reshape(-1)[self.prefix_cell + 1] = np.arange(f, 2 * f)
+        # the point estimate's gathers from [stick logs, pi logs, -inf],
+        # and the update's scatter into the buffer
+        held = np.where(real, self.live_offsets[:-1, None] + step, 0)
+        self.eta_map = np.where(real, held, -1)
+        self.lane_node = np.where(real, live_nodes[held], -1)
+        self.pi_map = np.where(real[..., None], f + held[..., None]
+                               * n_actions + np.arange(n_actions), -1)
+        entry = n_held + (start[held][..., None] + step) * n_cols
+        omega_map = np.where((real[:, :, None] & real[:, None])[:, :, None],
+                             entry[:, :, None] + self.expand[:, None], -1)
+        self.omega_map = omega_map.reshape(n_agents, lanes, n_actions, n_obs,
+                                           lanes)
+
+    def split(self, x):
+        """`Sticks` views of a flat buffer of this layout."""
+        n_held, f = self.live_nodes.size, self.n_sticks
+        p = n_held * self.n_actions
+        first, second = x[:f], x[f + p:2 * f + p]
+        return Sticks(first=first, phi=x[f:f + p].reshape(-1, self.n_actions),
+                      second=second, total=x[2 * f + p:3 * f + p],
+                      phisum=x[3 * f + p:, None],
+                      delta=first[:n_held], sigma=first[n_held:].reshape(
+                          self.n_entries, -1),
+                      mu=second[:n_held], lam=second[n_held:].reshape(
+                          self.n_entries, -1), flat=x)
+
+    def digammas(self, flat):
+        """`FactorDigammas` views of `flat`, a buffer of this layout's size,
+        and a new `log_rest` (no gaps), `row_rest` and `logs`, for
+        `stick_digammas` to fill."""
+        f = self.n_sticks
+        return FactorDigammas(*self.split(flat), np.zeros(2 * f + 1),
+                              np.zeros(self.n_rows),
+                              np.full(self.n_params - f + 1, -np.inf), self)
+
+    @functools.cached_property
+    def row_at(self):
+        z, n, n_cols = self.node_counts, self.n_agents, self.counts.size
+        start = np.cumsum(z + z * z * n_cols) - z - z * z * n_cols
+        agent = np.repeat(self.agent_of_node[self.row_node], n_cols)
+        # each b row's place among its agent's: node * columns + column
+        row = self.rate_order[n:] - n - self.offsets[agent] * n_cols
+        return np.append(start, start[agent] + z[agent] * (1 + row))
+
+    @functools.cached_property
+    def stick_at(self):
+        return self.row_at[self.rate_of] + np.append(
+            self.local, np.repeat(self.local[self.dest], self.counts.size))
+
+    @functools.cached_property
+    def gap_at(self):
+        return np.repeat(self.stick_at[self.gapped] - np.cumsum(self.gap),
+                         self.gap) + np.arange(self.gap.sum())
+
+    def fill(self, states):
+        """A flat buffer of this layout holding the states' parameters, and
+        the lam of every (1, lam) stick as a `_Kernel` holds them:
+        per rate its row's last entry, then per `gapped` stick the entry
+        before it. The sums are taken by `stick_digammas`."""
+        def rows(eta, omega):  # the states' stick rows, laid out flat
+            return np.concatenate([np.append(getattr(st, eta), np.reshape(
+                getattr(st, omega), (z, -1, z))[:, self.columns])
+                for st, z in zip(states, self.node_counts)])
+        first, second = rows("delta", "sigma"), rows("mu", "lam")
+        v = self.split(np.empty(self.size))
+        v.first[:], v.second[:] = first[self.stick_at], second[self.stick_at]
+        v.phi[:] = np.concatenate([st.phi for st in states])[self.live_nodes]
+        return v.flat, np.append(second[self.row_at + self.row_len - 1],
+                                 second[self.stick_at[self.gapped] - 1])
+
+
+def stick_digammas(sticks, psi):
+    """Fill `psi`, `FactorDigammas` views (`KernelLayout.digammas`), with
+    the digammas of the buffer that `sticks` views, whose parameters are
+    set (the sums are taken here first), and the point estimate's logs:
+    E[ln u] of a stick but a row's last, plus the E[ln(1 - u)] of those
+    before it (the gaps' from `log_rest`), and E[ln pi]; and each row's
+    E[ln(1 - u)] in `row_rest`. Returns `psi`."""
+    lay, f, logs = psi.layout, psi.layout.n_sticks, psi.logs
+    np.add(sticks.first, sticks.second, out=sticks.total)
+    sticks.phi.sum(axis=1, keepdims=True, out=sticks.phisum)
+    digamma(sticks.flat, out=psi.flat)
+    gap, rest = psi.log_rest[:f], psi.log_rest[f:-1]
+    np.subtract(psi.second, psi.total, out=rest)
+    np.subtract(psi.first, psi.total, out=logs[:f])
+    logs[:f] *= lay.not_last
+    if lay.grid is None:  # each row is one gap and one stick
+        logs[:f] += gap
+        np.add(gap, rest, out=psi.row_rest)
+    else:
+        along = psi.log_rest[lay.grid].cumsum(axis=1)
+        logs[:f] += along.ravel()[lay.prefix_cell]
+        psi.row_rest[:] = along[:, -1]
+    np.subtract(psi.phi, psi.phisum, out=logs[f:-1].reshape(psi.phi.shape))
+    return psi
+
+
+def point_estimate(state, psi=None):
+    """Exp-digamma point estimate of the policy from variational params.
+
+    `state` carries delta, mu (per-node stick Betas for eta), sigma, lam
+    (per-(i,a,o,j) stick Betas for omega) and phi (per-node Dirichlets for
+    pi), all positive and finite (else FloatingPointError), and optionally
+    `visited` (see `omega_columns`); its estimate covers every node. Given
+    `psi`, the `FactorDigammas` of a learner kernel, the estimate is
+    instead that kernel's, over each agent's kernel-live nodes, stacked
+    and zero-padded as `forward_pass` takes it: one `exp` of the logs
+    `stick_digammas` left in `psi` and three gathers. Entries are exp of
+    expected log-probabilities, hence sub-probabilities, not renormalized.
+    """
+    if psi is None:
+        _assert_positive(state, ("delta", "mu", "phi", "sigma", "lam"))
+        z = np.size(state.delta)
+        _, n_actions, n_obs, _ = np.shape(state.sigma)
+        layout = KernelLayout([z], [np.arange(z)], omega_columns(
+            getattr(state, "visited", None), n_actions, n_obs),
+            n_actions, n_obs)
+        est = point_estimate(None, stick_digammas(
+            layout.split(layout.fill([state])[0]),
+            layout.digammas(np.empty(layout.size))))
+        return PointEstimate(eta=est.eta[0], pi=est.pi[0],
+                             omega=est.omega[0])
+    lay, p = psi.layout, np.exp(psi.logs)
+    return PointEstimate(eta=p[lay.eta_map], pi=p[lay.pi_map],
+                         omega=p[lay.omega_map])
+
+
 class _Kernel:
     """Every agent's factors for a run, in the flat buffers of `layout`
-    (`fsc.KernelLayout`), and the workspace that each learn iteration
+    (`KernelLayout`), and the workspace that each learn iteration
     fills.
 
     `x` holds the live sticks and phi (`sticks` are its views); `rates`
@@ -312,7 +614,7 @@ class _Kernel:
         if self.lam_gap.size:
             self.psi.log_rest[self.layout.gapped] = self.neg_gap \
                 / self.lam_gap
-        stick_digammas(self.sticks, self.psi, digamma)
+        stick_digammas(self.sticks, self.psi)
 
     def store(self, states):
         """Write the kernel to the states through the layout's map: every

@@ -33,6 +33,7 @@ class Episode:
 
 SCHEMA = "specshare-episodes-v1"
 TRACK_FIELDS = tuple(f.name for f in fields(AgentTrack))
+INTEGER_FIELDS = ("actions", "obs_us", "obs_bin")  # the rest hold numbers
 
 
 @dataclass
@@ -167,8 +168,7 @@ def load(path):
 def _episode(record):
     """An Episode from a record: an object of the schema with an integer k,
     whose agents are a non-empty list of objects; rewards and each agent's
-    track fields are lists of numbers, of integers for actions, obs_us and
-    obs_bin."""
+    track fields are lists of numbers, of integers for `INTEGER_FIELDS`."""
     if not isinstance(record, dict):
         raise ValueError("an episode record must be a JSON object")
     if record.get("schema") != SCHEMA:
@@ -183,7 +183,7 @@ def _episode(record):
         raise ValueError("agents must be a non-empty list of objects")
     tracks = [(name, a.get(name)) for a in agents for name in TRACK_FIELDS]
     for name, value in tracks + [("rewards", record.get("rewards"))]:
-        count = name in ("actions", "obs_us", "obs_bin")
+        count = name in INTEGER_FIELDS
         if not is_number_list(value, count):
             raise ValueError("%s must be a list of %s"
                              % (name, "integers" if count else "numbers"))

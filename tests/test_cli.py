@@ -601,6 +601,23 @@ def test_evaluate_names_an_action_outside_the_action_set(tmp_path, capsys):
                    "set %s\n" % action_set)
 
 
+def test_learn_names_a_track_whose_rewards_are_cut(tmp_path, capsys):
+    records = stored_records()
+    track = records[1]["agents"][0]
+    track["rewards"] = track["rewards"][:2]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["learn", "--episodes", str(batch), "--out",
+                 str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    t = len(track["actions"])
+    assert err == ("error: episode 1 agent 0: %d actions, %d obs_us, %d "
+                   "obs_bin, %d pi_behavior, 2 rewards for %d steps\n"
+                   % ((t,) * 4 + (t,)))
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("gamma", ["1.5", "nan", "-0.5", "inf", "1"])
 def test_evaluate_rejects_a_discount_outside_zero_one(tmp_path, capsys, gamma):
     policies = tmp_path / "policies.json"

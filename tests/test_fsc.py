@@ -11,8 +11,9 @@ from specshare.fsc import (FscPolicy, PointEstimate, cumulative_rows, draw,
                            forward_pass, history_likelihood,
                            init_from_episodes, initial_node,
                            log_history_likelihoods, observation_bin,
-                           observation_bins, point_estimate, prune,
-                           stack_policies, transition_node)
+                           observation_bins, prune, stack_policies,
+                           transition_node)
+from specshare.learning import point_estimate
 from specshare.trajectories import (AgentTrack, BehaviorPolicy, Episode,
                                     behavior_action)
 from tests.learner_reference import stick_log_expectations

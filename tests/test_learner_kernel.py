@@ -20,13 +20,13 @@ import specshare.fsc
 import specshare.learning
 from specshare import trajectories
 from specshare.batch import EpisodeBatch
-from specshare.fsc import (KernelLayout, PointEstimate, forward,
-                           forward_pass, init_from_episodes, omega_columns,
-                           point_estimate, stack_policies)
-from specshare.learning import (Hyperparams, ReweightedRewards,
+from specshare.fsc import (PointEstimate, forward, forward_pass,
+                           init_from_episodes, stack_policies)
+from specshare.learning import (Hyperparams, KernelLayout, ReweightedRewards,
                                 VariationalState, _Kernel, _sweep,
                                 _update_agent, discounted_rewards, elbo,
-                                learn, reward_bounds, reweighted)
+                                learn, omega_columns, point_estimate,
+                                reward_bounds, reweighted)
 from specshare.trajectories import Episode
 from tests.learner_reference import reference_elbo, reference_rates
 from tests.sweep_reference import multi_endpoint_sweep

@@ -9,13 +9,14 @@ import specshare.fsc
 import specshare.learning
 from specshare.batch import EpisodeBatch
 from specshare.fsc import (PointEstimate, forward, forward_pass,
-                           log_history_likelihoods, observation_bin,
-                           point_estimate)
+                           log_history_likelihoods, observation_bin)
 from specshare.learning import (Hyperparams, VariationalState, _Kernel,
                                 _sweep, _update_agent, discounted_rewards,
                                 elbo, empirical_value, learn, mean_policy,
-                                node_marginals, reward_bounds, reweighted)
-from specshare.trajectories import AgentTrack, Episode
+                                node_marginals, point_estimate,
+                                reward_bounds, reweighted)
+from specshare.trajectories import (INTEGER_FIELDS, TRACK_FIELDS, AgentTrack,
+                                    Episode)
 from tests.learner_reference import backward_messages, forward_messages
 from tests.test_fsc import ACTIONS, random_point_estimate, random_policy
 
@@ -182,6 +183,46 @@ class TestStoredObsBins:
         with pytest.raises(ValueError, match="episode 0 agent 0 step %d: "
                                              "obs_bin %d" % (step, stored)):
             EpisodeBatch([ep], [ACTIONS], 13)
+
+
+class TestTrackChecks:
+    """`EpisodeBatch` checks every track field of `AgentTrack` against the
+    episode's steps, and every integer field's type."""
+
+    @pytest.mark.parametrize("name", TRACK_FIELDS)
+    def test_a_track_field_cut_short_is_refused(self, name):
+        eps = seeded_batch(n_episodes=2, t=4)
+        setattr(eps[1].agents[1], name, getattr(eps[1].agents[1], name)[:2])
+        with pytest.raises(ValueError) as err:
+            EpisodeBatch(eps)
+        assert str(err.value) == "episode 1 agent 1: %s for 4 steps" % ", ".join(
+            "%d %s" % (2 if field == name else 4, field)
+            for field in TRACK_FIELDS)
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_float_entries_of_an_integer_field_are_refused(self, name):
+        # integral floats: each obs_bin is still its wait's bin, and every
+        # action is still in the action set
+        eps = seeded_batch(n_episodes=2, t=4)
+        track = eps[0].agents[1]
+        setattr(track, name, [float(v) for v in getattr(track, name)])
+        with pytest.raises(ValueError, match="^%s values must be integers"
+                                             % name):
+            EpisodeBatch(eps)
+        with pytest.raises(ValueError, match="^%s values must be integers"
+                                             % name):
+            learn(eps, Hyperparams(), max_iters=1, n_obs_bins=13)
+
+
+class TestPointEstimateChecks:
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("name", ["delta", "mu", "phi", "sigma", "lam"])
+    def test_a_bad_parameter_is_named(self, name, bad):
+        st = VariationalState(3, 3, 4, Hyperparams())
+        getattr(st, name).flat[1] = bad
+        with pytest.raises(FloatingPointError,
+                           match="variational parameter %s$" % name):
+            point_estimate(st)
 
 
 class TestEmpiricalValue:
