@@ -218,12 +218,9 @@ def forward_pass(policy, action_idx, obs_bins):
     (N, Z, A, O, Z), zero beyond each agent's own nodes) takes (N, K, t+1)
     and (N, K, t) indices, and all N K rows run in one pass; a zero node
     adds only exact zeros, so only summation order differs from N passes.
-    A single policy gives N = 1. Each step matrix, steps[n, k, tau] = M_tau
-    with M_tau[i, j] = omega[i, a_tau, o_tau, j] pi[j, a_{tau+1}], is
-    gathered once, and alpha advances by one matmul per step (with one node
-    each scale is a step's factor; the learner adds their logs instead,
-    `learning._log_factors`). A history of zero likelihood raises
-    ValueError; any other non-finite scale FloatingPointError.
+    A single policy gives N = 1. The entries each step reads, pi[:, a_tau]
+    and omega[:, a_tau, o_tau], are gathered once and handed to
+    `scaled_forward`, which holds the recursion and its checks.
     """
     aidx = np.asarray(action_idx, dtype=int)
     obins = np.asarray(obs_bins, dtype=int)
@@ -236,20 +233,33 @@ def forward_pass(policy, action_idx, obs_bins):
         eta, pi, omega = eta[None], pi[None], omega[None]
     elif aidx.ndim != 3 or len(aidx) != len(eta):
         raise ValueError("a stacked policy needs (agents, K, t+1) actions")
-    n, z = eta.shape
+    n = len(eta)
     aidx = aidx.reshape(n, -1, shape[-1])
     k, t1 = aidx.shape[1:]
     obins = obins.reshape(n, k, t1 - 1)
     agent = agent_index(n)
+    pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
+    with np.errstate(invalid="ignore", over="ignore"):
+        first = eta[:, None] * pi_rows[:, :, 0]
+    return scaled_forward(first, omega.transpose(0, 2, 3, 1, 4)[
+        agent, aidx[..., :-1], obins], pi_rows[:, :, 1:])
+
+
+def scaled_forward(first, omega_steps, pi_steps):
+    """`forward_pass`'s recursion from gathered factors: the first alpha
+    (N, K, Z), eta[i] pi[i, a_0], and per step omega[i, a_tau, o_tau, j]
+    (N, K, t, Z, Z) and pi[j, a_{tau+1}] (N, K, t, Z), whose product is
+    the step matrix M_tau[i, j]; alpha advances by one matmul per step.
+    A history of zero likelihood raises ValueError; any other non-finite
+    scale FloatingPointError."""
+    (n, k, z), t1 = first.shape, pi_steps.shape[2] + 1
     scale = np.empty((n, k, t1))
     # a zero total turns the rest of its row into NaN; one check at the end
     # finds the zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pi_rows = pi.transpose(0, 2, 1)[agent, aidx]  # pi[:, a] per step
-        steps = omega.transpose(0, 2, 3, 1, 4)[
-            agent, aidx[..., :-1], obins] * pi_rows[:, :, 1:, None, :]
+        steps = omega_steps * pi_steps[:, :, :, None, :]
         alpha_hat = np.empty((n, k, t1, z))
-        alpha = eta[:, None] * pi_rows[:, :, 0]
+        alpha = first
         for t in range(t1):
             if t:
                 alpha = (alpha_hat[:, :, t - 1, None, :]
@@ -278,10 +288,7 @@ def stack_policies(policies):
     """Controllers or point estimates of N agents as one `PointEstimate` of
     stacked arrays, eta (N, Z), pi (N, Z, A) and omega (N, Z, A, O, Z),
     zero beyond each agent's own nodes, actions and bins, as
-    `forward_pass` takes them. An estimate that is stacked already is
-    returned as it is."""
-    if isinstance(policies, PointEstimate):
-        return policies
+    `forward_pass` takes them."""
     stacked = []
     for name in ("eta", "pi", "omega"):
         parts = [np.asarray(getattr(p, name), dtype=float) for p in policies]

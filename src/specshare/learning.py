@@ -35,11 +35,11 @@ concentration plus the mass of the live sticks after it in its row, one
 value for each run of dropped nodes before a live one, and the
 concentration it was set from for the run after the last one and for a
 dropped source row, whose rates then follow b <- d + Z b / a. A dropped
-node's phi adds nothing to the bound. At one live node per agent the
-history likelihoods are sums of the estimate's logs (`_log_factors`),
-which cannot underflow, and the update needs no sweep: its masses are the
-path weights' reverse cumulative sums. At every layout the masses reach
-the factors through the map the one-node log factors are read by.
+node's phi adds nothing to the bound. At every layout the likelihoods
+read the estimate's logs, and the update's masses reach the factors,
+through one map (`_Kernel.index`); at one live node per agent the
+likelihoods are sums of those logs, which cannot underflow, and the masses
+the path weights' reverse cumulative sums, with no sweep.
 `VariationalState` keeps the full truncation; the kernel reads it and
 `learn` writes it back through one map (`KernelLayout.stick_at`).
 """
@@ -56,7 +56,8 @@ import numpy as np
 from .batch import EpisodeBatch
 from .distributions import _special_function, check_discount, is_number
 from .fsc import (DEFAULT_OBS_BINS, FscPolicy, PointEstimate, agent_index,
-                  forward_pass, init_from_episodes, prune, stack_policies)
+                  forward_pass, init_from_episodes, prune, scaled_forward,
+                  stack_policies)
 # perfbench/tracing.py patches these names here; log_history_likelihoods is
 # not called, and digamma and gammaln skip the domain check, because the
 # kernel and `point_estimate` check every argument first
@@ -465,11 +466,11 @@ class _Kernel:
     Built from states, every node is live; `load` reads and `store` writes
     the states through the layout's map (`stick_at`). Given a batch, the
     kernel holds it and `index`, the entry of `x` each of the update's
-    `masses` adds to (a pad's, one past the sticks and phi, is read by
-    nothing); at one live node per agent it reshapes to (2, N, K, t+1)
-    (`_log_factors`). Rates, `lam` and both concentrations keep their
-    buffers' order, so an iteration reaches each block, the dropped rows'
-    too, through views.
+    `masses` adds to and of `psi.logs` each step factor of `_log_prefix`
+    reads (a pad's, one past the sticks and phi, is the logs' last, -inf);
+    at one live node per agent it reshapes to (2, N, K, t+1). Rates, `lam`
+    and both concentrations keep their buffers' order, so an iteration
+    reaches each block, the dropped rows' too, through views.
 
     `_allocate` builds the workspace whenever the layout changes: `index`,
     `masses` and its (occ, pair) views (`mass_views`); `terms`, the
@@ -565,7 +566,7 @@ class _Kernel:
             + n_held * (math.lgamma(n_actions * theta)
                         - n_actions * math.lgamma(theta))
         if self.batch is not None:
-            # the point estimate's maps at every step, laid out as the
+            # the point estimate's entry of each step factor, laid out as the
             # masses (`_mass_views`): eta at the first step's destination
             # lane 0, omega[a_{t-1}, o_{t-1}] at the later ones, pi[a_t]
             actions, lanes = self.batch.actions, lay.n_lanes
@@ -670,7 +671,6 @@ class ElboTrace:
 @dataclass
 class LearnResult:
     states: list
-    point_estimates: list   # the last, over each agent's kernel-live nodes
     trace: ElboTrace
     policies: list          # pruned posterior-mean controllers
     occupancy: list         # per-agent node occupancy mass at convergence,
@@ -702,22 +702,25 @@ def _log_prefix(batch, policies):
     """Cumulative log joint likelihood per (episode, t) of the batch,
     summed over agents, and the stacked `fsc.ForwardPass` it comes from,
     one pass over every agent's episodes; the scales' log is taken once.
-    A learner `_Kernel` stands for its point estimate, and at one live node
-    per agent gives `_log_factors` and no pass (None)."""
+    A learner `_Kernel` stands for its point estimate. It reads the logs
+    of each step's factors, eta or omega[a_{t-1}, o_{t-1}] and pi[a_t],
+    through `index`: at one live node per agent it adds them, which cannot
+    underflow, and runs no pass (None); at several their exp feed
+    `fsc.scaled_forward`, a pad's exp being 0."""
     if isinstance(policies, _Kernel):
+        logs, index = policies.psi.logs, policies.index
+        shape = batch.actions.shape
         if policies.layout.n_lanes == 1:
-            index = policies.index.reshape((2,) + batch.actions.shape)
-            return _log_factors(policies.psi.logs, index), None
-        policies = point_estimate(policies, policies.psi)
-    fwd = forward_pass(stack_policies(policies), batch.actions, batch.obs_bins)
+            return logs[index].reshape((2,) + shape).sum(
+                axis=(0, 1)).cumsum(axis=1), None
+        pi, pair = _mass_views(np.exp(logs)[index],
+                               shape + (policies.layout.n_lanes,))
+        fwd = scaled_forward(pair[:, :, 0, :, 0] * pi[:, :, 0], pair[:, :, 1:],
+                             pi[:, :, 1:])
+    else:
+        fwd = forward_pass(stack_policies(policies), batch.actions,
+                           batch.obs_bins)
     return np.cumsum(np.log(fwd.scale), axis=2).sum(axis=0), fwd
-
-
-def _log_factors(logs, index):
-    """`_log_prefix` of a stacked one-node estimate from its `logs`: `index`
-    (2, N, K, t+1) names each step's log eta (first) or log omega[a_{t-1},
-    o_{t-1}], and log pi[a_t]. A sum of logs does not underflow."""
-    return logs[index].sum(axis=(0, 1)).cumsum(axis=1)
 
 
 def discounted_rewards(batch, r_min, gamma):
@@ -774,8 +777,8 @@ def reweighted(batch, estimates, rewards):
     """Posterior path weights of an `EpisodeBatch`, one (K, t) block, plus
     the value they normalize by; the behaviour probabilities are the stored
     ones and `rewards` the batch's `discounted_rewards`. `estimates` are
-    per-agent point estimates or controllers, one stacked estimate
-    (`fsc.stack_policies`) or the learner's `_Kernel` (`_log_prefix`)."""
+    per-agent point estimates or controllers, or the learner's `_Kernel`,
+    read through its own map (`_log_prefix`)."""
     value, terms, fwd = _return_terms(batch, estimates, None, rewards)
     if not value > 0.0:
         raise FloatingPointError("empirical value is not positive: %r" % value)
@@ -863,17 +866,17 @@ def _update_agent(kernel, rw):
     per agent), whose posteriors, scales and step matrices the sweep reads.
     It writes its masses into the kernel's `masses`, and at every layout
     they go into the factors in one scatter (`np.bincount`) through
-    `index`, the maps the point estimate reads: each pair mass of a
-    transition to its omega entry, each occupancy of a step to its phi
-    entry and the first step's occupancy, which the first pair slot holds,
-    to its eta stick, so every parameter gets its terms in episode and step
-    order. A node whose occupancy share this sweep is below `_DROP_SHARE`
-    leaves the kernel before the factors are set; only then is the layout
-    built again, and the sweep's output moved onto the kept lanes of the
-    new workspace before the first pair slot is written. At one live node
-    per agent no sweep runs: the reverse cumulative sums of the path
-    weights are every mass, no stick has a heavier live one after it, and
-    each node's occupancy is its phi masses' sum.
+    `index`, the map `_log_prefix` reads the factors through: each pair
+    mass of a transition to its omega entry, each occupancy of a step to
+    its phi entry and the first step's occupancy, which the first pair slot
+    holds, to its eta stick, so every parameter gets its terms in episode
+    and step order. A node whose occupancy share this sweep is below
+    `_DROP_SHARE` leaves the kernel before the factors are set; only then
+    is the layout built again, and the sweep's output moved onto the kept
+    lanes of the new workspace before the first pair slot is written. At
+    one live node per agent no sweep runs: the reverse cumulative sums of
+    the path weights are every mass, no stick has a heavier live one after
+    it, and each node's occupancy is its phi masses' sum.
 
     Order: action rows, omega sticks (using the previous omega
     concentrations, `conc`) and eta sticks (using the previous eta
@@ -940,34 +943,33 @@ def _update_agent(kernel, rw):
                        minlength=lay.n_nodes + 1)[1:]
 
 
-def elbo(states, value, hyper, kernel=None):
-    """Evidence lower bound at the current factors and point estimate.
+def elbo(kernel, value):
+    """Evidence lower bound at a `_Kernel`'s factors and point estimate,
+    given the empirical value `value` at that estimate.
 
     The node-path factor is constructed so its weighted data expectation
     minus its own entropy collapses to the log of the empirical value;
     every other factor contributes an analytic prior-minus-entropy term:
     the Beta terms of all eta and omega sticks (the kernel's entries, each
     weighted by the flat columns it stands for), the Gamma terms of all
-    concentrations and the Dirichlet terms of all action rows. `kernel` is
-    the states' `_Kernel`, built (and the states checked) here if absent.
-    Every term is linear in the digammas and log-gammas of the sticks and
-    phi, and in ln(rate) and 1 / rate, with E[ln rate] = digamma(shape) -
-    ln(rate) and E[rate'] = shape / rate: the bound is `kernel.coef @
-    kernel.terms` plus a constant. A stick (first, second) with weight w
-    and concentration mean m weighs digamma(first) by w (1 - first),
-    digamma(second) by w (m - second) and digamma(first + second) by minus
-    their sum, its log-gammas by w, w and -w; an action row weighs
-    digamma(phi) by theta - phi, digamma of its sum by minus their sum,
-    and its log-gammas by 1 and -1. A Gamma factor of shape s, prior (s0,
-    r0) and weight w, whose rate also carries the sticks' E[ln rate] terms
-    of total weight W, weighs ln(rate) by -(w s0 + W) and 1 / rate by -w r0
-    s. By psi(x + 1) = psi(x) + 1 / x, a (1, lam) stick has Beta terms w
-    (1 - ln lam - m / lam): ln(lam) and m / lam weigh -w. Only the
-    digammas' weights of the sticks and phi change within a layout; they
-    are set here, the rest come with the kernel's workspace.
+    concentrations and the Dirichlet terms of all action rows, under the
+    kernel's hyperparameters. Every term is linear in the digammas and
+    log-gammas of the sticks and phi, and in ln(rate) and 1 / rate, with
+    E[ln rate] = digamma(shape) - ln(rate) and E[rate'] = shape / rate: the
+    bound is `kernel.coef @ kernel.terms` plus a constant. A stick (first,
+    second) with weight w and concentration mean m weighs digamma(first) by
+    w (1 - first), digamma(second) by w (m - second) and digamma(first +
+    second) by minus their sum, its log-gammas by w, w and -w; an action
+    row weighs digamma(phi) by theta - phi, digamma of its sum by minus
+    their sum, and its log-gammas by 1 and -1. A Gamma factor of shape s,
+    prior (s0, r0) and weight w, whose rate also carries the sticks' E[ln
+    rate] terms of total weight W, weighs ln(rate) by -(w s0 + W) and 1 /
+    rate by -w r0 s. By psi(x + 1) = psi(x) + 1 / x, a (1, lam) stick has
+    Beta terms w (1 - ln lam - m / lam): ln(lam) and m / lam weigh -w. Only
+    the digammas' weights of the sticks and phi change within a layout;
+    they are set here, the rest come with the kernel's workspace.
     """
-    if kernel is None:
-        kernel = _Kernel(states, hyper)
+    theta = kernel.hyper.theta
     c, x, w = kernel.psi_coef, kernel.sticks, kernel.layout.bound_weight
     np.subtract(1.0, x.first, out=c.first)
     np.multiply(c.first, w, out=c.first)
@@ -975,8 +977,8 @@ def elbo(states, value, hyper, kernel=None):
     np.multiply(c.second, w, out=c.second)
     np.add(c.first, c.second, out=c.total)
     np.negative(c.total, out=c.total)
-    np.subtract(hyper.theta, x.phi, out=c.phi)
-    np.subtract(x.phisum, c.phi.shape[1] * hyper.theta, out=c.phisum)
+    np.subtract(theta, x.phi, out=c.phi)
+    np.subtract(x.phisum, c.phi.shape[1] * theta, out=c.phisum)
     gammaln(kernel.x, out=kernel.lg)
     np.log(kernel.denom, out=kernel.log_terms)
     np.divide(kernel.numer, kernel.denom, out=kernel.div_terms)
@@ -1042,7 +1044,7 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         trace.norm.append(norm)
         occ_total = _update_agent(kernel, rw)
         rw = reweigh(iteration)
-        cur = elbo(states, rw.value, hyper, kernel)
+        cur = elbo(kernel, rw.value)
         if not math.isfinite(cur):
             raise FloatingPointError("bound is not finite")
         trace.elbo.append(cur)
@@ -1081,20 +1083,14 @@ def learn(episodes, hyper, max_iters=200, tol=1e-5, prune_epsilon=1e-3,
         prev = cur
     _add_statistics(trace, weights, b_rows)
     kernel.store(states)
-    estimate = point_estimate(kernel, kernel.psi)
     occupancy = np.split(occ_total, offsets[1:-1])
-    estimates, policies = [], []
+    policies = []
     for n, st in enumerate(states):
-        lanes = kernel.layout.n_live[n]
-        estimates.append(PointEstimate(
-            eta=estimate.eta[n, :lanes], pi=estimate.pi[n, :lanes],
-            omega=estimate.omega[n, :lanes, ..., :lanes]))
         mask = np.where(active[offsets[n]:offsets[n + 1]], occupancy[n], 0.0)
         policies.append(prune(mean_policy(st, action_set, n_obs_bins), mask,
                               prune_epsilon)[0])
-    return LearnResult(states=states, point_estimates=estimates, trace=trace,
-                       policies=policies, occupancy=occupancy,
-                       converged=converged)
+    return LearnResult(states=states, trace=trace, policies=policies,
+                       occupancy=occupancy, converged=converged)
 
 
 def _add_statistics(trace, weights, b_rows):

@@ -241,11 +241,7 @@ class CoexistenceSimulator:
     """One shared channel, N = lte_count + wifi_count contending agents."""
 
     def __init__(self, config):
-        self.config = config
-        self.reset()
-
-    def reset(self):
-        cfg = self.config
+        self.config = cfg = config
         self.clock = 0
         self.rng = np.random.default_rng(cfg.seed)
         occupancies = range(cfg.agent_count + 1)
@@ -271,7 +267,6 @@ class CoexistenceSimulator:
         # than one, or one sensing window: completions drop older steps
         self._reach = max(1000 * MAX_TX_MS, cfg.icca_us, cfg.difs_us,
                           cfg.ecca_slot_us, cfg.wifi_slot_us)
-        return self
 
     # -- public inspection ------------------------------------------------
 

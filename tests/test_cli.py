@@ -330,6 +330,17 @@ def test_a_true_in_a_policy_exits_2_naming_the_field(tmp_path, capsys, field):
     assert not out.exists()
 
 
+def test_a_node_count_other_than_the_eta_length_exits_2(tmp_path, capsys):
+    data = json.loads(stored_policies_text())
+    data["policies"][0]["node_count"] += 1
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(data))
+    assert main(["evaluate", "--episodes", STORED_BATCH, "--policies",
+                 str(policies)]) == 2
+    assert capsys.readouterr().err == ("error: %s policy 0: node_count must "
+                                       "equal the length of eta\n" % policies)
+
+
 @pytest.mark.parametrize("keep", [False, True],
                          ids=["renamed", "beside-the-plain-key"])
 def test_an_omega_key_not_written_as_plain_decimals_exits_2(tmp_path, capsys,
@@ -680,6 +691,14 @@ def test_a_bound_lost_to_rounding_exits_3_naming_the_iteration(tmp_path,
     assert out == ""
     assert err.startswith("numeric failure: iteration 6: the bound ")
     assert " has no significant digit: its 3234 terms reach " in err
+
+
+def test_a_bound_that_is_not_finite_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(learning, "elbo", lambda kernel, value: math.inf)
+    assert main(["learn", "--episodes", STORED_BATCH, "--out",
+                 str(tmp_path / "run")]) == 3
+    assert capsys.readouterr() == ("", "numeric failure: bound is not "
+                                       "finite\n")
 
 
 def test_a_small_dirichlet_prior_learns_to_the_end(tmp_path, capsys):

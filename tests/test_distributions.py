@@ -77,6 +77,12 @@ class TestSamplers:
         _, p = scipy.stats.chisquare(counts)
         assert p > 0.001
 
+    @pytest.mark.parametrize("first, second", [(0.0, 1.0), (1.0, -0.5)])
+    def test_beta_rejects_non_positive(self, first, second):
+        # numpy's own beta rejects these too, with another message
+        with pytest.raises(ValueError, match="strictly positive"):
+            sample_beta(first, second, np.random.default_rng(0))
+
 
 class TestStickBreaking:
     def test_hand_product(self):
@@ -112,6 +118,10 @@ class TestStickBreaking:
         with pytest.raises(ValueError):
             stick_breaking_weights([0.0])
 
+    def test_rejects_two_d_input(self):
+        with pytest.raises(ValueError, match="1-d sequence"):
+            stick_breaking_weights([[0.5, 0.5]])
+
 
 class TestSimplexRows:
     @pytest.mark.parametrize("row", [[np.nan, 1.0], [0.5, np.nan],
@@ -122,6 +132,15 @@ class TestSimplexRows:
         # "fail when out of range" would let this row through
         with pytest.raises(ValueError, match="simplex weights"):
             validate_simplex_rows(np.array([[0.25, 0.75], row]))
+
+    def test_one_vector_is_not_rows(self):
+        # rows that would each pass as a vector
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            validate_simplex([[0.25, 0.75], [1.0, 0.0]])
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            validate_simplex_rows(np.empty((2, 0)))
 
 
 class TestDomainCheck:

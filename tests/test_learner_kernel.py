@@ -183,6 +183,14 @@ class TestTableChecks:
             reweighted(batch, ests, discounted_rewards(
                 batch, reward_bounds(batch)[0], 0.9))
 
+    def test_zero_rewards_have_no_value_to_normalize_by(self):
+        batch = EpisodeBatch(seeded_batch(), [ACTIONS] * 2, 13)
+        rng = np.random.default_rng(8)
+        ests = [random_point_estimate(rng, z=2, n_obs=13) for _ in range(2)]
+        with pytest.raises(FloatingPointError,
+                           match="empirical value is not positive: 0.0"):
+            reweighted(batch, ests, np.zeros(batch.rewards.shape))
+
     @pytest.mark.parametrize("z", [1, 3])
     def test_infinite_weight_fails_at_the_sweep(self, z):
         rng = np.random.default_rng(9)
@@ -244,7 +252,7 @@ class TestOneKernel:
         singles = copy.deepcopy(states)
         kernel = _Kernel(states, hyper, batch)
         est = point_estimate(kernel, kernel.psi)
-        rw = reweighted(batch, est, discounted_rewards(
+        rw = reweighted(batch, kernel, discounted_rewards(
             batch, reward_bounds(batch)[0], hyper.gamma))
         occ = _update_agent(kernel, rw)
         kernel.store(states)
@@ -455,12 +463,10 @@ class TestCompaction:
             assert np.allclose(est.omega[n, :m, ..., :m],
                                full.omega[nodes][..., nodes], rtol=1e-12,
                                atol=0.0)
-        bound = elbo(states, 2.0, hyper)
-        assert abs(elbo(states, 2.0, hyper, kernel) - bound) \
-            <= 1e-12 * abs(bound)
+        bound = elbo(_Kernel(states, hyper), 2.0)
+        assert abs(elbo(kernel, 2.0) - bound) <= 1e-12 * abs(bound)
         reference = reference_elbo(states, 2.0, hyper)
-        assert abs(elbo(states, 2.0, hyper, kernel) - reference) \
-            <= 1e-12 * abs(reference)
+        assert abs(elbo(kernel, 2.0) - reference) <= 1e-12 * abs(reference)
         stored = [VariationalState(zn, 3, 4, hyper) for zn in z]
         kernel.store(stored)
         for st, back in zip(states, stored):
@@ -496,8 +502,7 @@ class TestCompaction:
         value = float(rng.uniform(0.5, 50.0))
         kernel = _Kernel(states, hyper)
         bound = reference_elbo(states, value, hyper)
-        assert abs(elbo(states, value, hyper, kernel) - bound) \
-            <= 1e-12 * abs(bound)
+        assert abs(elbo(kernel, value) - bound) <= 1e-12 * abs(bound)
         # drop nodes: the first of agent 0, the middle ones of agent 1 and
         # all but the last of agent 2; the kernel's view of the states is
         # what it writes back
@@ -506,8 +511,7 @@ class TestCompaction:
         stored = copy.deepcopy(states)
         kernel.store(stored)
         bound = reference_elbo(stored, value, hyper)
-        assert abs(elbo(stored, value, hyper, kernel) - bound) \
-            <= 1e-12 * abs(bound)
+        assert abs(elbo(kernel, value) - bound) <= 1e-12 * abs(bound)
 
     @pytest.mark.parametrize("node", [1, 0])
     def test_dropping_a_middle_node_matches_never_dropping(self, monkeypatch,
@@ -538,8 +542,7 @@ class TestCompaction:
             with monkeypatch.context() as patch:
                 patch.setattr(specshare.learning, "_DROP_SHARE", share)
                 kernel = _Kernel(sts, hyper, batch)
-                est = point_estimate(kernel, kernel.psi)
-                rw = reweighted(batch, est, discounted_rewards(
+                rw = reweighted(batch, kernel, discounted_rewards(
                     batch, reward_bounds(batch)[0], hyper.gamma))
                 occ = _update_agent(kernel, rw)
             kernel.store(sts)
@@ -594,7 +597,12 @@ class TestCompaction:
     def test_ess_and_max_share_of_the_last_weights(self, learn_small):
         batch = EpisodeBatch(stored_batch("batch_1.jsonl"))
         res = learn_small("batch_1.jsonl")
-        rw = reweighted(batch, res.point_estimates, discounted_rewards(
+        # the kernel as learn ends it, built from the states it returns at
+        # the nodes it kept, as `one_node_kernel` builds it
+        kernel = _Kernel(res.states, Hyperparams(), batch)
+        kernel.relayout([np.flatnonzero(occ) for occ in res.occupancy])
+        kernel.load(res.states)
+        rw = reweighted(batch, kernel, discounted_rewards(
             batch, reward_bounds(batch)[0], Hyperparams().gamma))
         terms = rw.nu.ravel()
         per_episode = rw.nu.sum(axis=1)
@@ -619,8 +627,9 @@ def random_states(rng, batch, node_counts, hyper):
 
 
 class TestClosedForms:
-    """A dropped source row's rates in closed form, and the one-node
-    log-likelihoods added from the point estimate's logs."""
+    """A dropped source row's rates in closed form, and the likelihoods
+    read through the kernel's map: at one live node the point estimate's
+    logs added, at several its entries in the stacked forward pass."""
 
     def test_dropped_source_row_matches_never_dropping(self, monkeypatch):
         # agent 0's node 1 of 4 leaves the kernel in the update, so its
@@ -687,6 +696,28 @@ class TestClosedForms:
         assert np.all(np.isfinite(got)) and got[0, 0] < -900.0
         with pytest.raises(ValueError, match="zero likelihood"):
             forward_pass(est, batch.actions, batch.obs_bins)
+
+    def test_several_live_nodes_match_the_stacked_estimate(self):
+        # agents of 2, 4 and 3 nodes, agent 1's node 1 dropped, so its node
+        # 2 has a gap before it and agent 0 a pad lane: the factors read
+        # through the kernel's map give the stacked estimate's forward
+        # pass, bit for bit
+        rng = np.random.default_rng(12)
+        hyper = Hyperparams()
+        batch = EpisodeBatch(seeded_batch(seed=12, n_agents=3),
+                             [ACTIONS] * 3, 13)
+        states = random_states(rng, batch, (2, 4, 3), hyper)
+        kernel = _Kernel(states, hyper, batch)
+        kernel.relayout([np.arange(2), np.array([0, 2, 3]), np.arange(3)])
+        kernel.load(states)
+        assert kernel.layout.n_lanes == 3 and kernel.layout.gapped.size
+        logp, fwd = specshare.learning._log_prefix(batch, kernel)
+        want = forward_pass(point_estimate(kernel, kernel.psi), batch.actions,
+                            batch.obs_bins)
+        for name in ("alpha_hat", "scale", "steps"):
+            assert np.array_equal(getattr(fwd, name), getattr(want, name))
+        assert np.array_equal(logp, np.cumsum(np.log(want.scale), axis=2)
+                              .sum(axis=0))
 
 
 def one_node_kernel(eps, hyper, iterations=12):
@@ -913,8 +944,7 @@ class TestLiveOnlyKernel:
             assert np.all(st.delta[nodes] == 1.0)
             assert np.all(st.sigma[..., nodes] == 1.0)
         bound = reference_elbo(stored, value, hyper)
-        assert abs(elbo(stored, value, hyper, kernel) - bound) \
-            <= 1e-12 * abs(bound)
+        assert abs(elbo(kernel, value) - bound) <= 1e-12 * abs(bound)
         # the update's E[ln(1 - u)] -1 / lam: in the rates it set, and in
         # the prefix of the live node's point estimate
         for st, (b, h) in zip(stored, reference_rates(stored, hyper)):
@@ -961,12 +991,12 @@ class TestLiveOnlyKernel:
             weights.append(rw.nu)
             return rw
 
-        def spy_elbo(states, value, hyper, kernel):
+        def spy_elbo(kernel, value):
             lay = kernel.layout
             b = kernel.b[lay.node_row].min(axis=1)
             b_min.append([float(b[lay.offsets[n]:lay.offsets[n + 1]].min())
                           for n in range(lay.n_agents)])
-            return original_elbo(states, value, hyper, kernel)
+            return original_elbo(kernel, value)
 
         monkeypatch.setattr(specshare.learning, "reweighted", spy_reweighted)
         monkeypatch.setattr(specshare.learning, "elbo", spy_elbo)

@@ -363,8 +363,8 @@ class TestUpdatesAndElbo:
     def test_elbo_data_term_shift(self):
         # the bound is log(value) plus terms independent of the value
         hyper = Hyperparams()
-        st = VariationalState(2, 3, 4, hyper)
-        shift = elbo([st], 5.0, hyper) - elbo([st], 2.5, hyper)
+        kernel = _Kernel([VariationalState(2, 3, 4, hyper)], hyper)
+        shift = elbo(kernel, 5.0) - elbo(kernel, 2.5)
         assert abs(shift - math.log(2.0)) < 1e-12
 
     def test_elbo_hand_value_at_unit_state(self):
@@ -377,7 +377,7 @@ class TestUpdatesAndElbo:
         st = VariationalState(1, 3, 4, hyper)
         value = 2.5
         expect = math.log(value) - 13.0
-        assert abs(elbo([st], value, hyper) - expect) < 1e-10
+        assert abs(elbo(_Kernel([st], hyper), value) - expect) < 1e-10
 
     def test_mean_policy_is_proper(self):
         rng = np.random.default_rng(16)
@@ -453,25 +453,31 @@ class TestSharedForwardPass:
 
     def test_one_forward_pass_per_agent_episode_iteration(self, monkeypatch):
         calls = []
-        original = specshare.fsc.forward_pass
+        original = specshare.learning.scaled_forward
 
-        def counting(policy, action_idx, obs_bins):
-            # agent-episode rows in the call: (K, t+1) per agent, or
-            # (N, K, t+1) stacked
-            calls.append(np.size(action_idx) // np.shape(action_idx)[-1])
-            return original(policy, action_idx, obs_bins)
+        def counting(first, omega_steps, pi_steps):
+            # agent-episode rows in the pass: (N, K, Z) first factors
+            calls.append(math.prod(np.shape(first)[:2]))
+            return original(first, omega_steps, pi_steps)
 
-        monkeypatch.setattr(specshare.fsc, "forward_pass", counting)
-        monkeypatch.setattr(specshare.learning, "forward_pass", counting)
-        # at one live node per agent the log factors take the pass's place:
-        # (2, N, K, t+1) indices
-        log_factors = specshare.learning._log_factors
+        monkeypatch.setattr(specshare.learning, "scaled_forward", counting)
+        # at one live node per agent the added logs take the pass's place
+        log_prefix = specshare.learning._log_prefix
 
-        def counting_logs(logs, index):
-            calls.append(np.size(index[0]) // np.shape(index)[-1])
-            return log_factors(logs, index)
+        def counting_logs(batch, policies):
+            logp, fwd = log_prefix(batch, policies)
+            if fwd is None:
+                calls.append(math.prod(batch.actions.shape[:2]))
+            return logp, fwd
 
-        monkeypatch.setattr(specshare.learning, "_log_factors", counting_logs)
+        monkeypatch.setattr(specshare.learning, "_log_prefix", counting_logs)
+
+        def forbidden(*args):  # the kernel is read through its own map
+            raise AssertionError("learn built a stacked point estimate")
+
+        for name in ("forward_pass", "point_estimate", "stack_policies"):
+            monkeypatch.setattr(specshare.learning, name, forbidden)
+        monkeypatch.setattr(specshare.fsc, "forward_pass", forbidden)
         eps = seeded_batch()
         res = learn(eps, Hyperparams(), max_iters=6, n_obs_bins=13)
         k, n = len(eps), len(eps[0].agents)
@@ -562,8 +568,8 @@ class TestBatchedKernel:
         ests = [point_estimate(st) for st in states]
         rw = reweighted(batch, ests, discounted_rewards(
             batch, reward_bounds(batch)[0], hyper.gamma))
-        bound, bound_full = elbo(states, rw.value, hyper), \
-            elbo(full, rw.value, hyper)
+        bound, bound_full = elbo(_Kernel(states, hyper), rw.value), \
+            elbo(_Kernel(full, hyper), rw.value)
         assert abs(bound - bound_full) <= 1e-12 * abs(bound_full)
         # one update of every agent in each kernel, from the same estimate
         kernel, kernel_full = (_Kernel(st, hyper, batch)
